@@ -385,7 +385,9 @@ def oracle_validation(
                 break
             gpu.load_kernel(pending.pop(0))
         if i % 4 == 2:  # probe a few epochs spread over the run
-            accs.append(sampler.validation_accuracy(gpu, chosen))
+            acc = sampler.validation_accuracy(gpu, chosen)
+            if acc is not None:  # nothing committed: no evidence either way
+                accs.append(acc)
         gpu.run_epoch(cfg.dvfs.epoch_ns)
     return OracleValidationResult(sum(accs) / len(accs) if accs else 0.0)
 

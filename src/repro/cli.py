@@ -1272,7 +1272,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "the hot-path event counters instead of the "
                          "sensitivity trace")
     sp.add_argument("--design", default="PCSTALL",
-                    help="design to simulate with --hotpath (default PCSTALL)")
+                    help="design to simulate with --hotpath (default PCSTALL; "
+                         "only a design fed truth, e.g. ORACLE, runs the oracle)")
     sp.add_argument("--engine", choices=("event", "reference"), default="event",
                     help="timing-engine implementation (reference = the "
                          "pre-event-engine rescan loop, for comparisons)")

@@ -48,6 +48,12 @@ class Predictor(abc.ABC):
     #: Whether this design needs oracle sampling of the next epoch.
     needs_future_truth: bool = False
 
+    @property
+    def needs_truth(self) -> bool:
+        """Whether oracle truth feeds this design at all (either flag);
+        the simulations pre-execute an epoch for a design only then."""
+        return self.needs_elapsed_truth or self.needs_future_truth
+
     @abc.abstractmethod
     def observe(self, result: EpochResult, ctx: ObserveContext) -> None:
         """Digest the elapsed epoch."""

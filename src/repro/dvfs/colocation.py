@@ -80,11 +80,9 @@ class ColocationSimulation:
         self.controller = controller
         self.config = sim_config
         self.max_epochs = max_epochs
-        predictor = controller.predictor
-        self._needs_truth = predictor.needs_elapsed_truth or predictor.needs_future_truth
         self._oracle = (
             OracleSampler(sim_config, n_sample_freqs=oracle_sample_freqs)
-            if self._needs_truth
+            if controller.predictor.needs_truth
             else None
         )
 

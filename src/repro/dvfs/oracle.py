@@ -140,7 +140,9 @@ class OracleSampler:
             idxs = sorted({int(round(i * step)) for i in range(n_sample_freqs)})
             self.sample_grid = tuple(full[i] for i in idxs)
         n = len(self.sample_grid)
-        if n > 1 and shuffle_stride % n == 0:
+        # A stride sharing a factor with n aliases domains d and d + n/g
+        # onto the same frequency in every sample (g = the common factor).
+        while n > 1 and math.gcd(shuffle_stride, n) != 1:
             shuffle_stride += 1
         self.shuffle_stride = shuffle_stride
 
@@ -260,13 +262,18 @@ class OracleSampler:
 
     def validation_accuracy(
         self, gpu: Gpu, chosen_freqs: Sequence[float], epoch_ns: Optional[float] = None
-    ) -> float:
+    ) -> Optional[float]:
         """Paper's methodology check (Section 5.1; they report 97.6%).
 
         Compares pre-executed per-domain commits - taken from the one
         shuffled sample where each domain happened to run at its chosen
         frequency - against a coherent re-execution where *all* domains
         run their chosen frequencies simultaneously.
+
+        Returns None when no domain is scorable (every domain committed
+        nothing in the re-execution). Raises ValueError for a chosen
+        frequency that is not on the sample grid: it is never
+        pre-executed, so there is nothing to compare it against.
         """
         epoch = epoch_ns if epoch_ns is not None else self.config.dvfs.epoch_ns
         sample = self.sample(gpu, epoch)
@@ -275,13 +282,16 @@ class OracleSampler:
         result = replay.run_epoch(epoch)
         actual = replay.committed_per_domain(result)
 
-        accs = []
-        for d, f in enumerate(chosen_freqs):
-            predicted = sample.commits_at(d, f)
-            if predicted is None or actual[d] <= 0:
-                continue
-            accs.append(max(0.0, 1.0 - abs(predicted - actual[d]) / actual[d]))
-        return sum(accs) / len(accs) if accs else 1.0
+        predicted = [sample.commits_at(d, f) for d, f in enumerate(chosen_freqs)]
+        if None in predicted:
+            raise ValueError(
+                f"chosen frequencies {list(chosen_freqs)} are not all on the "
+                f"sample grid {list(self.sample_grid)}"
+            )
+        accs = [
+            max(0.0, 1.0 - abs(p - a) / a) for p, a in zip(predicted, actual) if a > 0
+        ]
+        return sum(accs) / len(accs) if accs else None
 
 
 __all__ = ["OracleSampler", "OracleSample"]

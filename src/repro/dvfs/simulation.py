@@ -2,9 +2,12 @@
 
 Per epoch the loop is (Figure 3b):
 
-1. If the design needs oracle truth (ORACLE / ACCREAC / ACCPC, or the
-   caller asked for accuracy-vs-truth), run the fork-and-pre-execute
-   sampler from the current snapshot.
+1. If something reads oracle truth, run the fork-and-pre-execute sampler
+   from the current snapshot. Two readers exist: a design fed truth
+   (ORACLE / ACCREAC / ACCPC, ``Predictor.needs_truth``), and an
+   attached epoch trace recorder when the caller asked for
+   ``collect_accuracy``. Any other epoch is never pre-executed: its
+   sample would be dropped unread.
 2. The controller decides per-domain frequencies from its predictions.
 3. Frequencies are applied (changed domains pay the transition latency)
    and the epoch executes for real.
@@ -82,7 +85,15 @@ class RunResult:
 
 
 class DvfsSimulation:
-    """Runs one workload under one DVFS design to completion."""
+    """Runs one workload under one DVFS design to completion.
+
+    ``collect_accuracy`` records oracle truth into the attached
+    ``telemetry`` recorder (the per-domain truth lines and oracle-best
+    frequencies that ``repro report --accuracy`` and the learned-model
+    dataset read). Without a recorder it samples nothing: a design that
+    is not fed truth then runs no oracle at all, and ``RunResult`` is
+    the same either way apart from its ``hotpath`` counters.
+    """
 
     def __init__(
         self,
@@ -107,9 +118,8 @@ class DvfsSimulation:
         self.design_name = design_name or controller.predictor.name
         self.workload_name = workload_name or self.kernels[0].name
         self.max_epochs = max_epochs
-        predictor = controller.predictor
-        self.needs_truth = (
-            predictor.needs_elapsed_truth or predictor.needs_future_truth or collect_accuracy
+        self.needs_truth = controller.predictor.needs_truth or (
+            collect_accuracy and telemetry is not None
         )
         self._oracle = (
             OracleSampler(

@@ -87,6 +87,9 @@ class SweepTask:
     scale: float = 0.4
     max_epochs: int = 400
     oracle_sample_freqs: Optional[int] = 4
+    #: Record oracle truth into a recorder that :func:`run_task` attaches
+    #: (see ``DvfsSimulation``). With no recorder attached a design that
+    #: is not fed truth samples nothing, and the result is the same.
     collect_accuracy: bool = False
     objective: Optional[Objective] = None
 

@@ -103,18 +103,21 @@ class TestGoldenRuns:
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_run_result_bit_identical(self, name):
-        results = {}
-        for cfg in engine_pair(small_config(n_cus=2, waves_per_cu=4)):
-            kernels = build_workload(workload(name), scale=0.15)
-            ctrl = make_controller("PCSTALL", cfg)
-            sim = DvfsSimulation(
-                kernels, ctrl, cfg, design_name="PCSTALL", workload_name=name,
-                collect_accuracy=True, max_epochs=40, oracle_sample_freqs=3,
-            )
-            results[cfg.gpu.engine] = sim.run()
-        assert result_signature(results["event"]) == result_signature(
-            results["reference"]
-        )
+        # PCSTALL samples no oracle without a recorder; ACCPC is fed the
+        # elapsed epoch's truth, so it keeps the oracle path compared.
+        for design in ("PCSTALL", "ACCPC"):
+            results = {}
+            for cfg in engine_pair(small_config(n_cus=2, waves_per_cu=4)):
+                kernels = build_workload(workload(name), scale=0.15)
+                ctrl = make_controller(design, cfg)
+                sim = DvfsSimulation(
+                    kernels, ctrl, cfg, design_name=design, workload_name=name,
+                    collect_accuracy=True, max_epochs=40, oracle_sample_freqs=3,
+                )
+                results[cfg.gpu.engine] = sim.run()
+            assert result_signature(results["event"]) == result_signature(
+                results["reference"]
+            ), design
 
     def test_static_design_bit_identical(self):
         results = {}
@@ -154,9 +157,9 @@ class TestScanReduction:
         hot = {}
         for cfg in engine_pair(small_config(n_cus=2, waves_per_cu=4)):
             kernels = build_workload(workload("comd"), scale=0.15)
-            ctrl = make_controller("PCSTALL", cfg)
+            ctrl = make_controller("ACCPC", cfg)
             sim = DvfsSimulation(
-                kernels, ctrl, cfg, design_name="PCSTALL", workload_name="comd",
+                kernels, ctrl, cfg, design_name="ACCPC", workload_name="comd",
                 collect_accuracy=True, max_epochs=20, oracle_sample_freqs=3,
             )
             hot[cfg.gpu.engine] = sim.run().hotpath

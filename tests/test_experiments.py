@@ -14,6 +14,7 @@ from repro.analysis.experiments import (
     tab1_storage,
 )
 from repro.config import small_config
+from repro.dvfs.oracle import OracleSampler
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,14 @@ class TestOracleValidation:
     def test_high_accuracy(self, setup):
         r = oracle_validation(setup, app="comd", probes=2)
         assert r.accuracy > 0.9
+
+    def test_unscorable_probes_skipped(self, setup, monkeypatch):
+        scores = iter([None, 0.5, None, 0.75])
+        monkeypatch.setattr(
+            OracleSampler, "validation_accuracy", lambda self, gpu, chosen: next(scores)
+        )
+        r = oracle_validation(setup, app="comd", probes=4)
+        assert r.accuracy == 0.625
 
 
 class TestEpochTrend:

@@ -173,7 +173,7 @@ class TestTracingContract:
         assert untraced == traced
 
     def test_traced_run_spans_cover_every_epoch(self):
-        task = small_task()
+        task = small_task(design="ACCPC")
         with Tracer(ring_size=0) as tr:
             result = run_task(task, tracer=tr)
         spans = [r for r in tr.records if r["type"] == "span"]
@@ -185,7 +185,8 @@ class TestTracingContract:
         assert run["attrs"]["workload"] == "dgemm"
         assert len(by_name["epoch"]) == result.epochs
         assert all(s["parent_id"] == run["span_id"] for s in by_name["epoch"])
-        # collect_accuracy=True forces oracle sampling every epoch.
+        # ACCPC is fed the elapsed epoch's truth, so every epoch is
+        # pre-executed (collect_accuracy alone samples only into a recorder).
         assert len(by_name["oracle_sample"]) == result.epochs
         epoch_ids = {s["span_id"] for s in by_name["epoch"]}
         assert all(

@@ -1,7 +1,9 @@
 """Fork-and-pre-execute oracle: shuffling, fits, validation accuracy."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.config import small_config
 from repro.dvfs.oracle import OracleSampler
 from repro.gpu.gpu import Gpu
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
@@ -39,6 +41,38 @@ class TestShuffling:
         # stride 10 == grid size would alias; constructor bumps it.
         sampler = OracleSampler(tiny_config, shuffle_stride=10)
         assert sampler.shuffle_stride != 10
+
+    @pytest.mark.parametrize("n, aliased", [(6, (0, 2)), (9, (0, 3))])
+    def test_stride_sharing_a_factor_adjusted(self, tiny_config, n, aliased):
+        # The default stride 3 divides neither 6 nor 9, yet shares a
+        # factor with both: two domains would always run together.
+        sampler = OracleSampler(tiny_config, n_sample_freqs=n)
+        a, b = aliased
+        for freqs in sampler.sample_plan(n):
+            assert freqs[a] != freqs[b]
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_benchmark_grids_keep_stride_3(self, tiny_config, n):
+        assert OracleSampler(tiny_config, n_sample_freqs=n).shuffle_stride == 3
+
+    @settings(derandomize=True, database=None, max_examples=150)
+    @given(
+        n=st.integers(2, 10),
+        data=st.data(),
+        stride=st.integers(1, 30),
+    )
+    def test_plan_is_a_latin_square(self, n, data, stride):
+        """Every domain runs every sample frequency exactly once, and no
+        two domains share a frequency within one sample."""
+        n_domains = data.draw(st.integers(1, n), label="n_domains")
+        sampler = OracleSampler(small_config(), shuffle_stride=stride, n_sample_freqs=n)
+        plan = sampler.sample_plan(n_domains)
+        grid = sorted(sampler.sample_grid)
+        assert len(grid) == n
+        for d in range(n_domains):
+            assert sorted(freqs[d] for freqs in plan) == grid
+        for freqs in plan:
+            assert len(set(freqs)) == n_domains
 
 
 class TestSampleSubset:
@@ -202,3 +236,17 @@ class TestValidation:
         sampler = OracleSampler(tiny_config)
         acc = sampler.validation_accuracy(gpu, [1.7, 1.5])
         assert acc > 0.9
+
+    def test_nothing_scorable_is_none(self, tiny_config):
+        # No kernel: every domain commits nothing, so there is no
+        # evidence either way (not a perfect score).
+        gpu = Gpu(tiny_config.gpu, initial_freq_ghz=tiny_config.dvfs.reference_freq_ghz)
+        assert OracleSampler(tiny_config).validation_accuracy(gpu, [1.7, 1.5]) is None
+
+    def test_frequency_off_the_sample_grid_rejected(self, tiny_config):
+        # 1.7 GHz is not among the 4 pre-executed frequencies.
+        gpu = make_gpu(tiny_config)
+        sampler = OracleSampler(tiny_config, n_sample_freqs=4)
+        assert 1.7 not in sampler.sample_grid
+        with pytest.raises(ValueError, match="sample grid"):
+            sampler.validation_accuracy(gpu, [1.7, 1.7])

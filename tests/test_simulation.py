@@ -7,6 +7,9 @@ from repro.core.objectives import EDnPObjective, PerformanceCapObjective
 from repro.dvfs.designs import make_controller
 from repro.dvfs.simulation import DvfsSimulation
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
+from repro.runtime.executor import SweepTask, run_task
+from repro.telemetry import EpochTraceRecorder, TelemetryConfig
+from repro.validation.differential import diff_run_results
 
 from helpers import make_loop_program
 
@@ -192,6 +195,43 @@ class TestOracleLifecycle:
         assert hp["oracle_samples"] == r.epochs
         assert hp["snapshots"] == r.epochs  # one capture per oracle fork
         assert hp["clone_bytes"] == 0  # scratch restores, no deep clones
+
+
+class TestTruthOnDemand:
+    """The oracle pre-executes an epoch only when something reads the
+    sample: a design fed truth, or a recorder asked to record it."""
+
+    UNFED = ("STATIC@1.7", "STALL", "LEAD", "CRIT", "CRISP", "PCSTALL", "PCCRISP",
+             "HISTORY")
+    FED = ("ACCREAC", "ACCPC", "ORACLE")
+
+    @staticmethod
+    def cell(design):
+        return SweepTask("dgemm", design, small_config(n_cus=2, waves_per_cu=4),
+                         scale=0.12, max_epochs=60, oracle_sample_freqs=3,
+                         collect_accuracy=True)
+
+    @staticmethod
+    def recorded(task):
+        with EpochTraceRecorder(TelemetryConfig()) as rec:
+            return run_task(task, recorder=rec)
+
+    @pytest.mark.parametrize("design", UNFED)
+    def test_unread_truth_is_not_sampled(self, design):
+        task = self.cell(design)
+        plain = run_task(task)
+        assert plain.hotpath["oracle_samples"] == plain.hotpath["snapshots"] == 0
+        recorded = self.recorded(task)
+        assert recorded.hotpath["oracle_samples"] == recorded.epochs
+        assert diff_run_results(plain, recorded) == []
+
+    @pytest.mark.parametrize("design", FED)
+    def test_fed_designs_sample_every_epoch(self, design):
+        task = self.cell(design)
+        plain, recorded = run_task(task), self.recorded(task)
+        for result in (plain, recorded):
+            assert result.hotpath["oracle_samples"] == result.epochs
+        assert diff_run_results(plain, recorded) == []
 
 
 class TestDeterminism:
