@@ -10,8 +10,9 @@ per-frequency residency (Figure 16).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, MutableSequence, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.core.objectives import Objective, ObjectiveContext
@@ -34,8 +35,13 @@ FREQ_REL_TOL = 1e-9
 class ControllerLog:
     """What the controller believed and chose, per epoch."""
 
-    chosen_freqs: List[List[float]] = field(default_factory=list)
-    predictions: List[List[Optional[LinearSensitivity]]] = field(default_factory=list)
+    chosen_freqs: MutableSequence[List[float]] = field(default_factory=list)
+    predictions: MutableSequence[List[Optional[LinearSensitivity]]] = field(default_factory=list)
+
+    @classmethod
+    def latest_only(cls) -> "ControllerLog":
+        """A log of the latest epoch alone (a served session's history)."""
+        return cls(deque(maxlen=1), deque(maxlen=1))
 
     def frequency_residency(self, freq_grid: Sequence[float]) -> Dict[float, float]:
         """Fraction of (domain, epoch) decisions spent at each frequency.
@@ -117,30 +123,6 @@ class DvfsController:
             true_domain_lines=true_domain_lines,
         )
         self.predictor.observe(result, ctx)
-        per = self.config.gpu.cus_per_domain
-        for d in range(self.config.gpu.n_domains):
-            commits = sum(
-                result.cu_stats[cu].committed for cu in range(d * per, (d + 1) * per)
-            )
-            self.objective.observe_epoch(
-                d, self._measured_domain_power(result, d), commits
-            )
-
-    def _measured_domain_power(self, result: EpochResult, domain: int) -> float:
-        """Actual wall power of a domain over the elapsed epoch, plus its
-        share of the constant memory power (feedback for the adaptive
-        ED^nP delay weight)."""
-        gpu_cfg = self.config.gpu
-        f = result.frequencies_ghz[domain]
-        cycles = result.duration_ns * f
-        slots = cycles * gpu_cfg.issue_width
-        total = 0.0
-        per = gpu_cfg.cus_per_domain
-        for cu_id in range(domain * per, (domain + 1) * per):
-            issued = result.cu_stats[cu_id].issued
-            activity = min(1.0, issued / slots) if slots > 0 else 0.0
-            total += self.power.cu_power(f, activity)
-        return total + self._ctx.memory_power_share
 
     def decide(self) -> List[float]:
         """Frequencies for the next epoch, one per domain."""

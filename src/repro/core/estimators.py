@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.config import GpuConfig
-from repro.core.sensitivity import LinearSensitivity
+from repro.core.sensitivity import LinearSensitivity, aggregate
 from repro.gpu.gpu import EpochResult, WaveEpochRecord
 
 
@@ -50,15 +50,11 @@ def interval_line(
     total = t_core_ns + t_async_ns
     if total <= 0.0 or committed <= 0.0:
         return LinearSensitivity(max(0.0, committed), 0.0)
-
-    def commits_at(f2: float) -> float:
-        denom = t_core_ns * (f1_ghz / f2) + t_async_ns
-        if denom <= 0.0:
-            return committed
-        return total * committed / denom
-
-    i_lo = commits_at(f_lo_ghz)
-    i_hi = commits_at(f_hi_ghz)
+    # Commits at f2 = total * committed / (t_core * f1/f2 + t_async).
+    denom = t_core_ns * (f1_ghz / f_lo_ghz) + t_async_ns
+    i_lo = committed if denom <= 0.0 else total * committed / denom
+    denom = t_core_ns * (f1_ghz / f_hi_ghz) + t_async_ns
+    i_hi = committed if denom <= 0.0 else total * committed / denom
     if f_hi_ghz == f_lo_ghz:
         return LinearSensitivity(i_lo, 0.0)
     return LinearSensitivity.from_two_points(f_lo_ghz, i_lo, f_hi_ghz, i_hi)
@@ -232,19 +228,21 @@ class WavefrontStallModel(EstimationModel):
         records = result.wave_records[cu_id]
         t = result.duration_ns
         n = max(1, len(records))
+        kappa = self.age_kappa
+        age_normalise = kappa > 0.0 and n > 1
+        mid_f = 0.5 * (f_lo_ghz + f_hi_ghz)
         out: List[WavefrontEstimate] = []
         for r in records:
             s = r.stats
             t_async = min(t, s.stall_ns + s.barrier_stall_ns)
             t_core = t - t_async
             line = interval_line(s.committed, t_core, t_async, f_ghz, f_lo_ghz, f_hi_ghz)
-            if self.age_kappa > 0.0 and n > 1:
+            if age_normalise:
                 # Younger (higher-rank) wavefronts saw scheduling
                 # contention that scales with frequency: part of their
                 # apparent stall is actually core time. Shift a rank-
                 # proportional slice of i0 into slope.
-                shift = self.age_kappa * (r.age_rank / (n - 1)) if n > 1 else 0.0
-                mid_f = 0.5 * (f_lo_ghz + f_hi_ghz)
+                shift = kappa * (r.age_rank / (n - 1))
                 moved = shift * max(0.0, line.i0) * 0.1
                 line = LinearSensitivity(line.i0 - moved, line.slope + moved / mid_f)
             out.append(WavefrontEstimate(r, line))
@@ -252,10 +250,7 @@ class WavefrontStallModel(EstimationModel):
 
     def estimate_cu(self, result, cu_id, f_ghz, f_lo_ghz, f_hi_ghz, config):
         parts = self.estimate_wavefronts(result, cu_id, f_ghz, f_lo_ghz, f_hi_ghz, config)
-        total = LinearSensitivity.zero()
-        for p in parts:
-            total = total + p.line
-        return total
+        return aggregate(p.line for p in parts)
 
 
 class WavefrontLeadModel(EstimationModel):
@@ -280,10 +275,7 @@ class WavefrontLeadModel(EstimationModel):
 
     def estimate_cu(self, result, cu_id, f_ghz, f_lo_ghz, f_hi_ghz, config):
         parts = self.estimate_wavefronts(result, cu_id, f_ghz, f_lo_ghz, f_hi_ghz, config)
-        total = LinearSensitivity.zero()
-        for p in parts:
-            total = total + p.line
-        return total
+        return aggregate(p.line for p in parts)
 
 
 class WavefrontCritModel(EstimationModel):
@@ -303,10 +295,7 @@ class WavefrontCritModel(EstimationModel):
 
     def estimate_cu(self, result, cu_id, f_ghz, f_lo_ghz, f_hi_ghz, config):
         parts = self.estimate_wavefronts(result, cu_id, f_ghz, f_lo_ghz, f_hi_ghz, config)
-        total = LinearSensitivity.zero()
-        for p in parts:
-            total = total + p.line
-        return total
+        return aggregate(p.line for p in parts)
 
 
 ALL_CU_MODELS: Tuple[EstimationModel, ...] = (

@@ -36,16 +36,17 @@ class ObjectiveContext:
     #: The static reference frequency (normalisation baseline).
     reference_freq_ghz: float = 1.7
 
-    def predicted_activity(self, line: LinearSensitivity, f_ghz: float) -> float:
+    def predicted_activity(self, line: LinearSensitivity, f_ghz: float, commits=None) -> float:
         """Issue occupancy implied by the predicted commit count."""
         slots = self.epoch_ns * f_ghz * self.issue_width * self.n_cus_in_domain
         if slots <= 0:
             return 0.0
-        return min(1.0, line.predict(f_ghz) / slots)
+        return min(1.0, (line.predict(f_ghz) if commits is None else commits) / slots)
 
-    def domain_power(self, line: LinearSensitivity, f_ghz: float) -> float:
-        """Predicted wall power of the whole domain at ``f_ghz``."""
-        activity = self.predicted_activity(line, f_ghz)
+    def domain_power(self, line: LinearSensitivity, f_ghz: float, commits=None) -> float:
+        """Predicted wall power of the whole domain at ``f_ghz``; callers
+        that already have ``line.predict(f_ghz)`` pass it as ``commits``."""
+        activity = self.predicted_activity(line, f_ghz, commits)
         return (
             self.power.cu_power(f_ghz, activity) * self.n_cus_in_domain
             + self.memory_power_share
@@ -68,13 +69,6 @@ class Objective(abc.ABC):
     ) -> float:
         """Frequency for the next epoch. ``line`` may be None (no
         prediction yet) in which case implementations should hold."""
-
-    def observe_epoch(
-        self, domain: int, measured_power: float, measured_commits: float
-    ) -> None:
-        """Feedback hook: the domain's measured power and committed work
-        over the elapsed epoch. Stateful objectives use it to calibrate
-        their work/energy exchange rate; default no-op."""
 
 
 class StaticObjective(Objective):
@@ -134,8 +128,9 @@ class EDnPObjective(Objective):
         order); 1.0 works well for the default power model.
         """
         f_ref = ctx.reference_freq_ghz
-        p_ref = ctx.domain_power(line, f_ref)
-        i_ref = max(line.predict(f_ref), 1.0)
+        commits_ref = line.predict(f_ref)
+        p_ref = ctx.domain_power(line, f_ref, commits_ref)
+        i_ref = max(commits_ref, 1.0)
         return self.price_scale * (self.n + 1) * p_ref / i_ref
 
     def choose(self, line, freq_grid, current_f, ctx, domain=0):
@@ -145,7 +140,8 @@ class EDnPObjective(Objective):
         best_f = current_f
         best_cost = float("inf")
         for f in freq_grid:
-            cost = ctx.domain_power(line, f) - price * line.predict(f)
+            commits = line.predict(f)
+            cost = ctx.domain_power(line, f, commits) - price * commits
             if cost < best_cost:
                 best_cost = cost
                 best_f = f
@@ -175,9 +171,10 @@ class PerformanceCapObjective(Objective):
         best_f = f_max
         best_power = float("inf")
         for f in freq_grid:
-            if line.predict(f) + 1e-9 < required:
+            commits = line.predict(f)
+            if commits + 1e-9 < required:
                 continue
-            power = ctx.domain_power(line, f)
+            power = ctx.domain_power(line, f, commits)
             if power < best_power:
                 best_power = power
                 best_f = f
@@ -206,9 +203,10 @@ class QoSDeadlineObjective(Objective):
         best_f = None
         best_power = float("inf")
         for f in freq_grid:
-            if line.predict(f) + 1e-9 < self.target:
+            commits = line.predict(f)
+            if commits + 1e-9 < self.target:
                 continue
-            power = ctx.domain_power(line, f)
+            power = ctx.domain_power(line, f, commits)
             if power < best_power:
                 best_power = power
                 best_f = f

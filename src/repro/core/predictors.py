@@ -176,20 +176,21 @@ class PCBasedPredictor(Predictor):
         if result is None:
             return [None] * self.config.n_domains
         out: List[Optional[LinearSensitivity]] = []
+        last_wave_lines = self._last_wave_lines
         for cu_ids in _domain_cu_ids(self.config):
-            total = LinearSensitivity.zero()
+            # Summed as floats from 0.0, in the order ``aggregate`` adds.
+            i0 = slope = 0.0
             seen_any = False
             for cu_id in cu_ids:
-                table = self.table_for_cu(cu_id)
+                lookup = self.table_for_cu(cu_id).lookup
                 for record in result.wave_records[cu_id]:
                     seen_any = True
-                    line = table.lookup(record.next_pc_idx)
+                    line = lookup(record.next_pc_idx)
                     if line is None:
-                        line = self._last_wave_lines.get(
-                            record.wf_id, LinearSensitivity.zero()
-                        )
-                    total = total + line
-            out.append(total if seen_any else None)
+                        line = last_wave_lines.get(record.wf_id, LinearSensitivity.zero())
+                    i0 += line.i0
+                    slope += line.slope
+            out.append(LinearSensitivity(i0, slope) if seen_any else None)
         return out
 
     def hit_ratio(self) -> float:

@@ -117,8 +117,5 @@ class PowerManagedObjective(Objective):
             current_f = window[-1]
         return self.inner.choose(line, window, current_f, ctx, domain)
 
-    def observe_epoch(self, domain, measured_power, measured_commits):
-        self.inner.observe_epoch(domain, measured_power, measured_commits)
-
 
 __all__ = ["HierarchicalPowerManager", "PowerManagedObjective"]

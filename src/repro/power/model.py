@@ -23,9 +23,14 @@ absolute scale cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 from repro.config import PowerConfig
+
+#: Most frequencies one :class:`PowerModel` memoises (a DVFS grid has
+#: about ten); terms of any further frequency are computed, not stored.
+POWER_MEMO_MAX_FREQS = 64
 
 
 def voltage_for_frequency(cfg: PowerConfig, f_ghz: float) -> float:
@@ -47,6 +52,10 @@ class PowerModel:
     """Evaluates CU-domain and memory-subsystem power."""
 
     config: PowerConfig
+    #: f -> (C_eff * V(f)^2, leakage, IVR efficiency) for :meth:`cu_power`.
+    _terms: Dict[float, Tuple[float, float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def voltage(self, f_ghz: float) -> float:
         return voltage_for_frequency(self.config, f_ghz)
@@ -81,9 +90,18 @@ class PowerModel:
 
     def cu_power(self, f_ghz: float, activity: float) -> float:
         """Total wall power drawn for one CU, including IVR losses."""
-        v = self.voltage(f_ghz)
-        consumed = self.dynamic_power_per_cu(f_ghz, activity) + self.leakage_power_per_cu(f_ghz)
-        return consumed / self.ivr_efficiency(v)
+        terms = self._terms.get(f_ghz)
+        if terms is None:
+            v = self.voltage(f_ghz)
+            terms = (self.config.c_eff_per_cu * v * v,
+                     self.leakage_power_per_cu(f_ghz), self.ivr_efficiency(v))
+            if len(self._terms) < POWER_MEMO_MAX_FREQS:
+                self._terms[f_ghz] = terms
+        cvv, leakage, efficiency = terms
+        idle = self.config.idle_activity
+        a = idle + (1.0 - idle) * min(max(activity, 0.0), 1.0)
+        # dynamic_power_per_cu's products in its order, so bit-identical.
+        return (cvv * a * f_ghz + leakage) / efficiency
 
     def memory_power(self, n_l2_banks: int) -> float:
         """Constant power of the fixed-frequency memory subsystem."""
@@ -94,4 +112,4 @@ class PowerModel:
         return self.config.transition_energy * n_transitions
 
 
-__all__ = ["PowerModel", "voltage_for_frequency"]
+__all__ = ["POWER_MEMO_MAX_FREQS", "PowerModel", "voltage_for_frequency"]

@@ -71,10 +71,19 @@ def encode_frame(message: Mapping[str, object]) -> bytes:
     return struct.pack(">I", len(payload)) + payload
 
 
+def _reject_constant(name: str) -> object:
+    raise ValueError(f"{name} is not a finite number")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_payload(payload: bytes) -> Dict[str, object]:
+    """The JSON object in one frame; anything else, NaN and +-Infinity
+    included (no encoder sends them), is a :class:`ProtocolError`."""
     try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        message = _DECODER.decode(payload.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"frame payload is not valid JSON: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(

@@ -134,34 +134,33 @@ def sim_config_from_wire(wire: Mapping[str, Any]) -> SimConfig:
         raise ProtocolError(f"malformed sim config: {exc}") from None
 
 
+_CU_STATS_ARITY = len(CuEpochStats().capture())
+_WAVE_STATS_ARITY = len(WavefrontStats().capture())
+
+
 def epoch_result_from_wire(wire: Mapping[str, Any]) -> EpochResult:
     """Rebuild an :class:`~repro.gpu.gpu.EpochResult` from its wire form.
 
-    Inverse of :func:`repro.telemetry.schema.epoch_result_to_wire`;
-    restores the per-CU and per-wavefront stats through the same
-    ``restore_capture`` paths the GPU snapshot machinery uses.
+    Inverse of :func:`repro.telemetry.schema.epoch_result_to_wire`. Stats
+    travel as ``capture()`` tuples, fields in declaration order, so they
+    construct the stats positionally; a capture of the wrong length is malformed.
     """
     try:
         cu_stats = []
         for cap in wire["cu_stats"]:
-            stats = CuEpochStats()
-            stats.restore_capture(tuple(cap))
-            cu_stats.append(stats)
+            if len(cap) != _CU_STATS_ARITY:
+                raise ValueError(f"CU stats capture has {len(cap)} fields")
+            cu_stats.append(CuEpochStats(*cap))
         wave_records = []
         for cu_records in wire["wave_records"]:
             records = []
             for wf_id, age_rank, start_pc_idx, next_pc_idx, cap in cu_records:
-                wstats = WavefrontStats()
-                wstats.restore_capture(tuple(cap))
-                records.append(
-                    WaveEpochRecord(
-                        wf_id=int(wf_id),
-                        age_rank=int(age_rank),
-                        start_pc_idx=int(start_pc_idx),
-                        next_pc_idx=int(next_pc_idx),
-                        stats=wstats,
-                    )
-                )
+                if len(cap) != _WAVE_STATS_ARITY:
+                    raise ValueError(f"wavefront stats capture has {len(cap)} fields")
+                records.append(WaveEpochRecord(
+                    int(wf_id), int(age_rank), int(start_pc_idx), int(next_pc_idx),
+                    WavefrontStats(*cap),
+                ))
             wave_records.append(tuple(records))
         return EpochResult(
             t_start=float(wire["t_start"]),

@@ -4,9 +4,9 @@ One :class:`DecisionService` owns:
 
 * **Sessions** - each ``open`` builds a fresh controller via
   :func:`~repro.dvfs.designs.make_controller` from the client-supplied
-  design + config, so session state (PC tables, objective feedback,
-  current frequencies) is exactly the state an offline
-  :class:`~repro.dvfs.simulation.DvfsSimulation` would hold. Designs
+  design + config, so session state (PC tables, current frequencies)
+  is the state an offline :class:`~repro.dvfs.simulation.DvfsSimulation`
+  holds, but the controller log keeps only the latest epoch. Designs
   needing *future* oracle truth (ORACLE) are rejected at open: an
   online service cannot pre-execute its clients' next epoch.
 * **Micro-batching** - observations from all sessions funnel into one
@@ -53,6 +53,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from repro.core.controller import ControllerLog
 from repro.dvfs.designs import make_controller
 from repro.obs.log import get_logger
 from repro.service import protocol as proto
@@ -359,6 +360,7 @@ class DecisionService:
                    f"cannot be served online")
             return None
 
+        controller.log = ControllerLog.latest_only()  # bounded history
         self._next_sid += 1
         session = _Session(self._next_sid, writer, controller, design)
         self._sessions[session.sid] = session
@@ -539,6 +541,10 @@ class DecisionService:
             session.writer.write(proto.encode_frame(message))
         except (ConnectionError, RuntimeError):
             session.closed = True
+        except ValueError:
+            # The reply echoes a client value JSON cannot carry (1e999).
+            session.closed = True
+            session.writer.close()
 
     @staticmethod
     def _reply(writer: asyncio.StreamWriter, message: Dict[str, object]) -> None:

@@ -1,10 +1,10 @@
-"""DVFS controller: decide/observe flow, logs, residency, power feedback."""
+"""DVFS controller: decide/observe flow, logs, residency."""
 
 import pytest
 
 from repro.config import small_config
 from repro.core.controller import ControllerLog, DvfsController
-from repro.core.objectives import EDnPObjective, StaticObjective
+from repro.core.objectives import StaticObjective
 from repro.core.predictors import StaticPredictor
 from repro.core.sensitivity import LinearSensitivity
 from repro.dvfs.designs import make_controller
@@ -53,23 +53,6 @@ class TestDecide:
         freqs = ctrl.decide()
         assert all(f in cfg.dvfs.frequencies_ghz for f in freqs)
         assert all(line is not None for line in ctrl.last_predictions())
-
-
-class TestObserve:
-    def test_observe_feeds_objective_power(self, cfg):
-        gpu, result = run_gpu_epoch(cfg)
-        obj = EDnPObjective(2)
-        ctrl = DvfsController(StaticPredictor(2), obj, cfg)
-        ctrl.observe(result)
-        # measured power should be positive and plausible
-        p = ctrl._measured_domain_power(result, 0)
-        assert p > 0.0
-
-    def test_measured_power_higher_at_higher_frequency(self, cfg):
-        _, lo = run_gpu_epoch(cfg, freq=1.3)
-        _, hi = run_gpu_epoch(cfg, freq=2.2)
-        ctrl = DvfsController(StaticPredictor(2), StaticObjective(1.7), cfg)
-        assert ctrl._measured_domain_power(hi, 0) > ctrl._measured_domain_power(lo, 0)
 
 
 class TestResidency:

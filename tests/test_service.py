@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.config import small_config
+from repro.dvfs.designs import make_controller
 from repro.runtime.cache import config_hash
 from repro.runtime.executor import RetryPolicy, SweepTask, run_task
 from repro.service import protocol as proto
@@ -379,6 +380,73 @@ def test_abrupt_disconnect_leaves_server_serving(server, pcstall_trace):
     # The server is unharmed: a full replay is still bit-identical.
     report = replay_trace(path, port=server.port)
     assert report.bit_identical, report.render()
+
+
+def send_observe_with_raw_seq(sock, trace, seq_json: bytes) -> None:
+    """Epoch 0's observation with its ``seq`` spelled as raw JSON text."""
+    obs = trace.observations[0]
+    payload = proto.encode_frame({"type": "observe", "seq": 0, "epoch": 0,
+                                  "result": obs["result"],
+                                  "truth": obs["truth"]})[4:]
+    payload = payload.replace(b'"seq":0,', b'"seq":' + seq_json + b",", 1)
+    sock.sendall(struct.pack(">I", len(payload)) + payload)
+
+
+@pytest.mark.parametrize("seq_json, codes", [
+    (b"NaN", ["protocol"]),
+    (b"-Infinity", ["protocol"]),
+    # Parses to inf: decided, but the echoing reply cannot be encoded.
+    (b"1e999", []),
+])
+def test_non_finite_seq_ends_only_its_session(pcstall_trace, seq_json, codes):
+    # Regression: the server echoes ``seq``, and encoding a reply that
+    # carries NaN raised inside the batch worker, which died: every
+    # later observation of every session went unanswered.
+    handle = ServerHandle(ServiceConfig(port=0, health_port=None))
+    try:
+        path, _ = pcstall_trace
+        trace = load_replay_trace(path)
+        sock, _ = open_raw_session(handle.port, trace)
+        send_observe_with_raw_seq(sock, trace, seq_json)
+        replies = []
+        while (reply := proto.recv_frame(sock)) is not None:
+            replies.append(reply)
+        sock.close()
+        assert [r["type"] for r in replies] == ["error"] * len(codes), replies
+        assert [r["code"] for r in replies] == codes
+
+        report = replay_trace(path, port=handle.port)
+        assert report.bit_identical, report.render()
+        handle.shutdown()
+        assert handle.counter("service_drain_clean") == 1
+    finally:
+        handle.stop()
+
+
+def test_served_session_history_stays_bounded(server, pcstall_trace):
+    # A served session runs as long as its client sends epochs, so its
+    # controller keeps only the latest epoch - and decides exactly as an
+    # offline controller that logs them all.
+    path, _ = pcstall_trace
+    trace = load_replay_trace(path)
+    offline = make_controller(
+        trace.design, proto.sim_config_from_wire(trace.sim_config_wire),
+        proto.objective_from_name(trace.objective),
+    )
+    with DecisionClient(port=server.port).connect() as client:
+        decision = client.open_session(trace.design, trace.sim_config_wire,
+                                       objective=trace.objective)
+        assert decision == offline.decide()
+        (session,) = server.service._sessions.values()
+        for epoch in range(1000):
+            obs = trace.observations[epoch % len(trace.observations)]
+            decision = client.observe(epoch, obs["result"], truth_lines=obs["truth"])
+            offline.observe(proto.epoch_result_from_wire(obs["result"]))
+            assert decision == offline.decide(), f"epoch {epoch}"
+        log = session.controller.log
+        assert len(log.chosen_freqs) == len(log.predictions) == 1
+        assert log.chosen_freqs[-1] == decision
+    assert len(offline.log.chosen_freqs) == 1001
 
 
 def test_slow_consumer_is_shed_then_recovers_bit_identical(pcstall_trace):

@@ -59,6 +59,23 @@ class TestEncodeDecode:
         with pytest.raises(ProtocolError, match="JSON object"):
             decode_payload(b"[1,2,3]")
 
+    @pytest.mark.parametrize("literal", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_finite_constants_are_typed(self, literal):
+        # No encoder sends them (allow_nan=False), and a server that
+        # echoed one back could not encode its reply.
+        with pytest.raises(ProtocolError, match="not a finite number"):
+            decode_payload(b'{"type":"observe","seq":' + literal + b"}")
+
+    def test_overlong_integer_is_typed(self):
+        # Past the interpreter's int digit limit json raises a bare
+        # ValueError; it must surface as the protocol's typed error.
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_payload(b'{"seq":' + b"7" * 5000 + b"}")
+
+    def test_deep_nesting_is_typed(self):
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_payload(b'{"seq":' + b"[" * 100_000 + b"}")
+
 
 class TestRecvFrame:
     def test_round_trip(self):
