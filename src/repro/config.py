@@ -12,6 +12,7 @@ paper-scale platform is a parameter change, not a code change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -107,6 +108,15 @@ class GpuConfig:
             )
         if self.n_cus <= 0:
             raise ValueError("n_cus must be positive")
+        if self.waves_per_cu < 1:
+            raise ValueError(f"waves_per_cu must be >= 1, got {self.waves_per_cu}")
+        if self.issue_width < 1:
+            raise ValueError(f"issue_width must be >= 1, got {self.issue_width}")
+        # A zero quantum never advances Gpu.run_epoch's interleaving clock.
+        if not (math.isfinite(self.sync_quantum_ns) and self.sync_quantum_ns > 0):
+            raise ValueError(
+                f"sync_quantum_ns must be finite and > 0, got {self.sync_quantum_ns}"
+            )
         if self.cus_per_domain <= 0 or self.n_cus % self.cus_per_domain:
             raise ValueError(
                 f"cus_per_domain ({self.cus_per_domain}) must evenly divide "

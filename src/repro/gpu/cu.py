@@ -195,10 +195,6 @@ class ComputeUnit:
         self._runnable = 0
         #: Current scheduler time, used by ``_wake`` to route pushes.
         self._cycle_now = 0.0
-        #: Waves to skip for the remainder of the current issue scan
-        #: (reproduces the reference loop's retire-shift quirk).
-        self._skip: Optional[List[Wavefront]] = None
-        self._in_scan = False
         # --- hot-path counters (observational only; never read by the
         # timing model - see repro.runtime.profiling) -----------------
         self.ctr_cycles = 0
@@ -301,7 +297,19 @@ class ComputeUnit:
     # Execution
 
     def run_until(self, t_end: float, mem: MemorySubsystem) -> None:
-        """Advance this CU's local clock to ``t_end``."""
+        """Advance this CU's local clock to ``t_end``.
+
+        The event engine's scan loop delivers memory completions and
+        issues every instruction kind itself, straight from the compiled
+        decode arrays: the semantics (and float-operation order) are
+        those of :meth:`_issue` and :meth:`_deliver_completions`, which
+        the reference engine keeps, so the engine-equivalence suite
+        doubles as a compiled-vs-dataclass decode check. Integer
+        counters (cycles, scans, completions, CU commit counts) live in
+        locals and are flushed on return. ``_cycle_now`` is set just
+        before each step that can call :meth:`_wake`: a completion
+        unblock, a barrier release, an ENDPGM's retire and dispatch.
+        """
         if not self._event_engine:
             self._run_until_reference(t_end, mem)
             return
@@ -309,41 +317,58 @@ class ComputeUnit:
             self.now = t_end
             return
         cycle = 1.0 / self.frequency_ghz
+        l1_hit_ns = self.config.memory.l1_hit_cycles * cycle
         issue_width = self.config.issue_width
         ready = self._ready
         wakeups = self._wakeups
         completions = self.completions
+        waves = self.waves
+        wave_by_id = self.wave_by_id
         stats = self.stats
+        epoch_start = self.epoch_start
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        n_cycles = n_scanned = n_completions = n_issued = n_active = 0
+        n_compute = n_loads = n_stores = 0
         now = self.now
         while now < t_end:
-            self._cycle_now = now
-            self.ctr_cycles += 1
+            n_cycles += 1
             if completions and completions[0][0] <= now:
-                self._deliver_completions(now)
+                self._cycle_now = now
+                while completions and completions[0][0] <= now:
+                    completion, _seq, wf_id, is_store = heappop(completions)
+                    wf = wave_by_id.get(wf_id)
+                    if wf is None:
+                        continue
+                    n_completions += 1
+                    wf.note_mem_complete(is_store)
+                    target = wf.blocked_wait_target
+                    if target is not None and wf.outstanding <= target:
+                        wf.unblock_wait(completion, epoch_start)
+                        self._wake(wf)
             while wakeups and wakeups[0][0] <= now:
-                _, age, wf = heapq.heappop(wakeups)
-                heapq.heappush(ready, (age, wf))
+                _, age, wf = heappop(wakeups)
+                heappush(ready, (age, wf))
             if len(ready) == 1 and not wakeups:
                 wf = ready[0][1]
                 if wf.code.batchable[wf.pc_idx]:
-                    heapq.heappop(ready)
+                    heappop(ready)
                     now = self._run_batch(wf, now, t_end, cycle)
                     # Always re-file via the wakeup heap: ``now`` may have
                     # overshot ``t_end``, in which case the wave is *not*
                     # ready at the start of the next quantum. The refill
                     # at the top of the loop promotes it the moment
                     # ``ready_at`` actually passes.
-                    heapq.heappush(wakeups, (wf.ready_at, wf.age, wf))
+                    heappush(wakeups, (wf.ready_at, wf.age, wf))
                     continue
             issued = 0
-            scanned = 0
             cursor = -1
             deferred: Optional[List[Tuple[int, Wavefront]]] = None
-            self._skip = None
-            self._in_scan = True
+            # Waves not to examine again this scan (see ``_retire_wave``).
+            skip: Optional[List[Wavefront]] = None
             while ready and issued < issue_width:
-                age, wf = heapq.heappop(ready)
-                scanned += 1
+                age, wf = heappop(ready)
+                n_scanned += 1
                 if age <= cursor:
                     # Became ready behind the scan position: next cycle.
                     if deferred is None:
@@ -351,28 +376,101 @@ class ComputeUnit:
                     deferred.append((age, wf))
                     continue
                 cursor = age
-                skip = self._skip
                 if skip is not None and any(s is wf for s in skip):
                     if deferred is None:
                         deferred = []
                     deferred.append((age, wf))
                     continue
-                code = wf.code
-                kind = code.kinds[wf.pc_idx]
-                self._issue_fast(wf, code, kind, now, cycle, mem)
                 issued += 1
-                if kind == _K_ENDPGM or kind == _K_BARRIER or wf.blocked:
-                    continue  # retired / barrier or waitcnt handled above
-                heapq.heappush(wakeups, (wf.ready_at, wf.age, wf))
-            self._in_scan = False
-            self._skip = None
+                code = wf.code
+                pc = wf.pc_idx
+                kind = code.kinds[pc]
+                wstats = wf.stats
+                if kind == _K_VALU or kind == _K_SALU:
+                    cost = code.cycles[pc] * cycle
+                    wf.ready_at = now + cost
+                    wstats.busy_ns += cost
+                    wstats.committed += 1
+                    wstats.committed_compute += 1
+                    n_compute += 1
+                    wf.pc_idx = pc + 1
+                elif kind == _K_LOAD or kind == _K_STORE:
+                    is_store = kind == _K_STORE
+                    l1_hit, l2_hit, visit = wf.draw_hits(
+                        pc, code.l1_hit_rates[pc], code.l2_hit_rates[pc],
+                        code.pattern_jitters[pc],
+                    )
+                    if l1_hit:
+                        completion = now + l1_hit_ns
+                    else:
+                        # Address-derived bank key: a pure function of which
+                        # access this is, independent of global arrival order.
+                        bank_key = pc * 131 + visit * 7 + wf.workgroup_id * 13 + wf.wave_in_group
+                        completion = mem.request(now, l2_hit, bank_key).completion_ns
+                    wf.note_mem_issue(now, completion, is_store)
+                    self._completion_seq += 1
+                    heappush(completions, (completion, self._completion_seq, wf.wf_id, is_store))
+                    cost = code.cycles[pc] * cycle
+                    wf.ready_at = now + cost
+                    wstats.busy_ns += cost
+                    wstats.committed += 1
+                    wstats.committed_memory += 1
+                    if is_store:
+                        n_stores += 1
+                    else:
+                        n_loads += 1
+                    wf.pc_idx = pc + 1
+                elif kind == _K_WAITCNT:
+                    target = code.wait_targets[pc]
+                    if wf.outstanding > target:
+                        wf.block_wait(target, now)
+                        self._runnable -= 1
+                        continue
+                    wf.ready_at = now + cycle
+                    wf.pc_idx = pc + 1
+                elif kind == _K_BRANCH:
+                    counters = wf.loop_counters
+                    remaining = counters.get(pc)
+                    if remaining is None:
+                        remaining = code.trip_counts[pc]
+                    if remaining > 0:
+                        counters[pc] = remaining - 1
+                        wf.pc_idx = code.branch_targets[pc]
+                    else:
+                        # Loop exhausted: reset so a future re-entry iterates.
+                        counters.pop(pc, None)
+                        wf.pc_idx = pc + 1
+                    wf.ready_at = now + cycle
+                    wstats.committed += 1
+                    wstats.committed_compute += 1
+                    n_compute += 1
+                elif kind == _K_BARRIER:
+                    wg = wf.workgroup_id
+                    wf.block_barrier(now)
+                    self._runnable -= 1
+                    arrived = self.barrier_arrived.get(wg, 0) + 1
+                    self.barrier_arrived[wg] = arrived
+                    if arrived >= self.wg_alive.get(wg, 0):
+                        self._cycle_now = now
+                        self._release_barrier(wg, now + cycle)
+                    continue
+                elif kind == _K_ENDPGM:
+                    self._cycle_now = now
+                    idx = self._retire_wave(wf, now)
+                    if idx < len(waves):
+                        if skip is None:
+                            skip = []
+                        skip.append(waves[idx])
+                    continue
+                else:  # pragma: no cover - enum is closed
+                    raise RuntimeError(f"unhandled instruction kind {kind}")
+                heappush(wakeups, (wf.ready_at, age, wf))
             if deferred is not None:
                 for entry in deferred:
-                    heapq.heappush(ready, entry)
-            self.ctr_waves_scanned += scanned
+                    heappush(ready, entry)
             if issued:
-                stats.issued += issued
-                stats.active_cycles += 1
+                n_issued += issued
+                n_active += 1
                 stats.core_busy_ns += cycle
                 now += cycle
                 continue
@@ -392,6 +490,17 @@ class ComputeUnit:
                 now = nxt
         self.now = t_end
         self._cycle_now = t_end
+        if n_active:  # a scan issued (a lone batching wave flushes its own)
+            stats.committed += n_compute + n_loads + n_stores
+            stats.committed_compute += n_compute
+            stats.committed_memory += n_loads + n_stores
+            stats.loads += n_loads
+            stats.stores += n_stores
+            stats.issued += n_issued
+            stats.active_cycles += n_active
+        self.ctr_cycles += n_cycles
+        self.ctr_waves_scanned += n_scanned
+        self.ctr_completions += n_completions
 
     def _run_batch(self, wf: Wavefront, now: float, t_end: float, cycle: float) -> float:
         """Issue consecutive compute/branch instructions of the only
@@ -550,107 +659,6 @@ class ComputeUnit:
                 wf.unblock_wait(completion, self.epoch_start)
                 self._wake(wf)
 
-    def _issue_fast(
-        self,
-        wf: Wavefront,
-        code: CompiledProgram,
-        kind: int,
-        now: float,
-        cycle: float,
-        mem: MemorySubsystem,
-    ) -> None:
-        """Issue one instruction from the compiled decode table.
-
-        Semantics (and float-operation order) are identical to
-        :meth:`_issue`; the only differences are mechanical: fields come
-        from the flat per-pc arrays instead of a materialised
-        :class:`Instruction`, dispatch compares plain ints, and the
-        per-frequency ``cycles * cycle`` product comes precomputed from
-        :meth:`CompiledProgram.costs_for` (the same multiply, hoisted).
-        The event engine calls this; the reference engine keeps the
-        dataclass-decode :meth:`_issue`, which is what makes the
-        engine-equivalence suite a continuous compiled-vs-dataclass
-        decode check.
-        """
-        pc = wf.pc_idx
-        wstats = wf.stats
-        stats = self.stats
-        if kind == _K_VALU or kind == _K_SALU:
-            cost = code.costs_for(cycle)[pc]
-            wf.ready_at = now + cost
-            wstats.busy_ns += cost
-            wstats.committed += 1
-            wstats.committed_compute += 1
-            stats.committed += 1
-            stats.committed_compute += 1
-            wf.pc_idx = pc + 1
-        elif kind == _K_LOAD or kind == _K_STORE:
-            is_store = kind == _K_STORE
-            l1_hit, l2_hit, visit = wf.draw_hits(
-                pc, code.l1_hit_rates[pc], code.l2_hit_rates[pc], code.pattern_jitters[pc]
-            )
-            if l1_hit:
-                completion = now + self.config.memory.l1_hit_cycles * cycle
-            else:
-                # Address-derived bank key: a pure function of which
-                # access this is, independent of global arrival order.
-                bank_key = pc * 131 + visit * 7 + wf.workgroup_id * 13 + wf.wave_in_group
-                completion = mem.request(now, l2_hit, bank_key).completion_ns
-            wf.note_mem_issue(now, completion, is_store)
-            self._completion_seq += 1
-            heapq.heappush(
-                self.completions, (completion, self._completion_seq, wf.wf_id, is_store)
-            )
-            cost = code.costs_for(cycle)[pc]
-            wf.ready_at = now + cost
-            wstats.busy_ns += cost
-            wstats.committed += 1
-            wstats.committed_memory += 1
-            stats.committed += 1
-            stats.committed_memory += 1
-            if is_store:
-                stats.stores += 1
-            else:
-                stats.loads += 1
-            wf.pc_idx = pc + 1
-        elif kind == _K_WAITCNT:
-            target = code.wait_targets[pc]
-            if wf.outstanding <= target:
-                wf.ready_at = now + cycle
-                wf.pc_idx = pc + 1
-            else:
-                wf.block_wait(target, now)
-                self._runnable -= 1
-        elif kind == _K_BARRIER:
-            wg = wf.workgroup_id
-            wf.block_barrier(now)
-            self._runnable -= 1
-            arrived = self.barrier_arrived.get(wg, 0) + 1
-            self.barrier_arrived[wg] = arrived
-            if arrived >= self.wg_alive.get(wg, 0):
-                self._release_barrier(wg, now + cycle)
-        elif kind == _K_BRANCH:
-            counters = wf.loop_counters
-            remaining = counters.get(pc)
-            if remaining is None:
-                remaining = code.trip_counts[pc]
-            if remaining > 0:
-                counters[pc] = remaining - 1
-                wf.pc_idx = code.branch_targets[pc]
-            else:
-                # Loop exhausted: reset so a future re-entry iterates.
-                counters.pop(pc, None)
-                wf.pc_idx = pc + 1
-            wf.ready_at = now + cycle
-            wstats.committed += 1
-            wstats.committed_compute += 1
-            stats.committed += 1
-            stats.committed_compute += 1
-        elif kind == _K_ENDPGM:
-            self._retire_wave(wf, now)
-        else:  # pragma: no cover - enum is closed
-            raise RuntimeError(f"unhandled instruction kind {kind}")
-
     def _issue(self, wf: Wavefront, now: float, cycle: float, mem: MemorySubsystem) -> None:
         instr = wf.current_instruction()
         kind = instr.kind
@@ -726,7 +734,13 @@ class ComputeUnit:
                 self._wake(other)
         self.barrier_arrived[wg] = 0
 
-    def _retire_wave(self, wf: Wavefront, now: float) -> None:
+    def _retire_wave(self, wf: Wavefront, now: float) -> int:
+        """Retire an ENDPGM'd wave; returns its former ``waves`` index.
+
+        Reference-loop fidelity: the event engine's scan does not examine
+        again the wave that shifts into that slot (the reference loop's
+        list iteration steps past it), dispatched newcomers included.
+        """
         wf.done = True
         self._runnable -= 1
         self.last_retire_time = now
@@ -747,13 +761,7 @@ class ComputeUnit:
             # waiting on.
             self._release_barrier(wg, now)
         self.try_dispatch(now)
-        if self._in_scan and idx < len(waves):
-            # Reference-loop fidelity: the wave that shifted into the
-            # retired slot is not examined again during this scan.
-            skip = self._skip
-            if skip is None:
-                skip = self._skip = []
-            skip.append(waves[idx])
+        return idx
 
     # ------------------------------------------------------------------
     # Snapshot
@@ -779,8 +787,6 @@ class ComputeUnit:
         out._wave_pos = {wf.wf_id: i for i, wf in enumerate(out.waves)}
         out._event_engine = self._event_engine
         out._cycle_now = self.now
-        out._skip = None
-        out._in_scan = False
         out._rebuild_event_state()
         out.ctr_cycles = 0
         out.ctr_waves_scanned = 0
@@ -852,8 +858,6 @@ class ComputeUnit:
         self.wg_alive = dict(alive)
         self.stats.restore_capture(stats_cap)
         self._cycle_now = self.now
-        self._skip = None
-        self._in_scan = False
         self._rebuild_event_state()
 
     def capture_nbytes(self) -> int:

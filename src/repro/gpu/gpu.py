@@ -116,6 +116,13 @@ class Gpu:
         for cu_id in targets:
             if not 0 <= cu_id < len(self.cus):
                 raise ValueError(f"cu id {cu_id} out of range")
+        per_group = kernel.geometry.waves_per_workgroup
+        if per_group > self.config.waves_per_cu:
+            # Workgroups dispatch whole, so this one could never start.
+            raise ValueError(
+                f"kernel {kernel.name!r} has {per_group} waves per workgroup, "
+                f"more than waves_per_cu={self.config.waves_per_cu}"
+            )
         base = self._next_wg_base
         for wg in range(kernel.geometry.n_workgroups):
             cu = self.cus[targets[wg % len(targets)]]

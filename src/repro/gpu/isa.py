@@ -303,10 +303,16 @@ class CompiledProgram:
         self._cost_cache: Dict[float, Tuple[float, ...]] = {}
 
     def costs_for(self, cycle: float) -> Tuple[float, ...]:
-        """Per-instruction ``cycles * cycle`` (ns) at one cycle period."""
+        """Per-instruction ``cycles * cycle`` (ns) at one cycle period.
+
+        Entries with the same cycle count share one float object: a
+        program has a handful of distinct counts but up to tens of
+        thousands of instructions.
+        """
         costs = self._cost_cache.get(cycle)
         if costs is None:
-            costs = self._cost_cache[cycle] = tuple(c * cycle for c in self.cycles)
+            products = {c: c * cycle for c in set(self.cycles)}
+            costs = self._cost_cache[cycle] = tuple(map(products.__getitem__, self.cycles))
         return costs
 
     @property

@@ -20,17 +20,19 @@ effect reported for ``FwdSoft`` (Section 6.2): running many CUs faster can
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from repro.config import MemoryConfig
 
 _PHI = 0.6180339887498949
 
 
-@dataclass(frozen=True)
-class MemoryRequest:
-    """Outcome of a memory request as seen by the issuing CU."""
+class MemoryRequest(NamedTuple):
+    """Outcome of a memory request as seen by the issuing CU.
+
+    A named tuple rather than a frozen dataclass: one is built per L1
+    miss, and tuple construction skips the frozen ``__setattr__`` path.
+    """
 
     completion_ns: float
     level: str  # "l2" or "dram"

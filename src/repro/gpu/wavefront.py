@@ -194,11 +194,6 @@ class Wavefront:
         """True when the wavefront can issue its next instruction."""
         return not self.done and not self.blocked and self.ready_at <= now
 
-    @property
-    def program(self) -> Program:
-        """The source :class:`Program` this wave executes (compat shim)."""
-        return self.code.source
-
     def current_instruction(self) -> Instruction:
         return self.code.source.instructions[self.pc_idx]
 

@@ -38,6 +38,7 @@ Cells are transparently memoised through
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -77,8 +78,8 @@ class SweepTask:
     """One self-contained sweep cell.
 
     Carries names and config - not live simulator objects - so the task
-    pickles cheaply to a worker process, which rebuilds the workload and
-    controller locally via :func:`run_task`.
+    pickles cheaply to a worker process, which builds the workload (once
+    per process) and controller locally via :func:`run_task`.
     """
 
     workload: str
@@ -114,6 +115,17 @@ class SweepTask:
         return task_key(self.cache_fields())
 
 
+@functools.lru_cache(maxsize=None)
+def _workload_kernels(spec, scale: float) -> tuple:
+    """A workload's (immutable) kernels, built once per ``(spec, scale)``
+    per process: keyed on the spec's value, never its name.
+    ``build_workload`` is looked up at call time, so a wrapper installed
+    on :mod:`repro.workloads` sees every real build."""
+    import repro.workloads as workloads
+
+    return tuple(workloads.build_workload(spec, scale=scale))
+
+
 def run_task(task: SweepTask, recorder=None, tracer=None):
     """Execute one cell to completion (runs in worker processes too).
 
@@ -128,9 +140,9 @@ def run_task(task: SweepTask, recorder=None, tracer=None):
     # Local imports keep worker start-up lean and avoid import cycles.
     from repro.dvfs.designs import make_controller
     from repro.dvfs.simulation import DvfsSimulation
-    from repro.workloads import build_workload, workload
+    from repro.workloads import workload
 
-    kernels = build_workload(workload(task.workload), scale=task.scale)
+    kernels = _workload_kernels(workload(task.workload), task.scale)
     ctrl = make_controller(task.design, task.config, task.objective)
     sim = DvfsSimulation(
         kernels,

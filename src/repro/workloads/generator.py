@@ -111,44 +111,47 @@ class WorkloadSpec:
     description: str = ""
 
 
-def _emit_body(b: ProgramBuilder, phase: PhaseSpec) -> None:
-    """One iteration of the phase's instruction mix."""
-    mem_ops: List[Instruction] = [
-        load(phase.l1_hit, phase.l2_hit, pattern_jitter=phase.pattern_jitter)
-        for _ in range(phase.loads)
-    ] + [
-        store(phase.l1_hit, phase.l2_hit, pattern_jitter=phase.pattern_jitter)
-        for _ in range(phase.stores)
-    ]
+def _phase_body(phase: PhaseSpec) -> List[Instruction]:
+    """One iteration of the phase's instruction mix.
+
+    Instructions are frozen, so the body reuses one object per distinct
+    instruction and every iteration shares the body's objects.
+    """
+    jitter = phase.pattern_jitter
+    mem_ops: List[Instruction] = []
+    if phase.loads:
+        mem_ops += [load(phase.l1_hit, phase.l2_hit, pattern_jitter=jitter)] * phase.loads
+    if phase.stores:
+        mem_ops += [store(phase.l1_hit, phase.l2_hit, pattern_jitter=jitter)] * phase.stores
     n_mem = len(mem_ops)
     # Interleave compute between memory ops so issue pressure is spread.
     valu_per_slot = phase.valu // (n_mem + 1) if n_mem else phase.valu
     extra = phase.valu - valu_per_slot * (n_mem + 1) if n_mem else 0
+    compute = [valu(phase.valu_cycles)] if phase.valu else []
+    fence = waitcnt(0)
 
-    def emit_compute(count: int) -> None:
-        for _ in range(count):
-            b.emit(valu(phase.valu_cycles))
-
-    emit_compute(valu_per_slot + extra)
+    body = compute * (valu_per_slot + extra)
     since_fence = 0
     for op in mem_ops:
-        b.emit(op)
+        body.append(op)
         since_fence += 1
         if since_fence >= phase.fence_every:
-            b.emit(waitcnt(0))
+            body.append(fence)
             since_fence = 0
-        emit_compute(valu_per_slot)
+        body += compute * valu_per_slot
     if since_fence:
-        b.emit(waitcnt(0))
+        body.append(fence)
+    return body
 
 
 def _emit_phase(b: ProgramBuilder, phase: PhaseSpec) -> None:
+    body = _phase_body(phase)
     if phase.unroll:
         for _ in range(phase.iterations):
-            _emit_body(b, phase)
+            b.emit(*body)
     else:
         top = b.label()
-        _emit_body(b, phase)
+        b.emit(*body)
         if phase.iterations > 1:
             b.loop_back(top, trips=phase.iterations - 1)
     if phase.barrier_at_end:
@@ -179,8 +182,7 @@ def build_program(
 ) -> Program:
     """Compile a phase sequence into a single program."""
     b = ProgramBuilder()
-    for _ in range(preamble_valu):
-        b.emit(valu())
+    b.emit(*([valu()] * preamble_valu))
     outer_top = b.label()
     for phase in phases:
         _emit_phase(b, phase)

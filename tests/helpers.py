@@ -2,7 +2,20 @@
 
 from __future__ import annotations
 
-from repro.gpu.isa import ProgramBuilder, barrier, load, valu, waitcnt
+from hypothesis import strategies as st
+
+from repro.gpu.isa import (
+    Program,
+    ProgramBuilder,
+    barrier,
+    branch,
+    endpgm,
+    load,
+    salu,
+    store,
+    valu,
+    waitcnt,
+)
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
 
 
@@ -30,3 +43,26 @@ def make_loop_program(
 
 def make_kernel(program, n_workgroups=4, waves_per_workgroup=2) -> Kernel:
     return Kernel.homogeneous(program, WorkgroupGeometry(n_workgroups, waves_per_workgroup))
+
+
+_RATE = st.floats(0.0, 1.0, allow_nan=False)
+
+_PLAIN_INSTRS = st.one_of(
+    st.builds(valu, cycles=st.integers(1, 8)),
+    st.builds(salu, cycles=st.integers(1, 4)),
+    st.builds(load, l1_hit_rate=_RATE, l2_hit_rate=_RATE, pattern_jitter=_RATE),
+    st.builds(store, l1_hit_rate=_RATE, l2_hit_rate=_RATE, pattern_jitter=_RATE),
+    st.builds(waitcnt, target=st.integers(0, 4)),
+    st.builds(barrier),
+)
+
+
+@st.composite
+def programs(draw) -> Program:
+    """Arbitrary valid programs: mixed body, backwards branches, ENDPGM."""
+    instrs = list(draw(st.lists(_PLAIN_INSTRS, min_size=1, max_size=12)))
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.integers(0, len(instrs) - 1))
+        instrs.append(branch(target, draw(st.integers(0, 5))))
+    instrs.append(endpgm())
+    return Program.from_list(instrs, name=draw(st.sampled_from(["k", "loop"])))

@@ -15,49 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import small_config
 from repro.gpu.gpu import Gpu
-from repro.gpu.isa import (
-    CompiledProgram,
-    Instruction,
-    InstructionKind,
-    Program,
-    compile_program,
-    barrier,
-    branch,
-    endpgm,
-    load,
-    salu,
-    store,
-    valu,
-    waitcnt,
-)
+from repro.gpu.isa import InstructionKind, Program, compile_program
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
 from repro.runtime.cache import canonicalize
 
-from helpers import make_loop_program
+from helpers import make_loop_program, programs
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=60)
-
-_RATE = st.floats(0.0, 1.0, allow_nan=False)
-
-_PLAIN_INSTRS = st.one_of(
-    st.builds(valu, cycles=st.integers(1, 8)),
-    st.builds(salu, cycles=st.integers(1, 4)),
-    st.builds(load, l1_hit_rate=_RATE, l2_hit_rate=_RATE, pattern_jitter=_RATE),
-    st.builds(store, l1_hit_rate=_RATE, l2_hit_rate=_RATE, pattern_jitter=_RATE),
-    st.builds(waitcnt, target=st.integers(0, 4)),
-    st.builds(barrier),
-)
-
-
-@st.composite
-def programs(draw) -> Program:
-    """Arbitrary valid programs: mixed body, backwards branches, ENDPGM."""
-    instrs = list(draw(st.lists(_PLAIN_INSTRS, min_size=1, max_size=12)))
-    for _ in range(draw(st.integers(0, 2))):
-        target = draw(st.integers(0, len(instrs) - 1))
-        instrs.append(branch(target, draw(st.integers(0, 5))))
-    instrs.append(endpgm())
-    return Program.from_list(instrs, name=draw(st.sampled_from(["k", "loop"])))
 
 
 class TestRoundTrip:

@@ -74,6 +74,20 @@ class TestGpuConfig:
         with pytest.raises(ValueError):
             GpuConfig(n_cus=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("waves_per_cu", 0),
+        ("issue_width", 0),
+        ("sync_quantum_ns", 0.0),
+        ("sync_quantum_ns", -10.0),
+        ("sync_quantum_ns", float("nan")),
+        ("sync_quantum_ns", float("inf")),
+    ])
+    def test_rejects_geometry_that_cannot_run(self, field, value):
+        # Each of these used to be accepted: a zero quantum hangs
+        # Gpu.run_epoch, zero issue width or CU slots commit nothing.
+        with pytest.raises(ValueError, match=field):
+            GpuConfig(**{field: value})
+
 
 class TestDvfsConfig:
     def test_reference_on_grid_required(self):

@@ -122,7 +122,7 @@ class TestBarrier:
         cu.try_dispatch(0.0)
         cu.begin_epoch(0.0)
         cu.run_until(50.0, mem)  # long wave still computing
-        fast = [wf for wf in cu.waves if len(wf.program) == 2][0]
+        fast = [wf for wf in cu.waves if len(wf.code) == 2][0]
         assert fast.blocked_barrier
         cu.run_until(100_000.0, mem)
         assert cu.idle

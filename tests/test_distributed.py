@@ -183,6 +183,12 @@ class TestTaskCodec:
         with pytest.raises(ProtocolError, match="malformed sweep task"):
             sweep_task_from_wire({"workload": "dgemm"})
 
+    def test_task_with_a_zero_sync_quantum_is_typed(self):
+        wire = sweep_task_to_wire(task())
+        wire["config"]["gpu"]["sync_quantum_ns"] = 0.0
+        with pytest.raises(ProtocolError, match="sync_quantum_ns"):
+            sweep_task_from_wire(wire)
+
     def test_unknown_objective_is_typed(self):
         wire = sweep_task_to_wire(task())
         wire["objective"] = {"__class__": "EvilObjective"}

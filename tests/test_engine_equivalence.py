@@ -10,15 +10,16 @@ golden-trace comparisons never rot.
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.config import small_config
+from repro.config import GpuConfig, MemoryConfig, default_frequency_grid, small_config
 from repro.dvfs.designs import make_controller
 from repro.dvfs.simulation import DvfsSimulation
 from repro.gpu.gpu import Gpu
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
 from repro.workloads import build_workload, workload
 
-from helpers import make_loop_program
+from helpers import make_loop_program, programs
 
 #: One representative per workload class (HPC compute, HPC memory,
 #: MI GEMM, MI layer op) - see repro.workloads.suite.
@@ -96,6 +97,57 @@ class TestLockstep:
             ge.run_epoch(1000.0)
             gr.run_epoch(1000.0)
         assert cu_state(ge) == cu_state(gr)
+
+
+@st.composite
+def gpu_runs(draw):
+    """A small GPU, 1-3 kernels of generated programs loaded back to
+    back, and a schedule of (epoch length, per-domain grid frequency)."""
+    waves_per_cu = draw(st.integers(1, 8))
+    gpu = GpuConfig(
+        n_cus=draw(st.integers(1, 3)),
+        waves_per_cu=waves_per_cu,
+        issue_width=draw(st.integers(1, 3)),
+        memory=MemoryConfig(n_l2_banks=2),
+    )
+    kernels = [
+        Kernel(
+            tuple(draw(st.lists(programs(), min_size=1, max_size=2))),
+            WorkgroupGeometry(draw(st.integers(1, 6)), draw(st.integers(1, waves_per_cu))),
+            name=f"k{k}",
+        )
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    freqs = st.tuples(*[st.sampled_from(default_frequency_grid())] * gpu.n_domains)
+    schedule = draw(st.lists(
+        st.tuples(st.sampled_from((50.0, 200.0, 1000.0)), freqs), min_size=1, max_size=12
+    ))
+    return gpu, kernels, schedule
+
+
+class TestGeneratedPrograms:
+    """Lockstep over generated programs and platforms: several kernels,
+    issue widths 1-3, tiny epochs and a V/f change almost every epoch."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(run=gpu_runs())
+    def test_event_engine_matches_reference_every_epoch(self, run):
+        gpu_cfg, kernels, schedule = run
+        ge = Gpu(replace(gpu_cfg, engine="event"))
+        gr = Gpu(replace(gpu_cfg, engine="reference"))
+        for gpu in (ge, gr):
+            for kern in kernels:
+                gpu.load_kernel(kern)
+        for epoch_ns, freqs in schedule:
+            results = []
+            for gpu in (ge, gr):
+                gpu.set_domain_frequencies(freqs, transition_latency_ns=4.0)
+                results.append(gpu.run_epoch(epoch_ns))
+            # CU capture: clock, waves (state + stats), pending
+            # workgroups, completions heap, barrier counts, CU stats.
+            assert [cu.capture() for cu in ge.cus] == [cu.capture() for cu in gr.cus]
+            assert ge.memory.capture() == gr.memory.capture()
+            assert results[0].cu_stats == results[1].cu_stats
 
 
 class TestGoldenRuns:

@@ -52,6 +52,21 @@ class TestEpochStepping:
         assert any(rec.start_pc_idx > 0 for rec in recs)
 
 
+class TestLoadKernel:
+    def test_workgroup_wider_than_a_cu_is_rejected(self, tiny_config):
+        gpu = Gpu(tiny_config.gpu)
+        wide = Kernel.homogeneous(make_loop_program(), WorkgroupGeometry(2, 5), name="wide")
+        with pytest.raises(ValueError, match=r"'wide' has 5 waves per workgroup.*waves_per_cu=4"):
+            gpu.load_kernel(wide)
+        assert gpu.done  # nothing was enqueued
+
+    def test_workgroup_filling_a_cu_runs(self, tiny_config):
+        gpu = Gpu(tiny_config.gpu)
+        gpu.load_kernel(Kernel.homogeneous(make_loop_program(trips=5), WorkgroupGeometry(2, 4)))
+        gpu.run_to_completion(1000.0)
+        assert gpu.done
+
+
 class TestFrequencyControl:
     def test_set_frequencies_applies_to_cus(self, tiny_config):
         gpu = loaded_gpu(tiny_config)

@@ -167,6 +167,50 @@ class TestExecutor:
             SweepExecutor(max_workers=0)
 
 
+class TestSharedBuild:
+    """run_task builds each (workload spec, scale) once per process."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import repro.workloads as workloads
+
+        calls = []
+        real = workloads.build_workload
+
+        def counting(spec, scale=1.0):
+            calls.append((spec.name, scale))
+            return real(spec, scale=scale)
+
+        monkeypatch.setattr(workloads, "build_workload", counting)
+        return calls
+
+    def test_repeated_cell_builds_once(self, builds, monkeypatch):
+        from repro.workloads import WORKLOADS
+
+        # A spec value no other test has run, so the memo starts cold.
+        probe = dataclasses.replace(WORKLOADS["comd"], description="shared-build probe")
+        monkeypatch.setitem(WORKLOADS, "comd", probe)
+        first = run_task(make_task(design="PCSTALL"))
+        second = run_task(make_task(design="PCSTALL"))
+        assert builds == [("comd", 0.1)]
+        assert run_result_to_dict(first) == run_result_to_dict(second)
+        assert first.hotpath == second.hotpath
+        run_task(make_task(design="PCSTALL", scale=0.05))
+        assert builds == [("comd", 0.1), ("comd", 0.05)]
+
+    def test_memo_never_aliases_by_name(self, builds, monkeypatch):
+        from repro.workloads import WORKLOADS
+
+        before = run_task(make_task(design="PCSTALL"))
+        n = len(builds)
+        monkeypatch.setitem(
+            WORKLOADS, "comd", dataclasses.replace(WORKLOADS["xsbench"], name="comd")
+        )
+        after = run_task(make_task(design="PCSTALL"))
+        assert len(builds) == n + 1
+        assert run_result_to_dict(after) != run_result_to_dict(before)
+
+
 class TestInstrumentation:
     def test_counters_and_summary(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -180,6 +180,20 @@ def test_sim_config_from_wire_rejects_unknown_fields():
         proto.sim_config_from_wire(wire)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("sync_quantum_ns", 0.0),
+    ("issue_width", 0),
+    ("waves_per_cu", 0),
+])
+def test_sim_config_from_wire_rejects_geometry_that_cannot_run(field, value):
+    from repro.telemetry.schema import sim_config_to_wire
+
+    wire = sim_config_to_wire(small_config(n_cus=2, waves_per_cu=4))
+    wire["gpu"][field] = value
+    with pytest.raises(proto.ProtocolError, match=field):
+        proto.sim_config_from_wire(wire)
+
+
 @pytest.mark.parametrize("name,expect", [
     ("", type(None)),
     ("EDP", "EDP"),
