@@ -93,7 +93,6 @@ def main() -> int:
             cache=ResultCache(cache_dir),
             checkpoint=checkpoint,
             tracer=tracer,
-            backend="remote",
             broker=broker,
         )
         remote: list = [None]

@@ -58,8 +58,10 @@ Commands:
   drops more than ``--gate`` below it).
 
 Sweep commands (``run``/``compare``/``figure``) accept ``--workers N``
-to fan cells across processes, and cache results on disk (disable with
-``--no-cache``; relocate with ``--cache-dir``). Transient cell failures
+to fan cells across forked worker processes (``--listen HOST:PORT``
+lets ``repro worker`` processes on other hosts join too), and cache
+results on disk (disable with ``--no-cache``; relocate with
+``--cache-dir``). Transient cell failures
 are retried with deterministic backoff (``--retries N`` bounds the
 attempts; ``--retries 1`` disables retrying). ``figure`` sweeps record a
 crash-safe checkpoint manifest alongside the cache; after an interrupted
@@ -160,32 +162,22 @@ def _checkpoint(args, sweep: str, always: bool = False) -> Optional[SweepCheckpo
     return SweepCheckpoint(path, sweep=sweep, resume=args.resume)
 
 
-def _broker(args):
-    """SweepBroker for ``--backend remote``, or None for local runs."""
-    backend = getattr(args, "backend", "local")
-    if backend != "remote":
-        return None
-    from repro.runtime.distributed import DEFAULT_BROKER_PORT, SweepBroker
-
-    host, port = "127.0.0.1", DEFAULT_BROKER_PORT
-    if args.listen:
-        host, port = _host_port(args.listen, flag="--listen")
-    return SweepBroker(host=host, port=port)
-
-
 def _executor(
     args,
     progress: Optional[SweepInstrumentation] = None,
     checkpoint: Optional[SweepCheckpoint] = None,
 ) -> SweepExecutor:
-    broker = _broker(args)
+    broker = None
+    if args.listen:  # serve from a broker other hosts' workers can join
+        from repro.runtime.distributed import SweepBroker
+
+        broker = SweepBroker(*_host_port(args.listen, flag="--listen"))
     return SweepExecutor(
         max_workers=args.workers,
         cache=None if args.no_cache else ResultCache(args.cache_dir),
         progress=progress or SweepInstrumentation(),
         retry=_retry_policy(args),
         checkpoint=checkpoint,
-        backend="remote" if broker is not None else "local",
         broker=broker,
     )
 
@@ -683,7 +675,6 @@ def cmd_replay(args) -> int:
             backoff_base_s=0.05,
             backoff_max_s=1.0,
             retryable=(ConnectionError, OSError),
-            serial_final_attempt=False,
         ),
     )
     print(report.render())
@@ -1139,13 +1130,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--checkpoint", metavar="FILE", default=None,
                         help="checkpoint manifest path (default: "
                              "<cache-dir>/checkpoints/<sweep>.manifest.jsonl)")
-        sp.add_argument("--backend", choices=("local", "remote"), default="local",
-                        help="where cells execute: this host's process pool "
-                             "(local) or remote workers served by a broker "
-                             "(remote; see 'repro worker')")
         sp.add_argument("--listen", metavar="HOST:PORT", default=None,
-                        help="broker bind address for --backend remote "
-                             "(default 127.0.0.1:8474)")
+                        help="serve cells from a broker bound here, so "
+                             "'repro worker' processes on other hosts can "
+                             "join the sweep")
 
     sp = sub.add_parser("run", help="run one workload under one design")
     common(sp)
@@ -1392,7 +1380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "worker",
         help="join a remote sweep: lease cells from a broker "
-             "(run/compare/figure --backend remote) and stream results back",
+             "(run/compare/figure --listen HOST:PORT) and stream results back",
     )
     sp.add_argument("--connect", metavar="HOST:PORT", required=True,
                     help="broker address (the sweep's --listen)")

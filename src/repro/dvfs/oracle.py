@@ -77,7 +77,7 @@ class OracleSample:
 
 
 def _pre_execute_sample(child: Gpu, freqs: List[float], epoch_ns: float) -> List[int]:
-    """Run one pre-execution sample (module-level so it pickles to workers).
+    """Run one pre-execution sample on a fork of the epoch boundary.
 
     Pre-execution measures workload behaviour, not transition overhead,
     so the frequency switch is free here.
@@ -97,7 +97,6 @@ class OracleSampler:
         sim_config: SimConfig,
         shuffle_stride: int = 3,
         n_sample_freqs: Optional[int] = None,
-        max_workers: int = 1,
     ) -> None:
         """
         Args:
@@ -107,18 +106,9 @@ class OracleSampler:
                 frequencies instead of the whole grid (the fitted line
                 still predicts every state). Cuts oracle cost for the
                 big sweeps; None = full grid (paper's 10 processes).
-            max_workers: pre-execute the sample grid across this many
-                processes (the paper's "10 processes", Section 5.1).
-                1 = in-process. Worth it only when each pre-execution is
-                expensive (paper-scale GPUs / long epochs): every sample
-                ships a snapshot of the GPU to a worker. Falls back to
-                serial execution if the snapshot cannot be pickled or
-                the pool cannot start.
         """
         self.config = sim_config
-        self.max_workers = max(1, int(max_workers))
-        self._pool = None
-        #: Persistent scratch GPU reused by snapshot-based serial
+        #: Persistent scratch GPU reused by snapshot-based
         #: pre-execution (one allocation for the sampler's lifetime).
         self._scratch: Optional[Gpu] = None
         #: Number of :meth:`sample` calls (hot-path profiling).
@@ -162,47 +152,10 @@ class OracleSampler:
             self._sample_freqs(s, n_domains) for s in range(len(self.sample_grid))
         ]
 
-    # ------------------------------------------------------------------
-    # Parallel pre-execution plumbing
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            import concurrent.futures
-
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the pre-execution worker pool, if one was started."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
     def _pre_execute_all(
         self, gpu: Gpu, epoch: float, all_freqs: List[List[float]]
     ) -> List[List[int]]:
-        """Per-sample committed-per-domain counts, one row per sample."""
-        if self.max_workers > 1 and len(all_freqs) > 1:
-            try:
-                pool = self._ensure_pool()
-                futures = [
-                    pool.submit(_pre_execute_sample, gpu.clone(), freqs, epoch)
-                    for freqs in all_freqs
-                ]
-                return [f.result() for f in futures]
-            except Exception:
-                # Un-picklable snapshot or a broken/unavailable pool:
-                # permanently demote this sampler to serial execution.
-                self.close()
-                self.max_workers = 1
-        return self._pre_execute_serial(gpu, epoch, all_freqs)
-
-    def _pre_execute_serial(
-        self, gpu: Gpu, epoch: float, all_freqs: List[List[float]]
-    ) -> List[List[int]]:
-        """Serial fork loop: one snapshot, N cheap restores.
+        """Per-sample committed-per-domain counts, one row per sample.
 
         Instead of deep-cloning the GPU for every sample, the epoch
         boundary is captured once (``Gpu.snapshot``) and replayed into a

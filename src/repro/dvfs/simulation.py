@@ -105,7 +105,6 @@ class DvfsSimulation:
         collect_accuracy: bool = False,
         max_epochs: int = 5_000,
         oracle_sample_freqs: Optional[int] = None,
-        oracle_workers: int = 1,
         power_manager: Optional["HierarchicalPowerManager"] = None,
         telemetry: Optional["EpochTraceRecorder"] = None,
         tracer: Optional["Tracer"] = None,
@@ -122,11 +121,7 @@ class DvfsSimulation:
             collect_accuracy and telemetry is not None
         )
         self._oracle = (
-            OracleSampler(
-                sim_config,
-                n_sample_freqs=oracle_sample_freqs,
-                max_workers=oracle_workers,
-            )
+            OracleSampler(sim_config, n_sample_freqs=oracle_sample_freqs)
             if self.needs_truth
             else None
         )
@@ -271,10 +266,6 @@ class DvfsSimulation:
                         transitions=changed,
                     )
         finally:
-            # A raising kernel/predictor must not leak the oracle's
-            # worker pool (its processes outlive the exception).
-            if self._oracle is not None:
-                self._oracle.close()
             if run_span is not None:
                 tr.finish(run_span, epochs=epochs)
 

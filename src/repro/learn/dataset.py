@@ -180,7 +180,7 @@ def extract_rows(
     Split bucketing is *not* applied here; :func:`extract_dataset`
     owns the split so multi-trace extractions share one recipe.
     """
-    from repro.service.protocol import sim_config_from_wire
+    from repro.telemetry.schema import sim_config_from_wire
 
     header = _trace_header(records, source)
     sim_config = sim_config_from_wire(header["sim_config"])

@@ -23,8 +23,8 @@ Design constraints, in priority order:
 * **Monotonic ids, cross-process safe.** Span ids are dot-free
   monotonic integers rendered under a tracer-local prefix
   (``"7"``, ``"7.1"``, ``"7.2"`` for spans a worker opened under
-  parent span 7), so ids stay unique when a sweep fans cells across a
-  process pool and the worker's spans are merged back.
+  parent span 7), so ids stay unique when a sweep fans cells across
+  worker processes and the worker's spans are merged back.
 * **Wall-clock alignment.** Timing uses ``time.perf_counter_ns`` for
   precision, re-anchored to ``time.time_ns`` at tracer creation, so
   spans from different processes land on one shared timeline and can

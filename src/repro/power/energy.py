@@ -9,9 +9,8 @@ static 1.7 GHz execution of the same workload (Figures 15-17).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.config import GpuConfig
 from repro.gpu.gpu import EpochResult
@@ -38,36 +37,16 @@ class EnergyBreakdown:
     def total(self) -> float:
         return self.cu_dynamic_and_leakage + self.memory + self.transitions
 
-    def _delay(self, delay_ns: Optional[float]) -> float:
-        """Resolve the delay an ED^nP metric should use.
+    # ED^nP takes the delay explicitly: a run's completion delay
+    # (RunResult.delay_ns) differs from the windowed ``elapsed_ns``.
+    def edp(self, delay_ns: float) -> float:
+        return ed_n_p(self.total, delay_ns, 1)
 
-        Historically the zero-argument forms used the windowed
-        ``elapsed_ns`` while :class:`~repro.dvfs.simulation.RunResult`
-        used the completion-time ``delay_ns``, so the same run reported
-        two different EDPs through public APIs. Callers must now say
-        which delay they mean; the ambiguous zero-argument forms are
-        deprecated (they keep the old ``elapsed_ns`` behaviour).
-        """
-        if delay_ns is not None:
-            return delay_ns
-        warnings.warn(
-            "EnergyBreakdown.edp()/ed2p()/ednp() without an explicit delay "
-            "use the windowed elapsed_ns, which differs from a run's "
-            "completion delay (RunResult.delay_ns); pass delay_ns "
-            "explicitly or use the RunResult metric properties",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return self.elapsed_ns
+    def ed2p(self, delay_ns: float) -> float:
+        return ed_n_p(self.total, delay_ns, 2)
 
-    def edp(self, delay_ns: Optional[float] = None) -> float:
-        return ed_n_p(self.total, self._delay(delay_ns), 1)
-
-    def ed2p(self, delay_ns: Optional[float] = None) -> float:
-        return ed_n_p(self.total, self._delay(delay_ns), 2)
-
-    def ednp(self, n: int, delay_ns: Optional[float] = None) -> float:
-        return ed_n_p(self.total, self._delay(delay_ns), n)
+    def ednp(self, n: int, delay_ns: float) -> float:
+        return ed_n_p(self.total, delay_ns, n)
 
 
 class EnergyAccountant:

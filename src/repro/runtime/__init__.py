@@ -1,10 +1,11 @@
 """Parallel experiment runtime: sweep executor, cache, fault tolerance.
 
-* :class:`~repro.runtime.executor.SweepExecutor` fans independent
-  (workload x design x config) simulation cells across a process pool
-  with deterministic ordering, serial fallback, and per-cell retries
+* :class:`~repro.runtime.executor.SweepExecutor` runs independent
+  (workload x design x config) simulation cells in-process or through a
+  :class:`~repro.runtime.distributed.SweepBroker` to forked (or remote)
+  worker processes, with deterministic ordering and per-cell retries
   governed by a :class:`~repro.runtime.executor.RetryPolicy`
-  (jitterless exponential backoff, automatic in-process final attempt).
+  (jitterless exponential backoff, in-process final attempt).
 * :class:`~repro.runtime.cache.ResultCache` memoises cell results on
   disk, keyed by a content hash of everything the result depends on;
   writes are fsync'd and atomically renamed, so a mid-write kill can

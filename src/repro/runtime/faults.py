@@ -19,7 +19,7 @@ machinery end to end:
   ``fraction_mode`` to them on their first ``fraction_attempts`` tries.
 * Plans cross the process boundary through the ``REPRO_FAULT_PLAN``
   environment variable as JSON (:meth:`FaultPlan.install` /
-  :func:`active_fault_plan`), so pool workers — which inherit the
+  :func:`active_fault_plan`), so sweep workers — which inherit the
   parent's environment — observe the same plan without any plumbing
   through task objects or cache keys.
 
@@ -57,11 +57,11 @@ class CorruptResultError(RuntimeError):
 
 @dataclass(frozen=True)
 class CorruptResult:
-    """Marker a faulted worker returns in place of a real result.
+    """Marker a faulted cell produces in place of a real result.
 
-    The executor recognises it on collection and raises
-    :class:`CorruptResultError`, exercising the same retry path as a
-    worker that shipped back garbage over the pipe.
+    The cell's attempt raises it as :class:`CorruptResultError`,
+    exercising the same retry path as a worker whose shipped result
+    fails the broker's integrity check.
     """
 
     label: str
@@ -191,7 +191,7 @@ class FaultPlan:
     # -- environment plumbing -------------------------------------------
 
     def install(self) -> None:
-        """Publish the plan to this process and future pool workers."""
+        """Publish the plan to this process and workers it forks later."""
         os.environ[FAULT_PLAN_ENV] = self.to_json()
 
     @staticmethod

@@ -4,7 +4,7 @@ The executor feeds one :class:`CellRecord` per (workload x design) cell
 into a :class:`SweepInstrumentation`; :meth:`SweepInstrumentation.summary`
 renders the aggregate through :mod:`repro.analysis.report` so figure
 drivers and the CLI can show where a sweep spent its time and how well
-the worker pool was used.
+its workers were used.
 """
 
 from __future__ import annotations
@@ -23,15 +23,16 @@ _log = get_logger("sweep")
 
 #: How a cell's result was obtained.
 SOURCE_CACHE = "cache"
+#: Computed in the sweep's own process.
 SOURCE_SERIAL = "serial"
-SOURCE_PARALLEL = "parallel"
 #: Skipped because the checkpoint manifest proved it already completed.
 SOURCE_RESUMED = "resumed"
-#: Computed by a remote worker host (see repro.runtime.distributed).
+#: Computed by a broker's worker process, forked on this host or
+#: connected from another (see repro.runtime.distributed).
 SOURCE_REMOTE = "remote"
 
 #: Sources that actually computed (everything else was loaded).
-_COMPUTED_SOURCES = (SOURCE_SERIAL, SOURCE_PARALLEL, SOURCE_REMOTE)
+_COMPUTED_SOURCES = (SOURCE_SERIAL, SOURCE_REMOTE)
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class CellRecord:
     #: Compute time of the cell itself (0 for cache hits).
     wall_s: float
     #: One of :data:`SOURCE_CACHE` / :data:`SOURCE_SERIAL` /
-    #: :data:`SOURCE_PARALLEL` / :data:`SOURCE_RESUMED`.
+    #: :data:`SOURCE_REMOTE` / :data:`SOURCE_RESUMED`.
     source: str
     #: Hot-path profiler counters of the cell's simulation (see
     #: :mod:`repro.runtime.profiling`). For cache hits these describe the
@@ -73,8 +74,8 @@ class SweepInstrumentation:
     #: ``sweep_cells_total`` / ``sweep_cells_<source>``, observes its
     #: wall time in the ``sweep_cell_wall_s`` histogram, and folds its
     #: hot-path counters in under the ``hotpath_`` prefix. Registries
-    #: from parallel workers merge associatively, so a parallel sweep's
-    #: merged registry equals the serial run's (see test_runtime.py).
+    #: of partial sweeps merge associatively, so split sweeps' merged
+    #: registry equals the whole sweep's (see test_runtime.py).
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: Optional online drift monitor; fed one retry-rate observation per
     #: attempt outcome (True for a retryable failure, False for a
@@ -115,7 +116,7 @@ class SweepInstrumentation:
             HotPathCounters.from_dict(record.hotpath).to_registry(self.registry)
 
     def note(self, message: str) -> None:
-        """Record a notable event (e.g. a fallback to serial execution)."""
+        """Record a notable event (e.g. a cell run in-process)."""
         self.events.append(message)
         self.registry.inc("sweep_notes_total")
         _log.info(message)
@@ -151,7 +152,7 @@ class SweepInstrumentation:
 
         Counted separately from retries (``sweep_cells_reclaimed`` vs
         ``sweep_retries_total``): a reclaim says a *worker* was lost, a
-        retry says an *attempt* failed. The distributed backend records
+        retry says an *attempt* failed. The broker records
         both for each reclaimed cell - the reclaim here, then the
         ordinary retry/exhaustion accounting for the charged attempt.
         """
@@ -221,7 +222,7 @@ class SweepInstrumentation:
 
     @property
     def utilisation(self) -> float:
-        """Fraction of the pool's capacity that did cell work, in [0, 1]."""
+        """Fraction of the workers' capacity that did cell work, in [0, 1]."""
         capacity = self.wall_s * max(1, self.max_workers)
         if capacity <= 0:
             return 0.0
@@ -303,7 +304,6 @@ __all__ = [
     "SweepInstrumentation",
     "SOURCE_CACHE",
     "SOURCE_SERIAL",
-    "SOURCE_PARALLEL",
     "SOURCE_REMOTE",
     "SOURCE_RESUMED",
 ]

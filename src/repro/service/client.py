@@ -64,7 +64,6 @@ def default_retry() -> RetryPolicy:
         backoff_factor=2.0,
         backoff_max_s=1.0,
         retryable=(ConnectionError, OSError),
-        serial_final_attempt=False,
     )
 
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.config import DvfsConfig, GpuConfig, MemoryConfig, PowerConfig, SimConfig
 from repro.runtime.wire import (  # noqa: F401  (re-exported public surface)
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -62,6 +61,7 @@ from repro.core.sensitivity import LinearSensitivity
 from repro.gpu.cu import CuEpochStats
 from repro.gpu.gpu import EpochResult, WaveEpochRecord
 from repro.gpu.wavefront import WavefrontStats
+from repro.telemetry.schema import sim_config_from_wire  # noqa: F401  (re-exported)
 
 #: Protocol revision; an ``open`` carrying a different one is rejected.
 PROTOCOL_VERSION = 1
@@ -90,8 +90,9 @@ MSG_SHUTDOWN = "shutdown"
 # Wire <-> simulator objects
 #
 # The *_to_wire encoders live in repro.telemetry.schema (the recorder
-# writes them into traces without importing gpu/dvfs modules); the
-# decoders live here because reconstructing live simulator objects is
+# writes them into traces without importing gpu/dvfs modules), and so
+# does the SimConfig decoder, which sweep workers share; the decoders
+# of live simulator objects live here because reconstructing them is
 # exactly the service's job.
 
 def lines_to_wire(
@@ -107,31 +108,6 @@ def lines_from_wire(wire: Any) -> List[LinearSensitivity]:
         return [LinearSensitivity(float(i0), float(slope)) for i0, slope in wire]
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed truth lines: {exc}") from None
-
-
-def sim_config_from_wire(wire: Mapping[str, Any]) -> SimConfig:
-    """Rebuild a :class:`~repro.config.SimConfig` from its wire form.
-
-    Inverse of :func:`repro.telemetry.schema.sim_config_to_wire`. Field
-    names are applied as keyword arguments, so an unknown field (a
-    config from a different repro version) fails loudly instead of
-    being silently dropped.
-    """
-    try:
-        gpu_wire = dict(wire["gpu"])
-        gpu_wire["memory"] = MemoryConfig(**wire["gpu"]["memory"])
-        dvfs_wire = dict(wire["dvfs"])
-        dvfs_wire["frequencies_ghz"] = tuple(dvfs_wire["frequencies_ghz"])
-        return SimConfig(
-            gpu=GpuConfig(**gpu_wire),
-            dvfs=DvfsConfig(**dvfs_wire),
-            power=PowerConfig(**wire["power"]),
-            seed=int(wire["seed"]),
-        )
-    except ProtocolError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed sim config: {exc}") from None
 
 
 _CU_STATS_ARITY = len(CuEpochStats().capture())

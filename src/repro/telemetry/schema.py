@@ -66,7 +66,10 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+
+if TYPE_CHECKING:  # imported where used, like this module's other repro imports
+    from repro.config import SimConfig
 
 PathLike = Union[str, pathlib.Path]
 
@@ -136,6 +139,32 @@ def sim_config_to_wire(config: Any) -> Dict[str, object]:
     if not isinstance(wire, dict):  # pragma: no cover - SimConfig is a dataclass
         raise TypeError(f"config did not canonicalise to a mapping: {config!r}")
     return wire
+
+
+def sim_config_from_wire(wire: Mapping[str, Any]) -> "SimConfig":
+    """Rebuild a :class:`~repro.config.SimConfig` from its wire form.
+
+    Inverse of :func:`sim_config_to_wire`. Field names are applied as
+    keyword arguments, so an unknown field (a config from a different
+    repro version) fails loudly instead of being silently dropped; any
+    malformed payload is a :class:`~repro.runtime.wire.ProtocolError`.
+    """
+    from repro.config import DvfsConfig, GpuConfig, MemoryConfig, PowerConfig, SimConfig
+    from repro.runtime.wire import ProtocolError
+
+    try:
+        gpu_wire = dict(wire["gpu"])
+        gpu_wire["memory"] = MemoryConfig(**wire["gpu"]["memory"])
+        dvfs_wire = dict(wire["dvfs"])
+        dvfs_wire["frequencies_ghz"] = tuple(dvfs_wire["frequencies_ghz"])
+        return SimConfig(
+            gpu=GpuConfig(**gpu_wire),
+            dvfs=DvfsConfig(**dvfs_wire),
+            power=PowerConfig(**wire["power"]),
+            seed=int(wire["seed"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed sim config: {exc}") from None
 
 
 def build_meta(config=None, **extra) -> Dict[str, object]:
@@ -243,6 +272,7 @@ __all__ = [
     "REQUIRED_FIELDS",
     "build_meta",
     "epoch_result_to_wire",
+    "sim_config_from_wire",
     "sim_config_to_wire",
     "check_meta",
     "validate_record",

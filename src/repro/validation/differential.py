@@ -6,7 +6,7 @@ two implementations of the same computation:
 * **engine** - the event-driven CU timing engine must reproduce the
   reference per-cycle loop's :class:`~repro.dvfs.simulation.RunResult`
   exactly (PR 2's golden-baseline contract);
-* **sweep parallelism** - fanning sweep cells across a process pool
+* **sweep parallelism** - fanning sweep cells across worker processes
   must never change a number vs the serial path (PR 1/4);
 * **oracle fork** - the snapshot/restore fast path of the
   fork-and-pre-execute oracle must produce the same sample points and
@@ -202,11 +202,11 @@ def engine_differential(task: SweepTask, trace: bool = False) -> DiffReport:
 def sweep_differential(
     tasks: Sequence[SweepTask], workers: int = 2
 ) -> List[DiffReport]:
-    """Serial vs process-pool execution of the same task grid.
+    """Serial vs forked-worker execution of the same task grid.
 
     Both executors run uncached (a cache would compare an entry against
     itself) and without retries-affecting faults; every cell must match
-    bit for bit regardless of how the pool interleaved it.
+    bit for bit regardless of how the workers interleaved it.
     """
     serial = SweepExecutor(max_workers=1).run(tasks)
     parallel = SweepExecutor(max_workers=workers).run(tasks)

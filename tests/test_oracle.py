@@ -126,16 +126,6 @@ class TestSampling:
         f0 = sample.points[0][0][0]
         assert sample.commits_at(0, f0 + 0.05) is None
 
-    def test_parallel_pre_execution_matches_serial(self, tiny_config):
-        gpu = make_gpu(tiny_config)
-        serial = OracleSampler(tiny_config, n_sample_freqs=3).sample(gpu)
-        par_sampler = OracleSampler(tiny_config, n_sample_freqs=3, max_workers=2)
-        try:
-            parallel = par_sampler.sample(gpu)
-        finally:
-            par_sampler.close()
-        assert parallel.points == serial.points
-
     def test_lines_predict_commits_reasonably(self, tiny_config):
         gpu = make_gpu(tiny_config)
         sample = OracleSampler(tiny_config, n_sample_freqs=4).sample(gpu)

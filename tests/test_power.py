@@ -139,14 +139,3 @@ class TestEnergyAccountant:
         assert b.edp(1.5) == pytest.approx(15.0)
         assert b.ed2p(1.5) == pytest.approx(22.5)
         assert b.ednp(3, 1.5) == pytest.approx(33.75)
-
-    def test_ednp_zero_arg_forms_deprecated(self):
-        # The old zero-arg forms silently used the simulated window as
-        # the delay, disagreeing with RunResult's completion-delay EDP.
-        b = EnergyBreakdown(cu_dynamic_and_leakage=10.0, elapsed_ns=2.0)
-        with pytest.deprecated_call():
-            assert b.edp() == pytest.approx(20.0)
-        with pytest.deprecated_call():
-            assert b.ed2p() == pytest.approx(40.0)
-        with pytest.deprecated_call():
-            assert b.ednp(3) == pytest.approx(80.0)

@@ -155,37 +155,6 @@ class TestObjectives:
 
 
 class TestOracleLifecycle:
-    def test_oracle_pool_closed_on_mid_run_exception(self, cfg):
-        """A raising controller must not leak the oracle's worker pool."""
-        ctrl = make_controller("ORACLE", cfg, EDnPObjective(2))
-        sim = DvfsSimulation(
-            kernels(), ctrl, cfg, max_epochs=10,
-            oracle_sample_freqs=3, oracle_workers=2,
-        )
-        calls = {"n": 0}
-        original = ctrl.decide
-
-        def exploding_decide():
-            calls["n"] += 1
-            if calls["n"] >= 3:
-                raise RuntimeError("controller blew up mid-run")
-            return original()
-
-        ctrl.decide = exploding_decide
-        with pytest.raises(RuntimeError, match="blew up"):
-            sim.run()
-        assert sim._oracle is not None
-        assert sim._oracle._pool is None
-
-    def test_oracle_pool_closed_after_clean_run(self, cfg):
-        ctrl = make_controller("ORACLE", cfg, EDnPObjective(2))
-        sim = DvfsSimulation(
-            kernels(), ctrl, cfg, max_epochs=10,
-            oracle_sample_freqs=3, oracle_workers=2,
-        )
-        sim.run()
-        assert sim._oracle._pool is None
-
     def test_hotpath_counters_on_result(self, cfg):
         r = run(cfg, "ORACLE")
         hp = r.hotpath
