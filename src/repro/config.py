@@ -143,11 +143,16 @@ class DvfsConfig:
     def __post_init__(self) -> None:
         if self.epoch_ns <= 0:
             raise ValueError("epoch_ns must be positive")
-        if not self.frequencies_ghz:
+        grid = self.frequencies_ghz
+        if not grid:
             raise ValueError("frequency grid must not be empty")
-        if sorted(self.frequencies_ghz) != list(self.frequencies_ghz):
+        if sorted(grid) != list(grid):
             raise ValueError("frequency grid must be sorted ascending")
-        if self.reference_freq_ghz not in self.frequencies_ghz:
+        if len(set(grid)) != len(grid):
+            raise ValueError(f"frequency grid points must be distinct, got {grid}")
+        if not all(math.isfinite(f) and f > 0 for f in grid):
+            raise ValueError(f"frequency grid points must be finite and > 0, got {grid}")
+        if self.reference_freq_ghz not in grid:
             raise ValueError("reference frequency must be on the grid")
 
     @property
@@ -203,6 +208,34 @@ class PowerConfig:
     ivr_peak_voltage: float = 0.95
     #: Energy charged per V/f transition, per domain (power-units * ns).
     transition_energy: float = 2.0
+
+    def __post_init__(self) -> None:
+        # A served session builds this from the peer's open frame, so
+        # reject every value that would make power non-positive, fall as
+        # f rises, or divide by zero.
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("c_eff_per_cu", "leakage_per_cu_at_vmax", "temperature_factor"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("ivr_efficiency_peak", "ivr_efficiency_floor"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
+        if not 0 < self.v_min < self.v_max:
+            raise ValueError(
+                f"need 0 < v_min < v_max, got v_min={self.v_min}, v_max={self.v_max}"
+            )
+        if not 0 < self.f_min_ghz < self.f_max_ghz:
+            raise ValueError(
+                f"need 0 < f_min_ghz < f_max_ghz, got f_min_ghz={self.f_min_ghz}, "
+                f"f_max_ghz={self.f_max_ghz}"
+            )
+        if not 0 <= self.idle_activity <= 1:
+            raise ValueError(f"idle_activity must be in [0, 1], got {self.idle_activity}")
+        for name in ("memory_power_per_bank", "transition_energy"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ substitution argument.
 from repro.gpu.isa import Instruction, InstructionKind, Program, waitcnt, valu, salu, load, store, barrier, branch
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
 from repro.gpu.wavefront import Wavefront, WavefrontStats
-from repro.gpu.memory import MemorySubsystem, MemoryRequest
+from repro.gpu.memory import MemorySubsystem
 from repro.gpu.cu import ComputeUnit
 from repro.gpu.clock import ClockDomain, DomainMap
 from repro.gpu.gpu import Gpu, EpochResult
@@ -33,7 +33,6 @@ __all__ = [
     "Wavefront",
     "WavefrontStats",
     "MemorySubsystem",
-    "MemoryRequest",
     "ComputeUnit",
     "ClockDomain",
     "DomainMap",

@@ -36,12 +36,12 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.config import GpuConfig
 from repro.gpu.isa import CompiledProgram, InstructionKind, Program
 from repro.gpu.memory import MemorySubsystem
-from repro.gpu.wavefront import Wavefront
+from repro.gpu.wavefront import _PHI, Wavefront
 
 #: A pending workgroup: tuple of (workgroup_id, wave_in_group, program).
 #: The program may be a raw :class:`Program` or its compiled decode table;
@@ -297,28 +297,57 @@ class ComputeUnit:
     # Execution
 
     def run_until(self, t_end: float, mem: MemorySubsystem) -> None:
-        """Advance this CU's local clock to ``t_end``.
+        """Advance this CU's local clock to ``t_end``: the one-shot form
+        of :meth:`steps` (one quantum, then flush)."""
+        stepper = self.steps(mem)
+        next(stepper)
+        stepper.send(t_end)
+        stepper.close()
+
+    def steps(self, mem: MemorySubsystem) -> Generator[None, float, None]:
+        """Resumable scheduler: advance to each quantum end sent in.
+
+        ``Gpu.run_epoch`` creates one stepper per CU per epoch, primes it
+        with ``next`` and sends it every sync-quantum boundary, so the
+        loop state below is hoisted once per epoch, not once per
+        quantum. Frequency, epoch start and every container the loop
+        holds are fixed for that long: nothing outside the stepper
+        touches the CU until the epoch ends.
 
         The event engine's scan loop delivers memory completions and
         issues every instruction kind itself, straight from the compiled
-        decode arrays: the semantics (and float-operation order) are
-        those of :meth:`_issue` and :meth:`_deliver_completions`, which
-        the reference engine keeps, so the engine-equivalence suite
-        doubles as a compiled-vs-dataclass decode check. Integer
-        counters (cycles, scans, completions, CU commit counts) live in
-        locals and are flushed on return. ``_cycle_now`` is set just
-        before each step that can call :meth:`_wake`: a completion
-        unblock, a barrier release, an ENDPGM's retire and dispatch.
+        decode arrays, with the wavefront's memory bookkeeping
+        (:meth:`Wavefront.draw_hits`, ``note_mem_issue``,
+        ``note_mem_complete``, ``unblock_wait``) and a completion's
+        ``_wake`` written out inline: the semantics and float-operation
+        order are those of :meth:`_issue` and
+        :meth:`_deliver_completions`, which the reference engine keeps,
+        so the engine-equivalence suite doubles as a check of the
+        inlined copies. ``mem.request`` stays a call, one per L1 miss.
+
+        ``now``, ``core_busy_ns``, the completion sequence and the
+        integer counters (cycles, scans, completions, CU commit counts)
+        live in locals. ``core_busy_ns`` is flushed before and reloaded
+        after :meth:`_run_batch`, which accumulates into the field;
+        everything is flushed when the stepper closes. ``_cycle_now`` is
+        set just before each step that can call :meth:`_wake` (a
+        barrier release, an ENDPGM's retire and dispatch) and at the end
+        of every quantum the loop runs.
+
+        Known fidelity bug, kept for bit-identity with the reference
+        engine: a quantum that starts past its end moves the clock back
+        to that end. So a V/f transition longer than the sync quantum
+        freezes the CU for one quantum, not for its full latency.
         """
         if not self._event_engine:
-            self._run_until_reference(t_end, mem)
-            return
-        if self.now >= t_end:
-            self.now = t_end
-            return
+            t_end = yield
+            while True:
+                self._run_until_reference(t_end, mem)
+                t_end = yield
         cycle = 1.0 / self.frequency_ghz
         l1_hit_ns = self.config.memory.l1_hit_cycles * cycle
         issue_width = self.config.issue_width
+        request = mem.request
         ready = self._ready
         wakeups = self._wakeups
         completions = self.completions
@@ -330,167 +359,228 @@ class ComputeUnit:
         heappop = heapq.heappop
         n_cycles = n_scanned = n_completions = n_issued = n_active = 0
         n_compute = n_loads = n_stores = 0
+        seq = self._completion_seq
+        core_busy = stats.core_busy_ns
         now = self.now
-        while now < t_end:
-            n_cycles += 1
-            if completions and completions[0][0] <= now:
-                self._cycle_now = now
-                while completions and completions[0][0] <= now:
-                    completion, _seq, wf_id, is_store = heappop(completions)
-                    wf = wave_by_id.get(wf_id)
-                    if wf is None:
-                        continue
-                    n_completions += 1
-                    wf.note_mem_complete(is_store)
-                    target = wf.blocked_wait_target
-                    if target is not None and wf.outstanding <= target:
-                        wf.unblock_wait(completion, epoch_start)
-                        self._wake(wf)
-            while wakeups and wakeups[0][0] <= now:
-                _, age, wf = heappop(wakeups)
-                heappush(ready, (age, wf))
-            if len(ready) == 1 and not wakeups:
-                wf = ready[0][1]
-                if wf.code.batchable[wf.pc_idx]:
-                    heappop(ready)
-                    now = self._run_batch(wf, now, t_end, cycle)
-                    # Always re-file via the wakeup heap: ``now`` may have
-                    # overshot ``t_end``, in which case the wave is *not*
-                    # ready at the start of the next quantum. The refill
-                    # at the top of the loop promotes it the moment
-                    # ``ready_at`` actually passes.
-                    heappush(wakeups, (wf.ready_at, wf.age, wf))
+        try:
+            while True:
+                t_end = yield
+                if now >= t_end:
+                    now = t_end
                     continue
-            issued = 0
-            cursor = -1
-            deferred: Optional[List[Tuple[int, Wavefront]]] = None
-            # Waves not to examine again this scan (see ``_retire_wave``).
-            skip: Optional[List[Wavefront]] = None
-            while ready and issued < issue_width:
-                age, wf = heappop(ready)
-                n_scanned += 1
-                if age <= cursor:
-                    # Became ready behind the scan position: next cycle.
-                    if deferred is None:
-                        deferred = []
-                    deferred.append((age, wf))
-                    continue
-                cursor = age
-                if skip is not None and any(s is wf for s in skip):
-                    if deferred is None:
-                        deferred = []
-                    deferred.append((age, wf))
-                    continue
-                issued += 1
-                code = wf.code
-                pc = wf.pc_idx
-                kind = code.kinds[pc]
-                wstats = wf.stats
-                if kind == _K_VALU or kind == _K_SALU:
-                    cost = code.cycles[pc] * cycle
-                    wf.ready_at = now + cost
-                    wstats.busy_ns += cost
-                    wstats.committed += 1
-                    wstats.committed_compute += 1
-                    n_compute += 1
-                    wf.pc_idx = pc + 1
-                elif kind == _K_LOAD or kind == _K_STORE:
-                    is_store = kind == _K_STORE
-                    l1_hit, l2_hit, visit = wf.draw_hits(
-                        pc, code.l1_hit_rates[pc], code.l2_hit_rates[pc],
-                        code.pattern_jitters[pc],
-                    )
-                    if l1_hit:
-                        completion = now + l1_hit_ns
+                while now < t_end:
+                    n_cycles += 1
+                    while completions and completions[0][0] <= now:
+                        completion, _seq, wf_id, is_store = heappop(completions)
+                        wf = wave_by_id.get(wf_id)
+                        if wf is None:
+                            continue
+                        n_completions += 1
+                        outstanding = wf.outstanding - 1
+                        wf.outstanding = outstanding
+                        if is_store:
+                            wf.outstanding_stores -= 1
+                        if outstanding < 0:
+                            raise RuntimeError("memory completion underflow")
+                        target = wf.blocked_wait_target
+                        if target is not None and outstanding <= target:
+                            # unblock_wait(completion, epoch_start), then _wake.
+                            start = wf.blocked_since
+                            if epoch_start > start:
+                                start = epoch_start
+                            if completion > start:
+                                stalled = completion - start
+                                wstats = wf.stats
+                                wstats.stall_ns += stalled
+                                if wf.outstanding_stores > 0:
+                                    wstats.store_stall_ns += stalled
+                            wf.blocked_wait_target = None
+                            wf.blocked_since = completion
+                            if wf.ready_at < completion:
+                                wf.ready_at = completion
+                            wf.pc_idx += 1
+                            self._runnable += 1
+                            if wf.ready_at <= now:
+                                heappush(ready, (wf.age, wf))
+                            else:
+                                heappush(wakeups, (wf.ready_at, wf.age, wf))
+                    while wakeups and wakeups[0][0] <= now:
+                        _, age, wf = heappop(wakeups)
+                        heappush(ready, (age, wf))
+                    if ready:
+                        if len(ready) == 1 and not wakeups:
+                            wf = ready[0][1]
+                            if wf.code.batchable[wf.pc_idx]:
+                                heappop(ready)
+                                stats.core_busy_ns = core_busy
+                                now = self._run_batch(wf, now, t_end, cycle)
+                                core_busy = stats.core_busy_ns
+                                # Always re-file via the wakeup heap: ``now``
+                                # may have overshot ``t_end``, in which case
+                                # the wave is *not* ready at the start of the
+                                # next quantum. The refill at the top of the
+                                # loop promotes it the moment ``ready_at``
+                                # actually passes.
+                                heappush(wakeups, (wf.ready_at, wf.age, wf))
+                                continue
+                        issued = 0
+                        cursor = -1
+                        deferred: Optional[List[Tuple[int, Wavefront]]] = None
+                        # Waves not to examine again this scan (see ``_retire_wave``).
+                        skip: Optional[List[Wavefront]] = None
+                        while ready and issued < issue_width:
+                            age, wf = heappop(ready)
+                            n_scanned += 1
+                            if age <= cursor:
+                                # Became ready behind the scan position: next cycle.
+                                if deferred is None:
+                                    deferred = []
+                                deferred.append((age, wf))
+                                continue
+                            cursor = age
+                            if skip is not None and any(s is wf for s in skip):
+                                if deferred is None:
+                                    deferred = []
+                                deferred.append((age, wf))
+                                continue
+                            issued += 1
+                            code = wf.code
+                            pc = wf.pc_idx
+                            kind = code.kinds[pc]
+                            wstats = wf.stats
+                            if kind == _K_VALU or kind == _K_SALU:
+                                cost = code.cycles[pc] * cycle
+                                wf.ready_at = now + cost
+                                wstats.busy_ns += cost
+                                wstats.committed += 1
+                                wstats.committed_compute += 1
+                                n_compute += 1
+                                wf.pc_idx = pc + 1
+                            elif kind == _K_LOAD or kind == _K_STORE:
+                                is_store = kind == _K_STORE
+                                # draw_hits: the L2 draw is only read on an L1 miss.
+                                visits = wf.pc_visits
+                                count = visits.get(pc, 0)
+                                visits[pc] = count + 1
+                                wg = wf.workgroup_id
+                                wave_in_group = wf.wave_in_group
+                                salt = ((wg * 7 + wave_in_group) * 0.23606797749979) % 1.0
+                                base = (pc * 0.3819660112501051 + salt) % 1.0
+                                dynamic = (count * _PHI + pc * 0.7548776662466927) % 1.0
+                                if dynamic < code.pattern_jitters[pc]:
+                                    base = (base + count * _PHI) % 1.0
+                                if base < code.l1_hit_rates[pc]:
+                                    completion = now + l1_hit_ns
+                                else:
+                                    # Address-derived bank key: a pure function of which
+                                    # access this is, independent of global arrival order.
+                                    completion = request(
+                                        now,
+                                        ((base + 0.5) % 1.0) < code.l2_hit_rates[pc],
+                                        pc * 131 + count * 7 + wg * 13 + wave_in_group,
+                                    )
+                                # note_mem_issue(now, completion, is_store)
+                                outstanding = wf.outstanding
+                                if outstanding == 0:
+                                    # A leading load/store: no other memory op in flight.
+                                    wstats.leading_load_ns += completion - now
+                                last = wf.last_mem_completion
+                                overlap_from = last if last > now else now
+                                if completion > overlap_from:
+                                    wstats.critical_mem_ns += completion - overlap_from
+                                if completion > last:
+                                    wf.last_mem_completion = completion
+                                wf.outstanding = outstanding + 1
+                                if is_store:
+                                    wf.outstanding_stores += 1
+                                    wstats.stores_issued += 1
+                                    n_stores += 1
+                                else:
+                                    wstats.loads_issued += 1
+                                    n_loads += 1
+                                seq += 1
+                                heappush(completions, (completion, seq, wf.wf_id, is_store))
+                                cost = code.cycles[pc] * cycle
+                                wf.ready_at = now + cost
+                                wstats.busy_ns += cost
+                                wstats.committed += 1
+                                wstats.committed_memory += 1
+                                wf.pc_idx = pc + 1
+                            elif kind == _K_WAITCNT:
+                                target = code.wait_targets[pc]
+                                if wf.outstanding > target:
+                                    wf.block_wait(target, now)
+                                    self._runnable -= 1
+                                    continue
+                                wf.ready_at = now + cycle
+                                wf.pc_idx = pc + 1
+                            elif kind == _K_BRANCH:
+                                counters = wf.loop_counters
+                                remaining = counters.get(pc)
+                                if remaining is None:
+                                    remaining = code.trip_counts[pc]
+                                if remaining > 0:
+                                    counters[pc] = remaining - 1
+                                    wf.pc_idx = code.branch_targets[pc]
+                                else:
+                                    # Loop exhausted: reset so a future re-entry iterates.
+                                    counters.pop(pc, None)
+                                    wf.pc_idx = pc + 1
+                                wf.ready_at = now + cycle
+                                wstats.committed += 1
+                                wstats.committed_compute += 1
+                                n_compute += 1
+                            elif kind == _K_BARRIER:
+                                wg = wf.workgroup_id
+                                wf.block_barrier(now)
+                                self._runnable -= 1
+                                arrived = self.barrier_arrived.get(wg, 0) + 1
+                                self.barrier_arrived[wg] = arrived
+                                if arrived >= self.wg_alive.get(wg, 0):
+                                    self._cycle_now = now
+                                    self._release_barrier(wg, now + cycle)
+                                continue
+                            elif kind == _K_ENDPGM:
+                                self._cycle_now = now
+                                idx = self._retire_wave(wf, now)
+                                if idx < len(waves):
+                                    if skip is None:
+                                        skip = []
+                                    skip.append(waves[idx])
+                                continue
+                            else:  # pragma: no cover - enum is closed
+                                raise RuntimeError(f"unhandled instruction kind {kind}")
+                            heappush(wakeups, (wf.ready_at, age, wf))
+                        if deferred is not None:
+                            for entry in deferred:
+                                heappush(ready, entry)
+                        if issued:
+                            n_issued += issued
+                            n_active += 1
+                            core_busy += cycle
+                            now += cycle
+                            continue
+                    # Nothing issued: jump to the next event.
+                    nxt = t_end
+                    if completions and completions[0][0] < nxt:
+                        nxt = completions[0][0]
+                    if wakeups and wakeups[0][0] < nxt:
+                        nxt = wakeups[0][0]
+                    if nxt <= now:  # pragma: no cover - mirrors the reference loop
+                        now += cycle
+                        core_busy += cycle
                     else:
-                        # Address-derived bank key: a pure function of which
-                        # access this is, independent of global arrival order.
-                        bank_key = pc * 131 + visit * 7 + wf.workgroup_id * 13 + wf.wave_in_group
-                        completion = mem.request(now, l2_hit, bank_key).completion_ns
-                    wf.note_mem_issue(now, completion, is_store)
-                    self._completion_seq += 1
-                    heappush(completions, (completion, self._completion_seq, wf.wf_id, is_store))
-                    cost = code.cycles[pc] * cycle
-                    wf.ready_at = now + cost
-                    wstats.busy_ns += cost
-                    wstats.committed += 1
-                    wstats.committed_memory += 1
-                    if is_store:
-                        n_stores += 1
-                    else:
-                        n_loads += 1
-                    wf.pc_idx = pc + 1
-                elif kind == _K_WAITCNT:
-                    target = code.wait_targets[pc]
-                    if wf.outstanding > target:
-                        wf.block_wait(target, now)
-                        self._runnable -= 1
-                        continue
-                    wf.ready_at = now + cycle
-                    wf.pc_idx = pc + 1
-                elif kind == _K_BRANCH:
-                    counters = wf.loop_counters
-                    remaining = counters.get(pc)
-                    if remaining is None:
-                        remaining = code.trip_counts[pc]
-                    if remaining > 0:
-                        counters[pc] = remaining - 1
-                        wf.pc_idx = code.branch_targets[pc]
-                    else:
-                        # Loop exhausted: reset so a future re-entry iterates.
-                        counters.pop(pc, None)
-                        wf.pc_idx = pc + 1
-                    wf.ready_at = now + cycle
-                    wstats.committed += 1
-                    wstats.committed_compute += 1
-                    n_compute += 1
-                elif kind == _K_BARRIER:
-                    wg = wf.workgroup_id
-                    wf.block_barrier(now)
-                    self._runnable -= 1
-                    arrived = self.barrier_arrived.get(wg, 0) + 1
-                    self.barrier_arrived[wg] = arrived
-                    if arrived >= self.wg_alive.get(wg, 0):
-                        self._cycle_now = now
-                        self._release_barrier(wg, now + cycle)
-                    continue
-                elif kind == _K_ENDPGM:
-                    self._cycle_now = now
-                    idx = self._retire_wave(wf, now)
-                    if idx < len(waves):
-                        if skip is None:
-                            skip = []
-                        skip.append(waves[idx])
-                    continue
-                else:  # pragma: no cover - enum is closed
-                    raise RuntimeError(f"unhandled instruction kind {kind}")
-                heappush(wakeups, (wf.ready_at, age, wf))
-            if deferred is not None:
-                for entry in deferred:
-                    heappush(ready, entry)
-            if issued:
-                n_issued += issued
-                n_active += 1
-                stats.core_busy_ns += cycle
-                now += cycle
-                continue
-            nxt = t_end
-            if completions and completions[0][0] < nxt:
-                nxt = completions[0][0]
-            if wakeups and wakeups[0][0] < nxt:
-                nxt = wakeups[0][0]
-            if nxt <= now:  # pragma: no cover - mirrors the reference loop
-                now += cycle
-                stats.core_busy_ns += cycle
-            else:
-                if self._runnable:
-                    # Waves are mid-pipeline (busy), not memory-blocked:
-                    # this gap is core time, not asynchronous time.
-                    stats.core_busy_ns += nxt - now
-                now = nxt
-        self.now = t_end
-        self._cycle_now = t_end
-        if n_active:  # a scan issued (a lone batching wave flushes its own)
+                        if self._runnable:
+                            # Waves are mid-pipeline (busy), not memory-blocked:
+                            # this gap is core time, not asynchronous time.
+                            core_busy += nxt - now
+                        now = nxt
+                now = t_end
+                self._cycle_now = t_end
+        finally:
+            self.now = now
+            self._completion_seq = seq
+            stats.core_busy_ns = core_busy
             stats.committed += n_compute + n_loads + n_stores
             stats.committed_compute += n_compute
             stats.committed_memory += n_loads + n_stores
@@ -498,9 +588,9 @@ class ComputeUnit:
             stats.stores += n_stores
             stats.issued += n_issued
             stats.active_cycles += n_active
-        self.ctr_cycles += n_cycles
-        self.ctr_waves_scanned += n_scanned
-        self.ctr_completions += n_completions
+            self.ctr_cycles += n_cycles
+            self.ctr_waves_scanned += n_scanned
+            self.ctr_completions += n_completions
 
     def _run_batch(self, wf: Wavefront, now: float, t_end: float, cycle: float) -> float:
         """Issue consecutive compute/branch instructions of the only
@@ -682,7 +772,7 @@ class ComputeUnit:
                 # Address-derived bank key: a pure function of which
                 # access this is, independent of global arrival order.
                 bank_key = wf.pc_idx * 131 + visit * 7 + wf.workgroup_id * 13 + wf.wave_in_group
-                completion = mem.request(now, l2_hit, bank_key).completion_ns
+                completion = mem.request(now, l2_hit, bank_key)
             wf.note_mem_issue(now, completion, is_store)
             self._completion_seq += 1
             heapq.heappush(

@@ -160,6 +160,11 @@ class Gpu:
         A domain whose frequency actually changes is frozen for
         ``transition_latency_ns`` (its CUs cannot issue until the V/f
         transition settles). Returns the number of domains that changed.
+
+        Known fidelity bug: both engines rewind a CU that starts a sync
+        quantum past its end to that end, so a latency longer than
+        ``sync_quantum_ns`` stalls the CU for one quantum only (DESIGN
+        §3c).
         """
         if len(freqs_ghz) != len(self.domains):
             raise ValueError(
@@ -199,12 +204,21 @@ class Gpu:
         t1 = t0 + epoch_ns
         for cu in self.cus:
             cu.begin_epoch(t0)
+        # One resumable stepper per CU for the whole epoch. Every CU runs
+        # a quantum, in CU order, before any CU starts the next: that is
+        # the request order the shared memory subsystem sees.
+        steppers = [cu.steps(self.memory) for cu in self.cus]
+        for stepper in steppers:
+            next(stepper)
+        sends = [stepper.send for stepper in steppers]
         quantum = min(self.config.sync_quantum_ns, epoch_ns)
         t = t0
         while t < t1 - 1e-9:
             t = min(t + quantum, t1)
-            for cu in self.cus:
-                cu.run_until(t, self.memory)
+            for send in sends:
+                send(t)
+        for stepper in steppers:
+            stepper.close()
         for cu in self.cus:
             cu.settle_epoch(t1)
         self.time = t1

@@ -20,23 +20,11 @@ effect reported for ``FwdSoft`` (Section 6.2): running many CUs faster can
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import List
 
 from repro.config import MemoryConfig
 
 _PHI = 0.6180339887498949
-
-
-class MemoryRequest(NamedTuple):
-    """Outcome of a memory request as seen by the issuing CU.
-
-    A named tuple rather than a frozen dataclass: one is built per L1
-    miss, and tuple construction skips the frozen ``__setattr__`` path.
-    """
-
-    completion_ns: float
-    level: str  # "l2" or "dram"
-    queue_ns: float
 
 
 class MemorySubsystem:
@@ -59,18 +47,6 @@ class MemorySubsystem:
 
     # ------------------------------------------------------------------
 
-    def _update_rate(self, now: float) -> None:
-        gap = now - self.last_request_ns
-        self.last_request_ns = now
-        if gap < 0:
-            # Requests from differently-clocked CUs are processed in
-            # near-time order; small reorderings are treated as
-            # simultaneous arrivals.
-            gap = 0.0
-        inst_rate = 1.0 / (gap + 0.5)  # +0.5 ns guards the singularity
-        alpha = 0.05
-        self.rate_ema = (1 - alpha) * self.rate_ema + alpha * inst_rate
-
     def thrash_degradation(self) -> float:
         """Fraction of would-be L2 hits converted to misses right now."""
         cfg = self.config
@@ -79,14 +55,11 @@ class MemorySubsystem:
         excess = (self.rate_ema - cfg.l2_thrash_rate_per_ns) / cfg.l2_thrash_rate_per_ns
         return min(1.0, excess) * cfg.l2_thrash_max_degradation
 
-    def _draw(self) -> float:
-        self.thrash_counter += 1
-        return (self.thrash_counter * _PHI) % 1.0
-
-    # ------------------------------------------------------------------
-
-    def request(self, now: float, l2_hit: bool, bank_key: int = 0) -> MemoryRequest:
+    def request(self, now: float, l2_hit: bool, bank_key: int = 0) -> float:
         """Service an L1 miss arriving at the L2 at time ``now`` (ns).
+
+        Both engines call it once per L1 miss, and nothing else computes
+        a miss's completion.
 
         Args:
             now: issue time at the CU.
@@ -97,35 +70,47 @@ class MemorySubsystem:
                 domain's bank conflicts.
 
         Returns:
-            The request outcome including its completion time.
+            The completion time (ns) of the request at the CU.
         """
         cfg = self.config
         self.request_counter += 1
-        self._update_rate(now)
+        # Exponential moving average of the aggregate request rate.
+        gap = now - self.last_request_ns
+        self.last_request_ns = now
+        if gap < 0:
+            # Requests from differently-clocked CUs are processed in
+            # near-time order; small reorderings are treated as
+            # simultaneous arrivals.
+            gap = 0.0
+        inst_rate = 1.0 / (gap + 0.5)  # +0.5 ns guards the singularity
+        alpha = 0.05
+        rate = (1 - alpha) * self.rate_ema + alpha * inst_rate
+        self.rate_ema = rate
 
-        if l2_hit and self.thrash_degradation() > 0.0:
-            if self._draw() < self.thrash_degradation():
-                l2_hit = False
+        if l2_hit and rate > cfg.l2_thrash_rate_per_ns:
+            # A low-discrepancy draw against the current degradation.
+            degradation = self.thrash_degradation()
+            if degradation > 0.0:
+                self.thrash_counter += 1
+                if (self.thrash_counter * _PHI) % 1.0 < degradation:
+                    l2_hit = False
 
         bank = (bank_key * 2654435761) % cfg.n_l2_banks
         arrive = now + cfg.l2_interconnect_ns
-        start = max(arrive, self.bank_busy_until[bank])
-        queue_ns = start - arrive
+        busy = self.bank_busy_until[bank]
+        start = busy if busy > arrive else arrive
         self.bank_busy_until[bank] = start + cfg.l2_service_ns
-
         if l2_hit:
             done = start + cfg.l2_service_ns + cfg.l2_hit_extra_ns
-            completion = done + cfg.l2_interconnect_ns
-            return MemoryRequest(completion, "l2", queue_ns)
+            return done + cfg.l2_interconnect_ns
 
         channel = bank % cfg.n_dram_channels
         d_arrive = start + cfg.l2_service_ns
-        d_start = max(d_arrive, self.channel_busy_until[channel])
-        queue_ns += d_start - d_arrive
+        busy = self.channel_busy_until[channel]
+        d_start = busy if busy > d_arrive else d_arrive
         self.channel_busy_until[channel] = d_start + cfg.dram_service_ns
         done = d_start + cfg.dram_service_ns + cfg.dram_extra_ns
-        completion = done + cfg.l2_interconnect_ns
-        return MemoryRequest(completion, "dram", queue_ns)
+        return done + cfg.l2_interconnect_ns
 
     # ------------------------------------------------------------------
 
@@ -169,4 +154,4 @@ class MemorySubsystem:
         return 8 * (4 + len(self.bank_busy_until) + len(self.channel_busy_until))
 
 
-__all__ = ["MemorySubsystem", "MemoryRequest"]
+__all__ = ["MemorySubsystem"]

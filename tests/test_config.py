@@ -111,6 +111,59 @@ class TestDvfsConfig:
         assert cfg.f_min == pytest.approx(1.3)
         assert cfg.f_max == pytest.approx(2.2)
 
+    @pytest.mark.parametrize("grid", [
+        (1.3, 1.3, 1.7),  # duplicate point: sorted, so it used to pass
+        (-1.0, 1.3, 1.7),
+        (0.0, 1.3, 1.7),
+        (1.3, 1.7, float("inf")),
+    ])
+    def test_rejects_duplicate_or_non_positive_grid(self, grid):
+        with pytest.raises(ValueError, match="grid points"):
+            DvfsConfig(frequencies_ghz=grid, reference_freq_ghz=1.7)
+
+
+class TestPowerConfig:
+    @pytest.mark.parametrize("field,value", [
+        # Each was accepted before: negative C_eff gave negative power at
+        # every f, zero IVR efficiency divided by zero on first use.
+        ("c_eff_per_cu", -1.0),
+        ("c_eff_per_cu", 0.0),
+        ("c_eff_per_cu", float("inf")),
+        ("leakage_per_cu_at_vmax", -0.35),
+        ("leakage_per_cu_at_vmax", float("nan")),
+        ("temperature_factor", 0.0),
+        ("ivr_efficiency_peak", 0.0),
+        ("ivr_efficiency_peak", 1.5),
+        ("ivr_efficiency_floor", 0.0),
+        ("ivr_efficiency_floor", -0.2),
+        ("idle_activity", 1.5),
+        ("memory_power_per_bank", -0.5),
+        ("transition_energy", -2.0),
+    ])
+    def test_rejects_hostile_value(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PowerConfig(**{field: value})
+
+    @pytest.mark.parametrize("overrides", [
+        # Inverted: power fell as f rose (2.12 -> 1.38 over 1.3-2.2 GHz).
+        {"v_min": 1.1, "v_max": 0.7},
+        {"v_min": 0.9, "v_max": 0.9},
+        {"v_min": 0.0},
+        {"f_min_ghz": 2.2, "f_max_ghz": 1.3},
+        {"f_min_ghz": 1.7, "f_max_ghz": 1.7},
+    ])
+    def test_rejects_empty_or_inverted_range(self, overrides):
+        with pytest.raises(ValueError, match="need 0 <"):
+            PowerConfig(**overrides)
+
+    def test_accepted_config_gives_positive_power_rising_with_f(self):
+        from repro.power.model import PowerModel
+
+        model = PowerModel(PowerConfig(ivr_efficiency_floor=1.0, idle_activity=0.0))
+        powers = [model.cu_power(f, 0.5) for f in default_frequency_grid()]
+        assert all(p > 0 for p in powers)
+        assert powers == sorted(powers)
+
 
 class TestFactories:
     def test_small_config_scales_down(self):

@@ -175,3 +175,81 @@ class TestCli:
             ]) == 0
             scans[engine] = json.loads(path.read_text())["hotpath"]["waves_scanned"]
         assert scans["reference"] > scans["event"]
+
+
+#: Hot-path counters of a fixed grid, in ``HotPathCounters`` field order,
+#: and the SHA-256 of the canonical results with the hot-path counts and
+#: ``prediction_accuracy`` left out. Recorded before the CU stepper and
+#: the inlined memory-op path landed: a faster engine must do exactly the
+#: same work, not only get the same results. ``prediction_accuracy`` is a
+#: builtin ``sum()`` over floats, whose last bits changed in Python 3.12
+#: (compensated summation), so it is checked against the reference engine
+#: in the same process instead of being pinned.
+PINNED_FIELDS = (
+    "cycles", "waves_scanned", "batched_instructions", "completions_delivered",
+    "clones", "clone_bytes", "snapshots", "snapshot_bytes", "restores",
+    "oracle_samples", "oracle_cycles",
+)
+PINNED_HOTPATH = {
+    "xsbench/STATIC@1.7": (23819, 8749, 1875, 3840, 0, 0, 0, 0, 0, 0, 0),
+    "xsbench/PCSTALL": (23655, 8810, 1814, 3840, 0, 0, 0, 0, 0, 0, 0),
+    "xsbench/ORACLE": (23675, 43741, 9522, 19228, 0, 0, 25, 632600, 100, 25, 95523),
+    "dgemm/STATIC@1.7": (12468, 15537, 56, 272, 0, 0, 0, 0, 0, 0, 0),
+    "dgemm/PCSTALL": (11572, 15534, 57, 272, 0, 0, 0, 0, 0, 0, 0),
+    "dgemm/ORACLE": (11064, 73620, 217, 1315, 0, 0, 2, 18672, 8, 2, 42056),
+    "comd/STATIC@1.7": (23272, 18293, 2155, 2432, 0, 0, 0, 0, 0, 0, 0),
+    "comd/PCSTALL": (22388, 18522, 1926, 2432, 0, 0, 0, 0, 0, 0, 0),
+    "comd/ORACLE": (22851, 94253, 12294, 12801, 0, 0, 7, 130184, 28, 7, 98228),
+}
+PINNED_DIGEST = "ab219d1069652bdc5f8e383eea179291499b92ffa49ed687e949f5329ac6bf78"
+
+
+class TestPinnedWork:
+    def test_grid_work_and_results_match_recorded_values(self):
+        import hashlib
+        from dataclasses import replace
+
+        from repro.config import small_config
+        from repro.runtime.cache import canonicalize
+        from repro.runtime.executor import SweepTask, run_task
+
+        config = small_config(seed=7)
+        reference = replace(config, gpu=replace(config.gpu, engine="reference"))
+        canonical = []
+        for label, row in PINNED_HOTPATH.items():
+            workload, design = label.split("/")
+            result = run_task(SweepTask(workload, design, config, scale=0.05,
+                                        oracle_sample_freqs=4))
+            assert result.hotpath == dict(zip(PINNED_FIELDS, row)), label
+            if result.prediction_accuracy is not None:
+                golden = run_task(SweepTask(workload, design, reference, scale=0.05,
+                                            oracle_sample_freqs=4))
+                assert result.prediction_accuracy == golden.prediction_accuracy, label
+            canonical.append(
+                canonicalize(replace(result, hotpath=None, prediction_accuracy=None))
+            )
+        blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == PINNED_DIGEST
+
+    def test_class_level_request_wrapper_sees_every_miss(self, monkeypatch):
+        """The benchmark counts ``gpu.memory.requests`` by replacing
+        ``MemorySubsystem.request`` on the class; the engine must call
+        that attribute once per L1 miss, not a private twin."""
+        from repro.config import small_config
+        from repro.gpu.memory import MemorySubsystem
+        from repro.workloads import build_workload, workload
+
+        calls = []
+        request = MemorySubsystem.request
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return request(self, *args, **kwargs)
+
+        monkeypatch.setattr(MemorySubsystem, "request", counted)
+        gpu = Gpu(small_config(n_cus=2, waves_per_cu=4).gpu)
+        gpu.load_kernel(build_workload(workload("xsbench"), scale=0.1)[0])
+        for _ in range(5):
+            gpu.run_epoch(1000.0)
+        assert gpu.memory.request_counter > 0
+        assert len(calls) == gpu.memory.request_counter

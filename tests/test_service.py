@@ -194,6 +194,32 @@ def test_sim_config_from_wire_rejects_geometry_that_cannot_run(field, value):
         proto.sim_config_from_wire(wire)
 
 
+#: Power and DVFS configs a peer could send that used to be accepted
+#: (the first three reproduce negative power, power falling with f, and
+#: a ZeroDivisionError on first use).
+HOSTILE_CONFIGS = [
+    ("power", {"c_eff_per_cu": -1.0}),
+    ("power", {"v_min": 1.1, "v_max": 0.7}),
+    ("power", {"ivr_efficiency_peak": 0.0, "ivr_efficiency_floor": 0.0}),
+    ("dvfs", {"frequencies_ghz": [1.3, 1.3, 1.7]}),
+    ("dvfs", {"frequencies_ghz": [-1.0, 1.3, 1.7]}),
+]
+
+
+def hostile_wire(section, overrides):
+    from repro.telemetry.schema import sim_config_to_wire
+
+    wire = sim_config_to_wire(small_config(n_cus=2, waves_per_cu=4))
+    wire[section].update(overrides)
+    return wire
+
+
+@pytest.mark.parametrize("section,overrides", HOSTILE_CONFIGS)
+def test_sim_config_from_wire_rejects_hostile_power_and_dvfs(section, overrides):
+    with pytest.raises(proto.ProtocolError):
+        proto.sim_config_from_wire(hostile_wire(section, overrides))
+
+
 @pytest.mark.parametrize("name,expect", [
     ("", type(None)),
     ("EDP", "EDP"),
@@ -301,6 +327,14 @@ def test_unknown_design_rejected(server):
     with DecisionClient(port=server.port).connect() as client:
         with pytest.raises(SessionRejected) as excinfo:
             client.open_session("NOPE", small_config(n_cus=2, waves_per_cu=4))
+        assert excinfo.value.code == "bad_open"
+
+
+@pytest.mark.parametrize("section,overrides", HOSTILE_CONFIGS)
+def test_hostile_power_or_dvfs_config_is_a_bad_open(server, section, overrides):
+    with DecisionClient(port=server.port).connect() as client:
+        with pytest.raises(SessionRejected) as excinfo:
+            client.open_session("PCSTALL", hostile_wire(section, overrides))
         assert excinfo.value.code == "bad_open"
 
 
