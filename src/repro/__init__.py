@@ -43,25 +43,40 @@ Quickstart::
     print(result.ed2p, result.prediction_accuracy)
 """
 
-from repro.config import (
-    DvfsConfig,
-    GpuConfig,
-    MemoryConfig,
-    PowerConfig,
-    SimConfig,
-    default_frequency_grid,
-    paper_config,
-    small_config,
-)
-from repro.dvfs import DESIGN_NAMES, DvfsSimulation, OracleSampler, make_controller
-from repro.runtime import ResultCache, SweepExecutor, SweepInstrumentation, SweepTask
-from repro.telemetry import (
-    AccuracyReport,
-    EpochTraceRecorder,
-    MetricsRegistry,
-    TelemetryConfig,
-)
+from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.config import (
+        DvfsConfig,
+        GpuConfig,
+        MemoryConfig,
+        PowerConfig,
+        SimConfig,
+        default_frequency_grid,
+        paper_config,
+        small_config,
+    )
+    from repro.dvfs import DESIGN_NAMES, DvfsSimulation, OracleSampler, make_controller
+    from repro.runtime import ResultCache, SweepExecutor, SweepInstrumentation, SweepTask
+    from repro.telemetry import (
+        AccuracyReport,
+        EpochTraceRecorder,
+        MetricsRegistry,
+        TelemetryConfig,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("DvfsConfig", "GpuConfig", "MemoryConfig", "PowerConfig", "SimConfig",
+               "default_frequency_grid", "paper_config", "small_config"),
+    "dvfs": ("DESIGN_NAMES", "DvfsSimulation", "OracleSampler", "make_controller"),
+    "runtime": ("ResultCache", "SweepExecutor", "SweepInstrumentation", "SweepTask"),
+    "telemetry": ("AccuracyReport", "EpochTraceRecorder", "MetricsRegistry",
+                  "TelemetryConfig"),
+})
+
+#: Eager: result-cache keys read it, and it costs nothing.
 __version__ = "1.10.0"
 
 __all__ = [

@@ -247,6 +247,17 @@ class SimConfig:
     power: PowerConfig = field(default_factory=PowerConfig)
     seed: int = 42
 
+    def __post_init__(self) -> None:
+        # V(f) clamps outside the power model's calibrated range, so an
+        # outside grid point would be mispriced by every objective.
+        lo, hi = self.power.f_min_ghz, self.power.f_max_ghz
+        outside = [f for f in self.dvfs.frequencies_ghz if not lo <= f <= hi]
+        if outside:
+            raise ValueError(
+                f"frequency grid points {outside} lie outside the power model's "
+                f"calibrated range [{lo}, {hi}] GHz"
+            )
+
 
 def small_config(
     n_cus: int = 4,

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, MutableSequence, Optional, Sequence
+from typing import Dict, List, MutableSequence, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
+from repro.core.estimators import StallModel
 from repro.core.objectives import Objective, ObjectiveContext
-from repro.core.predictors import ObserveContext, Predictor
+from repro.core.predictors import ObserveContext, Predictor, ReactivePredictor
 from repro.core.sensitivity import LinearSensitivity
 from repro.gpu.gpu import EpochResult
 from repro.power.model import PowerModel
@@ -81,6 +82,10 @@ def _snap_to_grid(f: float, grid: Sequence[float]) -> float:
     )
 
 
+def _finite(line: LinearSensitivity) -> bool:
+    return math.isfinite(line.i0) and math.isfinite(line.slope)
+
+
 class DvfsController:
     """Drives one predictor + objective over all V/f domains."""
 
@@ -107,6 +112,10 @@ class DvfsController:
             reference_freq_ghz=sim_config.dvfs.reference_freq_ghz,
         )
         self._current: List[float] = [sim_config.dvfs.reference_freq_ghz] * n_domains
+        #: The last observed epoch, for the STALL fallback in decide().
+        self._last_observed: Optional[Tuple[EpochResult, ObserveContext]] = None
+        #: Predicted lines decide() replaced because i0 or slope was not finite.
+        self.non_finite_fallbacks = 0
 
     # ------------------------------------------------------------------
 
@@ -123,19 +132,47 @@ class DvfsController:
             true_domain_lines=true_domain_lines,
         )
         self.predictor.observe(result, ctx)
+        self._last_observed = (result, ctx)
 
     def decide(self) -> List[float]:
-        """Frequencies for the next epoch, one per domain."""
-        predictions = self.predictor.predict_domains()
+        """Frequencies for the next epoch, one per domain.
+
+        A predicted line whose ``i0`` or ``slope`` is not finite never
+        reaches the objective, where ``predict`` would floor NaN to zero
+        commits. It is replaced by the STALL estimate of the domain's
+        last observed epoch; when there is none, or it is not finite
+        either, the domain holds its frequency. Each replacement counts
+        in :attr:`non_finite_fallbacks`, and the log records the line
+        that was used.
+        """
+        predictions = list(self.predictor.predict_domains())
         grid = self.config.dvfs.frequencies_ghz
         chosen: List[float] = []
         for d, line in enumerate(predictions):
+            if line is not None and not _finite(line):
+                self.non_finite_fallbacks += 1
+                line = predictions[d] = self._stall_line(d)
+                if line is None:
+                    chosen.append(self._current[d])
+                    continue
             f = self.objective.choose(line, grid, self._current[d], self._ctx, domain=d)
             chosen.append(f)
         self._current = chosen
         self.log.chosen_freqs.append(list(chosen))
-        self.log.predictions.append(list(predictions))
+        self.log.predictions.append(predictions)
         return chosen
+
+    def _stall_line(self, domain: int) -> Optional[LinearSensitivity]:
+        """The STALL design's line for ``domain`` from the last observed
+        epoch; None when nothing was observed or the line is not finite."""
+        if self._last_observed is None:
+            return None
+        stall = ReactivePredictor(StallModel(), self.config.gpu)
+        stall.observe(*self._last_observed)
+        line = stall.predict_domains()[domain]
+        if line is None or not _finite(line):
+            return None
+        return line
 
     def choose_for(
         self,

@@ -617,7 +617,7 @@ class ComputeUnit:
         code = wf.code
         kinds = code.kinds
         batchable = code.batchable
-        costs = code.costs_for(cycle)
+        cycles = code.cycles
         trip_counts = code.trip_counts
         branch_targets = code.branch_targets
         counters = wf.loop_counters
@@ -644,7 +644,7 @@ class ComputeUnit:
                     pc += 1
                 ra = now + cycle
             else:  # VALU / SALU
-                cost = costs[pc]
+                cost = cycles[pc] * cycle
                 ra = now + cost
                 busy += cost
                 pc += 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 class InstructionKind(enum.IntEnum):
@@ -256,11 +256,6 @@ class CompiledProgram:
     event engine's single-wave straight-line batcher may retire
     (VALU/SALU/BRANCH).
 
-    :meth:`costs_for` precomputes ``cycles * cycle_ns`` per frequency:
-    each entry is produced by exactly the float multiply the dataclass
-    path evaluates (``instr.cycles * cycle``), so timing stays
-    bit-identical - the table only hoists the multiply out of the loop.
-
     Tables are shared by reference across ``clone()``/``snapshot()``/
     ``from_snapshot()`` (zero bytes per oracle fork) and compare equal
     by their source program, so separately-built engines with equal
@@ -278,7 +273,6 @@ class CompiledProgram:
         "branch_targets",
         "trip_counts",
         "batchable",
-        "_cost_cache",
     )
 
     def __init__(self, source: Program) -> None:
@@ -298,22 +292,6 @@ class CompiledProgram:
             int(InstructionKind.BRANCH),
         )
         self.batchable: Tuple[bool, ...] = tuple(k in batch_kinds for k in self.kinds)
-        #: Per-frequency cost tables, keyed by cycle period (ns). The DVFS
-        #: grid is small (10 states), so this saturates immediately.
-        self._cost_cache: Dict[float, Tuple[float, ...]] = {}
-
-    def costs_for(self, cycle: float) -> Tuple[float, ...]:
-        """Per-instruction ``cycles * cycle`` (ns) at one cycle period.
-
-        Entries with the same cycle count share one float object: a
-        program has a handful of distinct counts but up to tens of
-        thousands of instructions.
-        """
-        costs = self._cost_cache.get(cycle)
-        if costs is None:
-            products = {c: c * cycle for c in set(self.cycles)}
-            costs = self._cost_cache[cycle] = tuple(map(products.__getitem__, self.cycles))
-        return costs
 
     @property
     def name(self) -> str:

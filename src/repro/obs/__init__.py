@@ -16,36 +16,52 @@ observability stack:
 * :mod:`repro.obs.monitor` - the ``repro monitor`` live summary engine.
 """
 
-from repro.obs.drift import (
-    SIGNAL_REL_ERROR,
-    SIGNAL_RETRY_RATE,
-    SIGNAL_SHED_RATE,
-    DriftAlert,
-    DriftConfig,
-    DriftMonitor,
-)
-from repro.obs.log import configure_logging, get_logger
-from repro.obs.monitor import (
-    IntervalSummary,
-    diff_metrics,
-    fetch_metrics,
-    iter_jsonl,
-    summarize_records,
-)
-from repro.obs.prom import (
-    CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE,
-    ExpositionError,
-    parse_exposition,
-    render_prometheus,
-    sanitise_name,
-)
-from repro.obs.trace import (
-    SPAN_RECORD_TYPE,
-    Span,
-    SpanContext,
-    Tracer,
-    span_records,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.drift import (
+        SIGNAL_REL_ERROR,
+        SIGNAL_RETRY_RATE,
+        SIGNAL_SHED_RATE,
+        DriftAlert,
+        DriftConfig,
+        DriftMonitor,
+    )
+    from repro.obs.log import configure_logging, get_logger
+    from repro.obs.monitor import (
+        IntervalSummary,
+        diff_metrics,
+        fetch_metrics,
+        iter_jsonl,
+        summarize_records,
+    )
+    from repro.obs.prom import (
+        CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE,
+        ExpositionError,
+        parse_exposition,
+        render_prometheus,
+        sanitise_name,
+    )
+    from repro.obs.trace import (
+        SPAN_RECORD_TYPE,
+        Span,
+        SpanContext,
+        Tracer,
+        span_records,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "drift": ("SIGNAL_REL_ERROR", "SIGNAL_RETRY_RATE", "SIGNAL_SHED_RATE", "DriftAlert",
+              "DriftConfig", "DriftMonitor"),
+    "log": ("configure_logging", "get_logger"),
+    "monitor": ("IntervalSummary", "diff_metrics", "fetch_metrics", "iter_jsonl",
+                "summarize_records"),
+    "prom": ("PROMETHEUS_CONTENT_TYPE:CONTENT_TYPE", "ExpositionError", "parse_exposition",
+             "render_prometheus", "sanitise_name"),
+    "trace": ("SPAN_RECORD_TYPE", "Span", "SpanContext", "Tracer", "span_records"),
+})
 
 __all__ = [
     "DriftAlert",

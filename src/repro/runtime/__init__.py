@@ -24,47 +24,66 @@
   offers an opt-in ``cProfile`` wrapper.
 """
 
-from repro.runtime.cache import (
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    default_cache_dir,
-    task_key,
-)
-from repro.runtime.checkpoint import SweepCheckpoint, default_checkpoint_path
-from repro.runtime.distributed import (
-    DEFAULT_BROKER_PORT,
-    LeaseExpired,
-    SweepBroker,
-    SweepWorker,
-    WorkerError,
-    WorkerSummary,
-)
-from repro.runtime.executor import (
-    NO_RETRY,
-    FailedCell,
-    RetryPolicy,
-    SweepExecutor,
-    SweepTask,
-    SweepTimeoutError,
-    run_task,
-)
-from repro.runtime.faults import (
-    FAULT_PLAN_ENV,
-    CorruptResult,
-    CorruptResultError,
-    FaultPlan,
-    FaultSpec,
-    InjectedFaultError,
-    active_fault_plan,
-)
-from repro.runtime.profiling import (
-    HotPathCounters,
-    collect_hotpath,
-    format_hotpath,
-    maybe_cprofile,
-)
-from repro.runtime.progress import CellRecord, SweepInstrumentation
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import (
+        CACHE_DIR_ENV,
+        DEFAULT_CACHE_DIR,
+        ResultCache,
+        default_cache_dir,
+        task_key,
+    )
+    from repro.runtime.checkpoint import SweepCheckpoint, default_checkpoint_path
+    from repro.runtime.distributed import (
+        DEFAULT_BROKER_PORT,
+        LeaseExpired,
+        SweepBroker,
+        SweepWorker,
+        WorkerError,
+        WorkerSummary,
+    )
+    from repro.runtime.executor import (
+        NO_RETRY,
+        FailedCell,
+        RetryPolicy,
+        SweepExecutor,
+        SweepTask,
+        SweepTimeoutError,
+        run_task,
+    )
+    from repro.runtime.faults import (
+        FAULT_PLAN_ENV,
+        CorruptResult,
+        CorruptResultError,
+        FaultPlan,
+        FaultSpec,
+        InjectedFaultError,
+        active_fault_plan,
+    )
+    from repro.runtime.profiling import (
+        HotPathCounters,
+        collect_hotpath,
+        format_hotpath,
+        maybe_cprofile,
+    )
+    from repro.runtime.progress import CellRecord, SweepInstrumentation
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ("CACHE_DIR_ENV", "DEFAULT_CACHE_DIR", "ResultCache", "default_cache_dir",
+              "task_key"),
+    "checkpoint": ("SweepCheckpoint", "default_checkpoint_path"),
+    "distributed": ("DEFAULT_BROKER_PORT", "LeaseExpired", "SweepBroker", "SweepWorker",
+                    "WorkerError", "WorkerSummary"),
+    "executor": ("NO_RETRY", "FailedCell", "RetryPolicy", "SweepExecutor", "SweepTask",
+                 "SweepTimeoutError", "run_task"),
+    "faults": ("FAULT_PLAN_ENV", "CorruptResult", "CorruptResultError", "FaultPlan",
+               "FaultSpec", "InjectedFaultError", "active_fault_plan"),
+    "profiling": ("HotPathCounters", "collect_hotpath", "format_hotpath", "maybe_cprofile"),
+    "progress": ("CellRecord", "SweepInstrumentation"),
+})
 
 __all__ = [
     "CACHE_DIR_ENV",

@@ -78,7 +78,16 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
+from repro.analysis.trace_io import run_result_to_dict
+from repro.core.objectives import (
+    EDnPObjective,
+    PerformanceCapObjective,
+    QoSDeadlineObjective,
+    StaticObjective,
+)
 from repro.obs.log import get_logger
+from repro.runtime.cache import describe_objective
+from repro.runtime.executor import SweepTask, SweepTimeoutError, _run_task_timed
 from repro.runtime.faults import CorruptResultError, InjectedFaultError
 from repro.runtime.progress import SOURCE_REMOTE, SOURCE_SERIAL
 from repro.runtime.wire import (
@@ -88,12 +97,13 @@ from repro.runtime.wire import (
     recv_frame,
     send_frame,
 )
+from repro.telemetry.schema import sim_config_from_wire, sim_config_to_wire
 
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
 
     from repro.obs.trace import Span
-    from repro.runtime.executor import SweepExecutor, SweepTask
+    from repro.runtime.executor import SweepExecutor
 
 _log = get_logger("distributed")
 
@@ -151,8 +161,6 @@ TASK_KEY_MISMATCH = "TaskKeyMismatch"
 #: so retryability, the fault counters and the type a sweep raises are
 #: the same as for in-process runs.
 def _error_registry() -> Dict[str, type]:
-    from repro.runtime.executor import SweepTimeoutError
-
     return {
         cls.__name__: cls
         for cls in (
@@ -174,13 +182,6 @@ def error_from_wire(remote_type: str, message: str) -> BaseException:
 def objective_from_wire(wire: Any) -> Optional[Any]:
     if wire is None:
         return None
-    from repro.core.objectives import (
-        EDnPObjective,
-        PerformanceCapObjective,
-        QoSDeadlineObjective,
-        StaticObjective,
-    )
-
     try:
         name = wire["__class__"]
         if name == "StaticObjective":
@@ -198,9 +199,6 @@ def objective_from_wire(wire: Any) -> Optional[Any]:
 
 def sweep_task_to_wire(task: "SweepTask") -> Dict[str, object]:
     """JSON form of a sweep cell (config in its canonical wire shape)."""
-    from repro.runtime.cache import describe_objective
-    from repro.telemetry.schema import sim_config_to_wire
-
     return {
         "workload": task.workload,
         "design": task.design,
@@ -217,9 +215,6 @@ def sweep_task_from_wire(wire: Mapping[str, Any]) -> "SweepTask":
     """Rebuild a :class:`SweepTask`; raises :class:`ProtocolError` on a
     malformed payload. Callers should verify the rebuilt task's
     ``key()`` against the broker's expected key."""
-    from repro.runtime.executor import SweepTask
-    from repro.telemetry.schema import sim_config_from_wire
-
     try:
         freqs = wire["oracle_sample_freqs"]
         return SweepTask(
@@ -504,8 +499,6 @@ class SweepBroker:
     def _run_local_locked(self, i: int) -> None:
         """One attempt at cell ``i`` in this process; the lock is
         released while it computes, so workers keep being served."""
-        from repro.runtime.executor import _run_task_timed
-
         ex = self._executor
         assert ex is not None and self._results is not None
         task = self._tasks[i]
@@ -773,8 +766,6 @@ class SweepBroker:
         task: "SweepTask", key: str, result: Any, msg: Dict[str, object]
     ) -> None:
         """Integrity checks on a shipped result (raises CorruptResultError)."""
-        from repro.analysis.trace_io import run_result_to_dict
-
         if msg.get("key") != key:
             raise CorruptResultError(
                 f"result for {task.label} carries key {msg.get('key')!r}, "
@@ -915,7 +906,6 @@ def _cell_timeout(seconds: Optional[float], message: str) -> Iterator[None]:
     ):
         yield
         return
-    from repro.runtime.executor import SweepTimeoutError
 
     def expire(signum, frame):
         raise SweepTimeoutError(message)
@@ -1057,9 +1047,6 @@ class SweepWorker:
                 self._sock = None
 
     def _run_cell(self, msg: Dict[str, object], log) -> None:
-        from repro.analysis.trace_io import run_result_to_dict
-        from repro.runtime.executor import _run_task_timed
-
         try:
             index = int(msg["index"])  # type: ignore[arg-type]
             attempt = int(msg["attempt"])  # type: ignore[arg-type]

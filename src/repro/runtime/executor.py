@@ -43,12 +43,15 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
 
+import repro.workloads as workloads
 from repro.config import SimConfig
 
 if TYPE_CHECKING:  # spans are optional; the import stays off the hot path
     from repro.obs.trace import Span, Tracer
     from repro.runtime.distributed import SweepBroker
 from repro.core.objectives import Objective
+from repro.dvfs.designs import make_controller
+from repro.dvfs.simulation import DvfsSimulation
 from repro.runtime.cache import ResultCache, describe_objective, task_key
 from repro.runtime.checkpoint import SweepCheckpoint
 from repro.runtime.faults import (
@@ -118,8 +121,6 @@ def _workload_kernels(spec, scale: float) -> tuple:
     per process: keyed on the spec's value, never its name.
     ``build_workload`` is looked up at call time, so a wrapper installed
     on :mod:`repro.workloads` sees every real build."""
-    import repro.workloads as workloads
-
     return tuple(workloads.build_workload(spec, scale=scale))
 
 
@@ -134,12 +135,7 @@ def run_task(task: SweepTask, recorder=None, tracer=None):
     observability never enters the result-cache key because it never
     changes the result.
     """
-    # Local imports keep worker start-up lean and avoid import cycles.
-    from repro.dvfs.designs import make_controller
-    from repro.dvfs.simulation import DvfsSimulation
-    from repro.workloads import workload
-
-    kernels = _workload_kernels(workload(task.workload), task.scale)
+    kernels = _workload_kernels(workloads.workload(task.workload), task.scale)
     ctrl = make_controller(task.design, task.config, task.objective)
     sim = DvfsSimulation(
         kernels,
@@ -298,6 +294,10 @@ class SweepExecutor:
             raise ValueError("max_workers must be >= 1")
         self.progress.max_workers = max(self.progress.max_workers, self.max_workers)
         self._sweep_span: Optional["Span"] = None
+        if self.max_workers > 1:
+            # A parallel sweep serves its cells from a broker: load that
+            # stack (sockets, threads) here, not inside run().
+            import repro.runtime.distributed  # noqa: F401
 
     # ------------------------------------------------------------------
 

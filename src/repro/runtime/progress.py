@@ -245,8 +245,7 @@ class SweepInstrumentation:
 
     def summary(self) -> str:
         """Render the aggregate instrumentation as an ASCII table."""
-        # Imported here: repro.analysis pulls in the experiment drivers,
-        # which import this module (cycle at import time, fine at call time).
+        # Imported here: only a rendered summary needs the report module.
         from repro.analysis.report import format_table
 
         rows = [

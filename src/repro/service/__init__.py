@@ -18,21 +18,36 @@ GPU driver shim, a cluster scheduler, a replayed trace) can consume it:
   epoch trace through a live server and verify every returned decision
   is bit-identical to the offline simulation that produced the trace.
 
-Everything is stdlib-only, like the rest of the repository.
+The service code is stdlib-only; the server module also imports the
+LEARNED design's model stack (numpy) so it loads before the server
+listens, not on the event loop.
 """
 
-from repro.service.client import (
-    DecisionClient,
-    RequestShed,
-    ServiceError,
-    ServiceShutdown,
-    SessionRejected,
-    check_health,
-    wait_until_healthy,
-)
-from repro.service.protocol import DEFAULT_HEALTH_PORT, DEFAULT_PORT, ProtocolError
-from repro.service.replay import ReplayReport, replay_trace
-from repro.service.server import DecisionService, ServiceConfig
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.client import (
+        DecisionClient,
+        RequestShed,
+        ServiceError,
+        ServiceShutdown,
+        SessionRejected,
+        check_health,
+        wait_until_healthy,
+    )
+    from repro.service.protocol import DEFAULT_HEALTH_PORT, DEFAULT_PORT, ProtocolError
+    from repro.service.replay import ReplayReport, replay_trace
+    from repro.service.server import DecisionService, ServiceConfig
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "client": ("DecisionClient", "RequestShed", "ServiceError", "ServiceShutdown",
+               "SessionRejected", "check_health", "wait_until_healthy"),
+    "protocol": ("DEFAULT_HEALTH_PORT", "DEFAULT_PORT", "ProtocolError"),
+    "replay": ("ReplayReport", "replay_trace"),
+    "server": ("DecisionService", "ServiceConfig"),
+})
 
 __all__ = [
     "DEFAULT_HEALTH_PORT",

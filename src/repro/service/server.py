@@ -51,19 +51,31 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+# The LEARNED design's path (model registry, models, numpy) is imported
+# here, before the service listens: a session opening LEARNED would
+# otherwise import it on the event loop and stall every other session.
+import repro.learn.registry  # noqa: F401
+from repro import __version__
 from repro.core.controller import ControllerLog
 from repro.dvfs.designs import make_controller
 from repro.obs.log import get_logger
+from repro.obs.prom import CONTENT_TYPE, render_prometheus
+from repro.runtime.cache import config_hash
 from repro.service import protocol as proto
 from repro.telemetry.metrics import BATCH_BUCKETS, MetricsRegistry
+from repro.telemetry.schema import build_meta
 
 if TYPE_CHECKING:
     from repro.obs.drift import DriftMonitor
     from repro.obs.trace import Span, Tracer
 
 _log = get_logger("service")
+
+#: Predicted lines the controller replaced because they were not finite
+#: (one counter per fallback reason; the registry has no labels).
+NON_FINITE_FALLBACKS = "service_decision_fallbacks_non_finite_line"
 
 _HTTP_STATUS_TEXT = {
     200: "OK",
@@ -140,6 +152,7 @@ class DecisionService:
     ) -> None:
         self.config = config
         self.registry = registry or MetricsRegistry()
+        self.registry.counter(NON_FINITE_FALLBACKS)  # exported from zero
         #: Optional span tracer: connect -> session -> request ->
         #: decision. Spans only observe; decisions are bit-identical
         #: with or without one (``repro replay`` pins this down).
@@ -373,7 +386,7 @@ class DecisionService:
         )
 
         # Mirror the offline loop: decide() runs before the first epoch.
-        decision = controller.decide()
+        decision = self._decide_counted(controller)
         self._write(session, {
             "type": proto.MSG_OPEN_OK,
             "session": session.sid,
@@ -514,7 +527,7 @@ class DecisionService:
                     "seq": seq, "error": str(exc)}
 
         controller.observe(result, true_domain_lines=truth)
-        decision = controller.decide()
+        decision = self._decide_counted(controller)
         session.expected_epoch = int(epoch) + 1
         reg.inc("service_decisions")
         return {
@@ -523,6 +536,14 @@ class DecisionService:
             "epoch": session.expected_epoch,
             "decision": list(decision),
         }
+
+    def _decide_counted(self, controller) -> List[float]:
+        """``controller.decide()``, counting the lines it replaced."""
+        before = controller.non_finite_fallbacks
+        decision = controller.decide()
+        if controller.non_finite_fallbacks != before:
+            self.registry.inc(NON_FINITE_FALLBACKS, controller.non_finite_fallbacks - before)
+        return decision
 
     # ------------------------------------------------------------------
     # Writing
@@ -601,16 +622,11 @@ class DecisionService:
 
     def _meta(self) -> Dict[str, object]:
         """Build provenance: what produced these numbers, exactly."""
-        from repro.runtime.cache import config_hash
-        from repro.telemetry.schema import build_meta
-
         return build_meta(config_hash=config_hash(self.config))
 
     def _route(
         self, method: str, path: str, accept: str = ""
     ) -> Tuple[int, bytes, str]:
-        from repro import __version__
-
         def as_json(status: int, body: Dict[str, object]) -> Tuple[int, bytes, str]:
             return (
                 status,
@@ -632,8 +648,6 @@ class DecisionService:
         if path == "/metrics":
             meta = self._meta()
             if self._wants_prometheus(query, accept):
-                from repro.obs.prom import CONTENT_TYPE, render_prometheus
-
                 reg = self.registry
                 reg.gauge("service_sessions").set(len(self._sessions))
                 text = render_prometheus(

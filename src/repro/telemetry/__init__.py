@@ -22,33 +22,49 @@ test per epoch and allocates nothing - tier-1 results stay bit-identical
 (see ``tests/test_telemetry.py``).
 """
 
-from repro.telemetry.accuracy import AccuracyReport, percentile
-from repro.telemetry.exporters import (
-    perfetto_trace,
-    save_perfetto_json,
-    validate_trace_events,
-    validate_trace_json,
-)
-from repro.telemetry.metrics import (
-    BATCH_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_all,
-)
-from repro.telemetry.recorder import EpochTraceRecorder, PcErrorStat, TelemetryConfig
-from repro.telemetry.schema import (
-    TRACE_SCHEMA_VERSION,
-    build_meta,
-    check_meta,
-    epoch_result_to_wire,
-    load_trace_jsonl,
-    sim_config_to_wire,
-    trace_meta,
-    validate_records,
-    validate_trace_file,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.telemetry.accuracy import AccuracyReport, percentile
+    from repro.telemetry.exporters import (
+        perfetto_trace,
+        save_perfetto_json,
+        validate_trace_events,
+        validate_trace_json,
+    )
+    from repro.telemetry.metrics import (
+        BATCH_BUCKETS,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        merge_all,
+    )
+    from repro.telemetry.recorder import EpochTraceRecorder, PcErrorStat, TelemetryConfig
+    from repro.telemetry.schema import (
+        TRACE_SCHEMA_VERSION,
+        build_meta,
+        check_meta,
+        epoch_result_to_wire,
+        load_trace_jsonl,
+        sim_config_to_wire,
+        trace_meta,
+        validate_records,
+        validate_trace_file,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "accuracy": ("AccuracyReport", "percentile"),
+    "exporters": ("perfetto_trace", "save_perfetto_json", "validate_trace_events",
+                  "validate_trace_json"),
+    "metrics": ("BATCH_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry", "merge_all"),
+    "recorder": ("EpochTraceRecorder", "PcErrorStat", "TelemetryConfig"),
+    "schema": ("TRACE_SCHEMA_VERSION", "build_meta", "check_meta", "epoch_result_to_wire",
+               "load_trace_jsonl", "sim_config_to_wire", "trace_meta", "validate_records",
+               "validate_trace_file"),
+})
 
 __all__ = [
     "AccuracyReport",

@@ -19,33 +19,49 @@ imported by the simulation itself):
 check`` CLI command.
 """
 
-from repro.validation.check import (
-    CheckConfig,
-    CheckReport,
-    deep_check_config,
-    quick_check_config,
-    run_check,
-)
-from repro.validation.differential import (
-    DiffReport,
-    FieldMismatch,
-    diff_run_results,
-    engine_differential,
-    first_divergence,
-    make_task,
-    oracle_fork_differential,
-    sweep_differential,
-)
-from repro.validation.invariants import (
-    Violation,
-    audit_controller_log,
-    audit_energy_breakdown,
-    audit_epoch_records,
-    audit_pc_table,
-    audit_residency,
-    audit_run_result,
-    record_violations,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.validation.check import (
+        CheckConfig,
+        CheckReport,
+        deep_check_config,
+        quick_check_config,
+        run_check,
+    )
+    from repro.validation.differential import (
+        DiffReport,
+        FieldMismatch,
+        diff_run_results,
+        engine_differential,
+        first_divergence,
+        make_task,
+        oracle_fork_differential,
+        sweep_differential,
+    )
+    from repro.validation.invariants import (
+        Violation,
+        audit_controller_log,
+        audit_energy_breakdown,
+        audit_epoch_records,
+        audit_pc_table,
+        audit_residency,
+        audit_run_result,
+        record_violations,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "check": ("CheckConfig", "CheckReport", "deep_check_config", "quick_check_config",
+              "run_check"),
+    "differential": ("DiffReport", "FieldMismatch", "diff_run_results", "engine_differential",
+                     "first_divergence", "make_task", "oracle_fork_differential",
+                     "sweep_differential"),
+    "invariants": ("Violation", "audit_controller_log", "audit_energy_breakdown",
+                   "audit_epoch_records", "audit_pc_table", "audit_residency",
+                   "audit_run_result", "record_violations"),
+})
 
 __all__ = [
     "CheckConfig",

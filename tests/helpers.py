@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from repro.core.predictors import Predictor
 from repro.gpu.isa import (
     Program,
     ProgramBuilder,
@@ -17,6 +18,22 @@ from repro.gpu.isa import (
     waitcnt,
 )
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
+
+
+class ForcedLinePredictor(Predictor):
+    """Predicts ``line`` for domain 0 and nothing for the others."""
+
+    name = "FORCED"
+
+    def __init__(self, n_domains: int, line) -> None:
+        self.n_domains = n_domains
+        self.line = line
+
+    def observe(self, result, ctx) -> None:
+        pass
+
+    def predict_domains(self):
+        return [self.line] + [None] * (self.n_domains - 1)
 
 
 def make_loop_program(

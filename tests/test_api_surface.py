@@ -24,8 +24,18 @@ class TestTopLevel:
     def test_all_exports_resolve(self):
         import repro
 
+        names = dir(repro)
         for name in repro.__all__:
+            assert name in names, name
             assert getattr(repro, name, None) is not None, name
+
+    def test_subpackages_are_attributes(self):
+        import repro
+
+        assert repro.gpu.Gpu is importlib.import_module("repro.gpu.gpu").Gpu
+        assert repro.runtime.wire is importlib.import_module("repro.runtime.wire")
+        with pytest.raises(AttributeError):
+            repro.no_such_module
 
 
 @pytest.mark.parametrize(
@@ -91,11 +101,16 @@ class TestTopLevel:
         "repro.obs.prom",
         "repro.obs.log",
         "repro.obs.monitor",
+        "repro.service",
+        "repro.telemetry",
+        "repro.validation",
     ],
 )
 def test_module_all_exports_resolve(module):
     mod = importlib.import_module(module)
+    names = dir(mod)  # read before the getattr below resolves anything
     for name in getattr(mod, "__all__", []):
+        assert name in names, f"{module}.{name} missing from dir()"
         assert getattr(mod, name, None) is not None, f"{module}.{name}"
 
 

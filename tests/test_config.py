@@ -165,6 +165,22 @@ class TestPowerConfig:
         assert powers == sorted(powers)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("grid", [
+        (1.0, 1.7, 3.0),  # accepted before: V(f) clamped both ends
+        (1.2, 1.7),
+        (1.7, 2.3),
+    ])
+    def test_rejects_grid_outside_power_calibration(self, grid):
+        with pytest.raises(ValueError, match="outside the power model"):
+            SimConfig(dvfs=DvfsConfig(frequencies_ghz=grid, reference_freq_ghz=1.7))
+
+    def test_range_follows_the_power_config(self):
+        power = PowerConfig(f_min_ghz=1.0, f_max_ghz=3.0)
+        dvfs = DvfsConfig(frequencies_ghz=(1.0, 1.7, 3.0), reference_freq_ghz=1.7)
+        assert SimConfig(dvfs=dvfs, power=power).dvfs.f_max == 3.0
+
+
 class TestFactories:
     def test_small_config_scales_down(self):
         cfg = small_config(n_cus=4)

@@ -1,17 +1,26 @@
-"""DVFS controller: decide/observe flow, logs, residency."""
+"""DVFS controller: decide/observe flow, logs, residency, fallbacks."""
+
+import dataclasses
+import math
 
 import pytest
 
 from repro.config import small_config
 from repro.core.controller import ControllerLog, DvfsController
-from repro.core.objectives import StaticObjective
+from repro.core.objectives import (
+    EDnPObjective,
+    Objective,
+    PerformanceCapObjective,
+    QoSDeadlineObjective,
+    StaticObjective,
+)
 from repro.core.predictors import StaticPredictor
 from repro.core.sensitivity import LinearSensitivity
 from repro.dvfs.designs import make_controller
 from repro.gpu.gpu import Gpu
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
 
-from helpers import make_loop_program
+from helpers import ForcedLinePredictor, make_loop_program
 
 
 @pytest.fixture
@@ -95,3 +104,89 @@ class TestResidency:
         log.chosen_freqs.append([1.75, 1.7])
         with pytest.raises(ValueError, match="1.75"):
             log.frequency_residency(cfg.dvfs.frequencies_ghz)
+
+
+class SpyObjective(Objective):
+    """Delegates to ``inner`` and records every line it is handed."""
+
+    def __init__(self, inner: Objective) -> None:
+        self.inner = inner
+        self.lines = []
+
+    def choose(self, line, freq_grid, current_f, ctx, domain=0):
+        self.lines.append(line)
+        return self.inner.choose(line, freq_grid, current_f, ctx, domain=domain)
+
+
+NAN = float("nan")
+INF = float("inf")
+NON_FINITE_LINES = [
+    LinearSensitivity(NAN, 100.0),
+    LinearSensitivity(500.0, NAN),
+    LinearSensitivity(INF, 100.0),
+    LinearSensitivity(500.0, -INF),
+]
+OBJECTIVES = [
+    EDnPObjective(2),
+    PerformanceCapObjective(0.05),
+    QoSDeadlineObjective(1000.0),
+]
+
+
+def finite_or_none(line):
+    return line is None or (math.isfinite(line.i0) and math.isfinite(line.slope))
+
+
+class TestNonFiniteLineFallback:
+    """A non-finite predicted line never reaches an objective: NaN would
+    floor to zero commits and pin EDnP/ENERGY@cap to f_min, QOS to f_max."""
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=lambda o: o.name)
+    @pytest.mark.parametrize("bad", NON_FINITE_LINES, ids=repr)
+    def test_replaced_by_the_stall_line_of_the_last_epoch(self, cfg, objective, bad):
+        _, result = run_gpu_epoch(cfg)
+        spy = SpyObjective(objective)
+        ctrl = DvfsController(ForcedLinePredictor(cfg.gpu.n_domains, bad), spy, cfg)
+        ctrl.observe(result)
+        decision = ctrl.decide()
+
+        stall = make_controller("STALL", cfg, objective)
+        stall.observe(result)
+        stall_line = stall.predictor.predict_domains()[0]
+        assert decision[0] == stall.choose_for(stall_line, 0)
+        assert all(finite_or_none(line) for line in spy.lines)
+        assert spy.lines[0] == stall_line
+        assert ctrl.last_predictions()[0] == stall_line
+        assert ctrl.non_finite_fallbacks == 1
+
+    @pytest.mark.parametrize("objective", OBJECTIVES, ids=lambda o: o.name)
+    def test_holds_frequency_before_any_epoch(self, cfg, objective):
+        spy = SpyObjective(objective)
+        ctrl = DvfsController(ForcedLinePredictor(cfg.gpu.n_domains, NON_FINITE_LINES[0]),
+                              spy, cfg)
+        assert ctrl.decide()[0] == cfg.dvfs.reference_freq_ghz
+        assert len(spy.lines) == cfg.gpu.n_domains - 1  # domain 0 never asked
+        assert all(finite_or_none(line) for line in spy.lines)
+        assert ctrl.last_predictions()[0] is None
+        assert ctrl.non_finite_fallbacks == 1
+
+    def test_holds_frequency_when_the_stall_line_is_not_finite_either(self, cfg):
+        _, result = run_gpu_epoch(cfg)
+        # An epoch of infinite length makes STALL's own line NaN.
+        endless = dataclasses.replace(result, t_end=INF)
+        spy = SpyObjective(EDnPObjective(2))
+        ctrl = DvfsController(ForcedLinePredictor(cfg.gpu.n_domains, NON_FINITE_LINES[0]),
+                              spy, cfg)
+        ctrl.observe(endless)
+        assert ctrl.decide()[0] == cfg.dvfs.reference_freq_ghz
+        assert len(spy.lines) == cfg.gpu.n_domains - 1  # domain 0 never asked
+        assert all(finite_or_none(line) for line in spy.lines)
+        assert ctrl.non_finite_fallbacks == 1
+
+    def test_finite_lines_pass_through_untouched(self, cfg):
+        line = LinearSensitivity(500.0, 100.0)
+        spy = SpyObjective(EDnPObjective(2))
+        ctrl = DvfsController(ForcedLinePredictor(cfg.gpu.n_domains, line), spy, cfg)
+        ctrl.decide()
+        assert spy.lines[0] is line
+        assert ctrl.non_finite_fallbacks == 0

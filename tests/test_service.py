@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.config import small_config
+from repro.core.sensitivity import LinearSensitivity
 from repro.dvfs.designs import make_controller
 from repro.runtime.cache import config_hash
 from repro.runtime.executor import RetryPolicy, SweepTask, run_task
@@ -32,8 +33,10 @@ from repro.service.client import (
     check_health,
 )
 from repro.service.replay import load_replay_trace, replay_trace
-from repro.service.server import DecisionService, ServiceConfig
+from repro.service.server import NON_FINITE_FALLBACKS, DecisionService, ServiceConfig
 from repro.telemetry import EpochTraceRecorder, TelemetryConfig, validate_trace_file
+
+from helpers import ForcedLinePredictor
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +206,9 @@ HOSTILE_CONFIGS = [
     ("power", {"ivr_efficiency_peak": 0.0, "ivr_efficiency_floor": 0.0}),
     ("dvfs", {"frequencies_ghz": [1.3, 1.3, 1.7]}),
     ("dvfs", {"frequencies_ghz": [-1.0, 1.3, 1.7]}),
+    # Outside the power model's [1.3, 2.2] GHz: V(f) clamps there, so
+    # 3.0 GHz was priced at v_max and over-favoured by every objective.
+    ("dvfs", {"frequencies_ghz": [1.0, 1.7, 3.0]}),
 ]
 
 
@@ -649,6 +655,7 @@ def test_healthz_and_metrics(server, pcstall_trace):
         conn.close()
     assert snapshot["counters"]["service_decisions"] > 0
     assert snapshot["counters"]["service_sessions_opened"] >= 1
+    assert snapshot["counters"][NON_FINITE_FALLBACKS] == 0
     assert "service_batch_size" in snapshot["histograms"]
 
     conn = http.client.HTTPConnection("127.0.0.1", server.health_port, timeout=5)
@@ -657,6 +664,36 @@ def test_healthz_and_metrics(server, pcstall_trace):
         assert conn.getresponse().status == 404
     finally:
         conn.close()
+
+
+def test_non_finite_line_fallbacks_reach_metrics(server, pcstall_trace, monkeypatch):
+    import repro.service.server as server_module
+
+    def nan_controller(design, sim_config, objective=None, **_):
+        controller = make_controller("STALL", sim_config, objective)
+        controller.predictor = ForcedLinePredictor(
+            sim_config.gpu.n_domains, LinearSensitivity(float("nan"), 100.0))
+        return controller
+
+    monkeypatch.setattr(server_module, "make_controller", nan_controller)
+    path, _ = pcstall_trace
+    trace = load_replay_trace(path)
+    with DecisionClient(port=server.port).connect() as client:
+        # Open: no epoch observed yet, so domain 0 holds its frequency.
+        assert client.open_session("STALL", trace.sim_config_wire)[0] == 1.7
+        # Then each decision falls back to the STALL line of the epoch.
+        client.observe(0, trace.observations[0]["result"])
+
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", server.health_port, timeout=5)
+    try:
+        conn.request("GET", "/metrics?format=prometheus")
+        text = conn.getresponse().read().decode("utf-8")
+    finally:
+        conn.close()
+    samples = [line for line in text.splitlines() if line.startswith(NON_FINITE_FALLBACKS)]
+    assert len(samples) == 1 and samples[0].endswith(" 2"), samples
 
 
 # ----------------------------------------------------------------------
