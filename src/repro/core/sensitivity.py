@@ -32,8 +32,13 @@ class LinearSensitivity:
     slope: float
 
     def predict(self, f_ghz: float) -> float:
-        """Predicted instructions committed at ``f_ghz`` (floored at 0)."""
-        return max(0.0, self.i0 + self.slope * f_ghz)
+        """Predicted instructions committed at ``f_ghz`` (floored at 0).
+
+        A NaN line predicts NaN, not 0 (``max(0.0, nan)`` is ``0.0``):
+        callers must see a broken line, not "zero commits".
+        """
+        v = self.i0 + self.slope * f_ghz
+        return 0.0 if v <= 0.0 else v
 
     def __add__(self, other: "LinearSensitivity") -> "LinearSensitivity":
         return LinearSensitivity(self.i0 + other.i0, self.slope + other.slope)

@@ -79,6 +79,24 @@ def learned_design_name(model_ref: str) -> str:
     return f"LEARNED@{model_ref}"
 
 
+def learned_artifact_id(design: str) -> Optional[str]:
+    """The artifact id a ``LEARNED@<ref>`` design runs, or None.
+
+    A registry name is mutable (retraining ``rls`` points it at a new
+    artifact), so a cache key names the artifact, not the name. None for
+    every other design and for a reference that does not resolve (the
+    cell then fails when it builds its controller).
+    """
+    if not design.startswith("LEARNED@"):
+        return None
+    from repro.learn.registry import ModelRegistry, ModelResolutionError
+
+    try:
+        return ModelRegistry().resolve(design.split("@", 1)[1])
+    except ModelResolutionError:
+        return None
+
+
 def make_controller(
     design: str,
     sim_config: SimConfig,
@@ -179,6 +197,7 @@ def make_controller(
 __all__ = [
     "DESIGN_NAMES",
     "EXTENSION_DESIGNS",
+    "learned_artifact_id",
     "learned_design_name",
     "make_controller",
     "static_design_name",

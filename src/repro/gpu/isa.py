@@ -218,9 +218,7 @@ class Program:
         """This program's flat decode table, built once and cached.
 
         The cache lives in the instance ``__dict__`` (dict mutation
-        bypasses the frozen ``__setattr__``) and is excluded from pickles
-        by ``__getstate__``, so a program and its table never recurse
-        through the pickle memo.
+        bypasses the frozen ``__setattr__``).
         """
         out = self.__dict__.get("_compiled")
         if out is None:
@@ -228,21 +226,9 @@ class Program:
             self.__dict__["_compiled"] = out
         return out
 
-    def __getstate__(self) -> Tuple[Tuple[Instruction, ...], str]:
-        return (self.instructions, self.name)
-
-    def __setstate__(self, state: Tuple[Tuple[Instruction, ...], str]) -> None:
-        object.__setattr__(self, "instructions", state[0])
-        object.__setattr__(self, "name", state[1])
-
     @staticmethod
     def from_list(instrs: Sequence[Instruction], name: str = "kernel") -> "Program":
         return Program(tuple(instrs), name=name)
-
-
-def compile_program(program: Program) -> "CompiledProgram":
-    """The program's cached decode table (also the pickle reconstructor)."""
-    return program.compiled
 
 
 class CompiledProgram:
@@ -345,11 +331,6 @@ class CompiledProgram:
     def __hash__(self) -> int:
         return hash(self.source)
 
-    def __reduce__(self):
-        # Rebuild through the source program's cache: unpickling a GPU
-        # restores one shared table per program, never a copy per wave.
-        return (compile_program, (self.source,))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledProgram({self.source.name!r}, {len(self)} instrs)"
 
@@ -393,7 +374,6 @@ __all__ = [
     "Instruction",
     "Program",
     "CompiledProgram",
-    "compile_program",
     "ProgramBuilder",
     "COMPUTE_KINDS",
     "MEMORY_KINDS",

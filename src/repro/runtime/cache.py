@@ -11,18 +11,21 @@ on:
 * design name, workload name, work scale, ``max_epochs``,
 * oracle sampling and accuracy-collection settings,
 * a stable description of the objective (class name + constructor
-  state),
-* the package version plus a cache-format version.
+  state), and for a ``LEARNED@<name>`` design the artifact id the name
+  resolves to (a registry name can be pointed at a retrained model),
+* the package version, a cache-format version, and a SHA-256 of the
+  source of every module a sweep cell can import
+  (:data:`CELL_SOURCES`), so editing the simulator invalidates every
+  entry while editing the CLI or the analysis code keeps them.
 
-Bumping ``repro.__version__`` therefore invalidates every entry, which
-is the coarse-but-safe answer to "the simulator code changed".
+Each entry is one ``<key>.json`` file under the cache directory
+(default ``.repro_cache/`` in the working directory; ``REPRO_CACHE_DIR``
+overrides it) holding the result's exact JSON form
+(:func:`~repro.telemetry.schema.run_result_to_wire`), so reading the
+cache runs no code. An entry that is missing, truncated, unreadable or
+refused by the codec is a miss and is recomputed - never an error.
 
-Entries are pickled ``RunResult`` objects, one file per key, under the
-cache directory (default ``.repro_cache/`` in the working directory;
-``REPRO_CACHE_DIR`` overrides it). A corrupted, truncated or
-unreadable entry is treated as a miss and recomputed - never an error.
-
-Writes are **crash-safe**: each entry is pickled to a uniquely named
+Writes are **crash-safe**: each entry is written to a uniquely named
 temporary file (key + pid + sequence, so concurrent writers of the same
 key never collide), fsync'd, then atomically renamed over the final
 path. A process killed mid-write leaves at worst a stray ``*.tmp`` file
@@ -32,19 +35,25 @@ Stray temporaries from previous crashes are swept by ``put``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pathlib
-import pickle
 import time
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
+
+from repro.telemetry.schema import run_result_from_wire, run_result_to_wire
+
+if TYPE_CHECKING:
+    from repro.dvfs.simulation import RunResult
 
 PathLike = Union[str, pathlib.Path]
 
 #: Bump when the on-disk entry layout or key recipe changes.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: Default cache directory name (created in the current working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -53,10 +62,48 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
+#: The modules and packages of ``repro`` that a sweep cell can import:
+#: a cell's result is a function of their source. ``analysis``, ``cli``,
+#: ``service`` and ``validation`` are not among them, so editing those
+#: keeps the cache (a test runs a cell of every design and fails if it
+#: loads a module outside this set).
+CELL_SOURCES = (
+    "__init__.py", "_lazy.py", "config.py", "core", "dvfs", "gpu", "learn", "obs",
+    "power", "runtime", "telemetry", "workloads",
+)
+
+_PACKAGE_DIR = pathlib.Path(__file__).resolve().parent.parent
+
+
+def cell_source_files() -> List[pathlib.Path]:
+    """Every source file of :data:`CELL_SOURCES`, in a fixed order."""
+    files: List[pathlib.Path] = []
+    for name in CELL_SOURCES:
+        path = _PACKAGE_DIR / name
+        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+    return files
+
+
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """SHA-256 over :func:`cell_source_files` (names and bytes).
+
+    Computed once per process, on first use: a forked sweep worker
+    inherits its parent's.
+    """
+    digest = hashlib.sha256()
+    for path in cell_source_files():
+        data = path.read_bytes()
+        name = path.relative_to(_PACKAGE_DIR).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _code_version() -> str:
     from repro import __version__
 
-    return f"{__version__}/cache-v{CACHE_FORMAT_VERSION}"
+    return f"{__version__}/cache-v{CACHE_FORMAT_VERSION}/src-{_source_digest()}"
 
 
 def _canonical(obj: Any) -> Any:
@@ -125,12 +172,12 @@ def task_key(fields: Mapping[str, Any]) -> str:
 def default_cache_dir() -> pathlib.Path:
     # `or`, not a default: REPRO_CACHE_DIR="" must mean "unset", else the
     # cache dir degenerates to "." and litters the working directory with
-    # key-named .pkl files.
+    # key-named .json files.
     return pathlib.Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
 
 
 class ResultCache:
-    """One-file-per-key pickle store with hit/miss counters."""
+    """One JSON file per key of sweep results, with hit/miss counters."""
 
     def __init__(self, cache_dir: Optional[PathLike] = None) -> None:
         self.dir = pathlib.Path(cache_dir) if cache_dir is not None else default_cache_dir()
@@ -139,41 +186,38 @@ class ResultCache:
         self._seq = 0
 
     def path_for(self, key: str) -> pathlib.Path:
-        return self.dir / f"{key}.pkl"
+        return self.dir / f"{key}.json"
 
-    def get(self, key: str) -> Optional[Any]:
-        """Return the cached value, or None on miss/corruption."""
-        path = self.path_for(key)
+    def get(self, key: str) -> Optional["RunResult"]:
+        """Return the cached result, or None on miss/corruption."""
         try:
-            with open(path, "rb") as f:
-                value = pickle.load(f)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
-            # Missing, truncated, or stale-class entries all mean "recompute".
+            result = run_result_from_wire(self.path_for(key).read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            # Missing, truncated, foreign or stale entries all mean "recompute".
             self.misses += 1
             return None
         self.hits += 1
-        return value
+        return result
 
-    def put(self, key: str, value: Any) -> None:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
+    def put(self, key: str, result: Any) -> None:
         # Unique per (process, call): two workers caching the same key
         # concurrently each rename a *complete* file into place; a kill
         # mid-write orphans only this writer's temporary.
         self._seq += 1
         tmp = self.dir / f"{key}.{os.getpid()}.{self._seq}.tmp"
         try:
+            blob = run_result_to_wire(result).encode("utf-8")
+            self.dir.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as f:
-                pickle.dump(value, f, protocol=pickle.HIGHEST_PROTOCOL)
+                f.write(blob)
                 f.flush()
                 os.fsync(f.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            # Caching is best-effort; a read-only or full disk is not fatal.
-            try:
+            os.replace(tmp, self.path_for(key))
+        except (OSError, ValueError):
+            # Caching is best-effort: a read-only or full disk, or a
+            # result the codec refuses, caches nothing and is not fatal.
+            with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
         self._sweep_stale_tmp()
 
     def _sweep_stale_tmp(self, max_age_s: float = 3600.0) -> None:
@@ -200,9 +244,11 @@ class ResultCache:
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_FORMAT_VERSION",
+    "CELL_SOURCES",
     "DEFAULT_CACHE_DIR",
     "ResultCache",
     "canonicalize",
+    "cell_source_files",
     "config_hash",
     "default_cache_dir",
     "describe_objective",

@@ -17,10 +17,11 @@ cell 180 of 200 should cost 20 cells, not 200. The
   — which is what lets ``repro figure --resume`` skip completed cells
   without trusting arbitrary cache contents.
 
-Manifest keys embed ``repro.__version__`` (they are
-:func:`~repro.runtime.cache.task_key` digests), so a manifest written by
-older simulator code simply stops matching and the cells re-run — stale
-checkpoints can never resurrect stale numbers.
+Manifest keys embed ``repro.__version__`` and a digest of the
+simulator's source (they are :func:`~repro.runtime.cache.task_key`
+digests), so a manifest written by older simulator code simply stops
+matching and the cells re-run — stale checkpoints can never resurrect
+stale numbers.
 """
 
 from __future__ import annotations

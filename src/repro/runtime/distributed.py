@@ -10,11 +10,11 @@ hosts. Either way the broker guarantees:
 
 * **Bit-identical results.** Workers execute the exact same
   :func:`~repro.runtime.executor.run_task` path as a serial run and ship
-  the :class:`~repro.dvfs.simulation.RunResult` back losslessly (pickled
-  inside the JSON frame) *together with* its
-  :func:`~repro.analysis.trace_io.run_result_to_dict` payload; the
-  broker re-derives the dict from the unpickled result and rejects the
-  cell as corrupt when the two disagree.
+  the :class:`~repro.dvfs.simulation.RunResult` back in its exact JSON
+  form (:func:`~repro.telemetry.schema.run_result_to_wire`, the form
+  the result cache stores). The broker decodes it with type checks and
+  nothing else: a payload that fails them, or names another cell's
+  key, is a corrupt result, never code the broker runs.
 * **Exactly-once cells.** Every cell is leased to at most one worker at
   a time; a result is accepted only from the current leaseholder at the
   current attempt, so a late result from a reclaimed lease is
@@ -47,7 +47,7 @@ Worker to broker::
     hello      {protocol, worker}
     ready      {}                          lease the next runnable cell
     heartbeat  {index}                     renew the held lease (no reply)
-    result     {index, attempt, key, wall_s, result, dict, spans}
+    result     {index, attempt, key, wall_s, result, spans}
     fail       {index, attempt, error_type, error}
     goodbye    {}
 
@@ -66,11 +66,9 @@ without charging the attempt - before a single wrong number is computed.
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import multiprocessing
 import os
-import pickle
 import signal
 import socket
 import threading
@@ -78,7 +76,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
-from repro.analysis.trace_io import run_result_to_dict
 from repro.core.objectives import (
     EDnPObjective,
     PerformanceCapObjective,
@@ -97,7 +94,12 @@ from repro.runtime.wire import (
     recv_frame,
     send_frame,
 )
-from repro.telemetry.schema import sim_config_from_wire, sim_config_to_wire
+from repro.telemetry.schema import (
+    run_result_from_wire,
+    run_result_to_wire,
+    sim_config_from_wire,
+    sim_config_to_wire,
+)
 
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
@@ -155,7 +157,7 @@ TASK_KEY_MISMATCH = "TaskKeyMismatch"
 
 
 # ----------------------------------------------------------------------
-# Task + result wire codecs
+# Task and error wire codecs
 
 #: Worker-side failure types the broker rebuilds as their real classes,
 #: so retryability, the fault counters and the type a sweep raises are
@@ -233,20 +235,6 @@ def sweep_task_from_wire(wire: Mapping[str, Any]) -> "SweepTask":
         raise ProtocolError(f"malformed sweep task: {exc}") from None
 
 
-def result_to_wire(result: Any) -> str:
-    """Lossless transport form of a RunResult (pickle, base64)."""
-    return base64.b64encode(
-        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-
-
-def result_from_wire(blob: Any) -> Any:
-    try:
-        return pickle.loads(base64.b64decode(blob))
-    except Exception as exc:  # noqa: BLE001 - any unpickle failure is corrupt
-        raise CorruptResultError(f"undecodable remote result: {exc!r}") from None
-
-
 # ----------------------------------------------------------------------
 # Broker
 
@@ -281,12 +269,13 @@ class SweepBroker:
     port and serves only the workers it forks, or the broker attached as
     ``SweepExecutor(broker=SweepBroker(...))``, which listens on
     ``host:port`` so ``repro worker`` processes on other hosts can join.
-    A listening broker trusts every worker that connects (results come
-    back pickled), so bind it only where untrusted hosts cannot reach
-    it. The executor's ``run()`` blocks in :meth:`serve` until every
-    pending cell has been computed (or exhausted its retry budget). The
-    broker owns no policy of its own - retries, caching, checkpointing,
-    instrumentation and spans all flow through the executor it serves.
+    A listening broker runs no code a worker sends, but it trusts the
+    numbers of every worker that connects, so bind it only where
+    untrusted hosts cannot reach it. The executor's ``run()`` blocks in
+    :meth:`serve` until every pending cell has been computed (or
+    exhausted its retry budget). The broker owns no policy of its own -
+    retries, caching, checkpointing, instrumentation and spans all flow
+    through the executor it serves.
     """
 
     def __init__(
@@ -747,8 +736,7 @@ class SweepBroker:
             task = self._tasks[i]
             self._leases.pop(i, None)
             try:
-                result = result_from_wire(msg.get("result"))
-                self._verify_result(task, self._keys[i], result, msg)
+                result = self._decode_result(task, self._keys[i], msg)
             except CorruptResultError as exc:
                 ex._end_cell(lease.span, "corrupt")
                 self._fail_or_requeue_locked(i, exc)
@@ -762,21 +750,19 @@ class SweepBroker:
             return True
 
     @staticmethod
-    def _verify_result(
-        task: "SweepTask", key: str, result: Any, msg: Dict[str, object]
-    ) -> None:
-        """Integrity checks on a shipped result (raises CorruptResultError)."""
+    def _decode_result(task: "SweepTask", key: str, msg: Dict[str, object]) -> Any:
+        """The shipped RunResult of ``task``, or CorruptResultError."""
         if msg.get("key") != key:
             raise CorruptResultError(
                 f"result for {task.label} carries key {msg.get('key')!r}, "
                 f"expected {key!r}"
             )
-        shipped = msg.get("dict")
-        if shipped is not None and run_result_to_dict(result) != shipped:
+        try:
+            return run_result_from_wire(msg.get("result"))
+        except ValueError as exc:
             raise CorruptResultError(
-                f"result for {task.label}: pickled payload disagrees with "
-                f"its run_result_to_dict form"
-            )
+                f"undecodable result for {task.label}: {exc}"
+            ) from None
 
     def _accept_failure(self, worker: str, msg: Dict[str, object]) -> None:
         try:
@@ -1086,6 +1072,12 @@ class SweepWorker:
                 payload, elapsed, spans = _run_task_timed(
                     task, attempt, msg.get("span"),  # type: ignore[arg-type]
                 )
+            try:
+                blob = run_result_to_wire(payload)
+            except ValueError as exc:
+                raise CorruptResultError(
+                    f"unencodable result for {task.label}: {exc}"
+                ) from None
         except Exception as exc:  # noqa: BLE001 - every failure crosses the wire
             error = exc
         finally:
@@ -1101,8 +1093,7 @@ class SweepWorker:
             "attempt": attempt,
             "key": expected_key,
             "wall_s": elapsed,
-            "result": result_to_wire(payload),
-            "dict": run_result_to_dict(payload),
+            "result": blob,
             "spans": spans or [],
         })
         if self._await_ack():
@@ -1165,8 +1156,6 @@ __all__ = [
     "WorkerSummary",
     "error_from_wire",
     "objective_from_wire",
-    "result_from_wire",
-    "result_to_wire",
     "sweep_task_from_wire",
     "sweep_task_to_wire",
 ]

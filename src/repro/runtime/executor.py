@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # spans are optional; the import stays off the hot path
     from repro.obs.trace import Span, Tracer
     from repro.runtime.distributed import SweepBroker
 from repro.core.objectives import Objective
-from repro.dvfs.designs import make_controller
+from repro.dvfs.designs import learned_artifact_id, make_controller
 from repro.dvfs.simulation import DvfsSimulation
 from repro.runtime.cache import ResultCache, describe_objective, task_key
 from repro.runtime.checkpoint import SweepCheckpoint
@@ -103,6 +103,7 @@ class SweepTask:
         return {
             "workload": self.workload,
             "design": self.design,
+            "model": learned_artifact_id(self.design),
             "config": self.config,
             "scale": self.scale,
             "max_epochs": self.max_epochs,

@@ -46,6 +46,8 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional
 
+from repro.telemetry.schema import FINITE_JSON
+
 #: Ceiling on one frame's payload. A paper-scale observation (64 CUs x
 #: 40 waves) is ~1 MB of JSON; 64 MB leaves room for much larger
 #: platforms while bounding what a garbage length prefix can allocate.
@@ -71,18 +73,11 @@ def encode_frame(message: Mapping[str, object]) -> bytes:
     return struct.pack(">I", len(payload)) + payload
 
 
-def _reject_constant(name: str) -> object:
-    raise ValueError(f"{name} is not a finite number")
-
-
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
-
 def decode_payload(payload: bytes) -> Dict[str, object]:
     """The JSON object in one frame; anything else, NaN and +-Infinity
     included (no encoder sends them), is a :class:`ProtocolError`."""
     try:
-        message = _DECODER.decode(payload.decode("utf-8"))
+        message = FINITE_JSON.decode(payload.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"frame payload is not valid JSON: {exc}") from None
     if not isinstance(message, dict):

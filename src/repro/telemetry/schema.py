@@ -65,11 +65,13 @@ validator with its own header:
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # imported where used, like this module's other repro imports
     from repro.config import SimConfig
+    from repro.dvfs.simulation import RunResult
 
 PathLike = Union[str, pathlib.Path]
 
@@ -165,6 +167,128 @@ def sim_config_from_wire(wire: Mapping[str, Any]) -> "SimConfig":
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed sim config: {exc}") from None
+
+
+# RunResult fields carried as plain JSON values, each with the exact
+# types it may hold: a bool is not an int, an int is not a float, and
+# decoding converts nothing.
+_NUMBER = (int, float)
+_OPTIONAL_NUMBER = (int, float, type(None))
+_RESULT_SCALARS: Tuple[Tuple[str, Tuple[type, ...]], ...] = (
+    ("design", (str,)),
+    ("workload", (str,)),
+    ("epochs", (int,)),
+    ("delay_ns", _NUMBER),
+    ("prediction_accuracy", _OPTIONAL_NUMBER),
+    ("total_committed", (int,)),
+    ("total_transitions", (int,)),
+    ("pc_hit_ratio", _OPTIONAL_NUMBER),
+    ("completed", (bool,)),
+)
+_ENERGY_FIELDS = ("cu_dynamic_and_leakage", "memory", "transitions", "elapsed_ns")
+_RESULT_KEYS = frozenset(
+    [name for name, _ in _RESULT_SCALARS] + ["energy", "frequency_residency", "hotpath"]
+)
+
+
+def _refuse_constant(name: str) -> object:
+    raise ValueError(f"{name} is not a finite number")
+
+
+#: The JSON decoder for what crosses a process boundary (wire frames,
+#: result payloads, cache entries): no encoder here writes NaN or
+#: +-Infinity, so reading one is a ``ValueError``.
+FINITE_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _check_value(where: str, value: object, types: Tuple[type, ...]) -> None:
+    if type(value) not in types:
+        expected = "/".join(t.__name__ for t in types)
+        raise ValueError(f"{where} is {type(value).__name__}, not {expected}")
+    if isinstance(value, float) and not math.isfinite(value):  # e.g. a 1e999 literal
+        raise ValueError(f"{where} is not finite: {value!r}")
+
+
+def _check_result_wire(wire: object) -> None:
+    """Raise ``ValueError`` unless ``wire`` is exactly a RunResult's form."""
+    if not isinstance(wire, dict) or wire.keys() != _RESULT_KEYS:
+        raise ValueError(f"not a RunResult form: {str(wire)[:80]!r}")
+    for name, types in _RESULT_SCALARS:
+        _check_value(name, wire[name], types)
+    energy = wire["energy"]
+    if not isinstance(energy, dict) or energy.keys() != set(_ENERGY_FIELDS):
+        raise ValueError(f"energy is not an EnergyBreakdown form: {energy!r}")
+    for name in _ENERGY_FIELDS:
+        _check_value(f"energy.{name}", energy[name], _NUMBER)
+    residency = wire["frequency_residency"]
+    if not isinstance(residency, list):
+        raise ValueError("frequency_residency is not a list of [f, share] pairs")
+    for pair in residency:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"frequency_residency entry {pair!r} is not an [f, share] pair")
+        _check_value("frequency_residency f", pair[0], _NUMBER)
+        _check_value("frequency_residency share", pair[1], _NUMBER)
+    if len({f for f, _ in residency}) != len(residency):
+        raise ValueError("frequency_residency repeats a frequency")
+    hotpath = wire["hotpath"]
+    if hotpath is not None:
+        if not isinstance(hotpath, dict):
+            raise ValueError(f"hotpath is {type(hotpath).__name__}, not dict/None")
+        for name, count in hotpath.items():
+            _check_value("hotpath key", name, (str,))  # JSON would stringify it
+            _check_value(f"hotpath[{name!r}]", count, (int,))
+
+
+def run_result_to_wire(result: Any) -> str:
+    """Exact JSON text of a :class:`~repro.dvfs.simulation.RunResult`.
+
+    The only form a result takes outside its process: the payload of
+    the sweep broker's ``result`` frame and the content of a
+    :class:`~repro.runtime.cache.ResultCache` entry. Floats are JSON
+    numbers written with ``repr``, so every bit survives (``-0.0``
+    included); residency travels as ``[f, share]`` pairs in grid order;
+    the :class:`~repro.power.energy.EnergyBreakdown` travels whole.
+    Raises ``ValueError`` for a result this form cannot carry exactly
+    (a NaN or infinity, a wrongly typed field), so whatever encodes
+    decodes to an equal result.
+    """
+    try:
+        wire = {name: getattr(result, name) for name, _ in _RESULT_SCALARS}
+        wire["energy"] = {name: getattr(result.energy, name) for name in _ENERGY_FIELDS}
+        wire["frequency_residency"] = [
+            [f, share] for f, share in result.frequency_residency.items()
+        ]
+        wire["hotpath"] = result.hotpath
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"not a RunResult: {exc}") from None
+    _check_result_wire(wire)
+    return json.dumps(wire, separators=(",", ":"), allow_nan=False)
+
+
+def run_result_from_wire(text: object) -> "RunResult":
+    """Inverse of :func:`run_result_to_wire`.
+
+    Checks every type and converts nothing, so an int stays an int, a
+    float a float and ``None`` ``None``. Anything else - text that is
+    not JSON, a NaN or infinity, a missing, extra or wrongly typed
+    field - raises ``ValueError``.
+    """
+    from repro.dvfs.simulation import RunResult
+    from repro.power.energy import EnergyBreakdown
+
+    if not isinstance(text, str):
+        raise ValueError(f"a RunResult travels as JSON text, not {type(text).__name__}")
+    try:
+        wire = FINITE_JSON.decode(text)
+    except RecursionError as exc:
+        raise ValueError(f"RunResult JSON nests too deep: {exc}") from None
+    _check_result_wire(wire)
+    return RunResult(
+        energy=EnergyBreakdown(**wire["energy"]),
+        frequency_residency={f: share for f, share in wire["frequency_residency"]},
+        hotpath=wire["hotpath"],
+        **{name: wire[name] for name, _ in _RESULT_SCALARS},
+    )
 
 
 def build_meta(config=None, **extra) -> Dict[str, object]:
@@ -268,10 +392,13 @@ def trace_meta(records: Iterable[Mapping[str, object]]) -> Optional[Dict[str, ob
 
 
 __all__ = [
+    "FINITE_JSON",
     "TRACE_SCHEMA_VERSION",
     "REQUIRED_FIELDS",
     "build_meta",
     "epoch_result_to_wire",
+    "run_result_from_wire",
+    "run_result_to_wire",
     "sim_config_from_wire",
     "sim_config_to_wire",
     "check_meta",

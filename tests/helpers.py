@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
+
 from hypothesis import strategies as st
 
 from repro.core.predictors import Predictor
+from repro.dvfs.simulation import RunResult
 from repro.gpu.isa import (
     Program,
     ProgramBuilder,
@@ -18,6 +25,21 @@ from repro.gpu.isa import (
     waitcnt,
 )
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
+from repro.power.energy import EnergyBreakdown
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code: str, *args, pythonpath=SRC, **env) -> str:
+    """Run ``code`` in a fresh interpreter importing ``repro`` from
+    ``pythonpath``; fails the test on a non-zero exit, returns stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=str(pythonpath), **env),
+        cwd=str(pythonpath), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
 
 
 class ForcedLinePredictor(Predictor):
@@ -34,6 +56,25 @@ class ForcedLinePredictor(Predictor):
 
     def predict_domains(self):
         return [self.line] + [None] * (self.n_domains - 1)
+
+
+def make_run_result(**changes) -> RunResult:
+    """A hand-built RunResult with every field set (no simulation)."""
+    result = RunResult(
+        design="PCSTALL",
+        workload="dgemm",
+        epochs=12,
+        delay_ns=11234.5,
+        energy=EnergyBreakdown(1.5e5, 2.25e4, 8.0, 12000.0),
+        prediction_accuracy=0.93,
+        frequency_residency={1.3: 0.25, 1.7: 0.75},
+        total_committed=4096,
+        total_transitions=3,
+        pc_hit_ratio=0.5,
+        completed=True,
+        hotpath={"cycles": 100, "restores": 0},
+    )
+    return dataclasses.replace(result, **changes)
 
 
 def make_loop_program(

@@ -15,6 +15,8 @@ from repro.runtime.checkpoint import (
 from repro.runtime.executor import SweepExecutor, SweepTask
 from repro.runtime.progress import SOURCE_RESUMED, SweepInstrumentation
 
+from helpers import make_run_result
+
 CFG = small_config(n_cus=2, waves_per_cu=4)
 
 
@@ -137,7 +139,7 @@ class TestExecutorResume:
         task = GRID[0]
         with SweepCheckpoint(manifest, sweep="s") as ckpt:
             expect = self._executor(tmp_path, ckpt).run_one(task)
-        for entry in (tmp_path / "cache").glob("*.pkl"):
+        for entry in (tmp_path / "cache").glob("*.json"):
             entry.unlink()
         progress = SweepInstrumentation()
         with SweepCheckpoint(manifest, sweep="s", resume=True) as ckpt:
@@ -151,34 +153,35 @@ class TestCrashSafeCacheWrites:
         """A worker killed mid-``put`` must not corrupt the cache.
 
         The child writes one good entry, then dies *inside* ``put`` for
-        a second key (its payload's ``__reduce__`` calls ``os._exit``
-        while the temp file is open). The survivor must be readable and
-        the dead key must be absent - at worst a stray ``*.tmp``.
+        a second key (``os.fsync`` calls ``os._exit`` once the entry's
+        bytes are in the open temp file). The survivor must be readable
+        and the dead key must be absent - at worst a stray ``*.tmp``.
         """
+        tests = __import__("pathlib").Path(__file__).resolve().parent
         code = (
             "import os, sys\n"
-            f"sys.path.insert(0, {str((__import__('pathlib').Path(__file__).resolve().parents[1] / 'src'))!r})\n"
+            f"sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
+            "from helpers import make_run_result\n"
             "from repro.runtime.cache import ResultCache\n"
-            "class Bomb:\n"
-            "    def __reduce__(self):\n"
-            "        os._exit(7)\n"
             f"cache = ResultCache({str(tmp_path)!r})\n"
-            "cache.put('goodkey', list(range(1000)))\n"
-            "cache.put('badkey', [1, Bomb(), 3])\n"
+            "cache.put('goodkey', make_run_result())\n"
+            "os.fsync = lambda fd: os._exit(7)\n"
+            "cache.put('badkey', make_run_result(epochs=13))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], timeout=60)
         assert proc.returncode == 7  # really died inside the second put
 
         cache = ResultCache(tmp_path)
-        assert cache.get("goodkey") == list(range(1000))
+        assert cache.get("goodkey") == make_run_result()
         assert cache.get("badkey") is None
         assert not cache.path_for("badkey").exists()
+        assert len(list(tmp_path.glob("badkey.*.tmp"))) == 1
 
     def test_put_tmp_files_never_visible_as_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("k", "value")
+        cache.put("k", make_run_result())
         assert list(tmp_path.glob("*.tmp")) == []  # renamed away
-        assert cache.get("k") == "value"
+        assert cache.get("k") == make_run_result()
 
     def test_stale_tmp_swept_fresh_tmp_kept(self, tmp_path):
         import os
@@ -190,6 +193,6 @@ class TestCrashSafeCacheWrites:
         fresh.write_bytes(b"x")
         old = time.time() - 7200
         os.utime(stale, (old, old))
-        ResultCache(tmp_path).put("k", 1)
+        ResultCache(tmp_path).put("k", make_run_result())
         assert not stale.exists()
         assert fresh.exists()

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from repro.config import small_config
 from repro.gpu.gpu import Gpu
-from repro.gpu.isa import InstructionKind, Program, compile_program
+from repro.gpu.isa import InstructionKind, Program
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
 from repro.runtime.cache import canonicalize
 
@@ -47,7 +47,6 @@ class TestIdentityAndSharing:
     def test_compiled_is_cached_on_the_program(self):
         p = make_loop_program()
         assert p.compiled is p.compiled
-        assert compile_program(p) is p.compiled
         assert p.compiled.source is p
 
     def test_equal_programs_compare_equal_compiled(self):
@@ -75,13 +74,6 @@ class TestIdentityAndSharing:
         # Restore reuses resident wavefront objects (table identity match).
         assert {id(w) for w in after} <= {id(w) for w in before}
         assert {id(wf.code) for wf in after} == tables
-
-    def test_program_pickle_drops_the_cache(self):
-        p = make_loop_program()
-        _ = p.compiled
-        p2 = pickle.loads(pickle.dumps(p))
-        assert p2 == p
-        assert "_compiled" not in p2.__dict__
 
     def test_compiled_pickle_rebuilds_through_the_cache(self):
         cp = make_loop_program().compiled

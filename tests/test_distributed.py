@@ -6,9 +6,14 @@ the broker with a hand-rolled "fake worker" socket so lease expiry,
 late results, and adversarial frames can be sequenced deterministically.
 """
 
+import base64
+import dataclasses
 import functools
+import json
+import math
 import os
 import pathlib
+import pickle
 import socket
 import struct
 import subprocess
@@ -27,7 +32,7 @@ from repro.core.objectives import (
     StaticObjective,
 )
 from repro.obs.trace import Tracer
-from repro.runtime.cache import ResultCache, describe_objective
+from repro.runtime.cache import ResultCache, canonicalize, describe_objective
 from repro.runtime.checkpoint import SweepCheckpoint
 from repro.runtime.distributed import (
     BROKER_PROTOCOL_VERSION,
@@ -38,8 +43,6 @@ from repro.runtime.distributed import (
     WorkerError,
     error_from_wire,
     objective_from_wire,
-    result_from_wire,
-    result_to_wire,
     sweep_task_from_wire,
     sweep_task_to_wire,
 )
@@ -59,6 +62,7 @@ from repro.runtime.faults import (
     InjectedFaultError,
 )
 from repro.runtime.wire import ProtocolError, recv_frame, send_frame
+from repro.telemetry.schema import run_result_from_wire, run_result_to_wire
 
 CONFIG = small_config()
 
@@ -78,12 +82,11 @@ def computed(workload, design):
 
 def result_frames(t, index, attempt):
     """A valid ``result`` frame for a (real, precomputed) cell result."""
-    result = computed(t.workload, t.design)
     return {
         "type": "result", "index": index, "attempt": attempt,
         "key": t.key(), "wall_s": 0.01,
-        "result": result_to_wire(result),
-        "dict": run_result_to_dict(result), "spans": [],
+        "result": run_result_to_wire(computed(t.workload, t.design)),
+        "spans": [],
     }
 
 
@@ -230,14 +233,21 @@ class TestTaskCodec:
 
 
 class TestResultCodec:
-    def test_pickle_round_trip_is_bit_identical(self):
+    def test_round_trip_is_exact(self):
         result = computed("dgemm", "CRISP")
-        clone = result_from_wire(result_to_wire(result))
-        assert run_result_to_dict(clone) == run_result_to_dict(result)
+        clone = run_result_from_wire(run_result_to_wire(result))
+        assert clone == result
+        assert canonicalize(clone) == canonicalize(result)
 
     def test_garbage_blob_is_corrupt(self):
-        with pytest.raises(CorruptResultError):
-            result_from_wire("!!!not-base64-pickle!!!")
+        t = task()
+        with pytest.raises(CorruptResultError, match="undecodable"):
+            SweepBroker._decode_result(t, t.key(), {"key": t.key(), "result": "!!!not-json!!!"})
+
+    def test_result_frame_carries_one_payload(self):
+        frame = result_frames(task(), 0, 1)
+        assert set(frame) == {"type", "index", "attempt", "key", "wall_s", "result", "spans"}
+        assert isinstance(frame["result"], str)
 
     def test_error_reconstruction(self):
         assert isinstance(
@@ -327,6 +337,7 @@ class TestEndToEnd:
         assert [run_result_to_dict(r) for r in results] == [
             run_result_to_dict(r) for r in serial
         ]
+        assert canonicalize(results) == canonicalize(serial)
         # Both workers did real work and nothing was double-kept.
         assert sum(w.summary.completed for w in workers) == len(tasks)
         assert len(h.ex.checkpoint.completed) == len(tasks)
@@ -584,27 +595,84 @@ class TestFailures:
         # as retryable explicitly - guarded by the reclaim tests above.
         assert LeaseExpired.__mro__[1] is RuntimeError
 
-    def test_corrupt_shipped_result_charges_a_retry(self):
+    def _ship_corrupt(self, corrupt):
+        """Ship ``corrupt(valid result payload)`` as attempt 1, then the
+        valid payload as attempt 2; returns the harness."""
         tasks = [task("dgemm", "CRISP")]
         with BrokerHarness(tasks) as h:
             sock = h.connect()
             handshake(sock, "corruptor")
             grant = lease(sock)
             frame = result_frames(tasks[0], grant["index"], grant["attempt"])
-            frame["dict"] = {"tampered": True}  # pickle/dict mismatch
+            frame["result"] = corrupt(frame["result"])
             send_frame(sock, frame)
             assert recv_frame(sock, strict=True)["accepted"] is False
-            # Integrity failure charged as CorruptResultError; re-lease
-            # and complete properly.
+            # Charged as CorruptResultError; re-lease and complete properly.
             regrant = lease(sock)
             assert regrant["attempt"] == 2
             send_frame(sock, result_frames(tasks[0], regrant["index"], 2))
             assert recv_frame(sock, strict=True)["accepted"] is True
-            h.join()
+            results = h.join()
             sock.close()
-        assert any(
-            kind == "CorruptResultError"
-            for _, _, kind in h.ex.progress.retry_events
+        assert [kind for _, _, kind in h.ex.progress.retry_events] == ["CorruptResultError"]
+        assert results[0] == computed("dgemm", "CRISP")
+        return h
+
+    def test_wrongly_typed_field_charges_a_retry(self):
+        def retype(blob):
+            wire = json.loads(blob)
+            wire["epochs"] = float(wire["epochs"])  # an int field as a float
+            return json.dumps(wire)
+
+        self._ship_corrupt(retype)
+
+    def test_nan_literal_charges_a_retry(self):
+        def nan(blob):
+            wire = json.loads(blob)
+            wire["delay_ns"] = float("nan")
+            text = json.dumps(wire)  # writes the bare NaN literal
+            assert "NaN" in text
+            return text
+
+        self._ship_corrupt(nan)
+
+    def test_pickled_result_is_refused_unread(self, monkeypatch):
+        """An old-style base64 pickle is a corrupt result, and nothing
+        ever unpickles it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickle.loads called on a shipped result")
+
+        blob = base64.b64encode(pickle.dumps(computed("dgemm", "CRISP"))).decode("ascii")
+        monkeypatch.setattr(pickle, "loads", refuse)
+        self._ship_corrupt(lambda _: blob)
+
+    def test_worker_reports_an_unencodable_result(self, monkeypatch):
+        """A result the codec refuses is a CorruptResultError failure, not
+        a crashed worker; the final attempt in-process returns what a
+        serial run does."""
+        import repro.runtime.executor as executor_mod
+
+        expected = computed("dgemm", "CRISP")  # before the patch: it is memoised
+        real = executor_mod.run_task
+
+        def nan_delay(t, **kw):
+            return dataclasses.replace(real(t, **kw), delay_ns=math.nan)
+
+        monkeypatch.setattr(executor_mod, "run_task", nan_delay)
+        tasks = [task("dgemm", "CRISP")]
+        retry = RetryPolicy(max_attempts=2, backoff_base_s=0.01)
+        with BrokerHarness(tasks, executor_kw=dict(retry=retry)) as h:
+            worker = h.worker(name="w0")
+            thread = threading.Thread(target=worker.run)
+            thread.start()
+            results = h.join()
+            thread.join(timeout=30)
+        assert worker.summary.failed == 1 and worker.summary.completed == 0
+        assert [kind for _, _, kind in h.ex.progress.retry_events] == ["CorruptResultError"]
+        (result,) = results
+        assert math.isnan(result.delay_ns)
+        assert dataclasses.replace(result, delay_ns=0.0) == dataclasses.replace(
+            expected, delay_ns=0.0
         )
 
 

@@ -2,20 +2,9 @@
 it reports ready, so no import lands inside a timed sweep pass or on the
 service's event loop. Each check runs in a fresh interpreter."""
 
-import os
-import pathlib
-import subprocess
-import sys
+import ast
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-
-
-def run_fresh(code: str) -> None:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+from helpers import SRC, run_fresh
 
 
 def test_import_repro_loads_no_subsystem():
@@ -84,3 +73,24 @@ def test_serve_loads_the_learned_path_before_listening():
         "          if m in sys.modules]\n"
         "assert not unused, unused\n"
     )
+
+
+def test_no_module_imports_a_code_running_serialiser():
+    """Results and cache entries are JSON: nothing under ``src/repro``
+    imports ``pickle``, ``marshal`` or ``shelve``, whose loaders run
+    whatever code the bytes name."""
+    banned = {"pickle", "marshal", "shelve"}
+    found = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                for name in names if name.split(".")[0] in banned
+            ]
+    assert not found, found

@@ -1,9 +1,12 @@
 """Parallel sweep executor, on-disk result cache, instrumentation."""
 
 import dataclasses
+import json
+import math
 import multiprocessing
 import os
 import pickle
+import shutil
 import socket
 import sys
 import threading
@@ -14,7 +17,13 @@ from repro.analysis.trace_io import run_result_to_dict
 from repro.config import small_config
 from repro.core.objectives import EDnPObjective, PerformanceCapObjective
 from repro.obs.trace import Tracer
-from repro.runtime.cache import ResultCache, describe_objective, task_key
+from repro.runtime.cache import (
+    CACHE_FORMAT_VERSION,
+    ResultCache,
+    canonicalize,
+    describe_objective,
+    task_key,
+)
 from repro.runtime.distributed import SweepBroker
 from repro.runtime.executor import (
     NO_RETRY,
@@ -27,6 +36,8 @@ from repro.runtime.executor import (
 )
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.progress import SOURCE_CACHE, CellRecord, SweepInstrumentation
+
+from helpers import SRC, make_run_result, run_fresh
 
 
 CFG = small_config(n_cus=2, waves_per_cu=4)
@@ -84,6 +95,93 @@ class TestCacheKey:
         int(key, 16)
 
 
+def save_models(root, seeds=(0, 1)):
+    """Train one tiny ridge model per seed into a registry; their ids."""
+    import numpy as np
+
+    from repro.learn.features import FEATURE_NAMES
+    from repro.learn.models import RidgeModel
+    from repro.learn.registry import ModelRegistry
+
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(64, len(FEATURE_NAMES)))
+    y = np.column_stack([100.0 + 10.0 * x[:, 0], 50.0 + 5.0 * x[:, 1]])
+    registry = ModelRegistry(root)
+    return registry, [
+        registry.save(RidgeModel.train(x, y, seed=seed), {"dataset_hash": "synthetic"})
+        for seed in seeds
+    ]
+
+
+class TestCodeVersion:
+    """Cache keys follow the sources a cell runs and the model it loads."""
+
+    def test_a_cell_of_every_design_loads_only_hashed_modules(self, tmp_path):
+        registry, (artifact, _) = save_models(tmp_path / "models")
+        registry.set_ref("m", artifact)
+        run_fresh(
+            "import pathlib, sys\n"
+            "from repro.config import small_config\n"
+            "from repro.dvfs.designs import DESIGN_NAMES, EXTENSION_DESIGNS\n"
+            "from repro.runtime.cache import ResultCache, cell_source_files\n"
+            "from repro.runtime.executor import SweepExecutor, SweepTask\n"
+            "designs = [d for d in DESIGN_NAMES + EXTENSION_DESIGNS if d != 'LEARNED']\n"
+            "designs += ['STATIC@1.7', 'LEARNED@m']\n"
+            "config = small_config(n_cus=2, waves_per_cu=4)\n"
+            "tasks = [SweepTask('dgemm', d, config, scale=0.05, max_epochs=30,\n"
+            "                   oracle_sample_freqs=3) for d in designs]\n"
+            "results = SweepExecutor(cache=ResultCache(sys.argv[1])).run(tasks)\n"
+            "assert [r.design for r in results] == designs\n"
+            "hashed = set(cell_source_files())\n"
+            "outside = sorted(name for name, module in sys.modules.items()\n"
+            "                 if name.split('.')[0] == 'repro'\n"
+            "                 and pathlib.Path(module.__file__).resolve() not in hashed)\n"
+            "assert not outside, outside\n",
+            tmp_path / "cache",
+            REPRO_MODEL_DIR=str(tmp_path / "models"),
+        )
+
+    def test_key_changes_with_a_hashed_source_byte(self, tmp_path):
+        code = (
+            "from repro.config import small_config\n"
+            "from repro.runtime.executor import SweepTask\n"
+            "print(SweepTask('dgemm', 'PCSTALL', small_config()).key())\n"
+        )
+
+        def key_of_copy(name, edit=None):
+            root = tmp_path / name
+            shutil.copytree(SRC / "repro", root / "repro",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            if edit is not None:  # swap the case of one docstring letter
+                path = root / "repro" / edit
+                data = bytearray(path.read_bytes())
+                i = data.index(b'"""') + 3
+                assert chr(data[i]).isalpha()
+                data[i] ^= 0x20
+                path.write_bytes(bytes(data))
+            return run_fresh(code, pythonpath=root)
+
+        key = run_fresh(code)
+        assert key_of_copy("same") == key
+        assert key_of_copy("engine", "gpu/cu.py") != key
+        assert key_of_copy("learn", "learn/models.py") != key
+        assert key_of_copy("cli", "cli.py") == key
+        assert key_of_copy("analysis", "analysis/report.py") == key
+
+    def test_learned_key_follows_the_name_to_its_artifact(self, tmp_path, monkeypatch):
+        registry, (first, second) = save_models(tmp_path)
+        monkeypatch.setenv("REPRO_MODEL_DIR", str(tmp_path))
+        registry.set_ref("rls", first)
+        before = make_task(design="LEARNED@rls").key()
+        registry.set_ref("rls", second)  # "retrained"
+        after = make_task(design="LEARNED@rls").key()
+        assert after != before
+        registry.set_ref("rls", first)
+        assert make_task(design="LEARNED@rls").key() == before
+        # An unknown name still keys (the cell fails when it runs).
+        assert make_task(design="LEARNED@nope").key() != before
+
+
 class TestResultCache:
     def test_empty_cache_dir_env_means_unset(self, monkeypatch):
         from repro.runtime.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, default_cache_dir
@@ -93,9 +191,26 @@ class TestResultCache:
 
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("k", {"answer": 42})
-        assert cache.get("k") == {"answer": 42}
+        cache.put("k", make_run_result())
+        assert cache.get("k") == make_run_result()
         assert cache.hits == 1
+
+    def test_real_results_round_trip(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for task in GRID:
+            result = run_task(task)
+            cache.put(task.key(), result)
+            again = cache.get(task.key())
+            assert again == result
+            assert canonicalize(again) == canonicalize(result)
+        assert cache.hits == len(GRID)
+
+    def test_entries_are_json_files_only(self, tmp_path):
+        assert CACHE_FORMAT_VERSION == 2
+        cache = ResultCache(tmp_path)
+        cache.put("k", make_run_result())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
+        assert json.loads(cache.path_for("k").read_text())["design"] == "PCSTALL"
 
     def test_missing_key_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -104,15 +219,33 @@ class TestResultCache:
 
     def test_corrupted_entry_recomputes_not_crashes(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("k", [1, 2, 3])
-        cache.path_for("k").write_bytes(b"not a pickle")
+        cache.put("k", make_run_result())
+        cache.path_for("k").write_bytes(b"\x80\xffnot json\x00")
         assert cache.get("k") is None
 
     def test_truncated_entry_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("k", list(range(100)))
+        cache.put("k", make_run_result())
         blob = cache.path_for("k").read_bytes()
         cache.path_for("k").write_bytes(blob[: len(blob) // 2])
+        assert cache.get("k") is None
+
+    def test_old_pickle_at_the_new_path_is_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.path_for("k").write_bytes(pickle.dumps(make_run_result()))
+        assert cache.get("k") is None
+        assert cache.misses == 1
+
+    @pytest.mark.parametrize("result", [
+        make_run_result(delay_ns=math.nan),
+        make_run_result(prediction_accuracy=math.inf),
+        make_run_result(epochs=12.0),
+        {"not": "a result"},
+    ])
+    def test_refused_result_caches_nothing(self, tmp_path, result):
+        cache = ResultCache(tmp_path)
+        cache.put("k", result)  # no raise: refused like a failed write
+        assert list(tmp_path.iterdir()) == []
         assert cache.get("k") is None
 
     def test_corrupted_cell_recomputed_by_executor(self, tmp_path):
@@ -137,6 +270,7 @@ class TestExecutor:
             assert run_result_to_dict(s) == run_result_to_dict(p)
             assert s.delay_ns == p.delay_ns
             assert s.energy.total == p.energy.total
+        assert json.dumps(canonicalize(parallel)) == json.dumps(canonicalize(serial))
 
     def test_result_order_matches_task_order(self):
         results = SweepExecutor(max_workers=2).run(GRID)

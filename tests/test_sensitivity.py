@@ -1,7 +1,9 @@
 """Sensitivity metric: linear model, fitting, aggregation, change metrics."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.sensitivity import (
     LinearSensitivity,
@@ -21,6 +23,30 @@ class TestLinearSensitivity:
     def test_predict_floors_at_zero(self):
         line = LinearSensitivity(i0=-500.0, slope=10.0)
         assert line.predict(1.0) == 0.0
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(
+        i0=st.floats(allow_nan=False),
+        slope=st.floats(allow_nan=False),
+        f=st.floats(allow_nan=False),
+    )
+    def test_predict_matches_the_max_floor_except_on_nan(self, i0, slope, f):
+        """``predict`` equals ``max(0.0, v)`` bit for bit (signed zeros and
+        infinities included) wherever ``v`` is a number, and passes a NaN
+        (``inf - inf``, ``0 * inf``) through instead of reading it as 0."""
+        v = i0 + slope * f
+        got = LinearSensitivity(i0, slope).predict(f)
+        if math.isnan(v):
+            assert math.isnan(got)
+        else:
+            want = max(0.0, v)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("i0, slope", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, -math.inf), (math.inf, math.nan),
+    ])
+    def test_nan_line_predicts_nan(self, i0, slope):
+        assert math.isnan(LinearSensitivity(i0, slope).predict(1.7))
 
     def test_addition_is_commutative_aggregation(self):
         a = LinearSensitivity(10.0, 5.0)
