@@ -80,23 +80,47 @@ import argparse
 import contextlib
 import pathlib
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis.report import format_table
 from repro.config import small_config
 from repro.core.objectives import EDnPObjective, PerformanceCapObjective
 from repro.dvfs.designs import DESIGN_NAMES, EXTENSION_DESIGNS
-from repro.runtime import (
-    ResultCache,
-    RetryPolicy,
-    SweepCheckpoint,
-    SweepExecutor,
-    SweepInstrumentation,
-    SweepTask,
-    default_checkpoint_path,
-)
 from repro.runtime.cache import default_cache_dir
-from repro.workloads import WORKLOADS, build_workload, workload, workload_names
+
+# The sweep stack (executor, simulation, oracle, workloads, analysis) is
+# imported by the commands that run it, so ``repro serve`` starts
+# without loading it.
+if TYPE_CHECKING:
+    from repro.runtime import (
+        RetryPolicy,
+        SweepCheckpoint,
+        SweepExecutor,
+        SweepInstrumentation,
+        SweepTask,
+    )
+
+
+def format_table(*args, **kwargs) -> str:
+    """:func:`repro.analysis.report.format_table`, imported on first use."""
+    from repro.analysis.report import format_table as render
+
+    return render(*args, **kwargs)
+
+
+class _WorkloadChoices:
+    """The workload names as argparse ``choices``, loaded on first use."""
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+    @staticmethod
+    def _names() -> List[str]:
+        from repro.workloads import workload_names
+
+        return workload_names()
 
 
 def _objective(args):
@@ -134,6 +158,10 @@ def _scoped_checkpoint(args, sweep: str, always: bool = False):
 
 
 def _retry_policy(args) -> RetryPolicy:
+    from repro.runtime import RetryPolicy
+
+    if args.retries is None:
+        return RetryPolicy()
     if args.retries < 1:
         raise SystemExit("--retries must be at least 1")
     return RetryPolicy(max_attempts=args.retries)
@@ -156,6 +184,8 @@ def _checkpoint(args, sweep: str, always: bool = False) -> Optional[SweepCheckpo
         raise SystemExit(
             "--resume/--checkpoint need the result cache; drop --no-cache"
         )
+    from repro.runtime import SweepCheckpoint, default_checkpoint_path
+
     cache_dir = pathlib.Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     path = pathlib.Path(args.checkpoint) if args.checkpoint \
         else default_checkpoint_path(cache_dir, sweep)
@@ -167,6 +197,8 @@ def _executor(
     progress: Optional[SweepInstrumentation] = None,
     checkpoint: Optional[SweepCheckpoint] = None,
 ) -> SweepExecutor:
+    from repro.runtime import ResultCache, SweepExecutor, SweepInstrumentation
+
     broker = None
     if args.listen:  # serve from a broker other hosts' workers can join
         from repro.runtime.distributed import SweepBroker
@@ -183,6 +215,8 @@ def _executor(
 
 
 def _sweep_task(args, design: str) -> SweepTask:
+    from repro.runtime import SweepTask
+
     return SweepTask(
         workload=args.workload,
         design=design,
@@ -211,6 +245,8 @@ def _print_fault_summary(progress: SweepInstrumentation) -> None:
 
 
 def cmd_run(args) -> int:
+    from repro.runtime import SweepInstrumentation
+
     progress = SweepInstrumentation(name=f"run {args.workload}")
     with _scoped_checkpoint(args, f"run-{args.workload}") as ckpt:
         r = _executor(args, progress, ckpt).run_one(_sweep_task(args, args.design))
@@ -237,6 +273,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.runtime import SweepInstrumentation
+
     designs = args.designs.split(",")
     progress = SweepInstrumentation(name=f"compare {args.workload}")
     with _scoped_checkpoint(args, f"compare-{args.workload}") as ckpt:
@@ -268,6 +306,7 @@ FIGURE_NAMES = ("fig01", "fig14", "fig15", "fig16", "fig17", "fig18a", "fig18b")
 
 def cmd_figure(args) -> int:
     from repro.analysis import experiments as ex
+    from repro.runtime import SweepInstrumentation
 
     workloads = tuple(args.workloads.split(",")) if args.workloads else ex.QUICK_WORKLOADS
     ckpt_cm = _scoped_checkpoint(args, f"figure-{args.figure}", always=True)
@@ -329,6 +368,8 @@ def _figure_text(args, setup, designs, progress) -> str:
 
 
 def cmd_suite(_args) -> int:
+    from repro.workloads import WORKLOADS
+
     rows = [
         [name, spec.category, len(spec.kernels), spec.description]
         for name, spec in WORKLOADS.items()
@@ -399,6 +440,7 @@ def _profile_sensitivity(args) -> int:
     )
 
     from repro.analysis.report import sparkline
+    from repro.workloads import build_workload, workload
 
     cfg = _config(args)
     kernels = build_workload(workload(args.workload), scale=args.scale)
@@ -1099,7 +1141,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def platform(sp, workload_arg=True):
         if workload_arg:
-            sp.add_argument("workload", choices=workload_names())
+            # A metavar keeps argparse from listing the choices (and so
+            # loading the suite) while it builds the parser.
+            sp.add_argument("workload", choices=_WorkloadChoices(), metavar="WORKLOAD",
+                            help="a workload of the suite (see 'repro suite')")
         sp.add_argument("--cus", type=int, default=4)
         sp.add_argument("--waves", type=int, default=8)
         sp.add_argument("--cus-per-domain", type=int, default=1)
@@ -1121,9 +1166,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cache-dir", default=None,
                         help="result cache directory (default .repro_cache "
                              "or $REPRO_CACHE_DIR)")
-        sp.add_argument("--retries", type=int, default=RetryPolicy().max_attempts,
+        # None = RetryPolicy's default, read when a sweep builds one.
+        sp.add_argument("--retries", type=int, default=None,
                         help="attempts per sweep cell before giving up "
-                             "(1 = no retries; default %(default)s)")
+                             "(1 = no retries; default 3)")
         sp.add_argument("--resume", action="store_true",
                         help="skip cells already recorded in the sweep's "
                              "checkpoint manifest (requires the cache)")

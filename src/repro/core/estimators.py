@@ -25,12 +25,35 @@ counters, and at what level (CU vs wavefront) they apply the split:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.config import GpuConfig
 from repro.core.sensitivity import LinearSensitivity, aggregate
 from repro.gpu.gpu import EpochResult, WaveEpochRecord
+
+
+def _interval_terms(
+    committed: float,
+    t_core_ns: float,
+    t_async_ns: float,
+    f1_ghz: float,
+    f_lo_ghz: float,
+    f_hi_ghz: float,
+) -> Tuple[float, float]:
+    """``(i0, slope)`` of :func:`interval_line`, as plain numbers."""
+    total = t_core_ns + t_async_ns
+    if total <= 0.0 or committed <= 0.0:
+        return (committed if committed > 0.0 else 0.0), 0.0
+    # Commits at f2 = total * committed / (t_core * f1/f2 + t_async).
+    denom = t_core_ns * (f1_ghz / f_lo_ghz) + t_async_ns
+    i_lo = committed if denom <= 0.0 else total * committed / denom
+    denom = t_core_ns * (f1_ghz / f_hi_ghz) + t_async_ns
+    i_hi = committed if denom <= 0.0 else total * committed / denom
+    if f_hi_ghz == f_lo_ghz:
+        return i_lo, 0.0
+    # LinearSensitivity.from_two_points, inlined.
+    slope = (i_hi - i_lo) / (f_hi_ghz - f_lo_ghz)
+    return i_lo - slope * f_lo_ghz, slope
 
 
 def interval_line(
@@ -47,21 +70,12 @@ def interval_line(
     line through them - matching how the paper's linear sensitivity is
     defined over the 1.3-2.2 GHz window (Section 3.2).
     """
-    total = t_core_ns + t_async_ns
-    if total <= 0.0 or committed <= 0.0:
-        return LinearSensitivity(max(0.0, committed), 0.0)
-    # Commits at f2 = total * committed / (t_core * f1/f2 + t_async).
-    denom = t_core_ns * (f1_ghz / f_lo_ghz) + t_async_ns
-    i_lo = committed if denom <= 0.0 else total * committed / denom
-    denom = t_core_ns * (f1_ghz / f_hi_ghz) + t_async_ns
-    i_hi = committed if denom <= 0.0 else total * committed / denom
-    if f_hi_ghz == f_lo_ghz:
-        return LinearSensitivity(i_lo, 0.0)
-    return LinearSensitivity.from_two_points(f_lo_ghz, i_lo, f_hi_ghz, i_hi)
+    return LinearSensitivity(
+        *_interval_terms(committed, t_core_ns, t_async_ns, f1_ghz, f_lo_ghz, f_hi_ghz)
+    )
 
 
-@dataclass(frozen=True)
-class WavefrontEstimate:
+class WavefrontEstimate(NamedTuple):
     """Per-wavefront sensitivity estimate, keyed by the epoch's start PC."""
 
     record: WaveEpochRecord
@@ -236,16 +250,16 @@ class WavefrontStallModel(EstimationModel):
             s = r.stats
             t_async = min(t, s.stall_ns + s.barrier_stall_ns)
             t_core = t - t_async
-            line = interval_line(s.committed, t_core, t_async, f_ghz, f_lo_ghz, f_hi_ghz)
+            i0, slope = _interval_terms(s.committed, t_core, t_async, f_ghz, f_lo_ghz, f_hi_ghz)
             if age_normalise:
                 # Younger (higher-rank) wavefronts saw scheduling
                 # contention that scales with frequency: part of their
                 # apparent stall is actually core time. Shift a rank-
                 # proportional slice of i0 into slope.
                 shift = kappa * (r.age_rank / (n - 1))
-                moved = shift * max(0.0, line.i0) * 0.1
-                line = LinearSensitivity(line.i0 - moved, line.slope + moved / mid_f)
-            out.append(WavefrontEstimate(r, line))
+                moved = shift * (i0 if i0 > 0.0 else 0.0) * 0.1
+                i0, slope = i0 - moved, slope + moved / mid_f
+            out.append(WavefrontEstimate(r, LinearSensitivity(i0, slope)))
         return out
 
     def estimate_cu(self, result, cu_id, f_ghz, f_lo_ghz, f_hi_ghz, config):

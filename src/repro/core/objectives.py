@@ -16,11 +16,11 @@ and picks the winner. Implemented objectives:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.sensitivity import LinearSensitivity
-from repro.power.model import PowerModel
+from repro.power.model import POWER_MEMO_MAX_FREQS, PowerModel
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,10 @@ class ObjectiveContext:
     memory_power_share: float
     #: The static reference frequency (normalisation baseline).
     reference_freq_ghz: float = 1.7
+    #: f -> (issue slots, *PowerModel.terms(f)) for :meth:`score_grid`.
+    _points: Dict[float, Tuple[float, float, float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def predicted_activity(self, line: LinearSensitivity, f_ghz: float, commits=None) -> float:
         """Issue occupancy implied by the predicted commit count."""
@@ -43,14 +47,59 @@ class ObjectiveContext:
             return 0.0
         return min(1.0, (line.predict(f_ghz) if commits is None else commits) / slots)
 
+    def _point(self, f_ghz: float) -> Tuple[float, float, float, float]:
+        """The per-frequency constants :meth:`score_grid` reads, memoised
+        by frequency (a fresh grid object per call still hits)."""
+        point = (self.epoch_ns * f_ghz * self.issue_width * self.n_cus_in_domain,
+                 *self.power.terms(f_ghz))
+        if len(self._points) < POWER_MEMO_MAX_FREQS:
+            self._points[f_ghz] = point
+        return point
+
+    def score_grid(
+        self, line: LinearSensitivity, freq_grid: Sequence[float]
+    ) -> List[Tuple[float, float, float]]:
+        """``(f, predicted commits, domain power)`` at every grid point.
+
+        One pass over flat numbers: ``line.predict``, the activity of
+        :meth:`predicted_activity` and ``PowerModel.cu_power``'s
+        arithmetic, inlined in their order, so every value is
+        bit-identical to the per-point calls. ``cu_power``'s clamp of
+        the activity to [0, 1] is left out: the activity is already
+        ``min(1.0, commits / slots)`` with commits >= 0, or 0.0.
+        """
+        i0 = line.i0
+        slope = line.slope
+        n = self.n_cus_in_domain
+        share = self.memory_power_share
+        idle = self.power.config.idle_activity
+        busy = 1.0 - idle
+        points = self._points
+        rows = []
+        for f in freq_grid:
+            point = points.get(f)
+            if point is None:
+                point = self._point(f)
+            slots, cvv, leakage, efficiency = point
+            commits = i0 + slope * f
+            if commits <= 0.0:
+                commits = 0.0
+            if slots <= 0:
+                activity = 0.0
+            else:
+                activity = commits / slots
+                if not activity < 1.0:  # min(1.0, x): NaN reads as 1.0
+                    activity = 1.0
+            a = idle + busy * activity
+            rows.append((f, commits, (cvv * a * f + leakage) / efficiency * n + share))
+        return rows
+
     def domain_power(self, line: LinearSensitivity, f_ghz: float, commits=None) -> float:
-        """Predicted wall power of the whole domain at ``f_ghz``; callers
-        that already have ``line.predict(f_ghz)`` pass it as ``commits``."""
-        activity = self.predicted_activity(line, f_ghz, commits)
-        return (
-            self.power.cu_power(f_ghz, activity) * self.n_cus_in_domain
-            + self.memory_power_share
-        )
+        """Predicted wall power of the whole domain at ``f_ghz``: the
+        one-point form of :meth:`score_grid`. ``commits`` is accepted for
+        callers written against the two-step form; it can only be
+        ``line.predict(f_ghz)``, which the scorer computes itself."""
+        return self.score_grid(line, (f_ghz,))[0][2]
 
 
 class Objective(abc.ABC):
@@ -120,28 +169,38 @@ class EDnPObjective(Objective):
         self.price_scale = price_scale
         self.name = f"ED{n}P" if n != 1 else "EDP"
 
-    def _work_price(self, line: LinearSensitivity, ctx: ObjectiveContext) -> float:
+    def _work_price(
+        self,
+        line: LinearSensitivity,
+        ctx: ObjectiveContext,
+        rows: Sequence[Tuple[float, float, float]] = (),
+    ) -> float:
         """Power-per-work exchange rate, anchored at the reference.
 
         ``price_scale`` is a platform calibration constant (the anchor
         approximates the optimum's Lagrange multiplier only to first
-        order); 1.0 works well for the default power model.
+        order); 1.0 works well for the default power model. The anchor
+        is the ``reference_freq_ghz`` row of ``rows`` when the scored
+        grid holds it, else the one-point score.
         """
         f_ref = ctx.reference_freq_ghz
-        commits_ref = line.predict(f_ref)
-        p_ref = ctx.domain_power(line, f_ref, commits_ref)
+        for f, commits_ref, p_ref in rows:
+            if f == f_ref:
+                break
+        else:
+            ((_, commits_ref, p_ref),) = ctx.score_grid(line, (f_ref,))
         i_ref = max(commits_ref, 1.0)
         return self.price_scale * (self.n + 1) * p_ref / i_ref
 
     def choose(self, line, freq_grid, current_f, ctx, domain=0):
         if line is None:
             return current_f
-        price = self._work_price(line, ctx)
+        rows = ctx.score_grid(line, freq_grid)
+        price = self._work_price(line, ctx, rows)
         best_f = current_f
         best_cost = float("inf")
-        for f in freq_grid:
-            commits = line.predict(f)
-            cost = ctx.domain_power(line, f, commits) - price * commits
+        for f, commits, power in rows:
+            cost = power - price * commits
             if cost < best_cost:
                 best_cost = cost
                 best_f = f
@@ -166,15 +225,14 @@ class PerformanceCapObjective(Objective):
     def choose(self, line, freq_grid, current_f, ctx, domain=0):
         if line is None:
             return freq_grid[-1]
-        f_max = freq_grid[-1]
-        required = (1.0 - self.max_degradation) * line.predict(f_max)
+        rows = ctx.score_grid(line, freq_grid)
+        f_max, commits_max, _ = rows[-1]
+        required = (1.0 - self.max_degradation) * commits_max
         best_f = f_max
         best_power = float("inf")
-        for f in freq_grid:
-            commits = line.predict(f)
+        for f, commits, power in rows:
             if commits + 1e-9 < required:
                 continue
-            power = ctx.domain_power(line, f, commits)
             if power < best_power:
                 best_power = power
                 best_f = f
@@ -202,11 +260,9 @@ class QoSDeadlineObjective(Objective):
             return freq_grid[-1]
         best_f = None
         best_power = float("inf")
-        for f in freq_grid:
-            commits = line.predict(f)
+        for f, commits, power in ctx.score_grid(line, freq_grid):
             if commits + 1e-9 < self.target:
                 continue
-            power = ctx.domain_power(line, f, commits)
             if power < best_power:
                 best_power = power
                 best_f = f

@@ -18,7 +18,7 @@ routing several CUs' updates/lookups to the same instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.sensitivity import LinearSensitivity
@@ -52,24 +52,28 @@ class PCTableConfig:
         return self.n_entries * self.instructions_per_entry
 
 
-@dataclass
-class _Entry:
-    valid: bool = False
-    i0: float = 0.0
-    slope: float = 0.0
-    #: Pre-wrap PC key of the writer. The hardware table is tagless (the
-    #: paper stores index bits only) and uses aliased entries blindly;
-    #: the key exists purely for the simulator's hit-ratio accounting,
-    #: which is how the paper sized the table (128 entries -> 95%+ hits).
-    pc_key: int = -1
-
-
 class PCTable:
-    """Direct-mapped PC-indexed sensitivity store."""
+    """Direct-mapped PC-indexed sensitivity store.
+
+    Each entry keeps the line it stored (None = invalid), so a lookup
+    hands back that line instead of building one.
+    """
 
     def __init__(self, config: PCTableConfig = PCTableConfig()) -> None:
         self.config = config
-        self._entries: List[_Entry] = [_Entry() for _ in range(config.n_entries)]
+        self._lines: List[Optional[LinearSensitivity]] = [None] * config.n_entries
+        #: Pre-wrap PC key of each entry's writer. The hardware table is
+        #: tagless (the paper stores index bits only) and uses aliased
+        #: entries blindly; the key exists purely for the simulator's
+        #: hit-ratio accounting, which is how the paper sized the table
+        #: (128 entries -> 95%+ hits).
+        self._keys: List[int] = [-1] * config.n_entries
+        # The config's geometry, read per wave per epoch: an instruction
+        # index's key is ``(pc_idx * bytes) >> offset_bits`` (all PC bits
+        # above the offset), and its table index is the key mod size.
+        self._bytes = config.instruction_bytes
+        self._offset_bits = config.offset_bits
+        self._n = config.n_entries
         self.lookups = 0
         self.hits = 0
         self.updates = 0
@@ -84,10 +88,6 @@ class PCTable:
     def index_of_instruction(self, pc_idx: int) -> int:
         return self.index_of(pc_idx * self.config.instruction_bytes)
 
-    def _key_of_instruction(self, pc_idx: int) -> int:
-        """Pre-wrap PC key (all PC bits above the offset)."""
-        return (pc_idx * self.config.instruction_bytes) >> self.config.offset_bits
-
     # ------------------------------------------------------------------
 
     def update(self, pc_idx: int, line: LinearSensitivity) -> None:
@@ -95,21 +95,24 @@ class PCTable:
 
         Update happens off the critical path (after the epoch); with
         ``update_weight == 1`` the entry is simply overwritten
-        (last-value semantics, as in the paper).
+        (last-value semantics, as in the paper), otherwise a same-PC
+        entry stores the blend of its line and ``line``.
         """
-        entry = self._entries[self.index_of_instruction(pc_idx)]
-        key = self._key_of_instruction(pc_idx)
-        w = self.config.update_weight
-        if entry.valid and entry.pc_key != key:
-            self.evictions += 1
-        if entry.valid and entry.pc_key == key and w < 1.0:
-            entry.i0 = (1 - w) * entry.i0 + w * line.i0
-            entry.slope = (1 - w) * entry.slope + w * line.slope
-        else:
-            entry.i0 = line.i0
-            entry.slope = line.slope
-        entry.valid = True
-        entry.pc_key = key
+        key = (pc_idx * self._bytes) >> self._offset_bits
+        index = key % self._n
+        old = self._lines[index]
+        if old is not None:
+            if self._keys[index] != key:
+                self.evictions += 1
+            else:
+                w = self.config.update_weight
+                if w < 1.0:
+                    line = LinearSensitivity(
+                        (1 - w) * old.i0 + w * line.i0,
+                        (1 - w) * old.slope + w * line.slope,
+                    )
+        self._lines[index] = line
+        self._keys[index] = key
         self.updates += 1
 
     def lookup(self, pc_idx: int) -> Optional[LinearSensitivity]:
@@ -122,12 +125,12 @@ class PCTable:
         sized the table by hit ratio.
         """
         self.lookups += 1
-        entry = self._entries[self.index_of_instruction(pc_idx)]
-        if not entry.valid:
-            return None
-        if entry.pc_key == self._key_of_instruction(pc_idx):
+        key = (pc_idx * self._bytes) >> self._offset_bits
+        index = key % self._n
+        line = self._lines[index]
+        if line is not None and self._keys[index] == key:
             self.hits += 1
-        return LinearSensitivity(entry.i0, entry.slope)
+        return line
 
     # ------------------------------------------------------------------
 
@@ -137,14 +140,13 @@ class PCTable:
 
     @property
     def occupancy(self) -> float:
-        valid = sum(1 for e in self._entries if e.valid)
-        return valid / len(self._entries)
+        valid = sum(1 for line in self._lines if line is not None)
+        return valid / len(self._lines)
 
     def invalidate(self) -> None:
         """Flush the table (e.g. at a kernel boundary, optional)."""
-        for e in self._entries:
-            e.valid = False
-            e.pc_key = -1
+        self._lines = [None] * self._n
+        self._keys = [-1] * self._n
 
     def reset_counters(self) -> None:
         self.lookups = 0

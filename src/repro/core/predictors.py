@@ -165,10 +165,10 @@ class PCBasedPredictor(Predictor):
             estimates = self.estimator.estimate_wavefronts(
                 result, cu_id, f, ctx.f_lo_ghz, ctx.f_hi_ghz, ctx.config
             )
-            table = self.table_for_cu(cu_id)
-            for est in estimates:
-                table.update(est.record.start_pc_idx, est.line)
-                next_wave_lines[est.record.wf_id] = est.line
+            update = self.table_for_cu(cu_id).update
+            for record, line in estimates:
+                update(record.start_pc_idx, line)
+                next_wave_lines[record.wf_id] = line
         self._last_wave_lines = next_wave_lines
 
     def predict_domains(self) -> List[Optional[LinearSensitivity]]:

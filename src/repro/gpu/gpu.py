@@ -14,7 +14,7 @@ This is the substrate for the paper's fork-and-pre-execute oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.config import GpuConfig
 from repro.gpu.clock import DomainMap
@@ -24,9 +24,12 @@ from repro.gpu.memory import MemorySubsystem
 from repro.gpu.wavefront import WavefrontStats
 
 
-@dataclass(frozen=True)
-class WaveEpochRecord:
-    """What one wavefront did during an epoch (input to PCSTALL)."""
+class WaveEpochRecord(NamedTuple):
+    """What one wavefront did during an epoch (input to PCSTALL).
+
+    A named tuple, not a frozen dataclass: immutable alike, but built in
+    half the time, and the service builds one per wave per observation.
+    """
 
     wf_id: int
     age_rank: int
@@ -228,13 +231,8 @@ class Gpu:
         for cu in self.cus:
             if collect_waves:
                 records = tuple(
-                    WaveEpochRecord(
-                        wf_id=wf.wf_id,
-                        age_rank=rank,
-                        start_pc_idx=wf.stats.epoch_start_pc_idx,
-                        next_pc_idx=wf.pc_idx,
-                        stats=wf.stats.clone(),
-                    )
+                    WaveEpochRecord(wf.wf_id, rank, wf.stats.epoch_start_pc_idx,
+                                    wf.pc_idx, wf.stats.clone())
                     for rank, wf in enumerate(cu.waves)
                 )
                 wave_records.append(records)

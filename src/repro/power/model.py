@@ -52,7 +52,7 @@ class PowerModel:
     """Evaluates CU-domain and memory-subsystem power."""
 
     config: PowerConfig
-    #: f -> (C_eff * V(f)^2, leakage, IVR efficiency) for :meth:`cu_power`.
+    #: f -> (C_eff * V(f)^2, leakage, IVR efficiency), see :meth:`terms`.
     _terms: Dict[float, Tuple[float, float, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -88,8 +88,9 @@ class PowerModel:
         ratio = (v / cfg.v_max) ** cfg.leakage_voltage_exponent
         return cfg.leakage_per_cu_at_vmax * ratio * cfg.temperature_factor
 
-    def cu_power(self, f_ghz: float, activity: float) -> float:
-        """Total wall power drawn for one CU, including IVR losses."""
+    def terms(self, f_ghz: float) -> Tuple[float, float, float]:
+        """``(C_eff * V(f)^2, leakage, IVR efficiency)`` at ``f_ghz``: the
+        per-frequency factors of :meth:`cu_power`, memoised."""
         terms = self._terms.get(f_ghz)
         if terms is None:
             v = self.voltage(f_ghz)
@@ -97,7 +98,11 @@ class PowerModel:
                      self.leakage_power_per_cu(f_ghz), self.ivr_efficiency(v))
             if len(self._terms) < POWER_MEMO_MAX_FREQS:
                 self._terms[f_ghz] = terms
-        cvv, leakage, efficiency = terms
+        return terms
+
+    def cu_power(self, f_ghz: float, activity: float) -> float:
+        """Total wall power drawn for one CU, including IVR losses."""
+        cvv, leakage, efficiency = self.terms(f_ghz)
         idle = self.config.idle_activity
         a = idle + (1.0 - idle) * min(max(activity, 0.0), 1.0)
         # dynamic_power_per_cu's products in its order, so bit-identical.

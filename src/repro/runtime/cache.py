@@ -30,7 +30,8 @@ temporary file (key + pid + sequence, so concurrent writers of the same
 key never collide), fsync'd, then atomically renamed over the final
 path. A process killed mid-write leaves at worst a stray ``*.tmp`` file
 - never a torn entry - and ``get`` only ever sees complete entries.
-Stray temporaries from previous crashes are swept by ``put``.
+Stray temporaries from previous crashes are swept by ``put``, and so are
+format-1 entries (``<key>.pkl``), which no reader opens any more.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import time
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
@@ -60,6 +62,9 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: A format-1 entry's file name: the key (64 hex digits) + ``.pkl``.
+_FORMAT1_ENTRY = re.compile(r"[0-9a-f]{64}\.pkl")
 
 
 #: The modules and packages of ``repro`` that a sweep cell can import:
@@ -218,20 +223,25 @@ class ResultCache:
             # result the codec refuses, caches nothing and is not fatal.
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
-        self._sweep_stale_tmp()
+        self._sweep_stale()
 
-    def _sweep_stale_tmp(self, max_age_s: float = 3600.0) -> None:
-        """Remove temp files orphaned by crashed writers (best-effort).
+    def _sweep_stale(self, max_age_s: float = 3600.0) -> None:
+        """Remove what no reader will open again (best-effort): temp
+        files orphaned by crashed writers, and format-1 entries.
 
         Only clearly stale temporaries are touched: another live writer's
-        in-flight file is younger than the age floor.
+        in-flight file is younger than the age floor. Every other file
+        in the directory is left alone.
         """
         cutoff = time.time() - max_age_s
         try:
-            for tmp in self.dir.glob("*.tmp"):
+            for path in self.dir.iterdir():
                 try:
-                    if tmp.stat().st_mtime < cutoff:
-                        tmp.unlink(missing_ok=True)
+                    if path.suffix == ".tmp":
+                        if path.stat().st_mtime < cutoff:
+                            path.unlink(missing_ok=True)
+                    elif _FORMAT1_ENTRY.fullmatch(path.name):
+                        path.unlink(missing_ok=True)
                 except OSError:
                     continue
         except OSError:

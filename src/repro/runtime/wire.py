@@ -26,9 +26,9 @@ from a clean close: a peer that disconnects *between* frames yields
 ``None`` (orderly end of stream), while a disconnect mid-header or
 mid-payload raises :class:`ProtocolError`. The broker and worker agent
 loops run strict so a SIGKILLed peer or adversarial garbage surfaces as
-a typed error immediately instead of being mistaken for a goodbye; the
-decision service keeps the lenient behaviour (``strict=False``, any
-disconnect reads as the session ending) it has always had.
+a typed error immediately instead of being mistaken for a goodbye. The
+decision service parses with :class:`FrameDecoder` in its protocol
+callback, and any disconnect, torn frame or not, ends the session.
 
 Every read path is bounded: a length prefix beyond
 :data:`MAX_FRAME_BYTES` is rejected before any allocation, and callers
@@ -38,13 +38,11 @@ on a stalled peer.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
 import time
-from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.telemetry.schema import FINITE_JSON
 
@@ -88,39 +86,55 @@ def decode_payload(payload: bytes) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# Asyncio stream reader (server side of the decision service)
+# Incremental decoding (the service's protocol callback, FrameReceiver)
 
-async def read_frame(
-    reader: asyncio.StreamReader, strict: bool = False
-) -> Optional[Dict[str, object]]:
-    """Read one frame; None on a clean (or, lenient, any) connection end."""
-    try:
-        header = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as exc:
-        if strict and exc.partial:
+class FrameDecoder:
+    """Incremental frame decoder: bytes in, messages out.
+
+    :meth:`feed` buffers whatever bytes arrived, split anywhere;
+    :meth:`next_message` lifts the next complete frame out of the buffer
+    and decodes it, or returns None until one is complete. A length
+    prefix beyond ``max_bytes`` is refused as soon as its 4 bytes are
+    in, before any of its payload is waited for.
+    """
+
+    __slots__ = ("max_bytes", "_buf")
+
+    def __init__(self, max_bytes: int = MAX_FRAME_BYTES) -> None:
+        self.max_bytes = max_bytes
+        self._buf = bytearray()
+
+    @property
+    def pending(self) -> int:
+        """Bytes buffered and not yet given out as a message."""
+        return len(self._buf)
+
+    def feed(self, data: bytes) -> None:
+        self._buf += data
+
+    def clear(self) -> None:
+        self._buf.clear()
+
+    def next_message(self) -> Optional[Dict[str, object]]:
+        """The next complete frame's message; None until one is complete.
+
+        Raises :class:`ProtocolError` for an oversized length prefix or a
+        payload :func:`decode_payload` refuses (that frame is consumed).
+        """
+        buf = self._buf
+        if len(buf) < 4:
+            return None
+        length = int.from_bytes(buf[:4], "big")
+        if length > self.max_bytes:
             raise ProtocolError(
-                f"connection lost mid-header ({len(exc.partial)}/4 bytes)"
-            ) from None
-        return None
-    except ConnectionError:
-        return None
-    (length,) = struct.unpack(">I", header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame length {length} exceeds {MAX_FRAME_BYTES} bytes"
-        )
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        if strict:
-            raise ProtocolError(
-                f"connection lost mid-frame "
-                f"({len(exc.partial)}/{length} payload bytes)"
-            ) from None
-        return None
-    except ConnectionError:
-        return None
-    return decode_payload(payload)
+                f"frame length {length} exceeds {self.max_bytes} bytes"
+            )
+        end = 4 + length
+        if len(buf) < end:
+            return None
+        payload = bytes(buf[4:end])
+        del buf[:end]
+        return decode_payload(payload)
 
 
 # ----------------------------------------------------------------------
@@ -213,37 +227,21 @@ class FrameReceiver:
                  max_bytes: int = MAX_FRAME_BYTES) -> None:
         self._sock = sock
         self.strict = strict
-        self.max_bytes = max_bytes
-        self._buf = bytearray()
-        self._frames: Deque[Dict[str, object]] = deque()
+        self._decoder = FrameDecoder(max_bytes)
         self._eof = False
-
-    def _parse(self) -> None:
-        """Lift every complete frame out of the buffer."""
-        while True:
-            if len(self._buf) < 4:
-                return
-            length = int.from_bytes(self._buf[:4], "big")
-            if length > self.max_bytes:
-                raise ProtocolError(
-                    f"frame length {length} exceeds {self.max_bytes} bytes"
-                )
-            if len(self._buf) < 4 + length:
-                return
-            payload = bytes(self._buf[4:4 + length])
-            del self._buf[:4 + length]
-            self._frames.append(decode_payload(payload))
 
     def recv(self, timeout_s: float) -> Optional[Dict[str, object]]:
         """Next frame within ``timeout_s`` seconds (see class docstring)."""
         deadline = time.monotonic() + timeout_s
+        decoder = self._decoder
         while True:
-            if self._frames:
-                return self._frames.popleft()
+            message = decoder.next_message()
+            if message is not None:
+                return message
             if self._eof:
-                if self._buf:
-                    torn = len(self._buf)
-                    self._buf.clear()
+                if decoder.pending:
+                    torn = decoder.pending
+                    decoder.clear()
                     if self.strict:
                         raise ProtocolError(
                             f"connection closed mid-frame ({torn} stray bytes)"
@@ -258,28 +256,27 @@ class FrameReceiver:
             except socket.timeout:
                 raise ReceiveTimeout() from None
             except ConnectionError as exc:
-                if self.strict and self._buf:
+                if self.strict and decoder.pending:
                     raise ProtocolError(
                         f"connection reset mid-frame: {exc}"
                     ) from None
                 self._eof = True
-                self._buf.clear()
+                decoder.clear()
                 continue
             if not data:
                 self._eof = True
                 continue
-            self._buf.extend(data)
-            self._parse()
+            decoder.feed(data)
 
 
 __all__ = [
     "MAX_FRAME_BYTES",
+    "FrameDecoder",
     "FrameReceiver",
     "ProtocolError",
     "ReceiveTimeout",
     "decode_payload",
     "encode_frame",
-    "read_frame",
     "recv_frame",
     "send_frame",
 ]

@@ -46,7 +46,6 @@ from repro.runtime.wire import (  # noqa: F401  (re-exported public surface)
     ProtocolError,
     decode_payload,
     encode_frame,
-    read_frame,
     recv_frame,
     send_frame,
 )
@@ -218,7 +217,6 @@ __all__ = [
     "lines_from_wire",
     "lines_to_wire",
     "objective_from_name",
-    "read_frame",
     "recv_frame",
     "send_frame",
     "sim_config_from_wire",

@@ -9,22 +9,27 @@ One :class:`DecisionService` owns:
   holds, but the controller log keeps only the latest epoch. Designs
   needing *future* oracle truth (ORACLE) are rejected at open: an
   online service cannot pre-execute its clients' next epoch.
+* **Framing in the callback** - each decision-port connection is an
+  :class:`asyncio.Protocol` whose ``data_received`` feeds a
+  :class:`~repro.runtime.wire.FrameDecoder` and handles every frame
+  the bytes complete, with no per-connection reader task.
 * **Micro-batching** - observations from all sessions funnel into one
-  queue drained by a single batch worker, up to ``batch_max`` per
-  pass. One worker means predictor updates never need locks, and a
-  pass over N sessions amortises scheduling the way the paper's DVFS
-  manager amortises per-domain decisions within an epoch boundary.
+  deque, decided by one drain callback scheduled with ``call_soon``,
+  in passes of up to ``batch_max``. One drain means predictor updates
+  never need locks, and a pass over N sessions amortises scheduling
+  the way the paper's DVFS manager amortises per-domain decisions
+  within an epoch boundary.
 * **Admission control & backpressure** - at most ``max_sessions``
   concurrent sessions; per session at most ``max_inflight`` queued
   observations, beyond which (or when the client stops reading its
-  responses, detected via the transport write buffer) the reader
+  responses, detected via the transport write buffer) the callback
   answers ``shed`` immediately *without touching predictor state*, so
   a shed epoch can simply be resent. Responses are written without
-  awaiting drain - a slow consumer can therefore never deadlock the
-  batch worker; memory stays bounded because overflowing sessions are
-  shed, not buffered.
+  waiting for the transport to flush - a slow consumer can therefore
+  never stall the drain; memory stays bounded because overflowing
+  sessions are shed, not buffered.
 * **Graceful shutdown** - :meth:`DecisionService.shutdown` stops
-  accepting, lets the batch worker finish everything already admitted
+  accepting, lets the drain finish everything already admitted
   (bounded by ``drain_timeout_s``), notifies every session with a
   ``shutdown`` frame and closes. ``repro serve`` wires SIGTERM/SIGINT
   to it.
@@ -50,8 +55,9 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 # The LEARNED design's path (model registry, models, numpy) is imported
 # here, before the service listens: a session opening LEARNED would
@@ -63,6 +69,7 @@ from repro.dvfs.designs import make_controller
 from repro.obs.log import get_logger
 from repro.obs.prom import CONTENT_TYPE, render_prometheus
 from repro.runtime.cache import config_hash
+from repro.runtime.wire import FrameDecoder
 from repro.service import protocol as proto
 from repro.telemetry.metrics import BATCH_BUCKETS, MetricsRegistry
 from repro.telemetry.schema import build_meta
@@ -99,7 +106,7 @@ class ServiceConfig:
     #: Per-session cap on admitted-but-unanswered observations; the
     #: overflow is shed (backpressure to the client, not memory growth).
     max_inflight: int = 8
-    #: Most observations one batch-worker pass decides.
+    #: Most observations one drain pass decides.
     batch_max: int = 32
     #: Transport write-buffer bytes beyond which a session counts as a
     #: slow consumer and its observations are shed.
@@ -121,23 +128,76 @@ class ServiceConfig:
 
 
 class _Session:
-    """Server-side state of one client connection."""
+    """Server-side state of one client session."""
 
-    __slots__ = ("sid", "writer", "controller", "design", "inflight",
+    __slots__ = ("sid", "transport", "controller", "design", "inflight",
                  "expected_epoch", "closed", "span")
 
-    def __init__(self, sid: int, writer: asyncio.StreamWriter, controller, design: str):
+    def __init__(self, sid: int, transport: asyncio.Transport, controller, design: str):
         self.sid = sid
-        self.writer = writer
+        self.transport = transport
         self.controller = controller
         self.design = design
-        #: Observations admitted to the batch queue, not yet answered.
+        #: Observations admitted to the drain, not yet answered.
         self.inflight = 0
         #: The only epoch index the next observe may carry.
         self.expected_epoch = 0
         self.closed = False
         #: The session's tracing span, when the service has a tracer.
         self.span: Optional["Span"] = None
+
+
+class _Connection(asyncio.Protocol):
+    """One decision-port connection: frames are parsed and handled in
+    ``data_received``; the first frame must open a session."""
+
+    #: Set by ``connection_made``, before any other callback.
+    transport: asyncio.Transport
+
+    def __init__(self, service: "DecisionService") -> None:
+        self.service = service
+        self.decoder = FrameDecoder()
+        self.session: Optional[_Session] = None
+        #: The connection's tracing span, when the service has a tracer.
+        self.span: Optional["Span"] = None
+        #: Set once the connection is torn down; later bytes are ignored.
+        self.ended = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        tracer = self.service.tracer
+        if tracer is not None:
+            self.span = tracer.start("connect")
+
+    def data_received(self, data: bytes) -> None:
+        service = self.service
+        decoder = self.decoder
+        decoder.feed(data)
+        while not self.ended:
+            session = self.session
+            try:
+                msg = decoder.next_message()
+            except proto.ProtocolError as exc:
+                error = {"type": proto.MSG_ERROR, "code": "protocol", "error": str(exc)}
+                if session is None:
+                    service._reply(self.transport, error)
+                else:
+                    service._write(session, error)
+                service._end(self)
+                return
+            if msg is None:
+                return
+            if session is None:
+                service._open(self, msg)
+            else:
+                service._handle(self, session, msg)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if not self.ended and self.session is not None and not self.service.draining:
+            # An abrupt disconnect: the peer left without a close frame
+            # (or we closed the transport under a reply we could not send).
+            self.service.registry.inc("service_disconnects")
+        self.service._end(self)
 
 
 class DecisionService:
@@ -162,10 +222,11 @@ class DecisionService:
         self.drift = drift
         self._sessions: Dict[int, _Session] = {}
         self._next_sid = 0
-        self._queue: "asyncio.Queue[tuple]" = asyncio.Queue()
+        #: Admitted observations: (session, message, request span).
+        self._pending: Deque[tuple] = deque()
+        self._drain_scheduled = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._health_server: Optional[asyncio.AbstractServer] = None
-        self._batch_task: Optional[asyncio.Task] = None
         self._draining = False
         self._closed = asyncio.Event()
         self._started_at = 0.0
@@ -175,14 +236,13 @@ class DecisionService:
 
     async def start(self) -> None:
         self._started_at = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
         if self.config.health_port is not None:
             self._health_server = await asyncio.start_server(
                 self._handle_health, self.config.host, self.config.health_port
             )
-        self._batch_task = asyncio.get_running_loop().create_task(self._batch_loop())
 
     @property
     def port(self) -> int:
@@ -217,14 +277,15 @@ class DecisionService:
 
         deadline = time.monotonic() + self.config.drain_timeout_s
         while time.monotonic() < deadline:
-            if self._queue.empty() and not any(
+            if not self._pending and not any(
                 s.inflight for s in self._sessions.values()
             ):
                 break
             await asyncio.sleep(0.01)
-        drained = self._queue.empty() and not any(
+        drained = not self._pending and not any(
             s.inflight for s in self._sessions.values()
         )
+        self._pending.clear()  # past the deadline: never decided
         self.registry.inc(
             "service_drain_clean" if drained else "service_drain_timeout"
         )
@@ -232,21 +293,10 @@ class DecisionService:
         for session in list(self._sessions.values()):
             self._write(session, {"type": proto.MSG_SHUTDOWN, "drained": drained})
             session.closed = True
-        for session in list(self._sessions.values()):
-            try:
-                # Bounded flush: the notify frame should reach clients,
-                # but one wedged consumer must not stall the shutdown.
-                await asyncio.wait_for(session.writer.drain(), timeout=1.0)
-            except (asyncio.TimeoutError, ConnectionError):
-                pass
-            session.writer.close()
+            # close() flushes the notice first, without waiting on a
+            # wedged consumer here.
+            session.transport.close()
 
-        if self._batch_task is not None:
-            self._batch_task.cancel()
-            try:
-                await self._batch_task
-            except asyncio.CancelledError:
-                pass
         if self._health_server is not None:
             self._health_server.close()
             await self._health_server.wait_closed()
@@ -257,82 +307,68 @@ class DecisionService:
     # ------------------------------------------------------------------
     # Decision protocol
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        reg = self.registry
+    def _open(self, conn: _Connection, msg) -> None:
+        """The first frame of a connection: open a session, or end it."""
+        session = self._open_session(msg, conn.transport)
+        if session is None:
+            self._end(conn)
+            return
+        conn.session = session
         tr = self.tracer
-        conn_span = tr.start("connect") if tr is not None else None
-        session: Optional[_Session] = None
-        try:
-            try:
-                msg = await proto.read_frame(reader)
-            except proto.ProtocolError as exc:
-                self._reply(writer, {"type": proto.MSG_ERROR,
-                                     "code": "protocol", "error": str(exc)})
-                return
-            if msg is None:
-                return
-            session = self._open_session(msg, writer)
-            if session is None:
-                return
-            if tr is not None:
-                session.span = tr.start(
-                    "session", parent=conn_span,
-                    session=session.sid, design=session.design,
-                )
+        if tr is not None:
+            session.span = tr.start(
+                "session", parent=conn.span,
+                session=session.sid, design=session.design,
+            )
 
-            while True:
-                try:
-                    msg = await proto.read_frame(reader)
-                except proto.ProtocolError as exc:
-                    self._write(session, {"type": proto.MSG_ERROR,
-                                          "code": "protocol", "error": str(exc)})
-                    break
-                if msg is None:
-                    # EOF without a close frame: an abrupt disconnect
-                    # (unless we closed the transport ourselves to drain).
-                    if not self._draining:
-                        reg.inc("service_disconnects")
-                    break
-                mtype = msg.get("type")
-                if mtype == proto.MSG_OBSERVE:
-                    self._admit(session, msg)
-                elif mtype == proto.MSG_PING:
-                    self._write(session, {"type": proto.MSG_PONG})
-                elif mtype == proto.MSG_CLOSE:
-                    self._write(session, {"type": proto.MSG_BYE})
-                    break
-                else:
-                    self._write(session, {
-                        "type": proto.MSG_ERROR, "code": "unknown_type",
-                        "error": f"unknown message type {mtype!r}",
-                    })
-        finally:
-            if session is not None:
-                session.closed = True
-                self._sessions.pop(session.sid, None)
-                reg.inc("service_sessions_closed")
-                _log.info(
-                    "session closed",
-                    extra={"session": session.sid,
-                           "epochs": session.expected_epoch},
-                )
-                if session.span is not None:
-                    tr.finish(session.span, epochs=session.expected_epoch)
-            if conn_span is not None:
-                tr.finish(conn_span)
-            writer.close()
+    def _handle(self, conn: _Connection, session: _Session, msg) -> None:
+        """A frame of ``conn``'s open session."""
+        mtype = msg.get("type")
+        if mtype == proto.MSG_OBSERVE:
+            self._admit(session, msg)
+        elif mtype == proto.MSG_PING:
+            self._write(session, {"type": proto.MSG_PONG})
+        elif mtype == proto.MSG_CLOSE:
+            self._write(session, {"type": proto.MSG_BYE})
+            self._end(conn)
+        else:
+            self._write(session, {
+                "type": proto.MSG_ERROR, "code": "unknown_type",
+                "error": f"unknown message type {mtype!r}",
+            })
 
-    def _open_session(self, msg, writer: asyncio.StreamWriter) -> Optional[_Session]:
+    def _end(self, conn: _Connection) -> None:
+        """Tear a connection down once: close its session and spans."""
+        if conn.ended:
+            return
+        conn.ended = True
+        tr = self.tracer
+        session = conn.session
+        if session is not None:
+            session.closed = True
+            self._sessions.pop(session.sid, None)
+            self.registry.inc("service_sessions_closed")
+            _log.info(
+                "session closed",
+                extra={"session": session.sid,
+                       "epochs": session.expected_epoch},
+            )
+            if tr is not None and session.span is not None:
+                tr.finish(session.span, epochs=session.expected_epoch)
+        if tr is not None and conn.span is not None:
+            tr.finish(conn.span)
+        conn.decoder.clear()
+        conn.transport.close()
+
+    def _open_session(self, msg, transport: asyncio.Transport) -> Optional[_Session]:
         """Admission + controller construction for an ``open`` frame."""
         reg = self.registry
 
         def reject(code: str, error: str) -> None:
             reg.inc("service_rejects")
             _log.warning(f"open rejected: {error}", extra={"code": code})
-            self._reply(writer, {"type": proto.MSG_ERROR, "code": code,
-                                 "error": error})
+            self._reply(transport, {"type": proto.MSG_ERROR, "code": code,
+                                    "error": error})
 
         if msg.get("type") != proto.MSG_OPEN:
             reject("expected_open",
@@ -375,7 +411,7 @@ class DecisionService:
 
         controller.log = ControllerLog.latest_only()  # bounded history
         self._next_sid += 1
-        session = _Session(self._next_sid, writer, controller, design)
+        session = _Session(self._next_sid, transport, controller, design)
         self._sessions[session.sid] = session
         reg.inc("service_sessions_opened")
         gauge = reg.gauge("service_sessions_peak")
@@ -403,11 +439,7 @@ class DecisionService:
         reg = self.registry
         tr = self.tracer
         reg.inc("service_requests")
-        transport = session.writer.transport
-        slow = (
-            transport is not None
-            and transport.get_write_buffer_size() > self.config.write_buffer_limit
-        )
+        slow = session.transport.get_write_buffer_size() > self.config.write_buffer_limit
         if self._draining or session.inflight >= self.config.max_inflight or slow:
             reg.inc("service_shed")
             reason = ("draining" if self._draining
@@ -441,52 +473,58 @@ class DecisionService:
                 session=session.sid, epoch=msg.get("epoch"),
             )
         session.inflight += 1
-        self._queue.put_nowait((session, msg, req_span))
+        self._pending.append((session, msg, req_span))
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
+            asyncio.get_running_loop().call_soon(self._drain)
 
-    async def _batch_loop(self) -> None:
-        """Single consumer of the observation queue.
+    def _drain(self) -> None:
+        """Decide every admitted observation, ``batch_max`` per pass.
 
-        Waits for one item, then opportunistically drains up to
-        ``batch_max`` - one pass decides for every session that had
-        work pending, which is the micro-batching: under concurrent
-        load the per-wakeup cost is shared across sessions.
+        Scheduled once per loop iteration that admitted work, so one
+        pass decides for every session whose observation arrived in
+        that iteration - the micro-batching: under concurrent load the
+        per-wakeup cost is shared across sessions.
         """
+        self._drain_scheduled = False
+        pending = self._pending
+        batch_max = self.config.batch_max
+        while pending:
+            self._decide_batch(
+                [pending.popleft() for _ in range(min(len(pending), batch_max))]
+            )
+
+    def _decide_batch(self, batch: List[tuple]) -> None:
+        """One drain pass: count it, then decide and answer each item."""
         reg = self.registry
         tr = self.tracer
-        while True:
-            batch = [await self._queue.get()]
-            while len(batch) < self.config.batch_max:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            reg.inc("service_batches")
-            reg.histogram("service_batch_size", BATCH_BUCKETS).observe(len(batch))
-            for session, msg, req_span in batch:
-                dec_span = (
-                    tr.start("decision", parent=req_span)
-                    if tr is not None and req_span is not None
-                    else None
+        reg.inc("service_batches")
+        reg.histogram("service_batch_size", BATCH_BUCKETS).observe(len(batch))
+        for session, msg, req_span in batch:
+            dec_span = (
+                tr.start("decision", parent=req_span)
+                if tr is not None and req_span is not None
+                else None
+            )
+            try:
+                reply = self._decide(session, msg)
+            except Exception as exc:  # never let one request kill the drain
+                reg.inc("service_internal_errors")
+                _log.error(
+                    f"internal error deciding for session {session.sid}: {exc}",
+                    extra={"session": session.sid},
                 )
-                try:
-                    reply = self._decide(session, msg)
-                except Exception as exc:  # never let one request kill the loop
-                    reg.inc("service_internal_errors")
-                    _log.error(
-                        f"internal error deciding for session {session.sid}: {exc}",
-                        extra={"session": session.sid},
-                    )
-                    reply = {"type": proto.MSG_ERROR, "code": "internal",
-                             "seq": msg.get("seq"), "error": str(exc)}
-                if dec_span is not None:
-                    tr.finish(dec_span)
-                session.inflight -= 1
-                self._write(session, reply)
-                if req_span is not None:
-                    tr.finish(
-                        req_span,
-                        status=(reply or {}).get("type", "none"),
-                    )
+                reply = {"type": proto.MSG_ERROR, "code": "internal",
+                         "seq": msg.get("seq"), "error": str(exc)}
+            if dec_span is not None:
+                tr.finish(dec_span)
+            session.inflight -= 1
+            self._write(session, reply)
+            if req_span is not None:
+                tr.finish(
+                    req_span,
+                    status=(reply or {}).get("type", "none"),
+                )
 
     def _decide(self, session: _Session, msg) -> Optional[Dict[str, object]]:
         """observe() + decide() for one admitted observation."""
@@ -551,27 +589,27 @@ class DecisionService:
     def _write(self, session: _Session, message: Optional[Dict[str, object]]) -> None:
         """Fire-and-forget frame write.
 
-        Deliberately no ``await drain()``: the batch worker must never
-        block on one slow client. Memory stays bounded because a
+        Deliberately no wait for the transport to flush: the drain must
+        never block on one slow client. Memory stays bounded because a
         session whose write buffer grows past ``write_buffer_limit``
         has its further observations shed rather than answered.
         """
         if message is None or session.closed:
             return
         try:
-            session.writer.write(proto.encode_frame(message))
+            session.transport.write(proto.encode_frame(message))
         except (ConnectionError, RuntimeError):
             session.closed = True
         except ValueError:
             # The reply echoes a client value JSON cannot carry (1e999).
             session.closed = True
-            session.writer.close()
+            session.transport.close()
 
     @staticmethod
-    def _reply(writer: asyncio.StreamWriter, message: Dict[str, object]) -> None:
+    def _reply(transport: asyncio.Transport, message: Dict[str, object]) -> None:
         """Pre-session write (open rejections, protocol errors)."""
         try:
-            writer.write(proto.encode_frame(message))
+            transport.write(proto.encode_frame(message))
         except (ConnectionError, RuntimeError):
             pass
 

@@ -196,3 +196,15 @@ class TestCrashSafeCacheWrites:
         ResultCache(tmp_path).put("k", make_run_result())
         assert not stale.exists()
         assert fresh.exists()
+
+    def test_format1_entries_swept_other_files_kept(self, tmp_path):
+        """Format 2 never reads a ``<key>.pkl`` again, so ``put`` removes
+        key-named ones; a ``.pkl`` under any other name stays."""
+        format1 = tmp_path / f"{'0123456789abcdef' * 4}.pkl"
+        notes = tmp_path / "notes.pkl"
+        fresh = tmp_path / "live.0.0.tmp"
+        for path in (format1, notes, fresh):
+            path.write_bytes(b"x")
+        ResultCache(tmp_path).put("k", make_run_result())
+        assert not format1.exists()
+        assert notes.exists() and fresh.exists()

@@ -58,25 +58,31 @@ class TestCommands:
         assert main(["storage"]) == 0
         assert "328" in capsys.readouterr().out
 
-    def test_run_small(self, capsys, tmp_path):
+    def test_run_small(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "out.json"
         rc = main([
             "run", "comd", "--design", "STATIC@1.7", "--cus", "2", "--waves", "4",
             "--scale", "0.1", "--max-epochs", "50", "--json", str(path),
+            "--cache-dir", str(tmp_path / "cache"),
         ])
         assert rc == 0
         assert "ED2P" in capsys.readouterr().out
         data = json.loads(path.read_text())
         assert data["workload"] == "comd"
+        assert not (tmp_path / ".repro_cache").exists()
 
-    def test_compare_small(self, capsys):
+    def test_compare_small(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         rc = main([
             "compare", "xsbench", "--designs", "STATIC@1.7,STALL", "--cus", "2",
             "--waves", "4", "--scale", "0.1", "--max-epochs", "50",
+            "--cache-dir", str(tmp_path / "cache"),
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "STALL" in out
+        assert not (tmp_path / ".repro_cache").exists()
 
     def test_profile_with_csv(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
@@ -88,12 +94,15 @@ class TestCommands:
         assert path.exists()
         assert "same-PC" in capsys.readouterr().out
 
-    def test_cap_objective_parse(self):
+    def test_cap_objective_parse(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         rc = main([
             "run", "xsbench", "--design", "PCSTALL", "--cus", "2", "--waves", "4",
             "--scale", "0.1", "--max-epochs", "40", "--objective", "cap5",
+            "--cache-dir", str(tmp_path / "cache"),
         ])
         assert rc == 0
+        assert not (tmp_path / ".repro_cache").exists()
 
 
 class TestFaultTolerantSweeps:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass
 from typing import List, Optional
 
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from repro.core.objectives import (
     PerformanceCapObjective,
     QoSDeadlineObjective,
 )
+from repro.core.pc_table import PCTable, PCTableConfig
 from repro.core.predictors import ObserveContext, PCBasedPredictor
 from repro.core.sensitivity import LinearSensitivity
 from repro.dvfs.hierarchy import HierarchicalPowerManager, PowerManagedObjective
@@ -192,6 +194,60 @@ class RefPCBasedPredictor(PCBasedPredictor):
                     total = total + line
             out.append(total if seen_any else None)
         return out
+
+
+@dataclass
+class _RefEntry:
+    valid: bool = False
+    i0: float = 0.0
+    slope: float = 0.0
+    pc_key: int = -1
+
+
+class RefPCTable:
+    """``PCTable`` before its entries kept the line they stored."""
+
+    def __init__(self, config):
+        self.config = config
+        self._entries = [_RefEntry() for _ in range(config.n_entries)]
+        self.lookups = 0
+        self.hits = 0
+        self.updates = 0
+        self.evictions = 0
+
+    def index_of(self, pc_bytes):
+        return (pc_bytes >> self.config.offset_bits) % self.config.n_entries
+
+    def index_of_instruction(self, pc_idx):
+        return self.index_of(pc_idx * self.config.instruction_bytes)
+
+    def _key_of_instruction(self, pc_idx):
+        return (pc_idx * self.config.instruction_bytes) >> self.config.offset_bits
+
+    def update(self, pc_idx, line):
+        entry = self._entries[self.index_of_instruction(pc_idx)]
+        key = self._key_of_instruction(pc_idx)
+        w = self.config.update_weight
+        if entry.valid and entry.pc_key != key:
+            self.evictions += 1
+        if entry.valid and entry.pc_key == key and w < 1.0:
+            entry.i0 = (1 - w) * entry.i0 + w * line.i0
+            entry.slope = (1 - w) * entry.slope + w * line.slope
+        else:
+            entry.i0 = line.i0
+            entry.slope = line.slope
+        entry.valid = True
+        entry.pc_key = key
+        self.updates += 1
+
+    def lookup(self, pc_idx):
+        self.lookups += 1
+        entry = self._entries[self.index_of_instruction(pc_idx)]
+        if not entry.valid:
+            return None
+        if entry.pc_key == self._key_of_instruction(pc_idx):
+            self.hits += 1
+        return LinearSensitivity(entry.i0, entry.slope)
 
 
 def ref_epoch_result_from_wire(wire):
@@ -367,6 +423,63 @@ def test_objectives_match_reference_in_power_managed_windows(
     live = PowerManagedObjective(live_obj, manager).choose(line, GRID, current, live_ctx)
     ref = PowerManagedObjective(ref_obj, manager).choose(line, GRID, current, ref_ctx)
     assert bits(live) == bits(ref)
+
+
+def grids(ref_freq):
+    """The full grid, every power-managed window of it, and the full
+    grid without ``ref_freq`` (so EDnP prices from the one-point form)."""
+    windows = [GRID[:k] for k in range(1, len(GRID))]
+    return [GRID, *windows, tuple(f for f in GRID if f != ref_freq)]
+
+
+@DETERMINISTIC
+@given(pair=context_pairs(), line=lines)
+def test_score_grid_matches_reference_per_point_form(pair, line):
+    live, ref = pair
+    for grid in grids(live.reference_freq_ghz):
+        want = [
+            (bits(f), bits(line.predict(f)), outcome(lambda: bits(ref.domain_power(line, f))))
+            for f in grid
+        ]
+        rows = live.score_grid(line, grid)
+        got = [(bits(f), bits(c), ("ok", bits(p))) for f, c, p in rows]
+        assert got == want
+
+
+@DETERMINISTIC
+@given(
+    pair=context_pairs(), objectives=objective_pairs, line=lines,
+    current=st.sampled_from(GRID),
+)
+def test_objectives_match_reference_on_grids_with_and_without_the_anchor(
+    pair, objectives, line, current
+):
+    live_ctx, ref_ctx = pair
+    live_obj, ref_obj = objectives
+    for grid in grids(live_ctx.reference_freq_ghz):
+        assert bits(live_obj.choose(line, grid, current, live_ctx)) == bits(
+            ref_obj.choose(line, grid, current, ref_ctx)
+        ), grid
+
+
+@DETERMINISTIC
+@given(
+    ops=st.lists(
+        st.tuples(st.integers(0, 300), st.integers(0, 300), lines), max_size=60
+    ),
+    weight=st.sampled_from((1.0, 0.5, 0.25, 0.9)),
+    n_entries=st.sampled_from((1, 8, 128)),
+)
+def test_pc_table_matches_reference(ops, weight, n_entries):
+    config = PCTableConfig(n_entries=n_entries, update_weight=weight)
+    live, ref = PCTable(config), RefPCTable(config)
+    for update_pc, lookup_pc, line in ops:
+        live.update(update_pc, line)
+        ref.update(update_pc, line)
+        assert line_bits(live.lookup(lookup_pc)) == line_bits(ref.lookup(lookup_pc))
+    assert (live.lookups, live.hits, live.updates, live.evictions) == (
+        ref.lookups, ref.hits, ref.updates, ref.evictions
+    )
 
 
 # ----------------------------------------------------------------------

@@ -69,9 +69,15 @@ def test_serve_loads_the_learned_path_before_listening():
         "DecisionService.start = start_then_drain\n"
         "assert cli.main(['serve', '--port', '0', '--health-port', '-1']) == 0\n"
         "assert 'repro.learn.models' in sys.modules and 'numpy' in sys.modules\n"
-        "unused = [m for m in ('repro.learn.dataset', 'repro.runtime.distributed')\n"
-        "          if m in sys.modules]\n"
-        "assert not unused, unused\n"
+        "sweep_stack = ('repro.analysis', 'repro.dvfs.hierarchy', 'repro.dvfs.oracle',\n"
+        "               'repro.dvfs.simulation', 'repro.runtime.checkpoint',\n"
+        "               'repro.runtime.executor', 'repro.runtime.faults',\n"
+        "               'repro.runtime.profiling', 'repro.runtime.progress',\n"
+        "               'repro.workloads')\n"
+        "unused = [m for m in sys.modules\n"
+        "          if m in ('repro.learn.dataset', 'repro.runtime.distributed')\n"
+        "          or m.startswith(sweep_stack)]\n"
+        "assert not unused, sorted(unused)\n"
     )
 
 

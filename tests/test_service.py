@@ -34,6 +34,7 @@ from repro.service.client import (
 )
 from repro.service.replay import load_replay_trace, replay_trace
 from repro.service.server import NON_FINITE_FALLBACKS, DecisionService, ServiceConfig
+from repro.telemetry.metrics import BATCH_BUCKETS
 from repro.telemetry import EpochTraceRecorder, TelemetryConfig, validate_trace_file
 
 from helpers import ForcedLinePredictor
@@ -406,6 +407,72 @@ def test_ping_and_orderly_close(server, pcstall_trace):
         time.sleep(0.02)
     assert server.counter("service_sessions_closed") >= 1
     assert server.counter("service_disconnects") == 0
+
+
+# ----------------------------------------------------------------------
+# Framing in the protocol callback, and the micro-batching drain
+
+def observe_frame(trace, epoch, seq=None):
+    obs = trace.observations[epoch]
+    return proto.encode_frame({
+        "type": "observe", "seq": epoch if seq is None else seq, "epoch": epoch,
+        "result": obs["result"], "truth": obs["truth"],
+    })
+
+
+def test_frames_delivered_one_byte_at_a_time_are_served(server, pcstall_trace):
+    path, _ = pcstall_trace
+    trace = load_replay_trace(path)
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=30)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    try:
+        stream = proto.encode_frame({
+            "type": "open", "protocol": proto.PROTOCOL_VERSION,
+            "design": trace.design, "config": trace.sim_config_wire,
+            "objective": trace.objective,
+        }) + observe_frame(trace, 0)
+        for i in range(len(stream)):
+            sock.sendall(stream[i:i + 1])
+        opened = proto.recv_frame(sock)
+        assert opened["type"] == "open_ok" and opened["decision"] == trace.chosen[0]
+        decided = proto.recv_frame(sock)
+        assert decided["type"] == "decision" and decided["decision"] == trace.chosen[1]
+    finally:
+        sock.close()
+
+
+def test_observes_arriving_in_one_loop_iteration_share_one_drain_pass(pcstall_trace):
+    handle = ServerHandle(ServiceConfig(port=0, health_port=None))
+    try:
+        path, _ = pcstall_trace
+        trace = load_replay_trace(path)
+        socks = [open_raw_session(handle.port, trace)[0] for _ in range(2)]
+        batches = handle.service.registry.histogram("service_batch_size", BATCH_BUCKETS)
+        assert batches.total == 0  # opening decides outside the drain
+
+        # Hold the event loop while both observations land in the
+        # server's socket buffers: its next iteration reads both.
+        held, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            held.set()
+            release.wait(10)
+
+        handle.loop.call_soon_threadsafe(hold)
+        assert held.wait(10)
+        for sock in socks:
+            sock.sendall(observe_frame(trace, 0))
+        time.sleep(0.2)
+        release.set()
+
+        for sock in socks:
+            reply = proto.recv_frame(sock)
+            assert reply["type"] == "decision" and reply["decision"] == trace.chosen[1]
+            sock.close()
+        assert handle.counter("service_batches") == 1
+        assert (batches.total, batches.sum) == (1, 2.0)
+    finally:
+        handle.stop()
 
 
 # ----------------------------------------------------------------------

@@ -3,25 +3,25 @@
 The wire protocol (``repro.runtime.wire``) is spoken by the decision
 service and between sweep brokers and workers; a misbehaving or killed
 peer must surface as a *typed* error (or a clean None), never a hang or
-a desynchronised stream. Every scenario here uses real sockets with
-short timeouts, so a regression to blocking-forever fails fast.
+a desynchronised stream. Every socket scenario here uses real sockets
+with short timeouts, so a regression to blocking-forever fails fast.
 """
 
-import asyncio
 import socket
 import struct
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime.wire import (
     MAX_FRAME_BYTES,
+    FrameDecoder,
     FrameReceiver,
     ProtocolError,
     ReceiveTimeout,
     decode_payload,
     encode_frame,
-    read_frame,
     recv_frame,
     send_frame,
 )
@@ -133,37 +133,97 @@ class TestRecvFrame:
         a.close(), b.close()
 
 
-class TestAsyncReadFrame:
-    def _read(self, data: bytes, strict: bool = False):
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            return await read_frame(reader, strict=strict)
+def drain(decoder):
+    """Every message the decoder can give out now, in order."""
+    out = []
+    while (message := decoder.next_message()) is not None:
+        out.append(message)
+    return out
 
-        return asyncio.run(go())
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**18, 10**18),
+              st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=8)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+messages = st.dictionaries(st.text(max_size=6), json_values, max_size=5)
+
+
+class TestFrameDecoder:
+    """The incremental decoder the service parses frames with (and
+    FrameReceiver buffers through): bytes in, messages out."""
 
     def test_round_trip(self):
-        assert self._read(encode_frame({"a": 1})) == {"a": 1}
+        decoder = FrameDecoder()
+        decoder.feed(encode_frame({"a": 1}))
+        assert decoder.next_message() == {"a": 1}
+        assert decoder.next_message() is None and decoder.pending == 0
 
-    def test_clean_eof_is_none(self):
-        assert self._read(b"") is None
-        assert self._read(b"", strict=True) is None
+    def test_nothing_fed_is_nothing_pending(self):
+        decoder = FrameDecoder()
+        assert decoder.next_message() is None
+        assert decoder.pending == 0
 
-    def test_torn_header_strict(self):
-        assert self._read(b"\x00\x00\x01") is None  # lenient
-        with pytest.raises(ProtocolError, match="mid-header"):
-            self._read(b"\x00\x00\x01", strict=True)
+    def test_torn_header_stays_pending(self):
+        decoder = FrameDecoder()
+        decoder.feed(b"\x00\x00\x01")
+        assert decoder.next_message() is None
+        assert decoder.pending == 3
 
-    def test_torn_payload_strict(self):
+    def test_torn_payload_stays_pending(self):
         frame = encode_frame({"k": "v" * 100})
-        assert self._read(frame[:-5]) is None  # lenient
-        with pytest.raises(ProtocolError, match="mid-frame"):
-            self._read(frame[:-5], strict=True)
+        decoder = FrameDecoder()
+        decoder.feed(frame[:-5])
+        assert decoder.next_message() is None
+        assert decoder.pending == len(frame) - 5
+        decoder.feed(frame[-5:])
+        assert decoder.next_message() == {"k": "v" * 100}
 
     def test_oversized_length_prefix(self):
+        decoder = FrameDecoder()
+        decoder.feed(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x")
         with pytest.raises(ProtocolError, match="exceeds"):
-            self._read(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"x")
+            decoder.next_message()
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(batch=st.lists(messages, max_size=6), data=st.data())
+    def test_any_split_gives_the_same_messages_in_order(self, batch, data):
+        stream = b"".join(encode_frame(m) for m in batch)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=12)))
+        decoder = FrameDecoder()
+        got = []
+        for lo, hi in zip([0, *cuts], [*cuts, len(stream)]):
+            decoder.feed(stream[lo:hi])
+            got.extend(drain(decoder))
+        assert got == batch
+        assert decoder.pending == 0
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(excess=st.integers(1, 2**32 - 1 - MAX_FRAME_BYTES),
+           tail=st.binary(max_size=16))
+    def test_oversize_length_is_refused_before_its_payload(self, excess, tail):
+        decoder = FrameDecoder()
+        decoder.feed(encode_frame({"before": 1}))
+        decoder.feed(struct.pack(">I", MAX_FRAME_BYTES + excess) + tail)
+        assert decoder.next_message() == {"before": 1}
+        with pytest.raises(ProtocolError, match="exceeds"):
+            decoder.next_message()
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(payload=st.one_of(
+        st.binary(max_size=24).filter(lambda b: not b.strip().startswith(b"{")),
+        st.sampled_from((b"NaN", b'{"x":NaN}', b'{"x":-Infinity}', b"[1]",
+                         b'{"a":1', b"\xff\xfe{}")),
+    ))
+    def test_garbage_or_nan_payload_is_a_protocol_error(self, payload):
+        decoder = FrameDecoder()
+        decoder.feed(struct.pack(">I", len(payload)) + payload + encode_frame({"after": 2}))
+        with pytest.raises(ProtocolError):
+            decoder.next_message()
+        # The refused frame is consumed; the stream stays in sync.
+        assert decoder.next_message() == {"after": 2}
 
 
 class TestFrameReceiver:
@@ -260,6 +320,6 @@ class TestServiceReExports:
         import repro.service.protocol as protocol
 
         for name in ("ProtocolError", "encode_frame", "decode_payload",
-                     "read_frame", "recv_frame", "send_frame"):
+                     "recv_frame", "send_frame"):
             assert getattr(protocol, name) is getattr(wire, name), name
         assert protocol.MAX_FRAME_BYTES == wire.MAX_FRAME_BYTES
