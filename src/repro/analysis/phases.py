@@ -139,7 +139,7 @@ def profile_sensitivity(
                 f = freqs[cu_id // config.gpu.cus_per_domain]
                 cu_points[cu_id].append((f, result.cu_stats[cu_id].committed))
                 for record in result.wave_records[cu_id]:
-                    wave_points[record.wf_id].append((f, record.stats.committed))
+                    wave_points[record.wf_id].append((f, record.committed))
 
         domain_slopes = tuple(
             fit_linear([p[0] for p in pts], [p[1] for p in pts]).model.slope
@@ -167,7 +167,7 @@ def profile_sensitivity(
                         age_rank=record.age_rank,
                         start_pc_idx=record.start_pc_idx,
                         slope=slope,
-                        committed=record.stats.committed,
+                        committed=record.committed,
                     )
                 )
         trace.epochs.append(

@@ -73,9 +73,12 @@ def validate_bench_report(report: Mapping[str, Any]) -> Dict[str, Any]:
             f"unsupported bench schema version {version!r} "
             f"(this build reads version {BENCH_SCHEMA_VERSION})"
         )
-    from repro.telemetry.schema import check_meta
-
-    check_meta(report.get("meta", {}))
+    # The meta block stamps the producing build. A bench report holds no
+    # trace records, so ``bench_schema_version`` alone versions its
+    # format, and a later trace schema does not invalidate a baseline.
+    meta = report.get("meta")
+    if not isinstance(meta, Mapping) or not meta.get("repro_version"):
+        raise ValueError("bench report meta lacks repro_version")
     if report.get("suite") not in ("quick", "full"):
         raise ValueError(f"bad suite {report.get('suite')!r}")
     if report.get("engine") not in ("event", "reference"):

@@ -112,12 +112,12 @@ class EstimationModel(abc.ABC):
         proportionally to each wavefront's committed share."""
         cu_line = self.estimate_cu(result, cu_id, f_ghz, f_lo_ghz, f_hi_ghz, config)
         records = result.wave_records[cu_id]
-        total = sum(r.stats.committed for r in records)
+        total = sum(r.committed for r in records)
         if total <= 0 or not records:
             return [WavefrontEstimate(r, LinearSensitivity.zero()) for r in records]
         out = []
         for r in records:
-            share = r.stats.committed / total
+            share = r.committed / total
             out.append(
                 WavefrontEstimate(
                     r, LinearSensitivity(cu_line.i0 * share, cu_line.slope * share)
@@ -134,7 +134,7 @@ def _wave_stat_mean(result: EpochResult, cu_id: int, attr: str) -> float:
     records = result.wave_records[cu_id]
     if not records:
         return 0.0
-    return sum(getattr(r.stats, attr) for r in records) / len(records)
+    return sum(getattr(r, attr) for r in records) / len(records)
 
 
 class StallModel(EstimationModel):
@@ -247,10 +247,9 @@ class WavefrontStallModel(EstimationModel):
         mid_f = 0.5 * (f_lo_ghz + f_hi_ghz)
         out: List[WavefrontEstimate] = []
         for r in records:
-            s = r.stats
-            t_async = min(t, s.stall_ns + s.barrier_stall_ns)
+            t_async = min(t, r.stall_ns + r.barrier_stall_ns)
             t_core = t - t_async
-            i0, slope = _interval_terms(s.committed, t_core, t_async, f_ghz, f_lo_ghz, f_hi_ghz)
+            i0, slope = _interval_terms(r.committed, t_core, t_async, f_ghz, f_lo_ghz, f_hi_ghz)
             if age_normalise:
                 # Younger (higher-rank) wavefronts saw scheduling
                 # contention that scales with frequency: part of their
@@ -281,9 +280,8 @@ class WavefrontLeadModel(EstimationModel):
         t = result.duration_ns
         out: List[WavefrontEstimate] = []
         for r in result.wave_records[cu_id]:
-            s = r.stats
-            t_async = min(t, s.leading_load_ns + s.barrier_stall_ns)
-            line = interval_line(s.committed, t - t_async, t_async, f_ghz, f_lo_ghz, f_hi_ghz)
+            t_async = min(t, r.leading_load_ns + r.barrier_stall_ns)
+            line = interval_line(r.committed, t - t_async, t_async, f_ghz, f_lo_ghz, f_hi_ghz)
             out.append(WavefrontEstimate(r, line))
         return out
 
@@ -301,9 +299,8 @@ class WavefrontCritModel(EstimationModel):
         t = result.duration_ns
         out: List[WavefrontEstimate] = []
         for r in result.wave_records[cu_id]:
-            s = r.stats
-            t_async = min(t, s.critical_mem_ns + s.barrier_stall_ns)
-            line = interval_line(s.committed, t - t_async, t_async, f_ghz, f_lo_ghz, f_hi_ghz)
+            t_async = min(t, r.critical_mem_ns + r.barrier_stall_ns)
+            line = interval_line(r.committed, t - t_async, t_async, f_ghz, f_lo_ghz, f_hi_ghz)
             out.append(WavefrontEstimate(r, line))
         return out
 

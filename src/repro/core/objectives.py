@@ -40,13 +40,6 @@ class ObjectiveContext:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def predicted_activity(self, line: LinearSensitivity, f_ghz: float, commits=None) -> float:
-        """Issue occupancy implied by the predicted commit count."""
-        slots = self.epoch_ns * f_ghz * self.issue_width * self.n_cus_in_domain
-        if slots <= 0:
-            return 0.0
-        return min(1.0, (line.predict(f_ghz) if commits is None else commits) / slots)
-
     def _point(self, f_ghz: float) -> Tuple[float, float, float, float]:
         """The per-frequency constants :meth:`score_grid` reads, memoised
         by frequency (a fresh grid object per call still hits)."""
@@ -61,12 +54,13 @@ class ObjectiveContext:
     ) -> List[Tuple[float, float, float]]:
         """``(f, predicted commits, domain power)`` at every grid point.
 
-        One pass over flat numbers: ``line.predict``, the activity of
-        :meth:`predicted_activity` and ``PowerModel.cu_power``'s
-        arithmetic, inlined in their order, so every value is
-        bit-identical to the per-point calls. ``cu_power``'s clamp of
-        the activity to [0, 1] is left out: the activity is already
-        ``min(1.0, commits / slots)`` with commits >= 0, or 0.0.
+        One pass over flat numbers: ``line.predict``, the issue
+        occupancy it implies (predicted commits over the domain's issue
+        slots, ``min(1.0, commits / slots)``, 0.0 without slots) and
+        ``PowerModel.cu_power``'s arithmetic, inlined in their order, so
+        every value is bit-identical to the per-point calls.
+        ``cu_power``'s clamp of the activity to [0, 1] is left out: with
+        commits >= 0 the occupancy is already in it.
         """
         i0 = line.i0
         slope = line.slope

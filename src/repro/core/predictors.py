@@ -232,13 +232,13 @@ class AccuratePCPredictor(PCBasedPredictor):
         for d, cu_ids in enumerate(_domain_cu_ids(self.config)):
             truth = ctx.true_domain_lines[d]
             domain_committed = sum(
-                r.stats.committed for cu in cu_ids for r in result.wave_records[cu]
+                r.committed for cu in cu_ids for r in result.wave_records[cu]
             )
             for cu_id in cu_ids:
                 table = self.table_for_cu(cu_id)
                 for record in result.wave_records[cu_id]:
                     if domain_committed > 0:
-                        share = record.stats.committed / domain_committed
+                        share = record.committed / domain_committed
                     else:
                         n = sum(len(result.wave_records[c]) for c in cu_ids)
                         share = 1.0 / n if n else 0.0

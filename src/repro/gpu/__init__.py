@@ -11,7 +11,7 @@ substitution argument.
 
 from repro.gpu.isa import Instruction, InstructionKind, Program, waitcnt, valu, salu, load, store, barrier, branch
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
-from repro.gpu.wavefront import Wavefront, WavefrontStats
+from repro.gpu.wavefront import Wavefront
 from repro.gpu.memory import MemorySubsystem
 from repro.gpu.cu import ComputeUnit
 from repro.gpu.clock import ClockDomain, DomainMap
@@ -31,7 +31,6 @@ __all__ = [
     "Kernel",
     "WorkgroupGeometry",
     "Wavefront",
-    "WavefrontStats",
     "MemorySubsystem",
     "ComputeUnit",
     "ClockDomain",

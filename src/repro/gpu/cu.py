@@ -82,7 +82,6 @@ class CuEpochStats:
     committed_compute: int = 0
     committed_memory: int = 0
     issued: int = 0
-    active_cycles: int = 0
     #: Time (ns) during which at least one wavefront was executing or
     #: ready to execute (not blocked on memory/barriers). The interval
     #: models use this as the CU's core time: the remainder of the epoch
@@ -96,7 +95,6 @@ class CuEpochStats:
         self.committed_compute = 0
         self.committed_memory = 0
         self.issued = 0
-        self.active_cycles = 0
         self.core_busy_ns = 0.0
         self.loads = 0
         self.stores = 0
@@ -108,7 +106,6 @@ class CuEpochStats:
             self.committed_compute,
             self.committed_memory,
             self.issued,
-            self.active_cycles,
             self.core_busy_ns,
             self.loads,
             self.stores,
@@ -131,7 +128,6 @@ class CuEpochStats:
             self.committed_compute,
             self.committed_memory,
             self.issued,
-            self.active_cycles,
             self.core_busy_ns,
             self.loads,
             self.stores,
@@ -143,7 +139,6 @@ class CuEpochStats:
             self.committed_compute,
             self.committed_memory,
             self.issued,
-            self.active_cycles,
             self.core_busy_ns,
             self.loads,
             self.stores,
@@ -222,7 +217,6 @@ class ComputeUnit:
                     age=self._next_age,
                     start_time=now,
                 )
-                wf.stats.reset(wf.pc_idx)
                 self._next_wf_id += 1
                 self._next_age += 1
                 self._wave_pos[wf.wf_id] = len(self.waves)
@@ -248,7 +242,7 @@ class ComputeUnit:
         self.epoch_start = epoch_start
         self.stats.reset()
         for wf in self.waves:
-            wf.stats.reset(wf.pc_idx)
+            wf.begin_epoch()
 
     def settle_epoch(self, epoch_end: float) -> None:
         """Charge in-progress stalls so epoch stats are complete."""
@@ -357,7 +351,7 @@ class ComputeUnit:
         epoch_start = self.epoch_start
         heappush = heapq.heappush
         heappop = heapq.heappop
-        n_cycles = n_scanned = n_completions = n_issued = n_active = 0
+        n_cycles = n_scanned = n_completions = n_issued = 0
         n_compute = n_loads = n_stores = 0
         seq = self._completion_seq
         core_busy = stats.core_busy_ns
@@ -390,10 +384,9 @@ class ComputeUnit:
                                 start = epoch_start
                             if completion > start:
                                 stalled = completion - start
-                                wstats = wf.stats
-                                wstats.stall_ns += stalled
+                                wf.stall_ns += stalled
                                 if wf.outstanding_stores > 0:
-                                    wstats.store_stall_ns += stalled
+                                    wf.store_stall_ns += stalled
                             wf.blocked_wait_target = None
                             wf.blocked_since = completion
                             if wf.ready_at < completion:
@@ -447,13 +440,9 @@ class ComputeUnit:
                             code = wf.code
                             pc = wf.pc_idx
                             kind = code.kinds[pc]
-                            wstats = wf.stats
                             if kind == _K_VALU or kind == _K_SALU:
-                                cost = code.cycles[pc] * cycle
-                                wf.ready_at = now + cost
-                                wstats.busy_ns += cost
-                                wstats.committed += 1
-                                wstats.committed_compute += 1
+                                wf.ready_at = now + code.cycles[pc] * cycle
+                                wf.committed += 1
                                 n_compute += 1
                                 wf.pc_idx = pc + 1
                             elif kind == _K_LOAD or kind == _K_STORE:
@@ -483,28 +472,23 @@ class ComputeUnit:
                                 outstanding = wf.outstanding
                                 if outstanding == 0:
                                     # A leading load/store: no other memory op in flight.
-                                    wstats.leading_load_ns += completion - now
+                                    wf.leading_load_ns += completion - now
                                 last = wf.last_mem_completion
                                 overlap_from = last if last > now else now
                                 if completion > overlap_from:
-                                    wstats.critical_mem_ns += completion - overlap_from
+                                    wf.critical_mem_ns += completion - overlap_from
                                 if completion > last:
                                     wf.last_mem_completion = completion
                                 wf.outstanding = outstanding + 1
                                 if is_store:
                                     wf.outstanding_stores += 1
-                                    wstats.stores_issued += 1
                                     n_stores += 1
                                 else:
-                                    wstats.loads_issued += 1
                                     n_loads += 1
                                 seq += 1
                                 heappush(completions, (completion, seq, wf.wf_id, is_store))
-                                cost = code.cycles[pc] * cycle
-                                wf.ready_at = now + cost
-                                wstats.busy_ns += cost
-                                wstats.committed += 1
-                                wstats.committed_memory += 1
+                                wf.ready_at = now + code.cycles[pc] * cycle
+                                wf.committed += 1
                                 wf.pc_idx = pc + 1
                             elif kind == _K_WAITCNT:
                                 target = code.wait_targets[pc]
@@ -527,8 +511,7 @@ class ComputeUnit:
                                     counters.pop(pc, None)
                                     wf.pc_idx = pc + 1
                                 wf.ready_at = now + cycle
-                                wstats.committed += 1
-                                wstats.committed_compute += 1
+                                wf.committed += 1
                                 n_compute += 1
                             elif kind == _K_BARRIER:
                                 wg = wf.workgroup_id
@@ -556,7 +539,6 @@ class ComputeUnit:
                                 heappush(ready, entry)
                         if issued:
                             n_issued += issued
-                            n_active += 1
                             core_busy += cycle
                             now += cycle
                             continue
@@ -587,7 +569,6 @@ class ComputeUnit:
             stats.loads += n_loads
             stats.stores += n_stores
             stats.issued += n_issued
-            stats.active_cycles += n_active
             self.ctr_cycles += n_cycles
             self.ctr_waves_scanned += n_scanned
             self.ctr_completions += n_completions
@@ -604,16 +585,15 @@ class ComputeUnit:
         at the first non-batchable instruction.
 
         The loop works entirely on the compiled decode arrays and local
-        accumulators: ``busy``/``core_busy`` are seeded from the current
-        stat fields and flushed on exit, so they replay exactly the float
-        additions the per-instruction path performs on those fields, and
-        the integer commit/issue counters (one of each per batchable
-        instruction, for every batchable kind) collapse into ``batched``.
+        accumulators: ``core_busy`` is seeded from the current stat field
+        and flushed on exit, so it replays exactly the float additions
+        the per-instruction path performs on that field, and the integer
+        commit/issue counters (one of each per batchable instruction, for
+        every batchable kind) collapse into ``batched``.
         The completions heap cannot change inside a batch (no memory ops
         issue, no completions deliver), so its head is hoisted too.
         """
         stats = self.stats
-        wstats = wf.stats
         code = wf.code
         kinds = code.kinds
         batchable = code.batchable
@@ -625,7 +605,6 @@ class ComputeUnit:
         next_comp = completions[0][0] if completions else float("inf")
         pc = wf.pc_idx
         ra = wf.ready_at
-        busy = wstats.busy_ns
         core_busy = stats.core_busy_ns
         batched = 0
         while True:
@@ -644,9 +623,7 @@ class ComputeUnit:
                     pc += 1
                 ra = now + cycle
             else:  # VALU / SALU
-                cost = cycles[pc] * cycle
-                ra = now + cost
-                busy += cost
+                ra = now + cycles[pc] * cycle
                 pc += 1
             core_busy += cycle
             now += cycle
@@ -673,13 +650,10 @@ class ComputeUnit:
                     break
         wf.pc_idx = pc
         wf.ready_at = ra
-        wstats.busy_ns = busy
-        wstats.committed += batched
-        wstats.committed_compute += batched
+        wf.committed += batched
         stats.committed += batched
         stats.committed_compute += batched
         stats.issued += batched
-        stats.active_cycles += batched
         stats.core_busy_ns = core_busy
         self.ctr_cycles += batched - 1 if batched else 0
         self.ctr_batched += batched
@@ -709,7 +683,6 @@ class ComputeUnit:
             self.ctr_waves_scanned += scanned
             if issued:
                 self.stats.issued += issued
-                self.stats.active_cycles += 1
                 self.stats.core_busy_ns += cycle
                 now += cycle
                 continue
@@ -755,9 +728,7 @@ class ComputeUnit:
         if kind is _VALU or kind is _SALU:
             cost = instr.cycles * cycle
             wf.ready_at = now + cost
-            wf.stats.busy_ns += cost
-            wf.stats.committed += 1
-            wf.stats.committed_compute += 1
+            wf.committed += 1
             self.stats.committed += 1
             self.stats.committed_compute += 1
             wf.advance_pc()
@@ -780,9 +751,7 @@ class ComputeUnit:
             )
             cost = instr.cycles * cycle
             wf.ready_at = now + cost
-            wf.stats.busy_ns += cost
-            wf.stats.committed += 1
-            wf.stats.committed_memory += 1
+            wf.committed += 1
             self.stats.committed += 1
             self.stats.committed_memory += 1
             if is_store:
@@ -808,8 +777,7 @@ class ComputeUnit:
         elif kind is _BRANCH:
             wf.take_branch(wf.pc_idx, instr)
             wf.ready_at = now + cycle
-            wf.stats.committed += 1
-            wf.stats.committed_compute += 1
+            wf.committed += 1
             self.stats.committed += 1
             self.stats.committed_compute += 1
         elif kind is _ENDPGM:
@@ -890,7 +858,7 @@ class ComputeUnit:
         Wave state is captured via :meth:`Wavefront.capture`; immutable
         ``Program``/config objects are shared by reference. Restoring
         with :meth:`restore_capture` reuses the existing wavefront and
-        stats objects, so forking an epoch many times allocates almost
+        CU stats objects, so forking an epoch many times allocates almost
         nothing after the first restore.
         """
         return (

@@ -21,21 +21,28 @@ from repro.gpu.clock import DomainMap
 from repro.gpu.cu import ComputeUnit, CuEpochStats
 from repro.gpu.kernel import Kernel
 from repro.gpu.memory import MemorySubsystem
-from repro.gpu.wavefront import WavefrontStats
 
 
 class WaveEpochRecord(NamedTuple):
     """What one wavefront did during an epoch (input to PCSTALL).
 
-    A named tuple, not a frozen dataclass: immutable alike, but built in
-    half the time, and the service builds one per wave per observation.
+    One flat named tuple of the values the estimators read: identity and
+    PCs, then the wave's epoch counters (see
+    :class:`~repro.gpu.wavefront.Wavefront`). Immutable, cheap to build
+    (the service builds one per wave per observation), and it travels on
+    the wire as one flat list in field order.
     """
 
     wf_id: int
     age_rank: int
     start_pc_idx: int
     next_pc_idx: int
-    stats: WavefrontStats
+    committed: int
+    stall_ns: float
+    store_stall_ns: float
+    barrier_stall_ns: float
+    leading_load_ns: float
+    critical_mem_ns: float
 
 
 @dataclass(frozen=True)
@@ -45,9 +52,9 @@ class GpuSnapshot:
     Everything mutable is captured as plain tuples of scalars; immutable
     structures (``Program`` objects, configs) are shared by reference -
     copy-on-write in spirit, since nothing ever mutates them. Restoring
-    into a live GPU (:meth:`Gpu.restore`) reuses its wavefront/stats
-    objects, so replaying an epoch many times from one snapshot - the
-    oracle's fork-and-pre-execute loop - allocates almost nothing.
+    into a live GPU (:meth:`Gpu.restore`) reuses its wavefront and CU
+    stats objects, so replaying an epoch many times from one snapshot -
+    the oracle's fork-and-pre-execute loop - allocates almost nothing.
     """
 
     config: "GpuConfig"
@@ -197,11 +204,11 @@ class Gpu:
         """Advance all CUs by one fixed-time epoch and collect stats.
 
         ``collect_waves=False`` skips materialising the per-wavefront
-        :class:`WaveEpochRecord` tuples (one stats clone per resident
-        wave). Callers that only consume CU-level aggregates - the
-        oracle's forked pre-executions read nothing but
-        :meth:`committed_per_domain` - use this to keep the sampling
-        loop allocation-free; ``wave_records`` is then empty.
+        :class:`WaveEpochRecord` tuples (one per resident wave). Callers
+        that only consume CU-level aggregates - the oracle's forked
+        pre-executions read nothing but :meth:`committed_per_domain` -
+        use this to keep the sampling loop allocation-free;
+        ``wave_records`` is then empty.
         """
         t0 = self.time
         t1 = t0 + epoch_ns
@@ -231,8 +238,11 @@ class Gpu:
         for cu in self.cus:
             if collect_waves:
                 records = tuple(
-                    WaveEpochRecord(wf.wf_id, rank, wf.stats.epoch_start_pc_idx,
-                                    wf.pc_idx, wf.stats.clone())
+                    WaveEpochRecord(
+                        wf.wf_id, rank, wf.epoch_start_pc_idx, wf.pc_idx, wf.committed,
+                        wf.stall_ns, wf.store_stall_ns, wf.barrier_stall_ns,
+                        wf.leading_load_ns, wf.critical_mem_ns,
+                    )
                     for rank, wf in enumerate(cu.waves)
                 )
                 wave_records.append(records)

@@ -7,12 +7,12 @@ target is below the current outstanding count — time spent blocked there
 is *memory stall time*, the quantity the STALL estimation model measures
 (the paper measures time blocked at ``s_waitcnt``, Section 4.4).
 
-Per-epoch statistics are accumulated in :class:`WavefrontStats` and reset
-at every epoch boundary by the owning CU. The stats deliberately include
-the raw inputs of every estimation model evaluated in the paper:
+Per-epoch counters are plain slots on the wavefront, reset at every
+epoch boundary by the owning CU (:meth:`Wavefront.begin_epoch`). They are
+exactly the raw inputs of the estimation models evaluated in the paper:
 
 * ``stall_ns`` - STALL model input,
-* ``store_stall_ns`` / ``overlap_ns`` - CRISP model inputs,
+* ``store_stall_ns`` / ``barrier_stall_ns`` - CRISP model inputs,
 * ``leading_load_ns`` - LEAD model input,
 * ``critical_mem_ns`` - CRIT model input,
 * ``committed`` and ``epoch_start_pc_idx`` - PCSTALL inputs.
@@ -20,7 +20,6 @@ the raw inputs of every estimation model evaluated in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from repro.gpu.isa import CompiledProgram, Instruction, Program
@@ -28,92 +27,6 @@ from repro.gpu.isa import CompiledProgram, Instruction, Program
 #: Golden-ratio fraction used by the deterministic low-discrepancy hit
 #: sequence (see `Wavefront.draw_hit`).
 _PHI = 0.6180339887498949
-
-
-@dataclass(slots=True)
-class WavefrontStats:
-    """Per-epoch counters for one wavefront. Reset each epoch.
-
-    Slotted: the event engine touches these counters on every commit, and
-    slot access skips the per-instance ``__dict__`` lookup.
-    """
-
-    committed: int = 0
-    committed_compute: int = 0
-    committed_memory: int = 0
-    stall_ns: float = 0.0
-    store_stall_ns: float = 0.0
-    barrier_stall_ns: float = 0.0
-    leading_load_ns: float = 0.0
-    critical_mem_ns: float = 0.0
-    busy_ns: float = 0.0
-    epoch_start_pc_idx: int = 0
-    loads_issued: int = 0
-    stores_issued: int = 0
-
-    def reset(self, pc_idx: int) -> None:
-        self.committed = 0
-        self.committed_compute = 0
-        self.committed_memory = 0
-        self.stall_ns = 0.0
-        self.store_stall_ns = 0.0
-        self.barrier_stall_ns = 0.0
-        self.leading_load_ns = 0.0
-        self.critical_mem_ns = 0.0
-        self.busy_ns = 0.0
-        self.epoch_start_pc_idx = pc_idx
-        self.loads_issued = 0
-        self.stores_issued = 0
-
-    def clone(self) -> "WavefrontStats":
-        # Positional, in field order (slotted dataclasses have no __dict__).
-        return WavefrontStats(
-            self.committed,
-            self.committed_compute,
-            self.committed_memory,
-            self.stall_ns,
-            self.store_stall_ns,
-            self.barrier_stall_ns,
-            self.leading_load_ns,
-            self.critical_mem_ns,
-            self.busy_ns,
-            self.epoch_start_pc_idx,
-            self.loads_issued,
-            self.stores_issued,
-        )
-
-    def capture(self) -> tuple:
-        """Flat, immutable value snapshot (see :meth:`Wavefront.capture`)."""
-        return (
-            self.committed,
-            self.committed_compute,
-            self.committed_memory,
-            self.stall_ns,
-            self.store_stall_ns,
-            self.barrier_stall_ns,
-            self.leading_load_ns,
-            self.critical_mem_ns,
-            self.busy_ns,
-            self.epoch_start_pc_idx,
-            self.loads_issued,
-            self.stores_issued,
-        )
-
-    def restore_capture(self, cap: tuple) -> None:
-        (
-            self.committed,
-            self.committed_compute,
-            self.committed_memory,
-            self.stall_ns,
-            self.store_stall_ns,
-            self.barrier_stall_ns,
-            self.leading_load_ns,
-            self.critical_mem_ns,
-            self.busy_ns,
-            self.epoch_start_pc_idx,
-            self.loads_issued,
-            self.stores_issued,
-        ) = cap
 
 
 class Wavefront:
@@ -130,6 +43,10 @@ class Wavefront:
         blocked_since: time the current block began (stall accounting).
         age: global dispatch sequence number; lower = older = scheduled
             first ("oldest-first" policy, Section 4.3).
+
+    The per-epoch counters the module docstring lists are slots too (the
+    event engine bumps them on every commit); :meth:`begin_epoch` resets
+    them.
     """
 
     __slots__ = (
@@ -149,7 +66,13 @@ class Wavefront:
         "done",
         "pc_visits",
         "last_mem_completion",
-        "stats",
+        "committed",
+        "stall_ns",
+        "store_stall_ns",
+        "barrier_stall_ns",
+        "leading_load_ns",
+        "critical_mem_ns",
+        "epoch_start_pc_idx",
     )
 
     def __init__(
@@ -180,8 +103,17 @@ class Wavefront:
         self.done = False
         self.pc_visits: Dict[int, int] = {}
         self.last_mem_completion = start_time
-        self.stats = WavefrontStats()
-        self.stats.reset(0)
+        self.begin_epoch()
+
+    def begin_epoch(self) -> None:
+        """Zero the per-epoch counters; the epoch starts at ``pc_idx``."""
+        self.committed = 0
+        self.stall_ns = 0.0
+        self.store_stall_ns = 0.0
+        self.barrier_stall_ns = 0.0
+        self.leading_load_ns = 0.0
+        self.critical_mem_ns = 0.0
+        self.epoch_start_pc_idx = self.pc_idx
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -273,9 +205,9 @@ class Wavefront:
         start = max(self.blocked_since, epoch_start)
         if now > start:
             stalled = now - start
-            self.stats.stall_ns += stalled
+            self.stall_ns += stalled
             if self.outstanding_stores > 0:
-                self.stats.store_stall_ns += stalled
+                self.store_stall_ns += stalled
         self.blocked_wait_target = None
         self.blocked_since = now
         if self.ready_at < now:
@@ -286,7 +218,7 @@ class Wavefront:
     def unblock_barrier(self, now: float, epoch_start: float) -> None:
         start = max(self.blocked_since, epoch_start)
         if now > start:
-            self.stats.barrier_stall_ns += now - start
+            self.barrier_stall_ns += now - start
         self.blocked_barrier = False
         self.blocked_since = now
         if self.ready_at < now:
@@ -302,11 +234,11 @@ class Wavefront:
             return
         stalled = now - start
         if self.blocked_wait_target is not None:
-            self.stats.stall_ns += stalled
+            self.stall_ns += stalled
             if self.outstanding_stores > 0:
-                self.stats.store_stall_ns += stalled
+                self.store_stall_ns += stalled
         else:
-            self.stats.barrier_stall_ns += stalled
+            self.barrier_stall_ns += stalled
         self.blocked_since = now
 
     # ------------------------------------------------------------------
@@ -316,20 +248,17 @@ class Wavefront:
         """Record accounting for a memory operation issued now."""
         if self.outstanding == 0:
             # A leading load/store: no other memory op in flight.
-            self.stats.leading_load_ns += completion - now
+            self.leading_load_ns += completion - now
         # Critical-path approximation: the non-overlapped part of this
         # access extends the wavefront's memory critical path.
         overlap_from = max(now, self.last_mem_completion)
         if completion > overlap_from:
-            self.stats.critical_mem_ns += completion - overlap_from
+            self.critical_mem_ns += completion - overlap_from
         if completion > self.last_mem_completion:
             self.last_mem_completion = completion
         self.outstanding += 1
         if is_store:
             self.outstanding_stores += 1
-            self.stats.stores_issued += 1
-        else:
-            self.stats.loads_issued += 1
 
     def note_mem_complete(self, is_store: bool) -> None:
         self.outstanding -= 1
@@ -359,17 +288,23 @@ class Wavefront:
         out.done = self.done
         out.pc_visits = dict(self.pc_visits)
         out.last_mem_completion = self.last_mem_completion
-        out.stats = self.stats.clone()
+        out.committed = self.committed
+        out.stall_ns = self.stall_ns
+        out.store_stall_ns = self.store_stall_ns
+        out.barrier_stall_ns = self.barrier_stall_ns
+        out.leading_load_ns = self.leading_load_ns
+        out.critical_mem_ns = self.critical_mem_ns
+        out.epoch_start_pc_idx = self.epoch_start_pc_idx
         return out
 
     def capture(self) -> tuple:
         """Flat-tuple snapshot of all mutable state.
 
-        Unlike :meth:`clone`, no ``Wavefront`` (or stats) object is
-        allocated: the snapshot is a plain tuple of scalars plus shared
-        references to the immutable :class:`~repro.gpu.isa.Program`. The
-        oracle uses this to fork an epoch many times from one capture
-        (see ``Gpu.snapshot``). Restoring into an existing wavefront via
+        Unlike :meth:`clone`, no ``Wavefront`` object is allocated: the
+        snapshot is a plain tuple of scalars plus shared references to
+        the immutable :class:`~repro.gpu.isa.Program`. The oracle uses
+        this to fork an epoch many times from one capture (see
+        ``Gpu.snapshot``). Restoring into an existing wavefront via
         :meth:`restore_capture` allocates only the two small dicts.
         """
         return (
@@ -389,7 +324,13 @@ class Wavefront:
             self.done,
             tuple(self.pc_visits.items()),
             self.last_mem_completion,
-            self.stats.capture(),
+            self.committed,
+            self.stall_ns,
+            self.store_stall_ns,
+            self.barrier_stall_ns,
+            self.leading_load_ns,
+            self.critical_mem_ns,
+            self.epoch_start_pc_idx,
         )
 
     def restore_capture(self, cap: tuple) -> None:
@@ -415,11 +356,16 @@ class Wavefront:
             self.done,
             visits,
             self.last_mem_completion,
-            stats_cap,
+            self.committed,
+            self.stall_ns,
+            self.store_stall_ns,
+            self.barrier_stall_ns,
+            self.leading_load_ns,
+            self.critical_mem_ns,
+            self.epoch_start_pc_idx,
         ) = cap
         self.loop_counters = dict(loops)
         self.pc_visits = dict(visits)
-        self.stats.restore_capture(stats_cap)
 
     @classmethod
     def from_capture(cls, cap: tuple) -> "Wavefront":
@@ -428,13 +374,12 @@ class Wavefront:
         out.wf_id, out.workgroup_id, out.wave_in_group, code, out.age = cap[:5]
         # Old captures carried the raw Program at index 3; normalise.
         out.code = code.compiled if isinstance(code, Program) else code
-        out.stats = WavefrontStats()
         out.restore_capture(cap)
         return out
 
     def capture_nbytes(self) -> int:
         """Rough payload size of :meth:`capture` (8 bytes per scalar)."""
-        return 8 * (28 + 2 * (len(self.loop_counters) + len(self.pc_visits)))
+        return 8 * (23 + 2 * (len(self.loop_counters) + len(self.pc_visits)))
 
 
-__all__ = ["Wavefront", "WavefrontStats"]
+__all__ = ["Wavefront"]

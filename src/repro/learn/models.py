@@ -51,6 +51,16 @@ from repro.learn.features import (
 #: Bump when model payload layout changes meaning.
 MODEL_SCHEMA_VERSION = 1
 
+#: Largest trace the RLS covariance P may keep. Exponential forgetting
+#: divides P by the forgetting factor on every update, and directions no
+#: update excites never shrink, so a stream that repeats one observation
+#: grows P until it overflows and the line turns NaN. An update that
+#: leaves trace(P) above this cap rescales P to it. The cap is at least
+#: 1e4 times the trace(P) the benchmark's 145-epoch sessions reach (at
+#: most 3.3e11, seeds 1-20), so it does not bind there; a session that
+#: replays that trace three times reaches it near epoch 400.
+RLS_P_TRACE_CAP = 1e20
+
 
 class ModelError(ValueError):
     """A model payload or training input is unusable."""
@@ -226,7 +236,8 @@ class OnlineRLSModel(SensitivityModel):
         i0    = y_scale * (theta[:F] . z)
         slope = y_scale * (theta[F:] . z)
 
-    Exponential forgetting keeps the fit tracking phase drift; each
+    Exponential forgetting keeps the fit tracking phase drift, and
+    :data:`RLS_P_TRACE_CAP` bounds the covariance it inflates; each
     update is O(F^2) on a 2F-dim state - microseconds of work, done
     once per epoch after the decision is already out the door.
     """
@@ -329,10 +340,14 @@ class OnlineRLSModel(SensitivityModel):
         p_psi = self.p_matrix @ psi
         gain = p_psi / (lam + psi @ p_psi)
         self.theta = self.theta + gain * (y - self.theta @ psi)
-        self.p_matrix = (self.p_matrix - np.outer(gain, p_psi)) / lam
+        p = (self.p_matrix - np.outer(gain, p_psi)) / lam
         # Keep the covariance exactly symmetric so long update streams
         # cannot drift into asymmetry-induced divergence.
-        self.p_matrix = 0.5 * (self.p_matrix + self.p_matrix.T)
+        p = 0.5 * (p + p.T)
+        trace = float(p.trace())
+        if trace > RLS_P_TRACE_CAP:
+            p *= RLS_P_TRACE_CAP / trace
+        self.p_matrix = p
 
     def predict_rows(self, features: np.ndarray) -> np.ndarray:
         z = self.scaler.transform(features)
@@ -414,6 +429,7 @@ class LearnedPredictor(Predictor):
 __all__ = [
     "MODEL_SCHEMA_VERSION",
     "MODEL_KINDS",
+    "RLS_P_TRACE_CAP",
     "ModelError",
     "FeatureScaler",
     "SensitivityModel",

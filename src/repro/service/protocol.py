@@ -59,11 +59,11 @@ from repro.core.objectives import (
 from repro.core.sensitivity import LinearSensitivity
 from repro.gpu.cu import CuEpochStats
 from repro.gpu.gpu import EpochResult, WaveEpochRecord
-from repro.gpu.wavefront import WavefrontStats
 from repro.telemetry.schema import sim_config_from_wire  # noqa: F401  (re-exported)
 
 #: Protocol revision; an ``open`` carrying a different one is rejected.
-PROTOCOL_VERSION = 1
+#: Version 2: each wave record of an ``observe`` is one flat list.
+PROTOCOL_VERSION = 2
 
 #: Default decision-service port (and health port right above it).
 DEFAULT_PORT = 8472
@@ -110,15 +110,16 @@ def lines_from_wire(wire: Any) -> List[LinearSensitivity]:
 
 
 _CU_STATS_ARITY = len(CuEpochStats().capture())
-_WAVE_STATS_ARITY = len(WavefrontStats().capture())
+_WAVE_RECORD_ARITY = len(WaveEpochRecord._fields)
 
 
 def epoch_result_from_wire(wire: Mapping[str, Any]) -> EpochResult:
     """Rebuild an :class:`~repro.gpu.gpu.EpochResult` from its wire form.
 
-    Inverse of :func:`repro.telemetry.schema.epoch_result_to_wire`. Stats
-    travel as ``capture()`` tuples, fields in declaration order, so they
-    construct the stats positionally; a capture of the wrong length is malformed.
+    Inverse of :func:`repro.telemetry.schema.epoch_result_to_wire`. CU
+    stats travel as ``capture()`` tuples and wave records as flat lists,
+    fields in declaration order, so both are built positionally; a
+    capture or record of the wrong length is malformed.
     """
     try:
         cu_stats = []
@@ -129,12 +130,14 @@ def epoch_result_from_wire(wire: Mapping[str, Any]) -> EpochResult:
         wave_records = []
         for cu_records in wire["wave_records"]:
             records = []
-            for wf_id, age_rank, start_pc_idx, next_pc_idx, cap in cu_records:
-                if len(cap) != _WAVE_STATS_ARITY:
-                    raise ValueError(f"wavefront stats capture has {len(cap)} fields")
+            for rec in cu_records:
+                if len(rec) != _WAVE_RECORD_ARITY:
+                    raise ValueError(f"wave record has {len(rec)} fields")
+                (wf_id, age_rank, start_pc, next_pc, committed,
+                 stall, store, barrier, lead, crit) = rec
                 records.append(WaveEpochRecord(
-                    int(wf_id), int(age_rank), int(start_pc_idx), int(next_pc_idx),
-                    WavefrontStats(*cap),
+                    int(wf_id), int(age_rank), int(start_pc), int(next_pc),
+                    committed, stall, store, barrier, lead, crit,
                 ))
             wave_records.append(tuple(records))
         return EpochResult(

@@ -105,7 +105,13 @@ def load_replay_trace(path: str) -> ReplayTrace:
     records = load_trace_jsonl(path)
     if not records or records[0].get("type") != "run":
         raise ValueError(f"{path}: not an epoch trace (no run header)")
-    header = check_meta(records[0])
+    try:
+        header = check_meta(records[0])
+    except ValueError as exc:
+        raise ValueError(
+            f"{path}: {exc}; re-record with: repro trace <workload> "
+            f"--jsonl FILE --observations"
+        ) from None
 
     sim_config_wire = header.get("sim_config")
     if not isinstance(sim_config_wire, dict):

@@ -326,7 +326,7 @@ class EpochTraceRecorder:
                 continue
             cu_ids = range(d * per, (d + 1) * per)
             domain_committed = sum(
-                r.stats.committed
+                r.committed
                 for cu_id in cu_ids
                 for r in result.wave_records[cu_id]
             )
@@ -339,9 +339,9 @@ class EpochTraceRecorder:
                         stat = self.pc_stats[record.start_pc_idx] = PcErrorStat(
                             record.start_pc_idx
                         )
-                    share = record.stats.committed / domain_committed
+                    share = record.committed / domain_committed
                     stat.samples += 1
-                    stat.committed += record.stats.committed
+                    stat.committed += record.committed
                     stat.weighted_error += rel_error * share
 
     # ------------------------------------------------------------------

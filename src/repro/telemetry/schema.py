@@ -76,7 +76,9 @@ if TYPE_CHECKING:  # imported where used, like this module's other repro imports
 PathLike = Union[str, pathlib.Path]
 
 #: Bump when a record field is added/removed or changes meaning.
-TRACE_SCHEMA_VERSION = 1
+#: Version 2: an observation's wave records are flat 10-value lists and
+#: its CU captures carry 7 values.
+TRACE_SCHEMA_VERSION = 2
 
 #: Fields every record of a type must carry (value may be null where
 #: the quantity is undefined, e.g. no prediction yet).
@@ -103,12 +105,12 @@ REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
 def epoch_result_to_wire(result: Any) -> Dict[str, object]:
     """JSON-encodable form of an :class:`~repro.gpu.gpu.EpochResult`.
 
-    Uses the same flat ``capture()`` tuples the GPU snapshot machinery
-    defined for per-CU and per-wavefront stats, so the wire format stays
-    in lock-step with the simulator's own notion of "complete state".
-    Python's ``json`` emits shortest-repr floats, which round-trip IEEE
-    binary64 exactly - decoding the wire form reconstructs a result
-    whose every float is bit-identical to the original
+    Each CU's stats travel as their flat ``capture()`` tuple (the one the
+    GPU snapshot machinery uses) and each wave record as one flat list in
+    :class:`~repro.gpu.gpu.WaveEpochRecord` field order. Python's
+    ``json`` emits shortest-repr floats, which round-trip IEEE binary64
+    exactly - decoding the wire form reconstructs a result whose every
+    float is bit-identical to the original
     (``repro.service.protocol.epoch_result_from_wire`` is the inverse).
     """
     return {
@@ -118,12 +120,7 @@ def epoch_result_to_wire(result: Any) -> Dict[str, object]:
         "transitions": result.transitions,
         "cu_stats": [list(s.capture()) for s in result.cu_stats],
         "wave_records": [
-            [
-                [r.wf_id, r.age_rank, r.start_pc_idx, r.next_pc_idx,
-                 list(r.stats.capture())]
-                for r in cu_records
-            ]
-            for cu_records in result.wave_records
+            [list(r) for r in cu_records] for cu_records in result.wave_records
         ],
     }
 

@@ -138,12 +138,13 @@ def sensitivity_round_trips(line: LinearSensitivity) -> bool:
 def epoch_result_round_trips(result) -> bool:
     """An :class:`~repro.gpu.gpu.EpochResult` survives the wire exactly.
 
-    Encodes with :func:`repro.telemetry.schema.epoch_result_to_wire`,
+    Encodes with :func:`repro.telemetry.schema.epoch_result_to_wire`
+    (CU stats as ``capture()`` lists, each wave record as one flat list),
     routes the JSON text through ``json`` (the same serialisation the
-    decision service and observation stream use), decodes with
-    :func:`repro.service.protocol.epoch_result_from_wire`, and
-    re-encodes: byte-identical JSON both times means every counter and
-    float survived.
+    decision service and observation stream use), and decodes with
+    :func:`repro.service.protocol.epoch_result_from_wire`. The decoded
+    result must equal the original, and re-encode to byte-identical
+    JSON (which also tells ``-0.0`` from ``0.0``).
     """
     from repro.service.protocol import epoch_result_from_wire
     from repro.telemetry.schema import epoch_result_to_wire
@@ -151,7 +152,7 @@ def epoch_result_round_trips(result) -> bool:
     wire = epoch_result_to_wire(result)
     text = json.dumps(wire, sort_keys=True)
     back = epoch_result_from_wire(json.loads(text))
-    return json.dumps(epoch_result_to_wire(back), sort_keys=True) == text
+    return back == result and json.dumps(epoch_result_to_wire(back), sort_keys=True) == text
 
 
 __all__ = [

@@ -75,7 +75,7 @@ class TestExecution:
         enqueue(cu, compute_program(5000), n_waves=4)
         cu.begin_epoch(0.0)
         cu.run_until(500.0, mem)
-        commits = [wf.stats.committed for wf in cu.waves]
+        commits = [wf.committed for wf in cu.waves]
         assert commits[0] >= max(commits[1:])
 
     def test_memory_program_stalls(self):
@@ -89,7 +89,7 @@ class TestExecution:
         cu.begin_epoch(0.0)
         cu.run_until(1_000.0, mem)
         cu.settle_epoch(1_000.0)
-        total_stall = sum(wf.stats.stall_ns for wf in cu.waves)
+        total_stall = sum(wf.stall_ns for wf in cu.waves)
         assert total_stall > 500.0
 
     def test_waitcnt_with_target_allows_overlap(self):
@@ -157,10 +157,10 @@ class TestEpochStats:
         enqueue(cu, compute_program(5000), n_waves=2)
         cu.begin_epoch(0.0)
         cu.run_until(500.0, mem)
-        first = cu.waves[0].stats.committed
+        first = cu.waves[0].committed
         assert first > 0
         cu.begin_epoch(500.0)
-        assert cu.waves[0].stats.committed == 0
+        assert cu.waves[0].committed == 0
         assert cu.stats.committed == 0
 
     def test_epoch_start_pc_recorded(self):
@@ -170,7 +170,7 @@ class TestEpochStats:
         cu.run_until(500.0, mem)
         pc = cu.waves[0].pc_idx
         cu.begin_epoch(500.0)
-        assert cu.waves[0].stats.epoch_start_pc_idx == pc
+        assert cu.waves[0].epoch_start_pc_idx == pc
 
     def test_activity_counters(self):
         cu, mem = make_cu()
@@ -178,7 +178,6 @@ class TestEpochStats:
         cu.begin_epoch(0.0)
         cu.run_until(1000.0, mem)
         assert cu.stats.issued == cu.stats.committed
-        assert cu.stats.active_cycles > 0
 
     def test_retire_records_time(self):
         cu, mem = make_cu()

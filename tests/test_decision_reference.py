@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from hypothesis import given, settings, strategies as st
 
@@ -39,7 +39,6 @@ from repro.core.sensitivity import LinearSensitivity
 from repro.dvfs.hierarchy import HierarchicalPowerManager, PowerManagedObjective
 from repro.gpu.cu import CuEpochStats
 from repro.gpu.gpu import EpochResult, WaveEpochRecord
-from repro.gpu.wavefront import WavefrontStats
 from repro.power.model import POWER_MEMO_MAX_FREQS, PowerModel
 from repro.service.protocol import ProtocolError, epoch_result_from_wire
 
@@ -260,16 +259,21 @@ def ref_epoch_result_from_wire(wire):
         wave_records = []
         for cu_records in wire["wave_records"]:
             records = []
-            for wf_id, age_rank, start_pc_idx, next_pc_idx, cap in cu_records:
-                wstats = WavefrontStats()
-                wstats.restore_capture(tuple(cap))
+            for rec in cu_records:
+                (wf_id, age_rank, start_pc_idx, next_pc_idx, committed, stall_ns,
+                 store_stall_ns, barrier_stall_ns, leading_load_ns, critical_mem_ns) = rec
                 records.append(
                     WaveEpochRecord(
                         wf_id=int(wf_id),
                         age_rank=int(age_rank),
                         start_pc_idx=int(start_pc_idx),
                         next_pc_idx=int(next_pc_idx),
-                        stats=wstats,
+                        committed=committed,
+                        stall_ns=stall_ns,
+                        store_stall_ns=store_stall_ns,
+                        barrier_stall_ns=barrier_stall_ns,
+                        leading_load_ns=leading_load_ns,
+                        critical_mem_ns=critical_mem_ns,
                     )
                 )
             wave_records.append(tuple(records))
@@ -314,11 +318,7 @@ def result_bits(result):
         tuple(bits(f) for f in result.frequencies_ghz), bits(result.transitions),
         tuple(tuple(bits(v) for v in s.capture()) for s in result.cu_stats),
         tuple(
-            tuple(
-                (r.wf_id, r.age_rank, r.start_pc_idx, r.next_pc_idx,
-                 tuple(bits(v) for v in r.stats.capture()))
-                for r in records
-            )
+            tuple(tuple(bits(v) for v in r) for r in records)
             for records in result.wave_records
         ),
     )
@@ -498,10 +498,17 @@ def test_interval_line_matches_reference(committed, t_core, t_async, f1, f_lo, f
     assert outcome(lambda: line_bits(interval_line(*args))) == want
 
 
-wave_stats = st.builds(
-    lambda c, stall, barrier: WavefrontStats(committed=c, stall_ns=stall, barrier_stall_ns=barrier),
-    counts, numbers, numbers,
-)
+#: (committed, stall_ns, barrier_stall_ns): the counters WF-STALL reads.
+wave_stats = st.tuples(counts, numbers, numbers)
+
+
+class StatsRecord(NamedTuple):
+    """The record shape the frozen per-wave estimator reads: the wave's
+    counters behind ``.stats``."""
+
+    wf_id: int
+    age_rank: int
+    stats: WaveEpochRecord
 
 
 @DETERMINISTIC
@@ -514,19 +521,22 @@ wave_stats = st.builds(
 )
 def test_wavefront_stall_estimates_match_reference(waves, kappa, t_end, f, window):
     records = tuple(
-        WaveEpochRecord(i, rank, 0, 0, stats) for i, (rank, stats) in enumerate(waves)
+        WaveEpochRecord(i, rank, 0, 0, c, stall, 0.0, barrier, 0.0, 0.0)
+        for i, (rank, (c, stall, barrier)) in enumerate(waves)
     )
     result = EpochResult(0.0, t_end, (f,), (CuEpochStats(),), (records,), 0)
+    ref_records = tuple(StatsRecord(r.wf_id, r.age_rank, r) for r in records)
+    ref_result = EpochResult(0.0, t_end, (f,), (CuEpochStats(),), (ref_records,), 0)
     config = GpuConfig(n_cus=1, waves_per_cu=8, memory=MemoryConfig(n_l2_banks=2))
 
-    def estimates(model):
+    def estimates(model, result):
         return [
             (e.record.wf_id, line_bits(e.line))
             for e in model.estimate_wavefronts(result, 0, f, *window, config)
         ]
 
-    want = outcome(lambda: estimates(RefWavefrontStallModel(kappa)))
-    assert outcome(lambda: estimates(WavefrontStallModel(kappa))) == want
+    want = outcome(lambda: estimates(RefWavefrontStallModel(kappa), ref_result))
+    assert outcome(lambda: estimates(WavefrontStallModel(kappa), result)) == want
 
 
 class ScriptedEstimator(EstimationModel):
@@ -587,7 +597,7 @@ def test_pcstall_predict_domains_matches_reference(script, epochs, cus_per_domai
         result = EpochResult(
             0.0, 1000.0, (1.7,) * config.n_domains, (CuEpochStats(),) * 4,
             tuple(
-                tuple(WaveEpochRecord(wf, 0, start, nxt, WavefrontStats())
+                tuple(WaveEpochRecord(wf, 0, start, nxt, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
                       for wf, start, nxt in cu)
                 for cu in epoch
             ),
@@ -611,11 +621,11 @@ def captures(arity):
 
 
 CU_ARITY = len(CuEpochStats().capture())
-WAVE_ARITY = len(WavefrontStats().capture())
+WAVE_ARITY = len(WaveEpochRecord._fields)
 wave_records = st.tuples(
     st.integers(0, 64), st.integers(0, 8), st.integers(0, 500), st.integers(0, 500),
-    captures(WAVE_ARITY),
-).map(list)
+    captures(WAVE_ARITY - 4),
+).map(lambda t: [*t[:4], *t[4]])
 wire_results = st.fixed_dictionaries({
     "t_start": numbers,
     "t_end": numbers,
@@ -646,7 +656,7 @@ def test_malformed_captures_are_protocol_errors(wire, bad, in_wave, data):
     if in_wave:
         cu = data.draw(st.integers(0, len(wire["wave_records"]) - 1))
         wave = data.draw(st.integers(0, len(wire["wave_records"][cu]) - 1))
-        wire["wave_records"][cu][wave][4] = bad
+        wire["wave_records"][cu][wave] = bad
     else:
         wire["cu_stats"][data.draw(st.integers(0, len(wire["cu_stats"]) - 1))] = bad
     assert outcome(ref_epoch_result_from_wire, wire) == ("raised", ProtocolError)

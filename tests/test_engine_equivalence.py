@@ -49,7 +49,7 @@ def cu_state(gpu):
             cu.stats.issued,
             tuple(
                 (wf.wf_id, wf.pc_idx, wf.ready_at, wf.blocked, wf.outstanding,
-                 wf.stats.committed, wf.stats.stall_ns)
+                 wf.committed, wf.stall_ns)
                 for wf in cu.waves
             ),
             tuple(cu.completions),
@@ -186,7 +186,7 @@ class TestGeneratedPrograms:
             for gpu in (ge, gr):
                 gpu.set_domain_frequencies(freqs, transition_latency_ns=latency_ns)
                 results.append(gpu.run_epoch(epoch_ns))
-            # CU capture: clock, waves (state + stats), pending
+            # CU capture: clock, waves (state + epoch counters), pending
             # workgroups, completions heap, barrier counts, CU stats.
             assert [cu.capture() for cu in ge.cus] == [cu.capture() for cu in gr.cus]
             assert ge.memory.capture() == gr.memory.capture()

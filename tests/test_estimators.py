@@ -98,11 +98,17 @@ class TestWavefrontStallModel:
         assert sum(p.line.slope for p in parts) == pytest.approx(cu_line.slope)
 
     def test_estimates_keyed_by_start_pc(self):
-        result, cfg = run_one_epoch()
-        model = WavefrontStallModel()
-        parts = model.estimate_wavefronts(result, 0, 1.7, 1.3, 2.2, cfg)
+        cfg = GpuConfig(n_cus=2, waves_per_cu=4, memory=MemoryConfig(n_l2_banks=2))
+        gpu = Gpu(cfg, initial_freq_ghz=1.7)
+        prog = make_loop_program(n_valu=8, n_loads=2, l1_hit=0.5, trips=3000)
+        gpu.load_kernel(Kernel.homogeneous(prog, WorkgroupGeometry(4, 2)))
+        gpu.run_epoch(1000.0)
+        start_pcs = {wf.wf_id: wf.pc_idx for wf in gpu.cus[0].waves}
+        result = gpu.run_epoch(1000.0)
+        parts = WavefrontStallModel().estimate_wavefronts(result, 0, 1.7, 1.3, 2.2, cfg)
+        assert parts
         for p in parts:
-            assert p.record.start_pc_idx == p.record.stats.epoch_start_pc_idx
+            assert p.record.start_pc_idx == start_pcs[p.record.wf_id]
 
     def test_age_normalisation_moves_slope(self):
         result, cfg = run_one_epoch()

@@ -137,9 +137,7 @@ class TestSnapshot:
         a = gpu.run_epoch(1000.0)
         b = snap.run_epoch(1000.0)
         assert a.committed_per_cu() == b.committed_per_cu()
-        assert [s.stall_ns for cu in a.wave_records for s in (r.stats for r in cu)] == [
-            s.stall_ns for cu in b.wave_records for s in (r.stats for r in cu)
-        ]
+        assert a.wave_records == b.wave_records
 
     def test_clone_with_different_frequency_diverges(self, quad_config):
         gpu = loaded_gpu(quad_config, trips=5000)

@@ -50,6 +50,7 @@ from repro.learn import (
     offline_metrics,
     save_dataset,
 )
+from repro.learn.models import RLS_P_TRACE_CAP
 from repro.learn.registry import MODEL_DIR_ENV, artifact_id_of
 from repro.runtime.executor import SweepTask, run_task
 from repro.telemetry import EpochTraceRecorder, TelemetryConfig, load_trace_jsonl
@@ -222,6 +223,17 @@ class TestModels:
         after = model.predict_line(phi)
         assert after.predict(1.7) != pytest.approx(before.predict(1.7))
 
+    def test_rls_covariance_stays_bounded_on_one_repeated_row(self, dataset):
+        model = self._trained(dataset, "rls")
+        phi = dataset.features[0]
+        for _ in range(50_000):
+            model.update(phi, 1.7, 0.5 * model.y_scale)
+        p = model.p_matrix
+        assert np.isfinite(model.theta).all()
+        assert (p == p.T).all()
+        # Rescaling rounds, so the trace may sit an ulp or so above.
+        assert np.trace(p) <= RLS_P_TRACE_CAP * (1.0 + 1e-12)
+
     def test_ridge_is_frozen_online(self, dataset):
         model = self._trained(dataset, "ridge")
         weights = model.weights.copy()
@@ -375,6 +387,27 @@ class TestLearnedDesign:
         # break run-to-run determinism; fresh instances keep it exact.
         assert results[0].edp == results[1].edp
         assert results[0].energy.total == results[1].energy.total
+
+    def test_one_observation_for_20k_epochs_keeps_lines_finite(
+            self, registry_dir, trace_path, monkeypatch):
+        """Without the covariance bound, rls0's trace(P) is about 1e179
+        after 10k repeats of one epoch and NaN (thousands of fallbacks
+        to the STALL line) by 20k."""
+        from repro.service.protocol import epoch_result_from_wire
+        from repro.service.replay import load_replay_trace
+
+        monkeypatch.setenv(MODEL_DIR_ENV, str(registry_dir))
+        trace = load_replay_trace(trace_path)
+        result = epoch_result_from_wire(trace.observations[10]["result"])
+        ctrl = make_controller("LEARNED@rls0", small_config(n_cus=2, waves_per_cu=4))
+        ctrl.decide()
+        for _ in range(20_000):
+            ctrl.observe(result)
+            ctrl.decide()
+        assert ctrl.non_finite_fallbacks == 0
+        model = ctrl.predictor.model
+        assert np.isfinite(model.theta).all()
+        assert np.trace(model.p_matrix) <= RLS_P_TRACE_CAP * (1.0 + 1e-12)
 
     def test_evaluate_design_collects_accuracy(self, registry_dir, dataset):
         model = ModelRegistry(registry_dir).load("ridge0")[0]

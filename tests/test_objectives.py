@@ -122,9 +122,16 @@ class TestPerformanceCap:
 
 class TestObjectiveContext:
     def test_activity_bounded(self, ctx):
-        line = LinearSensitivity(1e9, 0.0)
-        assert ctx.predicted_activity(line, 1.7) == 1.0
-        assert ctx.predicted_activity(LinearSensitivity(0.0, 0.0), 1.7) == 0.0
+        f = 1.7
+        n, share = ctx.n_cus_in_domain, ctx.memory_power_share
+        slots = ctx.epoch_ns * f * ctx.issue_width * n
+        full = ctx.domain_power(LinearSensitivity(slots, 0.0), f)
+        assert full == ctx.power.cu_power(f, 1.0) * n + share
+        # An over-predicting line prices like full issue occupancy ...
+        assert ctx.domain_power(LinearSensitivity(1e9, 0.0), f) == full
+        # ... and a zero line like idle activity.
+        idle = ctx.power.cu_power(f, 0.0) * n + share
+        assert ctx.domain_power(LinearSensitivity(0.0, 0.0), f) == idle
 
     def test_domain_power_includes_memory_share(self, ctx):
         p = ctx.domain_power(flat_line(0.0), 1.3)

@@ -184,7 +184,9 @@ class TestCli:
 #: same work, not only get the same results. ``prediction_accuracy`` is a
 #: builtin ``sum()`` over floats, whose last bits changed in Python 3.12
 #: (compensated summation), so it is checked against the reference engine
-#: in the same process instead of being pinned.
+#: in the same process instead of being pinned. ``snapshot_bytes`` was
+#: re-recorded when the wave capture lost five dead counters (it is
+#: ``capture_nbytes``' estimate of what a snapshot holds, not work done).
 PINNED_FIELDS = (
     "cycles", "waves_scanned", "batched_instructions", "completions_delivered",
     "clones", "clone_bytes", "snapshots", "snapshot_bytes", "restores",
@@ -193,13 +195,13 @@ PINNED_FIELDS = (
 PINNED_HOTPATH = {
     "xsbench/STATIC@1.7": (23819, 8749, 1875, 3840, 0, 0, 0, 0, 0, 0, 0),
     "xsbench/PCSTALL": (23655, 8810, 1814, 3840, 0, 0, 0, 0, 0, 0, 0),
-    "xsbench/ORACLE": (23675, 43741, 9522, 19228, 0, 0, 25, 632600, 100, 25, 95523),
+    "xsbench/ORACLE": (23675, 43741, 9522, 19228, 0, 0, 25, 601400, 100, 25, 95523),
     "dgemm/STATIC@1.7": (12468, 15537, 56, 272, 0, 0, 0, 0, 0, 0, 0),
     "dgemm/PCSTALL": (11572, 15534, 57, 272, 0, 0, 0, 0, 0, 0, 0),
-    "dgemm/ORACLE": (11064, 73620, 217, 1315, 0, 0, 2, 18672, 8, 2, 42056),
+    "dgemm/ORACLE": (11064, 73620, 217, 1315, 0, 0, 2, 16112, 8, 2, 42056),
     "comd/STATIC@1.7": (23272, 18293, 2155, 2432, 0, 0, 0, 0, 0, 0, 0),
     "comd/PCSTALL": (22388, 18522, 1926, 2432, 0, 0, 0, 0, 0, 0, 0),
-    "comd/ORACLE": (22851, 94253, 12294, 12801, 0, 0, 7, 130184, 28, 7, 98228),
+    "comd/ORACLE": (22851, 94253, 12294, 12801, 0, 0, 7, 122544, 28, 7, 98228),
 }
 PINNED_DIGEST = "ab219d1069652bdc5f8e383eea179291499b92ffa49ed687e949f5329ac6bf78"
 

@@ -12,16 +12,22 @@ ephemeral ports, so tests neither collide nor leak.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import json
+import pathlib
 import socket
 import struct
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import small_config
 from repro.core.sensitivity import LinearSensitivity
 from repro.dvfs.designs import make_controller
+from repro.gpu.cu import CuEpochStats
+from repro.gpu.gpu import EpochResult, WaveEpochRecord
 from repro.runtime.cache import config_hash
 from repro.runtime.executor import RetryPolicy, SweepTask, run_task
 from repro.service import protocol as proto
@@ -164,6 +170,102 @@ def test_epoch_result_wire_round_trip(pcstall_trace):
 
         again = json.loads(json.dumps(epoch_result_to_wire(result)))
         assert again == obs["result"]
+
+
+#: Finite floats, with the edges of binary64 drawn on purpose.
+_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+                     1e308, -1e308, 1.7976931348623157e308)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_INTS = st.integers(-(2**63), 2**63)
+_WAVE_RECORDS = st.builds(WaveEpochRecord, _INTS, _INTS, _INTS, _INTS, _INTS,
+                          _FLOATS, _FLOATS, _FLOATS, _FLOATS, _FLOATS)
+_CU_STATS = st.builds(CuEpochStats, _INTS, _INTS, _INTS, _INTS, _FLOATS, _INTS, _INTS)
+_EPOCH_RESULTS = st.builds(
+    EpochResult,
+    _FLOATS, _FLOATS,
+    st.lists(_FLOATS, max_size=4).map(tuple),
+    st.lists(_CU_STATS, max_size=3).map(tuple),
+    st.lists(st.lists(_WAVE_RECORDS, max_size=4).map(tuple), max_size=3).map(tuple),
+    _INTS,
+)
+
+
+def exact(value):
+    """A value's type and, for a float, its exact bits."""
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def result_fields(result):
+    """Every field of an EpochResult, its CU stats and its wave records."""
+    return (
+        [exact(result.t_start), exact(result.t_end), exact(result.transitions)],
+        [exact(f) for f in result.frequencies_ghz],
+        [[exact(getattr(s, f.name)) for f in dataclasses.fields(CuEpochStats)]
+         for s in result.cu_stats],
+        [[[exact(getattr(r, name)) for name in WaveEpochRecord._fields] for r in cu]
+         for cu in result.wave_records],
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(result=_EPOCH_RESULTS)
+def test_epoch_result_wire_round_trip_is_exact(result):
+    from repro.telemetry.schema import epoch_result_to_wire
+
+    frame = proto.encode_frame(epoch_result_to_wire(result))
+    back = proto.epoch_result_from_wire(proto.decode_payload(frame[4:]))
+    assert result_fields(back) == result_fields(result)
+
+
+def test_wave_records_and_cu_stats_travel_flat():
+    from repro.telemetry.schema import epoch_result_to_wire
+
+    record = WaveEpochRecord(7, 1, 3, 4, 20, 1.5, 0.5, 0.25, 2.0, 3.0)
+    stats = CuEpochStats(20, 15, 5, 21, 100.0, 4, 1)
+    wire = epoch_result_to_wire(EpochResult(0.0, 1000.0, (1.7,), (stats,), ((record,),), 0))
+    assert wire["wave_records"] == [[[7, 1, 3, 4, 20, 1.5, 0.5, 0.25, 2.0, 3.0]]]
+    assert wire["cu_stats"] == [[20, 15, 5, 21, 100.0, 4, 1]]
+
+
+@pytest.mark.parametrize("section,bad", [
+    ("wave_records", [7, 1, 3, 4, 20, 1.5, 0.5, 0.25, 2.0]),
+    ("wave_records", [7, 1, 3, 4, 20, 1.5, 0.5, 0.25, 2.0, 3.0, 0]),
+    # A protocol-1 wave record: four ids and a nested 12-value capture.
+    ("wave_records", [7, 1, 3, 4, [20, 15, 5, 1.5, 0.5, 0.25, 2.0, 3.0, 9.0, 3, 4, 1]]),
+    ("wave_records", None),
+    ("cu_stats", [20, 15, 5, 21, 100.0, 4]),
+    # A protocol-1 CU capture, with active_cycles.
+    ("cu_stats", [20, 15, 5, 21, 9, 100.0, 4, 1]),
+    ("cu_stats", "committed"),
+])
+def test_wrong_arity_record_or_cu_capture_is_a_protocol_error(section, bad):
+    wire = {
+        "t_start": 0.0, "t_end": 1000.0, "frequencies_ghz": [1.7], "transitions": 0,
+        "cu_stats": [[20, 15, 5, 21, 100.0, 4, 1]],
+        "wave_records": [[[7, 1, 3, 4, 20, 1.5, 0.5, 0.25, 2.0, 3.0]]],
+    }
+    proto.epoch_result_from_wire(wire)  # the well-formed payload decodes
+    if section == "cu_stats":
+        wire["cu_stats"][0] = bad
+    else:
+        wire["wave_records"][0][0] = bad
+    with pytest.raises(proto.ProtocolError):
+        proto.epoch_result_from_wire(wire)
+
+
+def test_schema_1_observation_trace_is_refused(tmp_path, pcstall_trace):
+    from repro.telemetry.schema import TRACE_SCHEMA_VERSION
+
+    assert TRACE_SCHEMA_VERSION == 2
+    lines = pathlib.Path(pcstall_trace[0]).read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    header["schema_version"] = 1
+    old = tmp_path / "schema1.jsonl"
+    old.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match=r"version 1 .*version 2.*--observations"):
+        load_replay_trace(str(old))
 
 
 def test_sim_config_wire_round_trip():
@@ -322,6 +424,20 @@ def test_open_mirrors_offline_first_decision(server, pcstall_trace):
 
 # ----------------------------------------------------------------------
 # Session and error semantics
+
+def test_protocol_1_open_is_rejected(server, pcstall_trace):
+    assert proto.PROTOCOL_VERSION == 2
+    trace = load_replay_trace(pcstall_trace[0])
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.settimeout(30)
+        proto.send_frame(sock, {
+            "type": "open", "protocol": 1, "design": trace.design,
+            "config": trace.sim_config_wire, "objective": trace.objective,
+        })
+        reply = proto.recv_frame(sock)
+    assert reply["type"] == "error" and reply["code"] == "protocol_version", reply
+    assert "protocol 2" in reply["error"] and "sent 1" in reply["error"]
+
 
 def test_oracle_design_rejected(server):
     with DecisionClient(port=server.port).connect() as client:

@@ -24,7 +24,6 @@ from repro.core.sensitivity import LinearSensitivity
 from repro.dvfs.simulation import RunResult
 from repro.gpu.cu import CuEpochStats
 from repro.gpu.gpu import EpochResult, WaveEpochRecord
-from repro.gpu.wavefront import WavefrontStats
 from repro.power.energy import EnergyBreakdown
 from repro.telemetry.metrics import MetricsRegistry
 from repro.validation import (
@@ -449,18 +448,10 @@ _NS = st.floats(0, 1e9, allow_nan=False, allow_infinity=False)
 _CU_STATS = st.builds(
     CuEpochStats,
     committed=_NN_INT, committed_compute=_NN_INT, committed_memory=_NN_INT,
-    issued=_NN_INT, active_cycles=_NN_INT, core_busy_ns=_NS,
+    issued=_NN_INT, core_busy_ns=_NS,
     loads=_NN_INT, stores=_NN_INT,
 )
 
-_WF_STATS = st.builds(
-    WavefrontStats,
-    committed=_NN_INT, committed_compute=_NN_INT, committed_memory=_NN_INT,
-    stall_ns=_NS, store_stall_ns=_NS, barrier_stall_ns=_NS,
-    leading_load_ns=_NS, critical_mem_ns=_NS, busy_ns=_NS,
-    epoch_start_pc_idx=st.integers(0, 10_000),
-    loads_issued=_NN_INT, stores_issued=_NN_INT,
-)
 
 
 @st.composite
@@ -475,7 +466,9 @@ def _epoch_results(draw):
                 wf_id=w, age_rank=draw(st.integers(0, 7)),
                 start_pc_idx=draw(st.integers(0, 10_000)),
                 next_pc_idx=draw(st.integers(0, 10_000)),
-                stats=draw(_WF_STATS),
+                committed=draw(_NN_INT), stall_ns=draw(_NS),
+                store_stall_ns=draw(_NS), barrier_stall_ns=draw(_NS),
+                leading_load_ns=draw(_NS), critical_mem_ns=draw(_NS),
             )
             for w in range(draw(st.integers(0, 2)))
         )

@@ -52,7 +52,7 @@ class TestBlocking:
         assert wf.waitcnt_satisfied()
         wf.unblock_wait(now=250.0, epoch_start=0.0)
         assert not wf.blocked
-        assert wf.stats.stall_ns == pytest.approx(150.0)
+        assert wf.stall_ns == pytest.approx(150.0)
         assert wf.pc_idx == 1  # the waitcnt retired
 
     def test_stall_clipped_to_epoch(self):
@@ -62,7 +62,7 @@ class TestBlocking:
         wf.outstanding = 0
         # Epoch began after the block started: only in-epoch time counts.
         wf.unblock_wait(now=350.0, epoch_start=200.0)
-        assert wf.stats.stall_ns == pytest.approx(150.0)
+        assert wf.stall_ns == pytest.approx(150.0)
 
     def test_store_stall_tracked_separately(self):
         wf = make_wave()
@@ -70,13 +70,13 @@ class TestBlocking:
         wf.outstanding_stores = 1
         wf.block_wait(0, now=0.0)
         wf.unblock_wait(now=80.0, epoch_start=0.0)
-        assert wf.stats.store_stall_ns == pytest.approx(80.0)
+        assert wf.store_stall_ns == pytest.approx(80.0)
 
     def test_barrier_stall_accounted(self):
         wf = make_wave()
         wf.block_barrier(now=10.0)
         wf.unblock_barrier(now=60.0, epoch_start=0.0)
-        assert wf.stats.barrier_stall_ns == pytest.approx(50.0)
+        assert wf.barrier_stall_ns == pytest.approx(50.0)
         assert wf.pc_idx == 1
 
     def test_settle_charges_partial_stall(self):
@@ -84,10 +84,10 @@ class TestBlocking:
         wf.outstanding = 1
         wf.block_wait(0, now=300.0)
         wf.settle_stall(now=1000.0, epoch_start=0.0)
-        assert wf.stats.stall_ns == pytest.approx(700.0)
+        assert wf.stall_ns == pytest.approx(700.0)
         # Settling again at the same time adds nothing.
         wf.settle_stall(now=1000.0, epoch_start=0.0)
-        assert wf.stats.stall_ns == pytest.approx(700.0)
+        assert wf.stall_ns == pytest.approx(700.0)
 
     def test_is_ready_respects_block_and_time(self):
         wf = make_wave()
@@ -103,17 +103,17 @@ class TestMemoryBookkeeping:
     def test_leading_load_measured(self):
         wf = make_wave()
         wf.note_mem_issue(now=0.0, completion=100.0, is_store=False)
-        assert wf.stats.leading_load_ns == pytest.approx(100.0)
+        assert wf.leading_load_ns == pytest.approx(100.0)
         # Second overlapping load is not leading.
         wf.note_mem_issue(now=10.0, completion=110.0, is_store=False)
-        assert wf.stats.leading_load_ns == pytest.approx(100.0)
+        assert wf.leading_load_ns == pytest.approx(100.0)
 
     def test_critical_path_counts_non_overlap(self):
         wf = make_wave()
         wf.note_mem_issue(now=0.0, completion=100.0, is_store=False)
         # Fully overlapped access adds only its extension beyond 100.
         wf.note_mem_issue(now=10.0, completion=130.0, is_store=False)
-        assert wf.stats.critical_mem_ns == pytest.approx(130.0)
+        assert wf.critical_mem_ns == pytest.approx(130.0)
 
     def test_completion_underflow_raises(self):
         wf = make_wave()
@@ -173,10 +173,10 @@ class TestClone:
 
     def test_clone_preserves_stats_independently(self):
         wf = make_wave()
-        wf.stats.stall_ns = 42.0
+        wf.stall_ns = 42.0
         c = wf.clone()
-        c.stats.stall_ns = 1.0
-        assert wf.stats.stall_ns == pytest.approx(42.0)
+        c.stall_ns = 1.0
+        assert wf.stall_ns == pytest.approx(42.0)
 
     def test_clone_copies_scalars(self):
         wf = make_wave()
