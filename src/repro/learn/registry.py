@@ -10,7 +10,7 @@ the result cache's directory variable)::
 
 An artifact is one JSON document: the model payload
 (:meth:`~repro.learn.models.SensitivityModel.to_payload`) plus a
-provenance block - ``build_meta`` (producing package version), the
+provenance block - ``meta`` (the producing package version), the
 content hash of the training dataset, the dataset's source traces with
 their ``config_hash`` platform identities, and the training
 hyper-parameters. The **artifact id** is the SHA-256 of the canonical
@@ -33,8 +33,8 @@ import os
 import pathlib
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro import __version__
 from repro.learn.models import SensitivityModel
-from repro.telemetry.schema import build_meta
 
 PathLike = Union[str, pathlib.Path]
 
@@ -109,13 +109,15 @@ class ModelRegistry:
 
         ``provenance`` should carry ``dataset_hash``, the training
         hyper-parameters, and the dataset's source descriptions; the
-        registry adds its own ``build_meta`` block. The ``latest`` ref
-        (plus ``name``, if given) is pointed at the new artifact.
+        registry adds its own ``meta`` block, the producing package
+        version only: the trace schema version is not part of a model,
+        so a trace-format bump leaves artifact ids alone. The ``latest``
+        ref (plus ``name``, if given) is pointed at the new artifact.
         """
         document: Dict[str, object] = {
             "registry_schema_version": REGISTRY_SCHEMA_VERSION,
             "model": model.to_payload(),
-            "provenance": {"meta": build_meta(), **provenance},
+            "provenance": {"meta": {"repro_version": __version__}, **provenance},
         }
         artifact_id = artifact_id_of(document)
         document["artifact_id"] = artifact_id
@@ -148,9 +150,15 @@ class ModelRegistry:
 
     # -- read ----------------------------------------------------------
     def resolve(self, ref: str) -> str:
-        """Resolve a ref name / id / id prefix to a full artifact id."""
+        """Resolve a ref name / id / id prefix to a full artifact id.
+
+        A reference may arrive from a decision-service peer, so it must
+        pass the ref-name rule before it names any path: ``../x`` never
+        reaches outside the registry.
+        """
         if not ref:
             raise ModelResolutionError("empty model reference")
+        self._check_ref_name(ref)
         ref_path = self.refs_dir / f"{ref}.json"
         if ref_path.exists():
             try:

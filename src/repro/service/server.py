@@ -374,7 +374,7 @@ class DecisionService:
             reject("expected_open",
                    f"first frame must be {proto.MSG_OPEN!r}, got {msg.get('type')!r}")
             return None
-        version = msg.get("protocol", proto.PROTOCOL_VERSION)
+        version = msg.get("protocol")
         if version != proto.PROTOCOL_VERSION:
             reject("protocol_version",
                    f"server speaks protocol {proto.PROTOCOL_VERSION}, "

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import small_config
 from repro.core.estimators import CrispModel
@@ -234,6 +235,44 @@ class TestModels:
         # Rescaling rounds, so the trace may sit an ulp or so above.
         assert np.trace(p) <= RLS_P_TRACE_CAP * (1.0 + 1e-12)
 
+    @pytest.fixture(scope="class")
+    def rls_payload(self, dataset):
+        return self._trained(dataset, "rls").to_payload()
+
+    @pytest.mark.parametrize("kind", ["constant", "mean", "collinear"])
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(n_updates=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+           n_freqs=st.integers(1, 3))
+    @example(n_updates=4000, seed=0, n_freqs=1)
+    @example(n_updates=4000, seed=1, n_freqs=3)
+    def test_rls_stays_well_posed_under_long_degenerate_streams(
+            self, dataset, rls_payload, kind, n_updates, seed, n_freqs):
+        """Forgetting inflates P in every direction a stream never
+        excites; degenerate streams excite at most a few, so P must stay
+        finite, symmetric, positive semi-definite and under the cap."""
+        model = SensitivityModel.from_payload(rls_payload)
+        rng = np.random.default_rng(seed)
+        x = dataset.features
+        if kind == "constant":
+            rows = np.repeat(x[rng.integers(len(x))][None, :], n_updates, axis=0)
+        elif kind == "mean":  # every row scales to z = 0
+            rows = np.repeat(model.scaler.mean[None, :], n_updates, axis=0)
+        else:  # points on one line through a recorded row
+            t = rng.uniform(-3.0, 3.0, size=(n_updates, 1))
+            rows = x[rng.integers(len(x))] + t * rng.normal(size=x.shape[1])
+        freqs = rng.choice(rng.uniform(1.0, 2.2, size=n_freqs), size=n_updates)
+        commits = rng.uniform(0.0, 2.0 * model.y_scale, size=n_updates)
+        for phi, f, c in zip(rows, freqs, commits):
+            model.update(phi, float(f), float(c))
+        p = model.p_matrix
+        trace = np.trace(p)
+        assert np.isfinite(model.theta).all()
+        assert (p == p.T).all()
+        assert trace <= RLS_P_TRACE_CAP * (1.0 + 1e-12)
+        # At trace 1e20 rounding alone leaves eigenvalues near -1e-16 * trace.
+        assert np.linalg.eigvalsh(p).min() >= -1e-9 * trace
+        assert np.isfinite(model.predict_rows(np.vstack([rows, x]))).all()
+
     def test_ridge_is_frozen_online(self, dataset):
         model = self._trained(dataset, "ridge")
         weights = model.weights.copy()
@@ -274,8 +313,12 @@ class TestModels:
 
 
 class TestRegistry:
-    def test_artifact_id_is_content_addressed(self, dataset, tmp_path):
-        """Retraining from the same dataset + seed reproduces the id."""
+    def test_artifact_id_is_content_addressed(self, dataset, tmp_path,
+                                              monkeypatch):
+        """Retraining from the same dataset + seed reproduces the id, and
+        a trace-format bump in between does not rename the model."""
+        import repro.telemetry.schema as schema
+
         train = dataset.rows("train")
         ids = []
         for run in range(2):
@@ -285,6 +328,8 @@ class TestRegistry:
             ids.append(registry.save(
                 model, {"dataset_hash": dataset.content_hash()}, name="m"
             ))
+            monkeypatch.setattr(schema, "TRACE_SCHEMA_VERSION",
+                                schema.TRACE_SCHEMA_VERSION + 1)
         assert ids[0] == ids[1]
 
     def test_resolve_by_name_id_and_prefix(self, registry_dir):
@@ -310,6 +355,18 @@ class TestRegistry:
         full = registry.resolve("rls0")
         with pytest.raises(ModelResolutionError, match="unknown model"):
             registry.resolve(full[:4])
+
+    def test_ref_outside_the_registry_is_not_read(self, tmp_path):
+        """A ``../`` reference is refused before it names any path, so a
+        peer cannot probe which files exist outside the registry."""
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.refs_dir.mkdir(parents=True)
+        registry.models_dir.mkdir()
+        (tmp_path / "other.json").write_text('{"artifact_id": "zz"}')
+        (tmp_path / "secret").write_text("not json")
+        for ref in ("../../other", "../../secret", "refs/../../../other"):
+            with pytest.raises(ModelResolutionError, match="bad ref name"):
+                registry.resolve(ref)
 
     def test_bad_ref_names_rejected(self, registry_dir, dataset):
         registry = ModelRegistry(registry_dir)
@@ -536,6 +593,22 @@ class TestLearnedService:
         with DecisionClient(port=server.port).connect() as client:
             decision = client.open_session("LEARNED", cfg)
             assert len(decision) == cfg.gpu.n_domains
+
+    def test_model_ref_outside_the_registry_is_a_bad_open(
+            self, server, registry_dir, tmp_path, monkeypatch):
+        from repro.service.client import DecisionClient, SessionRejected
+
+        # refs/../x.json names a real artifact, but a peer's reference
+        # may not climb out of refs/ to reach it.
+        root = tmp_path / "registry"
+        shutil.copytree(registry_dir, root)
+        shutil.copy(root / "refs" / "rls0.json", root / "x.json")
+        monkeypatch.setenv(MODEL_DIR_ENV, str(root))
+        cfg = small_config(n_cus=2, waves_per_cu=4)
+        with DecisionClient(port=server.port).connect() as client:
+            with pytest.raises(SessionRejected) as excinfo:
+                client.open_session("LEARNED@../x", cfg)
+            assert excinfo.value.code == "bad_open"
 
     def test_unknown_model_ref_rejected_as_bad_open(self, server):
         from repro.service.client import DecisionClient, SessionRejected

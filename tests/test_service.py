@@ -426,17 +426,22 @@ def test_open_mirrors_offline_first_decision(server, pcstall_trace):
 # Session and error semantics
 
 def test_protocol_1_open_is_rejected(server, pcstall_trace):
+    """A version-1 client is refused at ``open`` whether it sends
+    ``protocol: 1`` or omits the field, not admitted to fail later on an
+    observe it encodes differently."""
     assert proto.PROTOCOL_VERSION == 2
     trace = load_replay_trace(pcstall_trace[0])
-    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
-        sock.settimeout(30)
-        proto.send_frame(sock, {
-            "type": "open", "protocol": 1, "design": trace.design,
-            "config": trace.sim_config_wire, "objective": trace.objective,
-        })
-        reply = proto.recv_frame(sock)
-    assert reply["type"] == "error" and reply["code"] == "protocol_version", reply
-    assert "protocol 2" in reply["error"] and "sent 1" in reply["error"]
+    for version in (1, None):
+        frame = {"type": "open", "design": trace.design,
+                 "config": trace.sim_config_wire, "objective": trace.objective}
+        if version is not None:
+            frame["protocol"] = version
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.settimeout(30)
+            proto.send_frame(sock, frame)
+            reply = proto.recv_frame(sock)
+        assert reply["type"] == "error" and reply["code"] == "protocol_version", reply
+        assert "protocol 2" in reply["error"] and f"sent {version}" in reply["error"]
 
 
 def test_oracle_design_rejected(server):
