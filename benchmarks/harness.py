@@ -45,7 +45,6 @@ def get_design_matrix(setup: ExperimentSetup, designs):
         "scale": setup.scale,
         "max_epochs": setup.max_epochs,
         "oracle_sample_freqs": setup.oracle_sample_freqs,
-        "retry": setup.retry,
         "designs": tuple(designs),
     })
     if key not in _MATRIX_CACHE:

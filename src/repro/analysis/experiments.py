@@ -50,10 +50,7 @@ from repro.core.objectives import EDnPObjective, Objective, PerformanceCapObject
 from repro.dvfs.oracle import OracleSampler
 from repro.dvfs.simulation import RunResult
 from repro.gpu.gpu import Gpu
-from repro.runtime.cache import ResultCache
-from repro.runtime.checkpoint import SweepCheckpoint
-from repro.runtime.executor import RetryPolicy, SweepExecutor, SweepTask
-from repro.runtime.progress import SweepInstrumentation
+from repro.runtime.executor import SweepExecutor, SweepTask
 from repro.workloads import build_workload, workload, workload_names
 
 
@@ -69,34 +66,12 @@ class ExperimentSetup:
     max_epochs: int = 400
     #: Oracle pre-execution frequency count (None = full grid).
     oracle_sample_freqs: Optional[int] = 4
-    #: Process count the grid drivers fan cells across (1 = in-process).
-    workers: int = 1
-    #: Memoise cells on disk (see :mod:`repro.runtime.cache`).
-    use_cache: bool = False
-    #: Cache directory; None = ``.repro_cache`` / ``$REPRO_CACHE_DIR``.
-    cache_dir: Optional[str] = None
-    #: Per-cell timeout (seconds) for parallel sweeps; None = unbounded.
-    task_timeout_s: Optional[float] = None
-    #: Per-cell retry behaviour (see :class:`~repro.runtime.executor.RetryPolicy`).
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Checkpoint manifest for crash-safe resume; None = no checkpointing.
-    checkpoint: Optional[SweepCheckpoint] = None
+    #: Runs the grid drivers' cells: its workers, result cache, retry
+    #: policy, checkpoint manifest and broker (default: serial, uncached).
+    executor: SweepExecutor = field(default_factory=SweepExecutor)
 
     def workload_list(self) -> List[str]:
         return list(self.workloads) if self.workloads else workload_names()
-
-    def make_executor(
-        self, progress: Optional[SweepInstrumentation] = None
-    ) -> SweepExecutor:
-        """Executor configured from this setup's runtime knobs."""
-        return SweepExecutor(
-            max_workers=self.workers,
-            cache=ResultCache(self.cache_dir) if self.use_cache else None,
-            progress=progress or SweepInstrumentation(),
-            task_timeout_s=self.task_timeout_s,
-            retry=self.retry,
-            checkpoint=self.checkpoint,
-        )
 
 
 #: A fast default subset covering both categories and all characters.
@@ -122,19 +97,6 @@ def _task(
         collect_accuracy=collect_accuracy,
         objective=objective,
     )
-
-
-def _run_design(
-    setup: ExperimentSetup,
-    workload_name: str,
-    design: str,
-    objective: Optional[Objective] = None,
-    config: Optional[SimConfig] = None,
-    collect_accuracy: bool = False,
-) -> RunResult:
-    """Run a single cell (cache-aware, always in-process)."""
-    task = _task(setup, workload_name, design, objective, config, collect_accuracy)
-    return setup.make_executor().run_one(task)
 
 
 def _with_epoch(config: SimConfig, epoch_ns: float) -> SimConfig:
@@ -461,12 +423,11 @@ def design_matrix(
     setup: ExperimentSetup,
     designs: Sequence[str] = EVAL_DESIGNS,
     objective: Optional[Objective] = None,
-    progress: Optional[SweepInstrumentation] = None,
 ) -> DesignMatrixResult:
     """Run every design on every workload (the fig 14/15/16 data).
 
-    All (workload x design) cells plus the static baselines fan out
-    across ``setup.workers`` processes; results are reassembled in a
+    All (workload x design) cells plus the static baselines go to
+    ``setup.executor`` as one batch; results are reassembled in a
     deterministic order identical to a serial run.
     """
     wls = setup.workload_list()
@@ -477,7 +438,7 @@ def design_matrix(
         for name in wls
         for design in designs
     ]
-    results = setup.make_executor(progress).run(tasks + cells)
+    results = setup.executor.run(tasks + cells)
 
     baseline = dict(zip(wls, results[: len(wls)]))
     runs: Dict[str, Dict[str, RunResult]] = {name: {} for name in wls}
@@ -524,7 +485,6 @@ def epoch_duration_trend(
     designs: Sequence[str] = ("CRISP", "ACCREAC", "PCSTALL", "ORACLE"),
     epoch_durations_ns: Sequence[float] = (1_000.0, 10_000.0, 50_000.0),
     n: int = 2,
-    progress: Optional[SweepInstrumentation] = None,
 ) -> EpochTrendResult:
     """Shared driver for Figures 1(a), 1(b) and 17.
 
@@ -550,7 +510,7 @@ def epoch_duration_trend(
                         collect_accuracy=True, scale=scale,
                     )
                 )
-    results = setup.make_executor(progress).run(base_tasks + cell_tasks)
+    results = setup.executor.run(base_tasks + cell_tasks)
     base_results = results[: len(base_tasks)]
     cell_results = iter(results[len(base_tasks):])
     base_by_key = {
@@ -611,7 +571,6 @@ def fig18a_energy_savings(
     setup: ExperimentSetup,
     designs: Sequence[str] = ("CRISP", "PCSTALL"),
     caps: Sequence[float] = (0.05, 0.10),
-    progress: Optional[SweepInstrumentation] = None,
 ) -> Fig18aResult:
     wls = setup.workload_list()
     base_tasks = [_task(setup, w, f"STATIC@{setup.config.dvfs.f_max}") for w in wls]
@@ -621,7 +580,7 @@ def fig18a_energy_savings(
         for d in designs
         for w in wls
     ]
-    results = setup.make_executor(progress).run(base_tasks + cells)
+    results = setup.executor.run(base_tasks + cells)
     base = dict(zip(wls, results[: len(wls)]))
     cell_results = iter(results[len(wls):])
 
@@ -665,7 +624,6 @@ def fig18b_granularity(
     setup: ExperimentSetup,
     designs: Sequence[str] = ("CRISP", "PCSTALL", "ORACLE"),
     granularities: Optional[Sequence[int]] = None,
-    progress: Optional[SweepInstrumentation] = None,
 ) -> Fig18bResult:
     n_cus = setup.config.gpu.n_cus
     if granularities is None:
@@ -680,7 +638,7 @@ def fig18b_granularity(
         for w in wls:
             tasks.append(_task(setup, w, "STATIC@1.7", config=configs[g]))
             tasks.extend(_task(setup, w, d, config=configs[g]) for d in designs)
-    results = iter(setup.make_executor(progress).run(tasks))
+    results = iter(setup.executor.run(tasks))
 
     out: Dict[int, Dict[str, float]] = {}
     for g in granularities:

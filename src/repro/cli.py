@@ -15,23 +15,20 @@ Commands:
   registry artifacts. Trained models serve live as the ``LEARNED``
   design (``repro serve --model <ref>``).
 * ``profile``  - oracle-profile a workload's sensitivity trace (CSV
-  export), or with ``--hotpath`` run one workload x design cell and
-  print the timing engine's hot-path work counters (``--cprofile FILE``
-  additionally captures a real profile; ``--engine reference`` runs the
-  pre-event-engine loop for comparison).
+  export).
 * ``storage``  - print the TABLE I storage-overhead model.
 * ``trace``    - run one workload x design with the epoch telemetry
   recorder attached: per-epoch decision table on stdout, optional
-  ``--jsonl`` record stream and ``--perfetto`` Chrome-trace export
-  (load the latter at https://ui.perfetto.dev).
-* ``report``   - prediction-accuracy drill-down (``--accuracy``):
-  error percentiles, decision confusion matrix vs the oracle, and
-  per-PC error attribution, across workloads or from a saved
-  ``--jsonl`` trace.
+  ``--trace FILE`` record stream (epochs, observations, then spans) and
+  ``--perfetto`` Chrome-trace export (load the latter at
+  https://ui.perfetto.dev).
+* ``report``   - prediction-accuracy drill-down: error percentiles,
+  decision confusion matrix vs the oracle, and per-PC error
+  attribution, across workloads or from a saved ``--trace FILE``.
 * ``serve``    - run the online DVFS decision service: sessions stream
   per-epoch observations over a length-prefixed JSON protocol and get
   per-domain frequency decisions back; ``/healthz`` + ``/metrics`` on
-  a second port; SIGTERM/SIGINT drain gracefully. ``--trace-jsonl``
+  a second port; SIGTERM/SIGINT drain gracefully. ``--trace FILE``
   streams connect/session/request/decision spans; ``--drift`` watches
   the shed rate online.
 * ``metrics``  - render a metrics snapshot as Prometheus text
@@ -41,9 +38,9 @@ Commands:
 * ``monitor``  - one summary line per interval: tail a span/epoch
   JSONL stream (``--follow``) or poll a live service's ``/metrics``
   (``--url``) and print counter deltas.
-* ``replay``   - stream a trace recorded with ``trace --jsonl FILE
-  --observations`` through a live server and verify every returned
-  decision is bit-identical to the offline simulation's.
+* ``replay``   - stream a trace recorded with ``trace --trace FILE``
+  through a live server and verify every returned decision is
+  bit-identical to the offline simulation's.
 * ``check``    - differential validation pass: run a small workload x
   design matrix, audit every artifact against the physical invariants
   (energy conservation, monotone clocks, residency normalisation, ...)
@@ -51,17 +48,19 @@ Commands:
   bit-exactness claims. Exits nonzero on any violation. ``--deep``
   widens the matrix; ``--json FILE`` saves the machine-readable report.
 
-Sweep commands (``run``/``compare``/``figure``) accept ``--workers N``
-to fan cells across forked worker processes (``--listen HOST:PORT``
-lets ``repro worker`` processes on other hosts join too), and cache
-results on disk (disable with ``--no-cache``; relocate with
-``--cache-dir``). Transient cell failures
-are retried with deterministic backoff (``--retries N`` bounds the
-attempts; ``--retries 1`` disables retrying). ``figure`` sweeps record a
-crash-safe checkpoint manifest alongside the cache; after an interrupted
-sweep, ``repro figure <name> --resume`` re-runs only the missing cells.
-``--checkpoint FILE`` relocates the manifest (and enables it for
-``run``/``compare``).
+The sweep commands (``run``/``compare``/``figure``), and only they,
+accept ``--workers N`` to fan cells across forked worker processes
+(``--listen HOST:PORT`` lets ``repro worker`` processes on other hosts
+join too), and cache results on disk (disable with ``--no-cache``;
+relocate with ``--cache-dir``). Transient cell failures are retried
+with deterministic backoff (``--retries N`` bounds the attempts;
+``--retries 1`` disables retrying). ``figure`` sweeps record a
+crash-safe checkpoint manifest alongside the cache; after an
+interrupted sweep, ``repro figure <name> --resume`` re-runs only the
+missing cells. ``--checkpoint FILE`` relocates the manifest (and
+enables it for ``run``/``compare``). ``run --engine reference`` runs
+the rescan timing loop, and ``run --json FILE`` writes the run's
+hot-path work counters with the summary.
 
 Global flags (before the subcommand): ``--log-level debug|info|
 warning|error`` and ``--log-json`` configure the structured ``repro.*``
@@ -77,7 +76,7 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.config import small_config
-from repro.core.objectives import EDnPObjective, PerformanceCapObjective
+from repro.core.objectives import EDnPObjective
 from repro.dvfs.designs import DESIGN_NAMES, EXTENSION_DESIGNS
 from repro.runtime.cache import default_cache_dir
 
@@ -117,12 +116,33 @@ class _WorkloadChoices:
         return workload_names()
 
 
+def _objective_name(name: str) -> str:
+    """argparse ``type`` of ``--objective``: the name, once it parses."""
+    from repro.service.protocol import ProtocolError, objective_from_name
+
+    try:
+        objective_from_name(name)
+    except (ProtocolError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid objective {name!r}: {exc}")
+    return name
+
+
 def _objective(args):
-    if args.objective.startswith("ed") and args.objective.endswith("p"):
-        return EDnPObjective(int(args.objective[2:-1] or 1))
-    if args.objective.startswith("cap"):
-        return PerformanceCapObjective(float(args.objective[3:]) / 100.0)
-    raise SystemExit(f"unknown objective {args.objective!r} (use ed1p/ed2p/capN)")
+    """The ``--objective`` instance (the empty name is the ED2P default)."""
+    from repro.service.protocol import objective_from_name
+
+    return objective_from_name(args.objective) or EDnPObjective(2)
+
+
+def _at_least_one(text: str) -> int:
+    """argparse ``type`` of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _config(args):
@@ -156,8 +176,6 @@ def _retry_policy(args) -> RetryPolicy:
 
     if args.retries is None:
         return RetryPolicy()
-    if args.retries < 1:
-        raise SystemExit("--retries must be at least 1")
     return RetryPolicy(max_attempts=args.retries)
 
 
@@ -221,10 +239,6 @@ def _sweep_task(args, design: str) -> SweepTask:
         collect_accuracy=True,
         objective=_objective(args),
     )
-
-
-def _run_one(args, design: str):
-    return _executor(args).run_one(_sweep_task(args, design))
 
 
 def _print_fault_summary(progress: SweepInstrumentation) -> None:
@@ -303,25 +317,18 @@ def cmd_figure(args) -> int:
     from repro.runtime import SweepInstrumentation
 
     workloads = tuple(args.workloads.split(",")) if args.workloads else ex.QUICK_WORKLOADS
-    ckpt_cm = _scoped_checkpoint(args, f"figure-{args.figure}", always=True)
-    with ckpt_cm as ckpt:
+    designs = tuple(args.designs.split(",")) if args.designs else None
+    progress = SweepInstrumentation(name=f"figure {args.figure}")
+    with _scoped_checkpoint(args, f"figure-{args.figure}", always=True) as ckpt:
         setup = ex.ExperimentSetup(
             config=_config(args),
             workloads=workloads,
             scale=args.scale,
             max_epochs=args.max_epochs,
             oracle_sample_freqs=4,
-            workers=args.workers,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            retry=_retry_policy(args),
-            checkpoint=ckpt,
+            executor=_executor(args, progress, ckpt),
         )
-        designs = tuple(args.designs.split(",")) if args.designs else None
-        progress = SweepInstrumentation(
-            name=f"figure {args.figure}", max_workers=args.workers
-        )
-        text = _figure_text(args, setup, designs, progress)
+        text = _figure_text(args, setup, designs)
 
     print(text)
     print()
@@ -329,13 +336,11 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _figure_text(args, setup, designs, progress) -> str:
+def _figure_text(args, setup, designs) -> str:
     from repro.analysis import experiments as ex
 
     if args.figure in ("fig14", "fig15", "fig16"):
-        matrix = ex.design_matrix(
-            setup, designs=designs or ex.EVAL_DESIGNS, progress=progress
-        )
+        matrix = ex.design_matrix(setup, designs=designs or ex.EVAL_DESIGNS)
         text = {
             "fig14": matrix.render_fig14,
             "fig15": matrix.render_fig15,
@@ -344,17 +349,16 @@ def _figure_text(args, setup, designs, progress) -> str:
     elif args.figure in ("fig01", "fig17"):
         n = 2 if args.figure == "fig01" else 1
         trend = ex.epoch_duration_trend(
-            setup, designs=designs or ("CRISP", "ACCREAC", "PCSTALL", "ORACLE"),
-            n=n, progress=progress,
+            setup, designs=designs or ("CRISP", "ACCREAC", "PCSTALL", "ORACLE"), n=n
         )
         text = trend.render()
     elif args.figure == "fig18a":
         text = ex.fig18a_energy_savings(
-            setup, designs=designs or ("CRISP", "PCSTALL"), progress=progress
+            setup, designs=designs or ("CRISP", "PCSTALL")
         ).render()
     elif args.figure == "fig18b":
         text = ex.fig18b_granularity(
-            setup, designs=designs or ("CRISP", "PCSTALL", "ORACLE"), progress=progress
+            setup, designs=designs or ("CRISP", "PCSTALL", "ORACLE")
         ).render()
     else:  # pragma: no cover - argparse choices guard this
         raise SystemExit(f"unknown figure {args.figure!r}")
@@ -383,50 +387,6 @@ def cmd_designs(_args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from repro.runtime.profiling import maybe_cprofile
-
-    with maybe_cprofile(args.cprofile):
-        code = _profile_hotpath(args) if args.hotpath else _profile_sensitivity(args)
-    if args.cprofile:
-        print(f"\ncProfile stats written to {args.cprofile} "
-              f"(inspect with: python -m pstats {args.cprofile})")
-    return code
-
-
-def _profile_hotpath(args) -> int:
-    """Run one workload x design and print the engine's work counters."""
-    from repro.runtime.executor import run_task
-    from repro.runtime.profiling import format_hotpath
-
-    result = run_task(_sweep_task(args, args.design))
-    print(format_hotpath(
-        result.hotpath or {},
-        title=f"{args.workload} under {args.design}: hot-path counters "
-              f"({args.engine} engine)",
-    ))
-    if args.json:
-        import json
-
-        from repro.telemetry import build_meta
-
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "meta": build_meta(_config(args)),
-                    "workload": args.workload,
-                    "design": args.design,
-                    "engine": args.engine,
-                    "hotpath": result.hotpath or {},
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-        print(f"\nhot-path counters written to {args.json}")
-    return 0
-
-
-def _profile_sensitivity(args) -> int:
     from repro.analysis.phases import (
         consecutive_epoch_change,
         profile_sensitivity,
@@ -467,22 +427,19 @@ def cmd_storage(_args) -> int:
     return 0
 
 
-def _recorder_for(args):
+def _recorder_for(args, path: Optional[str] = None):
     """A recorder whose ring holds a whole run (1 epoch + n_domains
-    records per epoch, plus headers/footers)."""
+    records per epoch, plus headers/footers). With ``path`` it also
+    streams every record, one observation per epoch included, there."""
     from repro.telemetry import EpochTraceRecorder, TelemetryConfig
 
-    observations = getattr(args, "observations", False)
-    jsonl = getattr(args, "jsonl", None)
-    if observations and not jsonl:
-        raise SystemExit("--observations streams to disk only; add --jsonl FILE")
     n_domains = max(1, args.cus // args.cus_per_domain)
     ring = (args.max_epochs + 2) * (n_domains + 1)
     return EpochTraceRecorder(
         TelemetryConfig(
             ring_size=ring,
-            jsonl_path=jsonl,
-            record_observations=observations,
+            jsonl_path=path,
+            record_observations=path is not None,
         )
     )
 
@@ -492,12 +449,13 @@ def cmd_trace(args) -> int:
     from repro.telemetry import save_perfetto_json
 
     tracer = None
-    if args.spans:
+    if args.trace:
         from repro.obs import Tracer
 
-        tracer = Tracer(ring_size=0, jsonl_path=args.spans)
+        # Held in memory; the recorder writes its records after the run's.
+        tracer = Tracer(ring_size=0)
     drift = None
-    with _recorder_for(args) as rec:
+    with _recorder_for(args, args.trace) as rec:
         if args.drift:
             from repro.obs import DriftConfig, DriftMonitor, get_logger
 
@@ -508,13 +466,11 @@ def cmd_trace(args) -> int:
                 log=get_logger("drift"),
             )
             rec.drift = drift
-        try:
-            result = run_task(
-                _sweep_task(args, args.design), recorder=rec, tracer=tracer
-            )
-        finally:
-            if tracer is not None:
-                tracer.close()
+        result = run_task(_sweep_task(args, args.design), recorder=rec, tracer=tracer)
+        if tracer is not None:
+            # The run record already carries build_meta: skip the
+            # tracer's own "trace" header.
+            rec.append(r for r in tracer.records if r["type"] != "trace")
 
     first = max(0, rec.epochs - args.epochs)
     rows = []
@@ -549,10 +505,9 @@ def cmd_trace(args) -> int:
         f"run: delay {result.delay_ns / 1e3:.1f} us, "
         f"energy {result.energy.total:.3f}"
     )
-    if args.jsonl:
-        print(f"epoch records streamed to {args.jsonl}")
-    if args.spans:
-        print(f"{tracer.total_spans} spans streamed to {args.spans}")
+    if args.trace:
+        print(f"epoch records, observations and {tracer.total_spans} spans "
+              f"streamed to {args.trace}")
     if drift is not None:
         if drift.alerts:
             print(f"drift: {drift.alert_count} alert(s)")
@@ -573,14 +528,11 @@ def cmd_trace(args) -> int:
 def cmd_report(args) -> int:
     from repro.telemetry import AccuracyReport
 
-    if not args.accuracy:
-        raise SystemExit("repro report: only --accuracy is available; pass it")
-
     reports: List[AccuracyReport] = []
-    if args.jsonl:
+    if args.trace:
         from repro.telemetry import load_trace_jsonl
 
-        reports.append(AccuracyReport.from_records(load_trace_jsonl(args.jsonl)))
+        reports.append(AccuracyReport.from_records(load_trace_jsonl(args.trace)))
     else:
         from repro.runtime.executor import run_task
 
@@ -626,10 +578,10 @@ def cmd_serve(args) -> int:
 
     registry = MetricsRegistry()
     tracer = None
-    if args.trace_jsonl:
+    if args.trace:
         from repro.obs import Tracer
 
-        tracer = Tracer(jsonl_path=args.trace_jsonl, registry=registry)
+        tracer = Tracer(jsonl_path=args.trace, registry=registry)
     drift = None
     if args.drift:
         from repro.obs import DriftConfig, DriftMonitor, get_logger
@@ -690,8 +642,7 @@ def cmd_serve(args) -> int:
         flush=True,
     )
     if tracer is not None:
-        print(f"{tracer.total_spans} spans streamed to {args.trace_jsonl}",
-              flush=True)
+        print(f"{tracer.total_spans} spans streamed to {args.trace}", flush=True)
     if drift is not None:
         print(f"drift: {drift.alert_count} alert(s)", flush=True)
     return 0
@@ -1007,13 +958,14 @@ def cmd_learn_eval(args) -> int:
             dataset = load_dataset(args.dataset)
         except DatasetError as exc:
             raise SystemExit(f"repro learn eval: {exc}")
+    objective = _objective(args)
     report = compare_designs(
         model,
         args.workload,
         _config(args),
         baselines=tuple(args.baselines.split(",")),
         dataset=dataset,
-        objective=_objective(args),
+        objective=objective,
         scale=args.scale,
         max_epochs=args.max_epochs,
     )
@@ -1039,7 +991,8 @@ def cmd_learn_eval(args) -> int:
         # Gate on the metric the controller actually optimised: under
         # the default ED2P objective even ORACLE loses to a static
         # point on raw EDP, so an EDP gate would be unwinnable.
-        metric = "ed2p" if args.objective == "ed2p" else "edp"
+        ed2p = isinstance(objective, EDnPObjective) and objective.n == 2
+        metric = "ed2p" if ed2p else "edp"
         learned_m = getattr(learned, metric)
         gate_m = getattr(gate, metric)
         label = metric.upper()
@@ -1096,7 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit log lines as JSON objects instead of text")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def platform(sp, workload_arg=True):
+    def platform(sp, workload_arg=True, scale=0.4, max_epochs=400):
         if workload_arg:
             # A metavar keeps argparse from listing the choices (and so
             # loading the suite) while it builds the parser.
@@ -1106,17 +1059,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--waves", type=int, default=8)
         sp.add_argument("--cus-per-domain", type=int, default=1)
         sp.add_argument("--epoch-us", type=float, default=1.0)
-        sp.add_argument("--scale", type=float, default=0.4)
-        sp.add_argument("--max-epochs", type=int, default=400)
-        sp.add_argument("--objective", default="ed2p",
+        sp.add_argument("--scale", type=float, default=scale)
+        sp.add_argument("--max-epochs", type=int, default=max_epochs)
+
+    def objective(sp):
+        sp.add_argument("--objective", type=_objective_name, default="ed2p",
                         help="ed1p | ed2p | capN (N%% degradation cap)")
 
-    def common(sp, workload_arg=True):
-        platform(sp, workload_arg)
-        runtime(sp)
-
     def runtime(sp):
-        sp.add_argument("--workers", type=int, default=1,
+        """The flags of the commands that run a sweep through ``_executor``."""
+        sp.add_argument("--workers", type=_at_least_one, default=1,
                         help="processes to fan sweep cells across (default 1)")
         sp.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache")
@@ -1124,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="result cache directory (default .repro_cache "
                              "or $REPRO_CACHE_DIR)")
         # None = RetryPolicy's default, read when a sweep builds one.
-        sp.add_argument("--retries", type=int, default=None,
+        sp.add_argument("--retries", type=_at_least_one, default=None,
                         help="attempts per sweep cell before giving up "
                              "(1 = no retries; default 3)")
         sp.add_argument("--resume", action="store_true",
@@ -1139,13 +1091,22 @@ def build_parser() -> argparse.ArgumentParser:
                              "join the sweep")
 
     sp = sub.add_parser("run", help="run one workload under one design")
-    common(sp)
+    platform(sp)
+    objective(sp)
+    runtime(sp)
     sp.add_argument("--design", default="PCSTALL")
-    sp.add_argument("--json", help="write the run summary to this JSON file")
+    sp.add_argument("--engine", choices=("event", "reference"), default="event",
+                    help="timing-engine implementation (reference = the "
+                         "pre-event-engine rescan loop, for comparisons)")
+    sp.add_argument("--json", metavar="FILE",
+                    help="write the run summary, with its hot-path work "
+                         "counters, to this JSON file")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("compare", help="compare designs on one workload")
-    common(sp)
+    platform(sp)
+    objective(sp)
+    runtime(sp)
     sp.add_argument("--designs", default="STATIC@1.7,CRISP,PCSTALL")
     sp.add_argument("--verbose", action="store_true",
                     help="also print the sweep instrumentation summary")
@@ -1159,12 +1120,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated workload subset (default: quick five)")
     sp.add_argument("--designs", default=None,
                     help="comma-separated design subset (default: per figure)")
-    sp.add_argument("--cus", type=int, default=4)
-    sp.add_argument("--waves", type=int, default=8)
-    sp.add_argument("--cus-per-domain", type=int, default=1)
-    sp.add_argument("--epoch-us", type=float, default=1.0)
-    sp.add_argument("--scale", type=float, default=0.3)
-    sp.add_argument("--max-epochs", type=int, default=250)
+    platform(sp, workload_arg=False, scale=0.3, max_epochs=250)
     runtime(sp)
     sp.set_defaults(fn=cmd_figure)
 
@@ -1185,7 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp = learn_sub.add_parser(
         "extract",
         help="build a supervised dataset (.npz + .json sidecar) from "
-             "observation traces (repro trace --jsonl F --observations)",
+             "observation traces (repro trace <workload> --trace F)",
     )
     lp.add_argument("traces", nargs="+",
                     help="observation JSONL file(s) to extract from")
@@ -1230,6 +1186,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("model", help="registry reference (name, artifact id, "
                                   "id prefix, or 'latest')")
     platform(lp)
+    objective(lp)
     lp.add_argument("--baselines", default=",".join(
                         ("STATIC@1.7", "CRISP", "HISTORY", "PCSTALL")),
                     help="comma-separated designs to compare against "
@@ -1241,8 +1198,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="model registry directory (default .repro_models "
                          "or $REPRO_MODEL_DIR)")
     lp.add_argument("--gate-baseline", metavar="DESIGN", default=None,
-                    help="exit 1 unless LEARNED's EDP beats this "
-                         "baseline's (CI gate, e.g. STATIC@1.7)")
+                    help="exit 1 unless LEARNED beats this baseline on "
+                         "ED2P (under ED2P) or EDP (CI gate, e.g. STATIC@1.7)")
     lp.set_defaults(fn=cmd_learn_eval)
 
     lp = learn_sub.add_parser("list", help="list registry artifacts")
@@ -1252,26 +1209,10 @@ def build_parser() -> argparse.ArgumentParser:
     lp.set_defaults(fn=cmd_learn_list)
 
     sp = sub.add_parser(
-        "profile",
-        help="oracle-profile a workload's sensitivity, or (--hotpath) "
-             "count the timing engine's hot-path work",
+        "profile", help="oracle-profile a workload's sensitivity over time"
     )
-    common(sp)
+    platform(sp)
     sp.add_argument("--csv", help="write the per-epoch trace to this CSV file")
-    sp.add_argument("--hotpath", action="store_true",
-                    help="run one workload x design simulation and print "
-                         "the hot-path event counters instead of the "
-                         "sensitivity trace")
-    sp.add_argument("--design", default="PCSTALL",
-                    help="design to simulate with --hotpath (default PCSTALL; "
-                         "only a design fed truth, e.g. ORACLE, runs the oracle)")
-    sp.add_argument("--engine", choices=("event", "reference"), default="event",
-                    help="timing-engine implementation (reference = the "
-                         "pre-event-engine rescan loop, for comparisons)")
-    sp.add_argument("--cprofile", metavar="FILE",
-                    help="wrap the command in cProfile and dump stats to FILE")
-    sp.add_argument("--json", metavar="FILE",
-                    help="with --hotpath: also write the counters to FILE")
     sp.set_defaults(fn=cmd_profile)
 
     sp = sub.add_parser(
@@ -1279,24 +1220,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="run with the epoch telemetry recorder attached; print "
              "per-epoch decisions, optionally export JSONL / Perfetto",
     )
-    common(sp)
+    platform(sp)
+    objective(sp)
     sp.add_argument("--design", default="PCSTALL")
     sp.add_argument("--epochs", type=int, default=8,
                     help="trailing epochs to print in the decision table")
-    sp.add_argument("--jsonl", metavar="FILE",
-                    help="stream every epoch record to this JSONL file")
+    sp.add_argument("--trace", metavar="FILE",
+                    help="stream every epoch record and one observation "
+                         "per epoch (the full predictor input, so repro "
+                         "replay and learn extract read the file) to this "
+                         "JSONL file, then the run's spans")
     sp.add_argument("--perfetto", metavar="FILE",
                     help="write a Chrome-trace JSON timeline to FILE "
-                         "(open at https://ui.perfetto.dev)")
-    sp.add_argument("--observations", action="store_true",
-                    help="also stream per-epoch observation records (the "
-                         "full predictor input) into the --jsonl file, "
-                         "making the trace replayable against a live "
-                         "server (repro replay)")
-    sp.add_argument("--spans", metavar="FILE",
-                    help="attach the span tracer and stream run/epoch/"
-                         "oracle_sample spans to this JSONL file; with "
-                         "--perfetto, spans render on the same timeline")
+                         "(open at https://ui.perfetto.dev); with --trace, "
+                         "spans render on the same timeline")
     sp.add_argument("--drift", action="store_true",
                     help="attach the online drift monitor to the recorder "
                          "and report rel_error alerts after the run")
@@ -1307,13 +1244,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="prediction-accuracy drill-down: error percentiles, "
              "confusion matrix vs oracle, per-PC attribution",
     )
-    common(sp, workload_arg=False)
-    sp.add_argument("--accuracy", action="store_true",
-                    help="produce the accuracy report (required)")
+    platform(sp, workload_arg=False)
+    objective(sp)
     sp.add_argument("--workloads", default="dgemm",
                     help="comma-separated workloads to simulate and score")
     sp.add_argument("--design", default="PCSTALL")
-    sp.add_argument("--jsonl", metavar="FILE",
+    sp.add_argument("--trace", metavar="FILE",
                     help="score a saved trace instead of simulating")
     sp.add_argument("--top", type=int, default=10,
                     help="PC rows in the attribution table")
@@ -1346,7 +1282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--drain-timeout", type=float, default=10.0,
                     help="seconds shutdown waits for in-flight work "
                          "(default %(default)s)")
-    sp.add_argument("--trace-jsonl", metavar="FILE",
+    sp.add_argument("--trace", metavar="FILE",
                     help="stream connect/session/request/decision spans "
                          "to this JSONL file (strictly observational: "
                          "decisions stay bit-identical)")
@@ -1369,8 +1305,7 @@ def build_parser() -> argparse.ArgumentParser:
              "bit-identical decisions",
     )
     sp.add_argument("trace",
-                    help="JSONL from: repro trace <workload> --jsonl FILE "
-                         "--observations")
+                    help="JSONL from: repro trace <workload> --trace FILE")
     sp.add_argument("--host", default="127.0.0.1")
     sp.add_argument("--port", type=int, default=DEFAULT_PORT)
     sp.add_argument("--timeout", type=float, default=30.0,
@@ -1447,11 +1382,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential validation: audit invariants and cross-check "
              "the engine/sweep/oracle bit-exactness claims",
     )
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--quick", action="store_true",
-                       help="two workloads at CI-smoke scale (default)")
-    group.add_argument("--deep", action="store_true",
-                       help="the five quickstart workloads at figure scale")
+    sp.add_argument("--deep", action="store_true",
+                    help="the five quickstart workloads at figure scale "
+                         "(default: two workloads at CI-smoke scale)")
     sp.add_argument("--workloads", default=None,
                     help="comma-separated workload override")
     sp.add_argument("--json", metavar="FILE",

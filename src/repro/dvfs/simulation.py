@@ -89,7 +89,7 @@ class DvfsSimulation:
 
     ``collect_accuracy`` records oracle truth into the attached
     ``telemetry`` recorder (the per-domain truth lines and oracle-best
-    frequencies that ``repro report --accuracy`` and the learned-model
+    frequencies that ``repro report`` and the learned-model
     dataset read). Without a recorder it samples nothing: a design that
     is not fed truth then runs no oracle at all, and ``RunResult`` is
     the same either way apart from its ``hotpath`` counters.

@@ -194,9 +194,6 @@ class Gpu:
         self._pending_transitions += changed
         return changed
 
-    def domain_frequencies(self) -> List[float]:
-        return self.domains.frequencies()
-
     # ------------------------------------------------------------------
     # Epoch stepping
 

@@ -129,9 +129,6 @@ class Wavefront:
     def current_instruction(self) -> Instruction:
         return self.code.source.instructions[self.pc_idx]
 
-    def current_pc(self, instruction_bytes: int = 4) -> int:
-        return self.pc_idx * instruction_bytes
-
     # ------------------------------------------------------------------
     # Deterministic "randomness"
 

@@ -2,10 +2,10 @@
 
 The trained counterpart of the hand-built TABLE III designs. The loop::
 
-    repro trace <w> --jsonl t.jsonl --observations   # archive epochs
+    repro trace <w> --trace t.jsonl                  # archive epochs
     repro learn extract t.jsonl -o ds                # supervised dataset
     repro learn train ds --kind rls --name mine      # registry artifact
-    repro learn eval mine --workload <w>             # vs baselines
+    repro learn eval mine <w>                        # vs baselines
     repro serve --model mine                         # answer live traffic
 
 and ``LEARNED@<ref>`` is a design name everywhere designs go: sweeps,

@@ -1,7 +1,7 @@
 """Telemetry-to-dataset extraction: observation JSONL -> supervised rows.
 
-A trace recorded with ``repro trace <w> --design <d> --jsonl FILE
---observations`` archives, per epoch, the complete predictor input (the
+A trace recorded with ``repro trace <w> --design <d> --trace FILE``
+archives, per epoch, the complete predictor input (the
 wire-form :class:`~repro.gpu.gpu.EpochResult`) plus the oracle's true
 sensitivity lines. :func:`extract_dataset` replays those epochs through
 the *serving* :class:`~repro.learn.features.FeatureExtractor` and emits
@@ -164,8 +164,7 @@ def _trace_header(records: Sequence[Dict[str, object]], path: PathLike):
             if "sim_config" not in meta:
                 raise DatasetError(
                     f"{path}: trace lacks an embedded sim_config; record it "
-                    f"with --observations (repro trace <w> --jsonl FILE "
-                    f"--observations)"
+                    f"with: repro trace <w> --trace FILE"
                 )
             return meta
     raise DatasetError(f"{path}: no run header record")

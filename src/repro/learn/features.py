@@ -109,10 +109,6 @@ class FeatureExtractor:
         #: Per domain: (committed, freq_ghz) of the previous epoch.
         self._prev: List[Optional[Tuple[float, float]]] = [None] * config.n_domains
 
-    @property
-    def n_features(self) -> int:
-        return len(FEATURE_NAMES)
-
     def observe(self, result) -> List[List[float]]:
         """Feature vectors for every domain of one elapsed epoch."""
         cfg = self.config

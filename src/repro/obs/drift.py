@@ -1,7 +1,7 @@
 """Online drift monitoring: rolling windows over quality signals.
 
 The paper's predictive DVFS argument only holds while the predictor
-stays accurate; post-hoc aggregates (``repro report --accuracy``) show
+stays accurate; post-hoc aggregates (``repro report``) show
 *that* accuracy degraded, never *when*. :class:`DriftMonitor` watches
 quality signals as they stream and raises a structured alert the moment
 a rolling-window statistic crosses its threshold:

@@ -10,7 +10,7 @@ static 1.7 GHz execution of the same workload (Figures 15-17).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.config import GpuConfig
 from repro.gpu.gpu import EpochResult
@@ -89,9 +89,6 @@ class EnergyAccountant:
         epoch_total = cu_energy + mem_energy + trans_energy
         self.power_trace.append(epoch_total / dt if dt > 0 else 0.0)
         return epoch_total
-
-    def add_epochs(self, results: Sequence[EpochResult]) -> float:
-        return sum(self.add_epoch(r) for r in results)
 
 
 __all__ = ["EnergyAccountant", "EnergyBreakdown", "ed_n_p"]

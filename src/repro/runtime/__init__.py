@@ -63,12 +63,7 @@ if TYPE_CHECKING:
         InjectedFaultError,
         active_fault_plan,
     )
-    from repro.runtime.profiling import (
-        HotPathCounters,
-        collect_hotpath,
-        format_hotpath,
-        maybe_cprofile,
-    )
+    from repro.runtime.profiling import HotPathCounters, collect_hotpath
     from repro.runtime.progress import CellRecord, SweepInstrumentation
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -81,7 +76,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                  "SweepTimeoutError", "run_task"),
     "faults": ("FAULT_PLAN_ENV", "CorruptResult", "CorruptResultError", "FaultPlan",
                "FaultSpec", "InjectedFaultError", "active_fault_plan"),
-    "profiling": ("HotPathCounters", "collect_hotpath", "format_hotpath", "maybe_cprofile"),
+    "profiling": ("HotPathCounters", "collect_hotpath"),
     "progress": ("CellRecord", "SweepInstrumentation"),
 })
 
@@ -115,8 +110,6 @@ __all__ = [
     "collect_hotpath",
     "default_cache_dir",
     "default_checkpoint_path",
-    "format_hotpath",
-    "maybe_cprofile",
     "run_task",
     "task_key",
 ]

@@ -3,7 +3,7 @@
 The CI container has one CPU, so wall-clock time cannot demonstrate the
 event engine's speedup. Instead, the hot objects count the work they do
 (`plain int` attributes, bumped on the hot path, never read by the timing
-model) and this module collects, merges and formats those counters:
+model) and this module collects and merges those counters:
 
 * ``cycles``                 - scheduler steps simulated across all CUs.
 * ``waves_scanned``          - wavefront readiness examinations. The
@@ -20,17 +20,16 @@ model) and this module collects, merges and formats those counters:
 * ``oracle_cycles``          - scheduler steps spent inside pre-execution.
 
 ``RunResult.hotpath`` carries the collected dict out of a simulation;
-``SweepInstrumentation`` aggregates it across sweep cells; the
-``repro profile --hotpath`` CLI prints it for one workload x design.
-An opt-in :func:`maybe_cprofile` wrapper covers the cases where a real
-profile is wanted (``repro profile --cprofile FILE``).
+``SweepInstrumentation`` aggregates it across sweep cells; ``repro run
+--json FILE`` writes it for one workload x design (``--engine
+reference`` runs the rescan loop for comparison). For a real profile,
+run the CLI under ``python -m cProfile -o FILE -m repro ...``.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Mapping
 
 
 @dataclass
@@ -117,44 +116,8 @@ def collect_hotpath(gpu, sampler=None) -> Dict[str, int]:
     return out.as_dict()
 
 
-def format_hotpath(counters: Mapping[str, int], title: str = "hot-path counters") -> str:
-    """Render a counter mapping as the repo's standard table."""
-    from repro.analysis.report import format_table
-
-    rows = [[name, f"{int(value):,}"] for name, value in counters.items()]
-    return format_table(["event", "count"], rows, title=title)
-
-
-@contextlib.contextmanager
-def maybe_cprofile(path: Optional[str]) -> Iterator[Optional[object]]:
-    """Opt-in ``cProfile`` wrapper: a no-op when ``path`` is falsy.
-
-    Usage::
-
-        with maybe_cprofile(args.cprofile):
-            run_the_workload()
-
-    When ``path`` is given, profile stats are dumped there in the binary
-    ``pstats`` format (inspect with ``python -m pstats <path>``).
-    """
-    if not path:
-        yield None
-        return
-    import cProfile
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        yield profiler
-    finally:
-        profiler.disable()
-        profiler.dump_stats(path)
-
-
 __all__ = [
     "HotPathCounters",
     "collect_gpu",
     "collect_hotpath",
-    "format_hotpath",
-    "maybe_cprofile",
 ]

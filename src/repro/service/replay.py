@@ -1,8 +1,8 @@
 """``repro replay``: verify a live server against an offline trace.
 
-A trace recorded with ``repro trace ... --jsonl FILE --observations``
-holds, per epoch, both sides of the decision loop: the frequencies the
-offline :class:`~repro.dvfs.simulation.DvfsSimulation` chose (``domain``
+A trace recorded with ``repro trace ... --trace FILE`` holds, per
+epoch, both sides of the decision loop: the frequencies the offline
+:class:`~repro.dvfs.simulation.DvfsSimulation` chose (``domain``
 records) and the complete predictor input that produced them
 (``observation`` records), plus the full platform config in the run
 header. Replay reconstructs the loop against a *live* server:
@@ -99,8 +99,8 @@ def load_replay_trace(path: str) -> ReplayTrace:
     """Load and cross-check a trace for replay.
 
     Raises ``ValueError`` with an actionable message when the trace
-    lacks what replay needs (old schema, missing ``--observations``,
-    gaps in the epoch sequence).
+    lacks what replay needs (old schema, no observation records, gaps
+    in the epoch sequence).
     """
     records = load_trace_jsonl(path)
     if not records or records[0].get("type") != "run":
@@ -109,15 +109,14 @@ def load_replay_trace(path: str) -> ReplayTrace:
         header = check_meta(records[0])
     except ValueError as exc:
         raise ValueError(
-            f"{path}: {exc}; re-record with: repro trace <workload> "
-            f"--jsonl FILE --observations"
+            f"{path}: {exc}; re-record with: repro trace <workload> --trace FILE"
         ) from None
 
     sim_config_wire = header.get("sim_config")
     if not isinstance(sim_config_wire, dict):
         raise ValueError(
             f"{path}: run header has no embedded sim_config; re-record "
-            f"with: repro trace <workload> --jsonl FILE --observations"
+            f"with: repro trace <workload> --trace FILE"
         )
     n_domains = int(header["n_domains"])  # type: ignore[arg-type]
 
@@ -139,7 +138,7 @@ def load_replay_trace(path: str) -> ReplayTrace:
     if not observations:
         raise ValueError(
             f"{path}: no observation records; re-record with: "
-            f"repro trace <workload> --jsonl FILE --observations"
+            f"repro trace <workload> --trace FILE"
         )
     n_epochs = len(observations)
     for collection, what in ((observations, "observation"), (chosen, "domain")):

@@ -15,7 +15,7 @@ predictors, PC table, oracle and sweep runtime:
   (``repro trace --epochs``).
 * :mod:`repro.telemetry.accuracy` - prediction-error percentiles,
   decision confusion matrix vs the oracle, per-PC error attribution
-  (``repro report --accuracy``).
+  (``repro report``).
 
 When no recorder is attached, the simulation pays a single ``is None``
 test per epoch and allocates nothing - tier-1 results stay bit-identical

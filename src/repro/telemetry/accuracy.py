@@ -1,7 +1,7 @@
 """Prediction-accuracy drill-down over epoch records.
 
 Turns a recorded epoch stream (in-memory recorder or loaded JSONL) into
-the three diagnostics the ``repro report --accuracy`` CLI prints:
+the three diagnostics the ``repro report`` CLI prints:
 
 * **Error percentiles** - exact p50/p90/p99/mean of the per-(domain,
   epoch) relative prediction error, the distribution behind the

@@ -18,7 +18,7 @@ Timestamps are simulated nanoseconds divided by 1000 (the trace format
 counts microseconds), so one 1 µs epoch renders as one 1-unit slice.
 
 When the record stream also carries **span** records (the
-``repro.obs.trace.Tracer`` output, merged with ``repro trace --spans``),
+``repro.obs.trace.Tracer`` output, appended by ``repro trace --trace``),
 they render as a second process ("repro spans"): each span is a complete
 slice whose track (tid) is its lane - one lane for spans minted by the
 root tracer, one per worker prefix, so parallel sweep cells sit on

@@ -33,7 +33,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # duck-typed at runtime; keeps telemetry import-light
     from repro.obs.drift import DriftMonitor
@@ -52,9 +52,6 @@ _PC_STAT_KEYS = ("lookups", "hits", "updates", "evictions")
 class TelemetryConfig:
     """What the recorder keeps and where it streams."""
 
-    #: Emit per-epoch ``epoch``/``domain`` records. When False the
-    #: recorder still aggregates run-level metrics and PC attribution.
-    record_epochs: bool = True
     #: Ring-buffer capacity for in-memory records (0 = keep nothing in
     #: memory; the JSONL stream still receives everything).
     ring_size: int = 4096
@@ -222,8 +219,7 @@ class EpochTraceRecorder:
             for k in _PC_STAT_KEYS:
                 epoch_rec[f"pc_{k}"] = pc_cumulative.get(k, 0) - last.get(k, 0)
             self._last_pc_cumulative = dict(pc_cumulative)
-        if self.config.record_epochs:
-            self._emit(epoch_rec)
+        self._emit(epoch_rec)
 
         if self.config.record_observations:
             # The complete predictor input for this epoch; with the run
@@ -310,8 +306,7 @@ class EpochTraceRecorder:
                 reg.inc("telemetry_decisions")
                 if mispredicted:
                     reg.inc("telemetry_mispredictions")
-            if self.config.record_epochs:
-                self._emit(rec)
+            self._emit(rec)
 
         if self.config.record_pc_attribution:
             self._attribute_pcs(result, rel_errors)
@@ -373,6 +368,12 @@ class EpochTraceRecorder:
             count=False,
             final=True,
         )
+
+    def append(self, records: Iterable[Dict[str, object]]) -> None:
+        """Stream records from another source (a tracer's spans and drift
+        alerts) after this run's own; they are not counted or ringed."""
+        for record in records:
+            self._emit(record, count=False, ring=False)
 
     # ------------------------------------------------------------------
 

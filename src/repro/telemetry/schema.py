@@ -1,8 +1,8 @@
 """Trace record schema: self-describing metadata plus validation.
 
 Every archived telemetry artifact - the epoch JSONL stream, the Perfetto
-trace, ``repro profile --json`` output, ``repro run --json`` summaries -
-embeds a ``meta`` block built by :func:`build_meta`:
+trace, ``repro run --json`` summaries - embeds a ``meta`` block built by
+:func:`build_meta`:
 
 * ``schema_version`` - bumped whenever a record field changes meaning,
 * ``repro_version`` - the package that produced the artifact,

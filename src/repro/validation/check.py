@@ -9,8 +9,8 @@ reference engine, serial vs parallel sweep, snapshot-fork vs clone
 oracle). Everything lands in one :class:`CheckReport`; ``repro check``
 exits nonzero iff ``report.ok`` is false.
 
-Two presets: ``--quick`` (two workloads at CI-smoke scale, the default)
-and ``--deep`` (the five quickstart workloads at figure scale). Both run
+Two presets: the default (two workloads at CI-smoke scale) and
+``--deep`` (the five quickstart workloads at figure scale). Both run
 uncached - a check that compares a cache entry against itself proves
 nothing.
 """

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.objectives import EDnPObjective, PerformanceCapObjective
 
 
 class TestParser:
@@ -41,6 +42,84 @@ class TestParser:
             match = re.search(r'^version\s*=\s*"([^"]+)"', handle.read(), re.M)
         assert match is not None
         assert match.group(1) == __version__
+
+
+#: The flags of the sweep commands, each with a value where it takes one.
+SWEEP_FLAGS = [
+    ["--workers", "2"], ["--no-cache"], ["--cache-dir", "d"], ["--retries", "2"],
+    ["--resume"], ["--checkpoint", "c.jsonl"], ["--listen", "127.0.0.1:0"],
+]
+
+
+class TestEveryFlagActs:
+    """A command accepts only the flags some code path of it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[cmd, *head, *flag]
+         for cmd, head in (("trace", ["dgemm"]), ("report", []), ("profile", ["comd"]))
+         for flag in SWEEP_FLAGS]
+        + [["profile", "comd", "--objective", "ed2p"],
+           # Selectors of the one job a command does.
+           ["profile", "comd", "--hotpath"], ["report", "--accuracy"], ["check", "--quick"]],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_flags_no_code_path_reads_are_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_report_needs_no_selector(self, capsys):
+        assert main([
+            "report", "--cus", "2", "--waves", "4", "--scale", "0.1", "--max-epochs", "20",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "dgemm/PCSTALL" in out and "confusion" in out
+
+    @pytest.mark.parametrize("command", [
+        ["run", "comd"], ["compare", "comd"], ["figure", "fig15"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_an_argparse_error(self, command, workers, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--workers", workers, "--no-cache"])
+        assert excinfo.value.code == 2
+        assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["cap", "capx", "edxp", "cap150"])
+    def test_malformed_objective_is_an_argparse_error(self, name, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "comd", "--objective", name, "--no-cache"])
+        assert excinfo.value.code == 2
+        assert f"invalid objective {name!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,expected", [
+        ("edp", EDnPObjective(1)),
+        ("ed2p", EDnPObjective(2)),
+        ("cap5", PerformanceCapObjective(0.05)),
+    ])
+    def test_objective_names_parse_as_before(self, name, expected):
+        from repro.cli import _objective
+        from repro.runtime.cache import describe_objective
+
+        args = build_parser().parse_args(["run", "comd", "--objective", name])
+        assert describe_objective(_objective(args)) == describe_objective(expected)
+
+    def test_figure_listen_serves_from_a_listening_broker(self, capsys):
+        figure = [
+            "figure", "fig15", "--workloads", "comd", "--designs", "STALL",
+            "--cus", "2", "--waves", "4", "--scale", "0.1", "--max-epochs", "40",
+            "--no-cache", "--workers", "2",
+        ]
+        assert main(figure) == 0
+        plain = capsys.readouterr().out
+        assert main(figure + ["--listen", "127.0.0.1:0"]) == 0
+        listened = capsys.readouterr().out
+        assert "broker listening on 127.0.0.1:" in listened
+        assert "broker listening" not in plain
+        # The same figure rows, ahead of the instrumentation summary.
+        assert listened.split("\n\n")[0] == plain.split("\n\n")[0]
 
 
 class TestCommands:

@@ -673,13 +673,12 @@ class TestObsCli:
     def test_trace_cli_spans_and_drift(self, tmp_path, capsys):
         from repro.cli import main
 
-        spans = tmp_path / "spans.jsonl"
+        spans = tmp_path / "trace.jsonl"
         perfetto = tmp_path / "trace.json"
         rc = main([
             "trace", "dgemm", "--design", "PCSTALL",
-            "--cus", "2", "--waves", "4", "--scale", "0.12",
-            "--max-epochs", "6", "--no-cache",
-            "--spans", str(spans), "--drift", "--perfetto", str(perfetto),
+            "--cus", "2", "--waves", "4", "--scale", "0.12", "--max-epochs", "6",
+            "--trace", str(spans), "--drift", "--perfetto", str(perfetto),
         ])
         assert rc == 0
         out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Hot-path profiling: counters, collection, formatting, CLI surface."""
+"""Hot-path profiling: counters, collection, CLI surface."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.gpu.gpu import Gpu
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
-from repro.runtime import HotPathCounters, collect_hotpath, format_hotpath, maybe_cprofile
+from repro.runtime import HotPathCounters, collect_hotpath
 from repro.runtime.profiling import collect_gpu
 from repro.runtime.progress import SOURCE_SERIAL, CellRecord, SweepInstrumentation
 
@@ -72,31 +72,6 @@ class TestCollection:
         assert snap.nbytes == gpu.ctr_snapshot_bytes
 
 
-class TestFormatting:
-    def test_format_hotpath_renders_counters(self):
-        text = format_hotpath({"cycles": 1234567}, title="engine work")
-        assert "engine work" in text
-        assert "1,234,567" in text
-
-
-class TestMaybeCprofile:
-    def test_noop_without_path(self):
-        with maybe_cprofile(None) as prof:
-            assert prof is None
-        with maybe_cprofile("") as prof:
-            assert prof is None
-
-    def test_writes_pstats_file(self, tmp_path):
-        import pstats
-
-        out = tmp_path / "prof.pstats"
-        with maybe_cprofile(str(out)) as prof:
-            assert prof is not None
-            sum(range(1000))
-        assert out.exists()
-        pstats.Stats(str(out))  # parses as valid profile data
-
-
 class TestSweepAggregation:
     def test_hotpath_totals_merge_across_cells(self):
         instr = SweepInstrumentation()
@@ -140,40 +115,20 @@ class TestTraceIo:
 
 
 class TestCli:
-    def test_profile_hotpath_prints_counters(self, capsys):
-        rc = main([
-            "profile", "comd", "--hotpath", "--cus", "2", "--waves", "4",
-            "--scale", "0.1", "--max-epochs", "10",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "hot-path counters" in out
-        assert "waves_scanned" in out
-
-    def test_profile_hotpath_json_and_cprofile(self, capsys, tmp_path):
-        counters = tmp_path / "hot.json"
-        stats = tmp_path / "prof.pstats"
-        rc = main([
-            "profile", "comd", "--hotpath", "--cus", "2", "--waves", "4",
-            "--scale", "0.1", "--max-epochs", "10", "--engine", "reference",
-            "--json", str(counters), "--cprofile", str(stats),
-        ])
-        assert rc == 0
-        assert stats.exists()
-        data = json.loads(counters.read_text())
-        assert data["engine"] == "reference"
-        assert data["hotpath"]["cycles"] > 0
-
     def test_engine_flag_switches_engines(self, capsys, tmp_path):
+        """``run --engine`` picks the timing engine: the summary records
+        it, and the reference loop scans more waves for the same cell."""
         scans = {}
         for engine in ("event", "reference"):
             path = tmp_path / f"{engine}.json"
             assert main([
-                "profile", "comd", "--hotpath", "--cus", "2", "--waves", "4",
-                "--scale", "0.1", "--max-epochs", "10", "--engine", engine,
+                "run", "comd", "--cus", "2", "--waves", "4", "--scale", "0.1",
+                "--max-epochs", "10", "--engine", engine, "--no-cache",
                 "--json", str(path),
             ]) == 0
-            scans[engine] = json.loads(path.read_text())["hotpath"]["waves_scanned"]
+            data = json.loads(path.read_text())
+            assert data["meta"]["engine"] == engine
+            scans[engine] = data["hotpath"]["waves_scanned"]
         assert scans["reference"] > scans["event"]
 
 

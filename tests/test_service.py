@@ -264,7 +264,7 @@ def test_schema_1_observation_trace_is_refused(tmp_path, pcstall_trace):
     header["schema_version"] = 1
     old = tmp_path / "schema1.jsonl"
     old.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    with pytest.raises(ValueError, match=r"version 1 .*version 2.*--observations"):
+    with pytest.raises(ValueError, match=r"version 1 .*version 2.*--trace FILE"):
         load_replay_trace(str(old))
 
 
@@ -389,7 +389,7 @@ def test_load_replay_trace_needs_observations(tmp_path):
                      oracle_sample_freqs=3, collect_accuracy=True)
     with recorder:
         run_task(task, recorder=recorder)
-    with pytest.raises(ValueError, match="--observations"):
+    with pytest.raises(ValueError, match="--trace FILE"):
         load_replay_trace(str(path))
 
 
@@ -410,6 +410,36 @@ def test_replay_cli_exit_codes(server, pcstall_trace):
 
     path, _ = pcstall_trace
     assert main(["replay", path, "--port", str(server.port)]) == 0
+
+
+def test_trace_cli_writes_one_file_every_reader_reads(tmp_path, server, capsys):
+    """``repro trace --trace F``: the epoch records, one observation per
+    epoch, then the run's spans, all in F, which replay, dataset
+    extraction and the accuracy report each read."""
+    from repro.cli import main
+
+    path = tmp_path / "dgemm.jsonl"
+    assert main([
+        "trace", "dgemm", "--cus", "2", "--waves", "4", "--scale", "0.15",
+        "--max-epochs", "30", "--trace", str(path), "--drift",
+    ]) == 0
+    assert sorted(tmp_path.iterdir()) == [path]
+    types = [json.loads(line)["type"] for line in path.read_text().splitlines()]
+    assert types[0] == "run" and "trace" not in types
+    assert types.count("observation") == types.count("epoch") > 0
+    summary = types.index("summary")
+    assert "span" not in types[:summary]
+    counts = validate_trace_file(str(path))
+    assert counts["span"] > counts["epoch"]
+
+    trace = load_replay_trace(str(path))
+    assert len(trace.observations) == counts["epoch"]
+    capsys.readouterr()
+    assert main(["replay", str(path), "--port", str(server.port)]) == 0
+    assert "bit-identical" in capsys.readouterr().out
+    assert main(["learn", "extract", str(path), "-o", str(tmp_path / "ds")]) == 0
+    assert main(["report", "--trace", str(path)]) == 0
+    assert "dgemm/PCSTALL" in capsys.readouterr().out
 
 
 def test_open_mirrors_offline_first_decision(server, pcstall_trace):

@@ -226,14 +226,6 @@ class TestRecorder:
         assert all(r["type"] != "pc" for r in rec.records)
         assert any(r["type"] == "pc" for r in rec.final_records)
 
-    def test_record_epochs_off_still_aggregates(self):
-        rec = EpochTraceRecorder(TelemetryConfig(record_epochs=False))
-        result = run_sim(telemetry=rec, max_epochs=15)
-        assert rec.total_records == 0
-        assert rec.epochs == result.epochs
-        assert rec.pc_stats  # attribution still collected
-        assert rec.registry.counter_values("telemetry_")["telemetry_epochs"] > 0
-
     def test_negative_ring_size_rejected(self):
         with pytest.raises(ValueError):
             TelemetryConfig(ring_size=-1)

@@ -338,8 +338,6 @@ class TestCheckReport:
 
         args = build_parser().parse_args(["check", "--deep", "--json", "r.json"])
         assert args.fn is cmd_check and args.deep and args.json == "r.json"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["check", "--quick", "--deep"])
 
 
 class TestDifferentialEndToEnd:
