@@ -5,16 +5,14 @@ End-to-end acceptance check for ``repro.runtime.distributed`` (run by
 the CI ``distributed-smoke`` job, and runnable locally):
 
 1. Run a quick design-matrix grid serially - the ground truth.
-2. Serve the same grid from a ``SweepBroker`` (with cache, checkpoint
-   manifest, and a span tracer attached) to two ``repro worker``
-   subprocesses. Worker A carries a ``REPRO_FAULT_PLAN`` that makes it
-   hang on every cell it leases; once worker B has drained the rest of
-   the grid, A - holding the one unfinished lease - is SIGKILLed.
+2. Serve the same grid from a ``SweepBroker`` (with cache and checkpoint
+   manifest attached) to two ``repro worker`` subprocesses. Worker A
+   carries a ``REPRO_FAULT_PLAN`` that makes it hang on every cell it
+   leases; once worker B has drained the rest of the grid, A - holding
+   the one unfinished lease - is SIGKILLed.
 3. Require: the sweep completes; results are bit-identical
-   (``run_result_to_dict`` equality) to the serial run; at least one
-   lease was reclaimed; the checkpoint manifest holds no duplicate
-   cell keys; and the cross-host span stream is schema-valid with
-   worker-side spans correctly parented under the broker's cell spans.
+   (``RunResult`` equality) to the serial run; at least one lease was
+   reclaimed; and the checkpoint manifest holds no duplicate cell keys.
 
 Exit status 0 = all checks passed.
 """
@@ -32,15 +30,12 @@ import time
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.analysis.trace_io import run_result_to_dict  # noqa: E402
 from repro.config import small_config  # noqa: E402
-from repro.obs.trace import Tracer  # noqa: E402
 from repro.runtime.cache import ResultCache  # noqa: E402
 from repro.runtime.checkpoint import SweepCheckpoint  # noqa: E402
 from repro.runtime.distributed import SweepBroker  # noqa: E402
 from repro.runtime.executor import SweepExecutor, SweepTask  # noqa: E402
 from repro.runtime.faults import FaultPlan, FaultSpec  # noqa: E402
-from repro.telemetry.schema import validate_record  # noqa: E402
 
 WORKLOADS = ("dgemm", "hacc", "quickS")
 DESIGNS = ("CRISP", "PCSTALL")
@@ -80,19 +75,16 @@ def main() -> int:
 
     print(f"== serial baseline ({n} cells)")
     serial = SweepExecutor(max_workers=1, cache=None).run(tasks)
-    truth = [run_result_to_dict(r) for r in serial]
 
     print("== remote sweep: broker + 2 workers, worker A SIGKILLed")
     with tempfile.TemporaryDirectory(prefix="repro-dsmoke-") as tmp:
         cache_dir = pathlib.Path(tmp) / "cache"
         manifest = pathlib.Path(tmp) / "sweep.manifest.jsonl"
-        tracer = Tracer(ring_size=0)
         broker = SweepBroker(port=0, lease_s=4.0)
         checkpoint = SweepCheckpoint(manifest, sweep="distributed-smoke")
         ex = SweepExecutor(
             cache=ResultCache(cache_dir),
             checkpoint=checkpoint,
-            tracer=tracer,
             broker=broker,
         )
         remote: list = [None]
@@ -157,16 +149,10 @@ def main() -> int:
         print("  worker B output:", (b_out or "").strip().splitlines()[-1:])
 
         results = remote[0]
-        check(
-            "results bit-identical to serial",
-            results is not None
-            and [run_result_to_dict(r) for r in results] == truth,
-        )
+        check("results bit-identical to serial", results == serial)
 
-        reclaimed = ex.progress.registry.counter_values().get(
-            "sweep_cells_reclaimed", 0
-        )
-        check("sweep_cells_reclaimed >= 1", reclaimed >= 1, f"got {int(reclaimed)}")
+        reclaimed = ex.progress.reclaims
+        check("sweep_cells_reclaimed >= 1", reclaimed >= 1, f"got {reclaimed}")
 
         keys = [
             json.loads(line)["key"]
@@ -180,39 +166,9 @@ def main() -> int:
         )
         checkpoint.close()
 
-        records = tracer.collect()
-        bad = [r for r in records if not _valid(r)]
-        spans = [r for r in records if r.get("type") == "span"]
-        check("span stream schema-valid", not bad and len(spans) > 0,
-              f"{len(records)} records, {len(spans)} spans")
-        by_id = {s["span_id"]: s for s in spans}
-        cells = [s for s in spans if s.get("name") == "cell"]
-        runs = [s for s in spans if s.get("name") == "run"]
-        nested = all(
-            r["parent_id"] in by_id and by_id[r["parent_id"]]["name"] == "cell"
-            and r["trace_id"] == by_id[r["parent_id"]]["trace_id"]
-            for r in runs
-        )
-        check(
-            "worker spans nest under broker cell spans",
-            nested and len(runs) == n and len(cells) >= n,
-            f"{len(cells)} cell spans, {len(runs)} run spans",
-        )
-        workers_seen = {c["attrs"].get("worker") for c in cells}
-        check("both workers appear in cell spans", len(workers_seen) >= 2,
-              f"peers: {sorted(str(w) for w in workers_seen)}")
-
     ok = all(checks)
     print("== distributed smoke:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
-
-
-def _valid(record) -> bool:
-    try:
-        validate_record(record)
-        return True
-    except Exception:  # noqa: BLE001 - any validation error fails the check
-        return False
 
 
 if __name__ == "__main__":

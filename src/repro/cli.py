@@ -457,10 +457,9 @@ def cmd_trace(args) -> int:
     drift = None
     with _recorder_for(args, args.trace) as rec:
         if args.drift:
-            from repro.obs import DriftConfig, DriftMonitor, get_logger
+            from repro.obs import DriftMonitor, get_logger
 
             drift = DriftMonitor(
-                DriftConfig(),
                 registry=rec.registry,
                 tracer=tracer,
                 log=get_logger("drift"),
@@ -584,10 +583,9 @@ def cmd_serve(args) -> int:
         tracer = Tracer(jsonl_path=args.trace, registry=registry)
     drift = None
     if args.drift:
-        from repro.obs import DriftConfig, DriftMonitor, get_logger
+        from repro.obs import DriftMonitor, get_logger
 
         drift = DriftMonitor(
-            DriftConfig(),
             registry=registry,
             tracer=tracer,
             log=get_logger("drift"),
@@ -733,10 +731,11 @@ def cmd_metrics(args) -> int:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit(f"repro metrics: cannot load {args.snapshot}: {exc}")
-        # Accept a bare registry snapshot, a /metrics JSON body, or a
-        # sweep-instrumentation dump (whose registry lives under "metrics").
-        snapshot = payload if "counters" in payload \
-            else payload.get("metrics", payload)
+        # A registry snapshot or a /metrics JSON body: both carry
+        # "counters", "gauges" and "histograms" at the top level.
+        sections = {"counters", "gauges", "histograms"}
+        if not isinstance(payload, dict) or not sections & set(payload):
+            raise SystemExit(f"repro metrics: {args.snapshot} is not a metrics snapshot")
         labels = None
         meta = payload.get("meta")
         if isinstance(meta, dict) and "config_hash" in meta:
@@ -744,7 +743,7 @@ def cmd_metrics(args) -> int:
                 "repro_version": str(meta.get("repro_version", "")),
                 "config_hash": str(meta["config_hash"])[:12],
             }
-        text = render_prometheus(snapshot, labels=labels)
+        text = render_prometheus(payload, labels=labels)
 
     if args.check:
         try:
@@ -1323,8 +1322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--connect", metavar="HOST:PORT", required=True,
                     help="broker address (the sweep's --listen)")
     sp.add_argument("--name", default=None,
-                    help="worker name in broker logs/spans "
-                         "(default host:pid)")
+                    help="worker name in broker logs (default host:pid)")
     sp.add_argument("--timeout", type=float, default=60.0,
                     help="per-reply timeout in seconds (default %(default)s)")
     sp.add_argument("--connect-timeout", type=float, default=30.0,
@@ -1341,8 +1339,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(from a JSON file or a live /metrics endpoint)",
     )
     sp.add_argument("snapshot", nargs="?", default=None,
-                    help="JSON metrics snapshot (a registry to_dict() dump, "
-                         "a /metrics body, or a sweep instrumentation dump)")
+                    help="JSON metrics snapshot (a registry to_dict() dump "
+                         "or a /metrics body)")
     sp.add_argument("--url", metavar="HOST:PORT", default=None,
                     help="scrape a live service's "
                          "/metrics?format=prometheus instead of a file")

@@ -1,13 +1,13 @@
 """Observability: span tracing, drift monitoring, Prometheus, logging.
 
-The offline sweep and the online decision service share one
-observability stack:
+An offline run and the online decision service share one
+observability stack, each observed in its own process:
 
-* :mod:`repro.obs.trace` - hierarchical span tracer with cross-process
-  propagation (sweep -> cell -> run -> epoch; session -> request ->
-  decision), zero-overhead when disabled;
+* :mod:`repro.obs.trace` - hierarchical span tracer for one process
+  (run -> epoch -> oracle_sample; session -> request -> decision),
+  zero-overhead when disabled;
 * :mod:`repro.obs.drift` - rolling-window drift monitor over prediction
-  error, shed rate, and retry rate, alerting into spans/metrics/logs;
+  error and shed rate, alerting into spans/metrics/logs;
 * :mod:`repro.obs.prom` - Prometheus text exposition (v0.0.4) for the
   :class:`~repro.telemetry.metrics.MetricsRegistry`, plus the parser CI
   uses as a scrape gate;
@@ -21,14 +21,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.obs.drift import (
-        SIGNAL_REL_ERROR,
-        SIGNAL_RETRY_RATE,
-        SIGNAL_SHED_RATE,
-        DriftAlert,
-        DriftConfig,
-        DriftMonitor,
-    )
+    from repro.obs.drift import SIGNAL_REL_ERROR, SIGNAL_SHED_RATE, DriftAlert, DriftMonitor
     from repro.obs.log import configure_logging, get_logger
     from repro.obs.monitor import (
         IntervalSummary,
@@ -44,38 +37,28 @@ if TYPE_CHECKING:
         render_prometheus,
         sanitise_name,
     )
-    from repro.obs.trace import (
-        SPAN_RECORD_TYPE,
-        Span,
-        SpanContext,
-        Tracer,
-        span_records,
-    )
+    from repro.obs.trace import SPAN_RECORD_TYPE, Span, Tracer
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "drift": ("SIGNAL_REL_ERROR", "SIGNAL_RETRY_RATE", "SIGNAL_SHED_RATE", "DriftAlert",
-              "DriftConfig", "DriftMonitor"),
+    "drift": ("SIGNAL_REL_ERROR", "SIGNAL_SHED_RATE", "DriftAlert", "DriftMonitor"),
     "log": ("configure_logging", "get_logger"),
     "monitor": ("IntervalSummary", "diff_metrics", "fetch_metrics", "iter_jsonl",
                 "summarize_records"),
     "prom": ("PROMETHEUS_CONTENT_TYPE:CONTENT_TYPE", "ExpositionError", "parse_exposition",
              "render_prometheus", "sanitise_name"),
-    "trace": ("SPAN_RECORD_TYPE", "Span", "SpanContext", "Tracer", "span_records"),
+    "trace": ("SPAN_RECORD_TYPE", "Span", "Tracer"),
 })
 
 __all__ = [
     "DriftAlert",
-    "DriftConfig",
     "DriftMonitor",
     "ExpositionError",
     "IntervalSummary",
     "PROMETHEUS_CONTENT_TYPE",
     "SIGNAL_REL_ERROR",
-    "SIGNAL_RETRY_RATE",
     "SIGNAL_SHED_RATE",
     "SPAN_RECORD_TYPE",
     "Span",
-    "SpanContext",
     "Tracer",
     "configure_logging",
     "diff_metrics",
@@ -85,6 +68,5 @@ __all__ = [
     "parse_exposition",
     "render_prometheus",
     "sanitise_name",
-    "span_records",
     "summarize_records",
 ]

@@ -9,15 +9,14 @@ a rolling-window statistic crosses its threshold:
 * ``rel_error`` - per-epoch relative prediction error (fed by the
   epoch trace recorder, one observation per scored domain-epoch);
 * ``shed_rate`` - fraction of admitted-or-shed observations the
-  decision service shed (fed per observe frame);
-* ``retry_rate`` - fraction of sweep cell attempts that failed
-  retryably (fed by the sweep instrumentation).
+  decision service shed (fed per observe frame).
 
-An alert is emitted when the window holds at least ``min_count``
+An alert is emitted when the window holds at least :data:`MIN_COUNT`
 observations and its mean exceeds the signal's threshold; a cooldown
-(one full window by default) stops a persistently-degraded signal from
-alerting on every subsequent observation. Recovery is announced once
-the mean falls back under the threshold.
+of one full window stops a persistently-degraded signal from alerting
+on every subsequent observation. Recovery is announced once the mean
+falls back under the threshold. Window sizing and thresholds are module
+constants: no caller tunes them.
 
 Alerts fan out to every attached sink, mirroring how other events in
 this codebase are made visible:
@@ -37,65 +36,35 @@ points.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
 
-#: The signals a default-configured monitor watches.
+#: The signals the monitor watches.
 SIGNAL_REL_ERROR = "rel_error"
 SIGNAL_SHED_RATE = "shed_rate"
-SIGNAL_RETRY_RATE = "retry_rate"
 
-
-@dataclass(frozen=True)
-class DriftConfig:
-    """Rolling-window sizing and per-signal thresholds."""
-
-    #: Observations per rolling window.
-    window: int = 64
-    #: Observations required before the window may alert (a two-sample
-    #: spike should not page anyone).
-    min_count: int = 16
-    #: Mean relative prediction error above this is drift. The paper's
-    #: designs hold mean error well under 20% on steady phases; 0.5
-    #: means predictions are off by half, decisions are near-random.
-    rel_error_threshold: float = 0.5
-    #: Mean shed fraction above this means the service is persistently
-    #: over capacity, not absorbing a burst.
-    shed_rate_threshold: float = 0.2
-    #: Mean retryable-failure fraction across sweep cell attempts.
-    retry_rate_threshold: float = 0.25
-    #: Observations to suppress re-alerts for after an alert fires
-    #: (0 = use ``window``, i.e. one full fresh window of evidence).
-    cooldown: int = 0
-    #: Extra signals: name -> threshold (observed via
-    #: :meth:`DriftMonitor.observe`).
-    thresholds: Dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if not 1 <= self.min_count <= self.window:
-            raise ValueError("min_count must be in [1, window]")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
-
-    def threshold_for(self, signal: str) -> float:
-        if signal == SIGNAL_REL_ERROR:
-            return self.rel_error_threshold
-        if signal == SIGNAL_SHED_RATE:
-            return self.shed_rate_threshold
-        if signal == SIGNAL_RETRY_RATE:
-            return self.retry_rate_threshold
-        try:
-            return self.thresholds[signal]
-        except KeyError:
-            raise ValueError(f"no threshold configured for signal {signal!r}") from None
-
-    @property
-    def effective_cooldown(self) -> int:
-        return self.cooldown if self.cooldown > 0 else self.window
+#: Observations per rolling window.
+WINDOW = 64
+#: Observations required before a window may alert (a two-sample spike
+#: should not page anyone).
+MIN_COUNT = 16
+#: Observations to suppress re-alerts for after an alert fires: one full
+#: fresh window of evidence.
+COOLDOWN = WINDOW
+#: Mean relative prediction error above this is drift. The paper's
+#: designs hold mean error well under 20% on steady phases; 0.5 means
+#: predictions are off by half, decisions are near-random.
+REL_ERROR_THRESHOLD = 0.5
+#: Mean shed fraction above this means the service is persistently over
+#: capacity, not absorbing a burst.
+SHED_RATE_THRESHOLD = 0.2
+#: The threshold of each watched signal; any other signal is refused.
+THRESHOLDS: Dict[str, float] = {
+    SIGNAL_REL_ERROR: REL_ERROR_THRESHOLD,
+    SIGNAL_SHED_RATE: SHED_RATE_THRESHOLD,
+}
 
 
 @dataclass(frozen=True)
@@ -139,8 +108,8 @@ class _SignalWindow:
 
     __slots__ = ("values", "sum", "seen", "alerting", "last_alert_at")
 
-    def __init__(self, window: int) -> None:
-        self.values: Deque[float] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self.values: Deque[float] = deque(maxlen=WINDOW)
         self.sum = 0.0
         self.seen = 0
         self.alerting = False
@@ -160,12 +129,10 @@ class DriftMonitor:
 
     def __init__(
         self,
-        config: DriftConfig = DriftConfig(),
         registry: Optional[MetricsRegistry] = None,
         tracer=None,
         log=None,
     ) -> None:
-        self.config = config
         self.registry = registry
         self.tracer = tracer
         self.log = log
@@ -178,21 +145,22 @@ class DriftMonitor:
 
     def observe(self, signal: str, value: float) -> Optional[DriftAlert]:
         """Push one observation; returns the alert if one fired."""
-        threshold = self.config.threshold_for(signal)
+        try:
+            threshold = THRESHOLDS[signal]
+        except KeyError:
+            raise ValueError(f"no threshold for signal {signal!r}") from None
         win = self._signals.get(signal)
         if win is None:
-            win = self._signals[signal] = _SignalWindow(self.config.window)
+            win = self._signals[signal] = _SignalWindow()
         mean = win.push(value)
         if self.registry is not None:
             self.registry.gauge(f"drift_{signal}_level").set(mean)
 
         index = win.seen - 1
-        if len(win.values) < self.config.min_count:
+        if len(win.values) < MIN_COUNT:
             return None
         if mean > threshold:
-            if win.alerting and (
-                index - win.last_alert_at < self.config.effective_cooldown
-            ):
+            if win.alerting and index - win.last_alert_at < COOLDOWN:
                 return None
             win.alerting = True
             win.last_alert_at = index
@@ -215,10 +183,6 @@ class DriftMonitor:
     def observe_shed(self, shed: bool) -> Optional[DriftAlert]:
         """One observe frame: shed (True) or admitted (False)."""
         return self.observe(SIGNAL_SHED_RATE, 1.0 if shed else 0.0)
-
-    def observe_retry(self, retried: bool) -> Optional[DriftAlert]:
-        """One sweep cell attempt: failed retryably (True) or not."""
-        return self.observe(SIGNAL_RETRY_RATE, 1.0 if retried else 0.0)
 
     # ------------------------------------------------------------------
 
@@ -264,10 +228,14 @@ class DriftMonitor:
 
 
 __all__ = [
+    "COOLDOWN",
     "DriftAlert",
-    "DriftConfig",
     "DriftMonitor",
+    "MIN_COUNT",
+    "REL_ERROR_THRESHOLD",
+    "SHED_RATE_THRESHOLD",
     "SIGNAL_REL_ERROR",
-    "SIGNAL_RETRY_RATE",
     "SIGNAL_SHED_RATE",
+    "THRESHOLDS",
+    "WINDOW",
 ]

@@ -17,11 +17,10 @@
   faults (``REPRO_FAULT_PLAN``) so tests and CI can prove the retry and
   resume machinery end to end.
 * :class:`~repro.runtime.progress.SweepInstrumentation` records per-cell
-  wall time, cache hit/miss counts, retries, failures, resumed cells and
-  worker utilisation.
+  wall time and worker utilisation, and counts cache hits and misses,
+  retries, failures and resumed cells in its metrics registry.
 * :mod:`repro.runtime.profiling` collects the simulator's hot-path event
-  counters (waves scanned, clones taken, bytes snapshotted, ...) and
-  offers an opt-in ``cProfile`` wrapper.
+  counters (waves scanned, clones taken, bytes snapshotted, ...).
 """
 
 from typing import TYPE_CHECKING

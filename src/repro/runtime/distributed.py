@@ -32,10 +32,6 @@ hosts. Either way the broker guarantees:
   jitterless backoff; exhaustion follows ``on_exhausted``. A retried
   cell's final attempt runs in-process, on the thread that called
   :meth:`SweepBroker.serve`.
-* **Cross-host spans.** The broker opens the ``cell`` span per attempt
-  and ships its :class:`~repro.obs.trace.SpanContext` in the task
-  frame; the worker's run/epoch/oracle_sample spans come back with the
-  result and nest under it.
 
 Wire protocol
 -------------
@@ -47,12 +43,12 @@ Worker to broker::
     hello      {protocol, worker}
     ready      {}                          lease the next runnable cell
     heartbeat  {index}                     renew the held lease (no reply)
-    result     {index, attempt, key, wall_s, result, spans}
+    result     {index, attempt, key, wall_s, result}
     fail       {index, attempt, error_type, error}
     goodbye    {}
 
 Broker to worker: ``hello_ok {lease_s, heartbeat_s, n_tasks}``,
-``task {index, attempt, key, task, lease_s, timeout_s, span}``,
+``task {index, attempt, key, task, lease_s, timeout_s}``,
 ``idle {retry_after_s}`` (nothing runnable right now), ``done`` (sweep
 complete), ``ack {accepted}``, ``bye``, ``error {error}``.
 
@@ -104,7 +100,6 @@ from repro.telemetry.schema import (
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
 
-    from repro.obs.trace import Span
     from repro.runtime.executor import SweepExecutor
 
 _log = get_logger("distributed")
@@ -248,7 +243,6 @@ class _Lease:
     attempt: int
     deadline: float  # monotonic; renewed by heartbeats
     hard_deadline: Optional[float]  # monotonic ceiling (task_timeout_s)
-    span: Optional["Span"] = None
 
     def renew(self, lease_s: float) -> None:
         deadline = time.monotonic() + lease_s
@@ -274,7 +268,7 @@ class SweepBroker:
     untrusted hosts cannot reach it. The executor's ``run()`` blocks in
     :meth:`serve` until every pending cell has been computed (or
     exhausted its retry budget). The broker owns no policy of its own -
-    retries, caching, checkpointing, instrumentation and spans all flow
+    retries, caching, checkpointing and instrumentation all flow
     through the executor it serves.
     """
 
@@ -355,6 +349,9 @@ class SweepBroker:
             listener = None if self.port is None else self._listen()
             self._reset_sweep_state(executor, tasks, keys, pending, results)
         if listener is not None:
+            # Printed as well as noted: with port 0 this line is the only
+            # way to learn where `repro worker --connect` should point.
+            print(f"broker listening on {self.host}:{self.bound_port}", flush=True)
             executor.progress.note(
                 f"broker listening on {self.host}:{self.bound_port} "
                 f"({len(pending)} cell(s) to distribute)"
@@ -497,21 +494,17 @@ class SweepBroker:
             ex.progress.note(
                 f"final attempt {attempt} for {task.label}: running in-process"
             )
-        span, ctx = ex._start_cell(task, attempt)
         error: Optional[Exception] = None
         self._lock.release()
         try:
-            result, elapsed, spans = _run_task_timed(task, attempt, ctx)
+            result, elapsed = _run_task_timed(task, attempt)
         except Exception as exc:  # noqa: BLE001 - charged like a worker's failure
             error = exc
         finally:
             self._lock.acquire()
         if error is not None:
-            final = attempt >= ex.retry.max_attempts
-            ex._end_cell(span, "exhausted" if final else "retry")
             self._fail_or_requeue_locked(i, error)
             return
-        ex._end_cell(span, "ok", spans)
         self._results[i] = result
         ex._finish_cell(task, self._keys[i], result, elapsed, SOURCE_SERIAL, attempt)
         self._done.add(i)
@@ -678,15 +671,12 @@ class SweepBroker:
         self._attempts[i] += 1
         attempt = self._attempts[i]
         task = self._tasks[i]
-        span, ctx = ex._start_cell(task, attempt)
-        if span is not None:
-            span.attrs["worker"] = worker
         hard = None
         if ex.task_timeout_s is not None:
             hard = time.monotonic() + ex.task_timeout_s + self.lease_s
         lease = _Lease(
             index=i, worker=worker, attempt=attempt,
-            deadline=0.0, hard_deadline=hard, span=span,
+            deadline=0.0, hard_deadline=hard,
         )
         lease.renew(self.lease_s)
         self._leases[i] = lease
@@ -698,7 +688,6 @@ class SweepBroker:
             "task": sweep_task_to_wire(task),
             "lease_s": self.lease_s,
             "timeout_s": ex.task_timeout_s,
-            "span": ctx,
         }
 
     def _renew(self, index: object, worker: str) -> None:
@@ -738,10 +727,8 @@ class SweepBroker:
             try:
                 result = self._decode_result(task, self._keys[i], msg)
             except CorruptResultError as exc:
-                ex._end_cell(lease.span, "corrupt")
                 self._fail_or_requeue_locked(i, exc)
                 return False
-            ex._end_cell(lease.span, "ok", msg.get("spans") or None)  # type: ignore[arg-type]
             assert self._results is not None
             self._results[i] = result
             ex._finish_cell(task, self._keys[i], result, wall_s, SOURCE_REMOTE, attempt)
@@ -787,7 +774,6 @@ class SweepBroker:
             if error_type == TASK_KEY_MISMATCH:
                 # The attempt never ran, so it is not charged; the cell
                 # runs in-process from now on.
-                ex._end_cell(lease.span, "requeued")
                 ex.progress.note(
                     f"{self._tasks[i].label} cannot cross the wire "
                     f"({error}); running it in-process"
@@ -796,7 +782,6 @@ class SweepBroker:
                 self._pinned.add(i)
                 self._queue_locked(i, 0.0)
                 return
-            ex._end_cell(lease.span, "retry")
             self._fail_or_requeue_locked(i, error_from_wire(error_type, error))
 
     def _queue_locked(self, i: int, delay: float) -> None:
@@ -853,7 +838,6 @@ class SweepBroker:
         assert ex is not None
         task = self._tasks[i]
         ex.progress.record_reclaim(task.label, worker, lease.attempt, cause)
-        ex._end_cell(lease.span, "reclaimed")
         self._fail_or_requeue_locked(
             i,
             LeaseExpired(
@@ -1069,9 +1053,7 @@ class SweepWorker:
                 timeout_s,
                 f"sweep cell {task.label} exceeded {timeout_s}s (attempt {attempt})",
             ):
-                payload, elapsed, spans = _run_task_timed(
-                    task, attempt, msg.get("span"),  # type: ignore[arg-type]
-                )
+                payload, elapsed = _run_task_timed(task, attempt)
             try:
                 blob = run_result_to_wire(payload)
             except ValueError as exc:
@@ -1094,7 +1076,6 @@ class SweepWorker:
             "key": expected_key,
             "wall_s": elapsed,
             "result": blob,
-            "spans": spans or [],
         })
         if self._await_ack():
             self.summary.completed += 1

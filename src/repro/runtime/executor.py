@@ -46,8 +46,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
 import repro.workloads as workloads
 from repro.config import SimConfig
 
-if TYPE_CHECKING:  # spans are optional; the import stays off the hot path
-    from repro.obs.trace import Span, Tracer
+if TYPE_CHECKING:
     from repro.runtime.distributed import SweepBroker
 from repro.core.objectives import Objective
 from repro.dvfs.designs import learned_artifact_id, make_controller
@@ -132,9 +131,9 @@ def run_task(task: SweepTask, recorder=None, tracer=None):
     :class:`~repro.telemetry.recorder.EpochTraceRecorder` attached to
     the simulation (used by ``repro trace`` / ``repro report``);
     ``tracer`` an optional :class:`~repro.obs.trace.Tracer` for span
-    timing. Both are deliberately *not* part of :class:`SweepTask` -
-    observability never enters the result-cache key because it never
-    changes the result.
+    timing (used by ``repro trace --trace``). Both are deliberately
+    *not* part of :class:`SweepTask` - observability never enters the
+    result-cache key because it never changes the result.
     """
     kernels = _workload_kernels(workloads.workload(task.workload), task.scale)
     ctrl = make_controller(task.design, task.config, task.objective)
@@ -153,9 +152,7 @@ def run_task(task: SweepTask, recorder=None, tracer=None):
     return sim.run()
 
 
-def _run_task_timed(
-    task: SweepTask, attempt: int = 1, span_ctx: Optional[Dict[str, str]] = None
-) -> Tuple[object, float, Optional[List[Dict[str, object]]]]:
+def _run_task_timed(task: SweepTask, attempt: int = 1) -> Tuple[object, float]:
     """One attempt at one cell, with the active fault plan consulted.
 
     The one attempt every path runs: in-process, and in worker processes
@@ -165,33 +162,18 @@ def _run_task_timed(
     (so the worker's timeout fires, or - untimed - the cell still
     produces its correct result); a ``corrupt`` fault's
     :class:`CorruptResult` marker is raised as :class:`CorruptResultError`.
-
-    ``span_ctx`` is a wire-form :class:`~repro.obs.trace.SpanContext`
-    (the parent's cell span). When given, a worker-side tracer joins
-    that trace, the simulation's run/epoch/oracle spans nest under it,
-    and the finished records travel back as the third element of the
-    return value for the parent to :meth:`~repro.obs.trace.Tracer.adopt`
-    - the same ship-back-and-merge pattern the sweep instrumentation
-    uses. When None (tracing off) no tracer object is built and the
-    third element is None.
+    Returns the result and the attempt's wall time in seconds.
     """
     t0 = time.perf_counter()
-    tracer = None
-    if span_ctx is not None:
-        from repro.obs.trace import SpanContext, Tracer
-
-        tracer = Tracer.from_context(SpanContext.from_wire(span_ctx))
     plan = active_fault_plan()
     if plan is not None and plan.apply(task.label, attempt) is not None:
         raise CorruptResultError(
             f"corrupt result for {task.label} (attempt {attempt})"
         )
-    result = run_task(task, tracer=tracer)
-    return (
-        result,
-        time.perf_counter() - t0,
-        tracer.collect() if tracer is not None else None,
-    )
+    # The module-level name, looked up per call: a wrapper installed on
+    # this module times every cell.
+    result = run_task(task)
+    return result, time.perf_counter() - t0
 
 
 #: ``RetryPolicy.on_exhausted`` values.
@@ -280,11 +262,6 @@ class SweepExecutor:
     #: Durable manifest of completed cells (see checkpoint.py); cells
     #: recorded there are skipped on resume by loading from the cache.
     checkpoint: Optional[SweepCheckpoint] = None
-    #: Optional span tracer (see :mod:`repro.obs.trace`). The sweep, each
-    #: cell attempt, and - via context propagation into the workers -
-    #: each run/epoch/oracle_sample become spans. None (the default)
-    #: costs one ``is None`` branch per site and changes nothing.
-    tracer: Optional["Tracer"] = None
     #: A :class:`~repro.runtime.distributed.SweepBroker` to serve the
     #: grid from, so workers on other hosts can join the sweep. None
     #: serves a parallel sweep from a private broker that opens no port.
@@ -294,7 +271,6 @@ class SweepExecutor:
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.progress.max_workers = max(self.progress.max_workers, self.max_workers)
-        self._sweep_span: Optional["Span"] = None
         if self.max_workers > 1:
             # A parallel sweep serves its cells from a broker: load that
             # stack (sockets, threads) here, not inside run().
@@ -308,13 +284,6 @@ class SweepExecutor:
         started_here = self.progress._t_start is None
         if started_here:
             self.progress.start()
-        tr = self.tracer
-        outer_span = self._sweep_span
-        if tr is not None:
-            self._sweep_span = tr.start(
-                "sweep", parent=outer_span, n_tasks=len(tasks),
-                max_workers=self.max_workers,
-            )
         try:
             # Each cell's content key, computed once: the cache, the
             # checkpoint, the broker and failed cells all reuse it.
@@ -332,40 +301,8 @@ class SweepExecutor:
                     results[i] = self._run_cell_serial(tasks[i], keys[i])
             return results  # type: ignore[return-value]
         finally:
-            if tr is not None:
-                tr.finish(self._sweep_span)
-                self._sweep_span = outer_span
             if started_here:
                 self.progress.finish()
-
-    # -- span helpers (no-ops when no tracer is attached) ---------------
-
-    def _start_cell(
-        self, task: SweepTask, attempt: int
-    ) -> Tuple[Optional["Span"], Optional[Dict[str, str]]]:
-        """Open a cell-attempt span; returns (span, wire context)."""
-        tr = self.tracer
-        if tr is None:
-            return None, None
-        span = tr.start(
-            "cell", parent=self._sweep_span, label=task.label, attempt=attempt
-        )
-        return span, tr.context(span).to_wire()
-
-    def _end_cell(
-        self,
-        span: Optional["Span"],
-        status: str,
-        worker_records: Optional[List[Dict[str, object]]] = None,
-    ) -> None:
-        """Merge shipped worker spans and close the cell span."""
-        if span is None:
-            return
-        tr = self.tracer
-        if worker_records:
-            tr.adopt(worker_records)
-        if not span.done:
-            tr.finish(span, status=status)
 
     def run_one(self, task: SweepTask):
         return self.run([task])[0]
@@ -384,11 +321,6 @@ class SweepExecutor:
             return False
         results[i] = cached
         source = SOURCE_RESUMED if resumed else SOURCE_CACHE
-        if self.tracer is not None:
-            self.tracer.event(
-                "cell_cached", parent=self._sweep_span,
-                label=task.label, source=source,
-            )
         if self.checkpoint is not None:
             self.checkpoint.record(key, task.label, source)
         self.progress.record_cell(
@@ -434,20 +366,16 @@ class SweepExecutor:
         attempt = 0
         while True:
             attempt += 1
-            span, ctx = self._start_cell(task, attempt)
             try:
-                result, elapsed, spans = _run_task_timed(task, attempt, ctx)
+                result, elapsed = _run_task_timed(task, attempt)
             except self.retry.retryable as exc:
                 if attempt >= self.retry.max_attempts:
-                    self._end_cell(span, "exhausted")
                     return self._exhausted(task, key, attempt, exc)
-                self._end_cell(span, "retry")
                 delay = self.retry.delay_for(attempt + 1)
                 self.progress.record_retry(task.label, attempt, exc, delay)
                 if delay > 0:
                     time.sleep(delay)
                 continue
-            self._end_cell(span, "ok", spans)
             self._finish_cell(task, key, result, elapsed, SOURCE_SERIAL, attempt)
             return result
 

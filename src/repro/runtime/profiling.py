@@ -20,7 +20,8 @@ model) and this module collects and merges those counters:
 * ``oracle_cycles``          - scheduler steps spent inside pre-execution.
 
 ``RunResult.hotpath`` carries the collected dict out of a simulation;
-``SweepInstrumentation`` aggregates it across sweep cells; ``repro run
+``SweepInstrumentation`` sums it across sweep cells into its registry's
+``hotpath_<name>`` counters; ``repro run
 --json FILE`` writes it for one workload x design (``--engine
 reference`` runs the rescan loop for comparison). For a real profile,
 run the CLI under ``python -m cProfile -o FILE -m repro ...``.
@@ -62,13 +63,6 @@ class HotPathCounters:
     def from_dict(cls, data: Mapping[str, int]) -> "HotPathCounters":
         known = {f.name for f in fields(cls)}
         return cls(**{k: int(v) for k, v in data.items() if k in known})
-
-    def to_registry(self, registry, prefix: str = "hotpath_") -> None:
-        """Add these counts into a telemetry
-        :class:`~repro.telemetry.metrics.MetricsRegistry` (the common
-        sink the sweep instrumentation aggregates through)."""
-        for f in fields(self):
-            registry.inc(f"{prefix}{f.name}", getattr(self, f.name))
 
 
 def collect_gpu(gpu) -> HotPathCounters:

@@ -4,22 +4,26 @@ The executor feeds one :class:`CellRecord` per (workload x design) cell
 into a :class:`SweepInstrumentation`; :meth:`SweepInstrumentation.summary`
 renders the aggregate through :mod:`repro.analysis.report` so figure
 drivers and the CLI can show where a sweep spent its time and how well
-its workers were used.
+its workers were used. Every count (cache hits, retries, reclaims,
+failures, hot-path work) lives once, in the instrumentation's
+:class:`~repro.telemetry.metrics.MetricsRegistry`; the properties read
+it back.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.log import get_logger
+from repro.runtime.profiling import HotPathCounters
 from repro.telemetry.metrics import SECONDS_BUCKETS, MetricsRegistry
 
-if TYPE_CHECKING:  # fed duck-typed; keeps the import graph acyclic
-    from repro.obs.drift import DriftMonitor
-
 _log = get_logger("sweep")
+
+#: Hot-path counter names, in :class:`HotPathCounters` field order.
+_HOTPATH_NAMES = tuple(HotPathCounters().as_dict())
 
 #: How a cell's result was obtained.
 SOURCE_CACHE = "cache"
@@ -31,8 +35,6 @@ SOURCE_RESUMED = "resumed"
 #: connected from another (see repro.runtime.distributed).
 SOURCE_REMOTE = "remote"
 
-#: Sources that actually computed (everything else was loaded).
-_COMPUTED_SOURCES = (SOURCE_SERIAL, SOURCE_REMOTE)
 
 
 @dataclass(frozen=True)
@@ -62,26 +64,15 @@ class SweepInstrumentation:
     name: str = "sweep"
     max_workers: int = 1
     cells: List[CellRecord] = field(default_factory=list)
+    #: Human-readable notes, retries, reclaims and failures, in order.
     events: List[str] = field(default_factory=list)
-    #: (label, failed attempt, error type) per retryable failure.
-    retry_events: List[tuple] = field(default_factory=list)
-    #: (label, attempts, error type) per cell that exhausted its budget.
-    failed_cells: List[tuple] = field(default_factory=list)
-    #: (label, worker, attempt, cause) per lease reclaimed from a dead
-    #: or hung remote worker (see :mod:`repro.runtime.distributed`).
-    reclaim_events: List[tuple] = field(default_factory=list)
-    #: Common telemetry sink. Every recorded cell increments
+    #: The sweep's counts. Every recorded cell increments
     #: ``sweep_cells_total`` / ``sweep_cells_<source>``, observes its
-    #: wall time in the ``sweep_cell_wall_s`` histogram, and folds its
-    #: hot-path counters in under the ``hotpath_`` prefix. Registries
-    #: of partial sweeps merge associatively, so split sweeps' merged
-    #: registry equals the whole sweep's (see test_runtime.py).
+    #: wall time in the ``sweep_cell_wall_s`` histogram, and adds its
+    #: hot-path counters in under the ``hotpath_`` prefix; retries,
+    #: reclaims and failures count under ``sweep_retries_total``,
+    #: ``sweep_cells_reclaimed`` and ``sweep_cells_failed``.
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    #: Optional online drift monitor; fed one retry-rate observation per
-    #: attempt outcome (True for a retryable failure, False for a
-    #: computed success), so a sweep whose cells start failing
-    #: persistently raises a ``retry_rate`` alert while it runs.
-    drift: Optional["DriftMonitor"] = None
     _t_start: Optional[float] = None
     _t_end: Optional[float] = None
 
@@ -102,8 +93,6 @@ class SweepInstrumentation:
         )
         if record.attempts > 1:
             self.registry.inc("sweep_cells_retried")
-        if self.drift is not None and record.source in _COMPUTED_SOURCES:
-            self.drift.observe_retry(False)
         _log.debug(
             "cell done",
             extra={"cell": record.label, "source": record.source,
@@ -111,9 +100,8 @@ class SweepInstrumentation:
                    "attempts": record.attempts},
         )
         if record.hotpath:
-            from repro.runtime.profiling import HotPathCounters
-
-            HotPathCounters.from_dict(record.hotpath).to_registry(self.registry)
+            for name in _HOTPATH_NAMES:
+                self.registry.inc(f"hotpath_{name}", int(record.hotpath.get(name, 0)))
 
     def note(self, message: str) -> None:
         """Record a notable event (e.g. a cell run in-process)."""
@@ -126,7 +114,6 @@ class SweepInstrumentation:
     ) -> None:
         """A cell attempt failed retryably and will be re-run."""
         kind = type(error).__name__
-        self.retry_events.append((label, attempt, kind))
         self.events.append(
             f"retry {label}: attempt {attempt} failed ({kind}); "
             f"backing off {backoff_s:.3f}s"
@@ -137,8 +124,6 @@ class SweepInstrumentation:
         self.registry.histogram("sweep_retry_backoff_s", SECONDS_BUCKETS).observe(
             backoff_s
         )
-        if self.drift is not None:
-            self.drift.observe_retry(True)
         _log.warning(
             f"retrying {label}",
             extra={"cell": label, "attempt": attempt, "error": kind,
@@ -156,7 +141,6 @@ class SweepInstrumentation:
         both for each reclaimed cell - the reclaim here, then the
         ordinary retry/exhaustion accounting for the charged attempt.
         """
-        self.reclaim_events.append((label, worker, attempt, cause))
         self.events.append(
             f"reclaimed {label} from {worker} (attempt {attempt}: {cause})"
         )
@@ -172,7 +156,6 @@ class SweepInstrumentation:
     ) -> None:
         """A cell exhausted its retry budget."""
         kind = type(error).__name__
-        self.failed_cells.append((label, attempts, kind))
         self.events.append(
             f"failed {label}: gave up after {attempts} attempt(s) ({kind})"
         )
@@ -184,29 +167,36 @@ class SweepInstrumentation:
 
     # ------------------------------------------------------------------
 
+    def _count(self, name: str) -> int:
+        """A registry counter's value (0, and not created, if unset)."""
+        return int(self.registry.counter_values(name).get(name, 0))
+
     @property
     def cache_hits(self) -> int:
-        return sum(1 for c in self.cells if c.source == SOURCE_CACHE)
+        return self._count(f"sweep_cells_{SOURCE_CACHE}")
 
     @property
     def cache_misses(self) -> int:
-        return sum(1 for c in self.cells if c.source in _COMPUTED_SOURCES)
+        """Cells computed by this sweep, in-process or on a worker."""
+        return self._count(f"sweep_cells_{SOURCE_SERIAL}") + self._count(
+            f"sweep_cells_{SOURCE_REMOTE}"
+        )
 
     @property
     def resumed(self) -> int:
-        return sum(1 for c in self.cells if c.source == SOURCE_RESUMED)
+        return self._count(f"sweep_cells_{SOURCE_RESUMED}")
 
     @property
     def retries(self) -> int:
-        return len(self.retry_events)
+        return self._count("sweep_retries_total")
 
     @property
     def reclaims(self) -> int:
-        return len(self.reclaim_events)
+        return self._count("sweep_cells_reclaimed")
 
     @property
     def failures(self) -> int:
-        return len(self.failed_cells)
+        return self._count("sweep_cells_failed")
 
     @property
     def compute_s(self) -> float:
@@ -232,16 +222,12 @@ class SweepInstrumentation:
         return sorted(self.cells, key=lambda c: -c.wall_s)[:n]
 
     def hotpath_totals(self) -> Dict[str, int]:
-        """Hot-path counters summed across all cells that reported them."""
-        from repro.runtime.profiling import HotPathCounters
-
-        totals = HotPathCounters()
-        seen = False
-        for c in self.cells:
-            if c.hotpath:
-                seen = True
-                totals.merge(c.hotpath)
-        return totals.as_dict() if seen else {}
+        """Hot-path counters summed across all cells that reported them,
+        in :class:`HotPathCounters` field order ({} when none did)."""
+        counters = self.registry.counter_values("hotpath_")
+        if not counters:
+            return {}
+        return {name: int(counters.get(f"hotpath_{name}", 0)) for name in _HOTPATH_NAMES}
 
     def summary(self) -> str:
         """Render the aggregate instrumentation as an ASCII table."""
@@ -274,28 +260,6 @@ class SweepInstrumentation:
         return format_table(
             ["metric", "value"], rows, title=f"Sweep instrumentation: {self.name}"
         )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "cells": len(self.cells),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "resumed": self.resumed,
-            "retries": self.retries,
-            "reclaims": self.reclaims,
-            "failures": self.failures,
-            "retry_events": [list(e) for e in self.retry_events],
-            "failed_cells": [list(e) for e in self.failed_cells],
-            "reclaim_events": [list(e) for e in self.reclaim_events],
-            "workers": self.max_workers,
-            "wall_s": self.wall_s,
-            "compute_s": self.compute_s,
-            "utilisation": self.utilisation,
-            "hotpath": self.hotpath_totals(),
-            "events": list(self.events),
-            "metrics": self.registry.to_dict(),
-        }
 
 
 __all__ = [

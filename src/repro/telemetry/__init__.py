@@ -3,16 +3,17 @@
 Four pieces, threaded through the simulation loop, controller,
 predictors, PC table, oracle and sweep runtime:
 
-* :mod:`repro.telemetry.metrics` - :class:`MetricsRegistry`: mergeable
+* :mod:`repro.telemetry.metrics` - :class:`MetricsRegistry`:
   counters/gauges/fixed-bucket histograms, the common sink the sweep
-  instrumentation and hot-path profiler report through.
+  instrumentation, the epoch recorder and the decision service report
+  through.
 * :mod:`repro.telemetry.recorder` - :class:`EpochTraceRecorder`: one
   structured record per epoch per V/f domain (chosen frequency,
   predicted vs actual commits, oracle truth, PC-table deltas,
   stall/busy split, energy) with bounded memory (ring buffer and/or
   streaming JSONL).
 * :mod:`repro.telemetry.exporters` - Chrome-trace/Perfetto JSON export
-  (``repro trace --epochs``).
+  (``repro trace --perfetto FILE``).
 * :mod:`repro.telemetry.accuracy` - prediction-error percentiles,
   decision confusion matrix vs the oracle, per-PC error attribution
   (``repro report``).

@@ -20,9 +20,7 @@ counts microseconds), so one 1 µs epoch renders as one 1-unit slice.
 When the record stream also carries **span** records (the
 ``repro.obs.trace.Tracer`` output, appended by ``repro trace --trace``),
 they render as a second process ("repro spans"): each span is a complete
-slice whose track (tid) is its lane - one lane for spans minted by the
-root tracer, one per worker prefix, so parallel sweep cells sit on
-parallel tracks. Span timestamps are *wall*-clock nanoseconds
+slice on its one "spans" track. Span timestamps are *wall*-clock nanoseconds
 re-anchored so the earliest span starts at ts 0, putting the wall
 timeline on the same scale as the simulated one. Drift **alert**
 records carry no clock of their own and render as process-scoped
@@ -48,16 +46,11 @@ _PID = 0
 #: Span records render as their own process so the wall-clock span
 #: timeline never interleaves with the sim-clock epoch tracks.
 _SPAN_PID = 1
+_SPAN_TID = 1
 
 
 def _us(ns: float) -> float:
     return ns / 1000.0
-
-
-def _span_lane(span_id: str) -> str:
-    """The track key of a span: worker spans (``"7.3"``) group under
-    their prefix (``"7"``); root-tracer spans share one lane."""
-    return span_id.split(".", 1)[0] if "." in span_id else ""
 
 
 def perfetto_trace(records: Iterable[Mapping[str, object]]) -> Dict[str, object]:
@@ -71,7 +64,6 @@ def perfetto_trace(records: Iterable[Mapping[str, object]]) -> Dict[str, object]
     windows: Dict[int, tuple] = {}
     domains = set()
     span_anchor_ns: Optional[float] = None
-    lanes: Dict[str, int] = {}
     for rec in records:
         if rec.get("type") == "epoch":
             windows[int(rec["epoch"])] = (float(rec["t_start_ns"]), float(rec["t_end_ns"]))
@@ -81,9 +73,6 @@ def perfetto_trace(records: Iterable[Mapping[str, object]]) -> Dict[str, object]
             t0 = float(rec["t_start_ns"])
             if span_anchor_ns is None or t0 < span_anchor_ns:
                 span_anchor_ns = t0
-            lane = _span_lane(str(rec["span_id"]))
-            if lane not in lanes:
-                lanes[lane] = len(lanes) + 1
 
     events.append(
         {"ph": "M", "name": "process_name", "pid": _PID,
@@ -94,16 +83,15 @@ def perfetto_trace(records: Iterable[Mapping[str, object]]) -> Dict[str, object]
             {"ph": "M", "name": "thread_name", "pid": _PID, "tid": d + 1,
              "args": {"name": f"domain {d}"}}
         )
-    if lanes:
+    if span_anchor_ns is not None:
         events.append(
             {"ph": "M", "name": "process_name", "pid": _SPAN_PID,
              "args": {"name": "repro spans"}}
         )
-        for lane, tid in lanes.items():
-            events.append(
-                {"ph": "M", "name": "thread_name", "pid": _SPAN_PID, "tid": tid,
-                 "args": {"name": f"spans {lane}" if lane else "spans"}}
-            )
+        events.append(
+            {"ph": "M", "name": "thread_name", "pid": _SPAN_PID, "tid": _SPAN_TID,
+             "args": {"name": "spans"}}
+        )
 
     last_span_end_us = 0.0
     for rec in records:
@@ -176,7 +164,7 @@ def perfetto_trace(records: Iterable[Mapping[str, object]]) -> Dict[str, object]
                     "name": str(rec["name"]),
                     "cat": "span",
                     "pid": _SPAN_PID,
-                    "tid": lanes[_span_lane(str(rec["span_id"]))],
+                    "tid": _SPAN_TID,
                     "ts": _us(t0_ns),
                     "dur": _us(dur_ns),
                     "args": args,

@@ -1,31 +1,30 @@
-"""Mergeable metrics primitives: counters, gauges, fixed-bucket histograms.
+"""Metrics primitives: counters, gauges, fixed-bucket histograms.
 
 The :class:`MetricsRegistry` is the common sink every layer reports
-through: the sweep runtime (cell counts, cache hits, per-cell wall-time
-distribution), the hot-path profiler (work counters), and the epoch
-trace recorder (record counts, prediction-error distribution). Its
-contract is shaped by the parallel sweep runtime:
+through, in the process that observes: the sweep runtime (cell counts,
+cache hits, retries, per-cell wall-time distribution, summed hot-path
+work counters), the epoch trace recorder (record counts,
+prediction-error distribution) and the decision service.
+:meth:`MetricsRegistry.to_dict` is the JSON snapshot that ``/metrics``
+serves and :func:`~repro.obs.prom.render_prometheus` renders. Updates
+are plain int/float and list index arithmetic, safe to bump on hot
+paths.
 
-* **Mergeable** - a sweep fans cells across worker processes; each
-  worker's registry merges into the parent's and the result equals a
-  serial run's registry (counters add, histogram buckets add, gauges
-  keep the maximum).
-* **Serialisable** - :meth:`MetricsRegistry.to_dict` /
-  :meth:`MetricsRegistry.from_dict` round-trip through JSON so metrics
-  can cross process boundaries and be archived next to results.
-* **Cheap** - plain ints/floats and list index arithmetic; safe to bump
-  on hot paths.
+Registries also merge (counters add, histogram buckets add, gauges keep
+the maximum) and round-trip through :meth:`MetricsRegistry.from_dict`,
+but no process ships or merges one today: sweep workers return results,
+and the sweep counts into the parent's registry.
 
-Histograms use *fixed* bucket bounds (declared at first use) so two
-histograms of the same name are always mergeable; a bound mismatch is a
-programming error and raises.
+Histograms use *fixed* bucket bounds, declared at first use; asking for
+a declared histogram with other bounds, or merging two histograms with
+different bounds, is a programming error and raises.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 #: Default histogram bounds for dimensionless ratios (e.g. relative
 #: prediction error): fine near zero, coarse above 1.
@@ -177,12 +176,6 @@ class MetricsRegistry:
             for name, c in sorted(self._counters.items())
             if name.startswith(prefix)
         }
-
-    @property
-    def names(self) -> List[str]:
-        return sorted(
-            set(self._counters) | set(self._gauges) | set(self._histograms)
-        )
 
     # ------------------------------------------------------------------
     # Merge / serialise

@@ -4,7 +4,6 @@ import json
 import subprocess
 import sys
 
-from repro.analysis.trace_io import run_result_to_dict
 from repro.config import small_config
 from repro.runtime.cache import ResultCache
 from repro.runtime.checkpoint import (
@@ -100,7 +99,7 @@ class TestExecutorResume:
         )
 
     def test_interrupted_sweep_resumes_bit_identical(self, tmp_path):
-        reference = [run_result_to_dict(r) for r in SweepExecutor().run(GRID)]
+        reference = SweepExecutor().run(GRID)
         manifest = tmp_path / "sweep.jsonl"
 
         # "Interrupted" run: only the first half of the grid completes.
@@ -112,7 +111,7 @@ class TestExecutorResume:
             assert ckpt.resumed_from == 2
             results = self._executor(tmp_path, ckpt, progress).run(GRID)
 
-        assert [run_result_to_dict(r) for r in results] == reference
+        assert results == reference
         # Exactly the interrupted half was skipped, the rest computed.
         assert progress.resumed == 2
         assert progress.cache_misses == 2
@@ -126,9 +125,7 @@ class TestExecutorResume:
         progress = SweepInstrumentation()
         with SweepCheckpoint(manifest, sweep="s", resume=True) as ckpt:
             again = self._executor(tmp_path, ckpt, progress).run(GRID)
-        assert [run_result_to_dict(r) for r in again] == [
-            run_result_to_dict(r) for r in first
-        ]
+        assert again == first
         assert progress.resumed == len(GRID)
         assert progress.cache_misses == 0
 
@@ -144,7 +141,7 @@ class TestExecutorResume:
         progress = SweepInstrumentation()
         with SweepCheckpoint(manifest, sweep="s", resume=True) as ckpt:
             got = self._executor(tmp_path, ckpt, progress).run_one(task)
-        assert run_result_to_dict(got) == run_result_to_dict(expect)
+        assert got == expect
         assert progress.resumed == 0 and progress.cache_misses == 1
 
 

@@ -116,9 +116,11 @@ class TestEveryFlagActs:
         plain = capsys.readouterr().out
         assert main(figure + ["--listen", "127.0.0.1:0"]) == 0
         listened = capsys.readouterr().out
-        assert "broker listening on 127.0.0.1:" in listened
         assert "broker listening" not in plain
-        # The same figure rows, ahead of the instrumentation summary.
+        # The bound port comes first, before the sweep waits for workers;
+        # then the same figure rows, ahead of the instrumentation summary.
+        bound, listened = listened.split("\n", 1)
+        assert bound.startswith("broker listening on 127.0.0.1:")
         assert listened.split("\n\n")[0] == plain.split("\n\n")[0]
 
 

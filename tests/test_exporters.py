@@ -43,17 +43,18 @@ def record_small_run(tracer=None, max_epochs=6):
     return recorder
 
 
+#: One process's span stream, as ``repro trace --trace`` writes it.
 SPAN_RECORDS = [
     {"type": "trace", "trace_id": "t1", "schema_version": 1,
      "repro_version": "0"},
     {"type": "span", "trace_id": "t1", "span_id": "1", "parent_id": "",
-     "name": "sweep", "t_start_ns": 1_000_000, "t_end_ns": 9_000_000,
-     "attrs": {"n_tasks": 2}},
+     "name": "run", "t_start_ns": 1_000_000, "t_end_ns": 9_000_000,
+     "attrs": {"workload": "dgemm"}},
     {"type": "span", "trace_id": "t1", "span_id": "2", "parent_id": "1",
-     "name": "cell", "t_start_ns": 1_500_000, "t_end_ns": 5_000_000,
-     "attrs": {}},
-    {"type": "span", "trace_id": "t1", "span_id": "2.1", "parent_id": "2",
-     "name": "run", "t_start_ns": 2_000_000, "t_end_ns": 4_000_000,
+     "name": "epoch", "t_start_ns": 1_500_000, "t_end_ns": 5_000_000,
+     "attrs": {"epoch": 0}},
+    {"type": "span", "trace_id": "t1", "span_id": "3", "parent_id": "2",
+     "name": "oracle_sample", "t_start_ns": 2_000_000, "t_end_ns": 4_000_000,
      "attrs": {}},
     {"type": "alert", "signal": "rel_error", "kind": "alert", "value": 0.8,
      "threshold": 0.5, "window_count": 16, "at_index": 40},
@@ -100,22 +101,27 @@ class TestSpanExport:
         assert "repro spans" in procs
         slices = {e["args"]["span_id"]: e for e in events
                   if e["ph"] == "X" and e.get("cat") == "span"}
-        assert set(slices) == {"1", "2", "2.1"}
+        assert set(slices) == {"1", "2", "3"}
         # Wall timestamps are re-anchored: the earliest span starts at 0.
         assert slices["1"]["ts"] == 0.0
         assert slices["1"]["dur"] == pytest.approx(8000.0)  # us
-        # Root-tracer spans and the worker ("2.*") get separate lanes.
-        assert slices["1"]["tid"] == slices["2"]["tid"]
-        assert slices["2.1"]["tid"] != slices["1"]["tid"]
-        assert slices["2.1"]["args"]["parent_id"] == "2"
+        assert slices["3"]["args"]["parent_id"] == "2"
+
+    def test_spans_share_one_lane(self):
+        events = perfetto_trace(SPAN_RECORDS)["traceEvents"]
+        slices = [e for e in events if e["ph"] == "X" and e.get("cat") == "span"]
+        assert {(e["pid"], e["tid"]) for e in slices} == {(1, 1)}
+        threads = [(e["pid"], e["tid"], e["args"]["name"]) for e in events
+                   if e["ph"] == "M" and e["name"] == "thread_name" and e["pid"] == 1]
+        assert threads == [(1, 1, "spans")]
 
     def test_alert_renders_as_instant_pinned_to_last_span(self):
         trace = perfetto_trace(SPAN_RECORDS)
         (instant,) = [e for e in trace["traceEvents"] if e["ph"] == "i"]
         assert instant["name"] == "drift rel_error (alert)"
         assert instant["s"] == "p"
-        # Pinned to the end of the last span in stream order (the run
-        # span, ending 3 ms after the anchor).
+        # Pinned to the end of the last span in stream order (the
+        # oracle_sample span, ending 3 ms after the anchor).
         assert instant["ts"] == pytest.approx(3000.0)
         assert instant["args"]["value"] == 0.8
 

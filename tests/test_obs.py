@@ -5,7 +5,7 @@ The two contracts this suite anchors:
 * **Zero overhead when off** - with no tracer attached, no tracing
   object is ever constructed and RunResults are bit-identical to a
   traced run's.
-* **Strictly observational when on** - a traced sweep / a traced
+* **Strictly observational when on** - a traced run / a traced
   serving session produces exactly the results and decisions an
   untraced one does; spans, alerts and metrics only describe them.
 """
@@ -22,22 +22,20 @@ import pytest
 
 from repro.config import small_config
 from repro.obs import (
-    DriftConfig,
     DriftMonitor,
     ExpositionError,
     IntervalSummary,
-    SpanContext,
     Tracer,
     diff_metrics,
     iter_jsonl,
     parse_exposition,
     render_prometheus,
     sanitise_name,
-    span_records,
     summarize_records,
 )
+from repro.obs.drift import COOLDOWN, MIN_COUNT, SIGNAL_SHED_RATE, WINDOW
 from repro.obs.log import JsonFormatter, configure_logging, get_logger
-from repro.runtime.executor import SweepExecutor, SweepTask, run_task
+from repro.runtime.executor import SweepTask, run_task
 from repro.runtime.progress import SweepInstrumentation
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.schema import validate_records
@@ -121,35 +119,6 @@ class TestTracer:
         assert reg.counter("trace_spans_total").value == 2
         assert reg.counter("trace_spans_epoch").value == 2
 
-    def test_cross_process_propagation_round_trip(self):
-        parent = Tracer(ring_size=0)
-        cell = parent.start("cell")
-        wire = parent.context(cell).to_wire()
-        assert SpanContext.from_wire(wire) == parent.context(cell)
-
-        worker = Tracer.from_context(SpanContext.from_wire(wire))
-        assert worker.trace_id == parent.trace_id
-        run = worker.start("run")
-        worker.finish(run)
-        shipped = worker.collect()
-        assert not worker.records  # collect() drains
-
-        parent.adopt(shipped)
-        parent.finish(cell)
-        spans = {r["name"]: r for r in parent.records if r["type"] == "span"}
-        # The worker's span id is minted under the cell's prefix and
-        # parents onto the shipped cell span - unique without any
-        # cross-process coordination.
-        assert spans["run"]["span_id"] == f"{cell.span_id}.1"
-        assert spans["run"]["parent_id"] == cell.span_id
-        assert spans["run"]["trace_id"] == parent.trace_id
-
-    def test_span_records_helper_handles_none(self):
-        assert span_records(None) == []
-        tr = Tracer(ring_size=0)
-        tr.finish(tr.start("x"))
-        assert len(span_records(tr)) == 2  # header + span
-
 
 # ----------------------------------------------------------------------
 # The zero-overhead / bit-identical contract
@@ -196,40 +165,6 @@ class TestTracingContract:
             assert span["t_end_ns"] >= span["t_start_ns"]
 
 
-class TestTracedSweep:
-    def test_parallel_sweep_spans_and_results(self):
-        tasks = [small_task(design=d) for d in ("PCSTALL", "STALL")]
-        plain = [run_task(t) for t in tasks]
-
-        tracer = Tracer(ring_size=0)
-        executor = SweepExecutor(
-            max_workers=2,
-            cache=None,
-            progress=SweepInstrumentation(max_workers=2),
-            tracer=tracer,
-        )
-        results = executor.run(tasks)
-        assert results == plain  # tracing never perturbs results
-
-        spans = [r for r in tracer.records if r["type"] == "span"]
-        by_name = {}
-        for span in spans:
-            by_name.setdefault(span["name"], []).append(span)
-        (sweep,) = by_name["sweep"]
-        cells = by_name["cell"]
-        assert len(cells) == 2
-        assert all(c["parent_id"] == sweep["span_id"] for c in cells)
-        assert {c["attrs"]["status"] for c in cells} == {"ok"}
-        cell_ids = {c["span_id"] for c in cells}
-        runs = by_name["run"]
-        assert len(runs) == 2
-        for run in runs:
-            # Worker-minted ids live under their cell span's prefix.
-            assert run["parent_id"] in cell_ids
-            assert run["span_id"].startswith(f"{run['parent_id']}.")
-        assert len(by_name["epoch"]) == sum(r.epochs for r in results)
-
-
 # ----------------------------------------------------------------------
 # Drift monitoring
 
@@ -248,18 +183,18 @@ class _LogStub:
 
 class TestDrift:
     def test_no_alert_below_min_count(self):
-        monitor = DriftMonitor(DriftConfig(window=8, min_count=4))
-        for _ in range(3):
+        monitor = DriftMonitor()
+        for _ in range(MIN_COUNT - 1):
             assert monitor.observe_error(1.0) is None
         assert monitor.alert_count == 0
 
     def test_alert_fires_on_threshold_crossing(self):
-        monitor = DriftMonitor(DriftConfig(window=8, min_count=4))
-        for _ in range(4):
+        monitor = DriftMonitor()
+        for _ in range(WINDOW):
             monitor.observe_error(0.1)
         assert monitor.alert_count == 0
         alert = None
-        for _ in range(8):
+        for _ in range(WINDOW):
             alert = monitor.observe_error(1.0) or alert
         assert alert is not None and alert.kind == "alert"
         assert alert.signal == "rel_error"
@@ -267,20 +202,21 @@ class TestDrift:
         assert "drift" in alert.render()
 
     def test_cooldown_suppresses_then_realerting(self):
-        monitor = DriftMonitor(DriftConfig(window=4, min_count=2))
+        monitor = DriftMonitor()
         fired = [
-            i for i in range(10) if monitor.observe_error(1.0) is not None
+            i for i in range(3 * WINDOW) if monitor.observe_error(1.0) is not None
         ]
-        # First alert once min_count is met; the next only after a full
-        # window of fresh evidence (cooldown defaults to the window).
-        assert fired == [1, 5, 9]
+        # First alert once MIN_COUNT is met; the next only after a full
+        # window of fresh evidence (COOLDOWN is one window).
+        first = MIN_COUNT - 1
+        assert fired == [first, first + COOLDOWN, first + 2 * COOLDOWN]
 
     def test_recovery_announced_once(self):
         log = _LogStub()
-        monitor = DriftMonitor(DriftConfig(window=4, min_count=2), log=log)
-        for _ in range(4):
+        monitor = DriftMonitor(log=log)
+        for _ in range(WINDOW):
             monitor.observe_error(1.0)
-        for _ in range(8):
+        for _ in range(2 * WINDOW):
             monitor.observe_error(0.0)
         kinds = [a.kind for a in monitor.alerts]
         assert kinds.count("alert") >= 1
@@ -288,20 +224,28 @@ class TestDrift:
         assert len(log.warnings) == kinds.count("alert")
         assert len(log.infos) == 1
 
+    def test_shed_and_retry_signals(self):
+        """Shed frames feed a drift window. Sweep retries do not: a
+        sweep counts them in its registry, and ``retry_rate`` is no
+        drift signal."""
+        monitor = DriftMonitor()
+        for _ in range(WINDOW):
+            monitor.observe_shed(True)
+            monitor.observe_error(0.0)
+        assert monitor.mean("shed_rate") == 1.0
+        assert monitor.mean("rel_error") == 0.0
+        assert [a.signal for a in monitor.alerts] == ["shed_rate"]
+        with pytest.raises(ValueError, match="no threshold"):
+            monitor.observe("retry_rate", 1.0)
+        assert monitor.mean("retry_rate") is None
+
     def test_unknown_signal_needs_threshold(self):
-        monitor = DriftMonitor(DriftConfig(thresholds={"latency_ms": 5.0}))
-        assert monitor.observe("latency_ms", 1.0) is None
+        monitor = DriftMonitor()
+        assert monitor.observe(SIGNAL_SHED_RATE, 1.0) is None
+        assert monitor.mean(SIGNAL_SHED_RATE) == 1.0
         with pytest.raises(ValueError, match="no threshold"):
             monitor.observe("unconfigured", 1.0)
-
-    def test_shed_and_retry_signals(self):
-        monitor = DriftMonitor(DriftConfig(window=4, min_count=4))
-        for _ in range(4):
-            monitor.observe_shed(True)
-            monitor.observe_retry(False)
-        assert monitor.mean("shed_rate") == 1.0
-        assert monitor.mean("retry_rate") == 0.0
-        assert [a.signal for a in monitor.alerts] == ["shed_rate"]
+        assert monitor.mean("unconfigured") is None
 
     def test_alert_fans_out_to_every_sink(self, tmp_path):
         """The acceptance scenario: synthetic accuracy degradation must
@@ -310,15 +254,11 @@ class TestDrift:
         path = tmp_path / "spans.jsonl"
         registry = MetricsRegistry()
         tracer = Tracer(ring_size=0, jsonl_path=str(path), registry=registry)
-        monitor = DriftMonitor(
-            DriftConfig(window=16, min_count=8),
-            registry=registry,
-            tracer=tracer,
-        )
-        for _ in range(8):
+        monitor = DriftMonitor(registry=registry, tracer=tracer)
+        for _ in range(WINDOW):
             monitor.observe_error(0.05)  # healthy phase
         assert monitor.alert_count == 0
-        for _ in range(16):
+        for _ in range(WINDOW):
             monitor.observe_error(0.9)  # degraded phase
         assert monitor.alert_count >= 1
         tracer.close()
@@ -592,8 +532,7 @@ class TestTracedService:
 
         registry = MetricsRegistry()
         tracer = Tracer(ring_size=0, registry=registry)
-        drift = DriftMonitor(DriftConfig(window=8, min_count=4),
-                             registry=registry, tracer=tracer)
+        drift = DriftMonitor(registry=registry, tracer=tracer)
         service = DecisionService(
             ServiceConfig(port=0, health_port=0),
             registry=registry, tracer=tracer, drift=drift,
@@ -651,6 +590,18 @@ class TestObsCli:
         out = capsys.readouterr()
         assert "exposition OK" in out.err
         assert parse_exposition(out.out)[("sweep_cells_total", "")] == 5
+
+    @pytest.mark.parametrize("payload", [
+        {"metrics": {"counters": {"sweep_cells_total": 5}}},  # a nested dump
+        [1, 2],
+    ])
+    def test_metrics_refuses_what_is_not_a_snapshot(self, tmp_path, payload):
+        from repro.cli import main
+
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit, match="not a metrics snapshot"):
+            main(["metrics", str(path), "--check"])
 
     def test_metrics_requires_one_source(self, tmp_path):
         from repro.cli import main

@@ -6,7 +6,7 @@ The two contracts that matter most are pinned here:
   bit-identical results to one with a recorder attached, and never
   allocates a telemetry object (enforced by poisoning the constructors).
 * **Mergeable** - registries merged from split runs equal a single
-  run's registry, the property the parallel sweep runtime relies on.
+  run's registry.
 """
 
 import json
@@ -90,6 +90,14 @@ class TestMetrics:
     def test_histogram_merge_bounds_mismatch_raises(self):
         with pytest.raises(ValueError, match="bounds"):
             Histogram(bounds=(1.0,)).merge(Histogram(bounds=(2.0,)))
+
+    def test_histogram_buckets_observations(self):
+        h = Histogram(bounds=(1.0, 2.0, 4.0))
+        for v in (0.5, 1.5, 1.5, 3.0, 9.0):
+            h.observe(v)
+        assert h.counts == [1, 2, 1, 1]  # the last bucket is the overflow
+        assert h.total == 5
+        assert h.sum == 15.5
 
     def test_histogram_rejects_unsorted_bounds(self):
         with pytest.raises(ValueError):
