@@ -5,19 +5,18 @@ End-to-end acceptance check for ``repro.runtime.distributed`` (run by
 the CI ``distributed-smoke`` job, and runnable locally):
 
 1. Run a quick design-matrix grid serially - the ground truth.
-2. Serve the same grid from a ``SweepBroker`` (with cache and checkpoint
-   manifest attached) to two ``repro worker`` subprocesses. Worker A
+2. Serve the same grid from a ``SweepBroker`` (with the result cache
+   attached) to two ``repro worker`` subprocesses. Worker A
    carries a ``REPRO_FAULT_PLAN`` that makes it hang on every cell it
    leases; once worker B has drained the rest of the grid, A - holding
    the one unfinished lease - is SIGKILLed.
 3. Require: the sweep completes; results are bit-identical
    (``RunResult`` equality) to the serial run; at least one lease was
-   reclaimed; and the checkpoint manifest holds no duplicate cell keys.
+   reclaimed; and each cell was recorded exactly once.
 
 Exit status 0 = all checks passed.
 """
 
-import json
 import os
 import pathlib
 import signal
@@ -32,7 +31,6 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.config import small_config  # noqa: E402
 from repro.runtime.cache import ResultCache  # noqa: E402
-from repro.runtime.checkpoint import SweepCheckpoint  # noqa: E402
 from repro.runtime.distributed import SweepBroker  # noqa: E402
 from repro.runtime.executor import SweepExecutor, SweepTask  # noqa: E402
 from repro.runtime.faults import FaultPlan, FaultSpec  # noqa: E402
@@ -78,15 +76,8 @@ def main() -> int:
 
     print("== remote sweep: broker + 2 workers, worker A SIGKILLed")
     with tempfile.TemporaryDirectory(prefix="repro-dsmoke-") as tmp:
-        cache_dir = pathlib.Path(tmp) / "cache"
-        manifest = pathlib.Path(tmp) / "sweep.manifest.jsonl"
         broker = SweepBroker(port=0, lease_s=4.0)
-        checkpoint = SweepCheckpoint(manifest, sweep="distributed-smoke")
-        ex = SweepExecutor(
-            cache=ResultCache(cache_dir),
-            checkpoint=checkpoint,
-            broker=broker,
-        )
+        ex = SweepExecutor(cache=ResultCache(pathlib.Path(tmp) / "cache"), broker=broker)
         remote: list = [None]
         errors: list = []
 
@@ -154,17 +145,12 @@ def main() -> int:
         reclaimed = ex.progress.reclaims
         check("sweep_cells_reclaimed >= 1", reclaimed >= 1, f"got {reclaimed}")
 
-        keys = [
-            json.loads(line)["key"]
-            for line in manifest.read_text().splitlines()
-            if line.strip() and "key" in json.loads(line)
-        ]
+        recorded = sorted(c.label for c in ex.progress.cells)
         check(
-            "checkpoint manifest keys unique",
-            len(keys) == len(set(keys)) and len(keys) == n,
-            f"{len(keys)} entries, {len(set(keys))} unique",
+            "each cell recorded exactly once",
+            recorded == sorted(t.label for t in tasks),
+            f"{len(recorded)} records, {len(set(recorded))} distinct cells",
         )
-        checkpoint.close()
 
     ok = all(checks)
     print("== distributed smoke:", "PASS" if ok else "FAIL")

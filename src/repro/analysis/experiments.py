@@ -67,7 +67,7 @@ class ExperimentSetup:
     #: Oracle pre-execution frequency count (None = full grid).
     oracle_sample_freqs: Optional[int] = 4
     #: Runs the grid drivers' cells: its workers, result cache, retry
-    #: policy, checkpoint manifest and broker (default: serial, uncached).
+    #: policy and broker (default: serial, uncached).
     executor: SweepExecutor = field(default_factory=SweepExecutor)
 
     def workload_list(self) -> List[str]:

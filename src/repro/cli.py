@@ -54,13 +54,11 @@ accept ``--workers N`` to fan cells across forked worker processes
 join too), and cache results on disk (disable with ``--no-cache``;
 relocate with ``--cache-dir``). Transient cell failures are retried
 with deterministic backoff (``--retries N`` bounds the attempts;
-``--retries 1`` disables retrying). ``figure`` sweeps record a
-crash-safe checkpoint manifest alongside the cache; after an
-interrupted sweep, ``repro figure <name> --resume`` re-runs only the
-missing cells. ``--checkpoint FILE`` relocates the manifest (and
-enables it for ``run``/``compare``). ``run --engine reference`` runs
-the rescan timing loop, and ``run --json FILE`` writes the run's
-hot-path work counters with the summary.
+``--retries 1`` disables retrying). The cache writes each cell
+crash-safely as it finishes, so re-running an interrupted sweep with
+the same settings computes only the cells it had not finished.
+``run --engine reference`` runs the rescan timing loop, and ``run
+--json FILE`` writes the run's hot-path work counters with the summary.
 
 Global flags (before the subcommand): ``--log-level debug|info|
 warning|error`` and ``--log-json`` configure the structured ``repro.*``
@@ -70,15 +68,12 @@ logger hierarchy (stderr; JSON lines with ``--log-json``).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import pathlib
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.config import small_config
 from repro.core.objectives import EDnPObjective
 from repro.dvfs.designs import DESIGN_NAMES, EXTENSION_DESIGNS
-from repro.runtime.cache import default_cache_dir
 
 # The sweep stack (executor, simulation, oracle, workloads, analysis) is
 # imported by the commands that run it, so ``repro serve`` starts
@@ -86,7 +81,6 @@ from repro.runtime.cache import default_cache_dir
 if TYPE_CHECKING:
     from repro.runtime import (
         RetryPolicy,
-        SweepCheckpoint,
         SweepExecutor,
         SweepInstrumentation,
         SweepTask,
@@ -160,17 +154,6 @@ def _config(args):
     return cfg
 
 
-@contextlib.contextmanager
-def _scoped_checkpoint(args, sweep: str, always: bool = False):
-    """``_checkpoint`` as a context manager (closes the manifest)."""
-    ckpt = _checkpoint(args, sweep, always)
-    try:
-        yield ckpt
-    finally:
-        if ckpt is not None:
-            ckpt.close()
-
-
 def _retry_policy(args) -> RetryPolicy:
     from repro.runtime import RetryPolicy
 
@@ -179,36 +162,7 @@ def _retry_policy(args) -> RetryPolicy:
     return RetryPolicy(max_attempts=args.retries)
 
 
-def _checkpoint(args, sweep: str, always: bool = False) -> Optional[SweepCheckpoint]:
-    """Checkpoint manifest for a sweep command, or None.
-
-    ``figure`` passes ``always=True`` so every cached sweep leaves a
-    manifest behind (that is what makes an *unplanned* crash resumable);
-    ``run``/``compare`` only checkpoint when asked via ``--resume`` or
-    ``--checkpoint``.
-    """
-    wanted = always or args.resume or args.checkpoint
-    if not wanted:
-        return None
-    if args.no_cache:
-        if not (args.resume or args.checkpoint):
-            return None  # figure --no-cache: nothing to resume from
-        raise SystemExit(
-            "--resume/--checkpoint need the result cache; drop --no-cache"
-        )
-    from repro.runtime import SweepCheckpoint, default_checkpoint_path
-
-    cache_dir = pathlib.Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    path = pathlib.Path(args.checkpoint) if args.checkpoint \
-        else default_checkpoint_path(cache_dir, sweep)
-    return SweepCheckpoint(path, sweep=sweep, resume=args.resume)
-
-
-def _executor(
-    args,
-    progress: Optional[SweepInstrumentation] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-) -> SweepExecutor:
+def _executor(args, progress: Optional[SweepInstrumentation] = None) -> SweepExecutor:
     from repro.runtime import ResultCache, SweepExecutor, SweepInstrumentation
 
     broker = None
@@ -221,7 +175,6 @@ def _executor(
         cache=None if args.no_cache else ResultCache(args.cache_dir),
         progress=progress or SweepInstrumentation(),
         retry=_retry_policy(args),
-        checkpoint=checkpoint,
         broker=broker,
     )
 
@@ -242,12 +195,11 @@ def _sweep_task(args, design: str) -> SweepTask:
 
 
 def _print_fault_summary(progress: SweepInstrumentation) -> None:
-    """One line on retries/resume/failures, only when there is news."""
-    if progress.retries or progress.resumed or progress.failures:
+    """One line on retries and failures, only when there is news."""
+    if progress.retries or progress.failures:
         print(
             f"\nfault tolerance: {progress.retries} retr"
             f"{'y' if progress.retries == 1 else 'ies'}, "
-            f"{progress.resumed} cell(s) resumed from checkpoint, "
             f"{progress.failures} permanent failure(s)"
         )
 
@@ -256,8 +208,7 @@ def cmd_run(args) -> int:
     from repro.runtime import SweepInstrumentation
 
     progress = SweepInstrumentation(name=f"run {args.workload}")
-    with _scoped_checkpoint(args, f"run-{args.workload}") as ckpt:
-        r = _executor(args, progress, ckpt).run_one(_sweep_task(args, args.design))
+    r = _executor(args, progress).run_one(_sweep_task(args, args.design))
     rows = [
         ["epochs", r.epochs],
         ["completed", str(r.completed)],
@@ -285,10 +236,7 @@ def cmd_compare(args) -> int:
 
     designs = args.designs.split(",")
     progress = SweepInstrumentation(name=f"compare {args.workload}")
-    with _scoped_checkpoint(args, f"compare-{args.workload}") as ckpt:
-        results = _executor(args, progress, ckpt).run(
-            [_sweep_task(args, d) for d in designs]
-        )
+    results = _executor(args, progress).run([_sweep_task(args, d) for d in designs])
     baseline = results[0]
     rows = []
     for d, r in zip(designs, results):
@@ -319,18 +267,15 @@ def cmd_figure(args) -> int:
     workloads = tuple(args.workloads.split(",")) if args.workloads else ex.QUICK_WORKLOADS
     designs = tuple(args.designs.split(",")) if args.designs else None
     progress = SweepInstrumentation(name=f"figure {args.figure}")
-    with _scoped_checkpoint(args, f"figure-{args.figure}", always=True) as ckpt:
-        setup = ex.ExperimentSetup(
-            config=_config(args),
-            workloads=workloads,
-            scale=args.scale,
-            max_epochs=args.max_epochs,
-            oracle_sample_freqs=4,
-            executor=_executor(args, progress, ckpt),
-        )
-        text = _figure_text(args, setup, designs)
-
-    print(text)
+    setup = ex.ExperimentSetup(
+        config=_config(args),
+        workloads=workloads,
+        scale=args.scale,
+        max_epochs=args.max_epochs,
+        oracle_sample_freqs=4,
+        executor=_executor(args, progress),
+    )
+    print(_figure_text(args, setup, designs))
     print()
     print(progress.summary())
     return 0
@@ -1078,12 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--retries", type=_at_least_one, default=None,
                         help="attempts per sweep cell before giving up "
                              "(1 = no retries; default 3)")
-        sp.add_argument("--resume", action="store_true",
-                        help="skip cells already recorded in the sweep's "
-                             "checkpoint manifest (requires the cache)")
-        sp.add_argument("--checkpoint", metavar="FILE", default=None,
-                        help="checkpoint manifest path (default: "
-                             "<cache-dir>/checkpoints/<sweep>.manifest.jsonl)")
         sp.add_argument("--listen", metavar="HOST:PORT", default=None,
                         help="serve cells from a broker bound here, so "
                              "'repro worker' processes on other hosts can "

@@ -9,16 +9,14 @@
 * :class:`~repro.runtime.cache.ResultCache` memoises cell results on
   disk, keyed by a content hash of everything the result depends on;
   writes are fsync'd and atomically renamed, so a mid-write kill can
-  never leave a torn entry.
-* :class:`~repro.runtime.checkpoint.SweepCheckpoint` durably records
-  completed cell keys in a crash-safe JSONL manifest so an interrupted
-  sweep resumes where it stopped (``repro figure --resume``).
+  never leave a torn entry, and re-running an interrupted sweep
+  computes only the cells the cache lacks.
 * :mod:`repro.runtime.faults` injects deterministic crash/hang/corrupt
-  faults (``REPRO_FAULT_PLAN``) so tests and CI can prove the retry and
-  resume machinery end to end.
+  faults (``REPRO_FAULT_PLAN``) so tests and CI can prove the retry
+  machinery end to end.
 * :class:`~repro.runtime.progress.SweepInstrumentation` records per-cell
   wall time and worker utilisation, and counts cache hits and misses,
-  retries, failures and resumed cells in its metrics registry.
+  retries and failures in its metrics registry.
 * :mod:`repro.runtime.profiling` collects the simulator's hot-path event
   counters (waves scanned, clones taken, bytes snapshotted, ...).
 """
@@ -35,7 +33,6 @@ if TYPE_CHECKING:
         default_cache_dir,
         task_key,
     )
-    from repro.runtime.checkpoint import SweepCheckpoint, default_checkpoint_path
     from repro.runtime.distributed import (
         DEFAULT_BROKER_PORT,
         LeaseExpired,
@@ -68,7 +65,6 @@ if TYPE_CHECKING:
 __getattr__, __dir__ = lazy_exports(__name__, {
     "cache": ("CACHE_DIR_ENV", "DEFAULT_CACHE_DIR", "ResultCache", "default_cache_dir",
               "task_key"),
-    "checkpoint": ("SweepCheckpoint", "default_checkpoint_path"),
     "distributed": ("DEFAULT_BROKER_PORT", "LeaseExpired", "SweepBroker", "SweepWorker",
                     "WorkerError", "WorkerSummary"),
     "executor": ("NO_RETRY", "FailedCell", "RetryPolicy", "SweepExecutor", "SweepTask",
@@ -97,7 +93,6 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
     "SweepBroker",
-    "SweepCheckpoint",
     "SweepExecutor",
     "SweepInstrumentation",
     "SweepTask",
@@ -108,7 +103,6 @@ __all__ = [
     "active_fault_plan",
     "collect_hotpath",
     "default_cache_dir",
-    "default_checkpoint_path",
     "run_task",
     "task_key",
 ]

@@ -30,7 +30,9 @@ temporary file (key + pid + sequence, so concurrent writers of the same
 key never collide), fsync'd, then atomically renamed over the final
 path. A process killed mid-write leaves at worst a stray ``*.tmp`` file
 - never a torn entry - and ``get`` only ever sees complete entries.
-Stray temporaries from previous crashes are swept by ``put``, and so are
+So the cache alone records which cells of an interrupted sweep
+finished: re-running it loads those and computes the rest. A cache's
+first ``put`` sweeps stray temporaries from previous crashes, and
 format-1 entries (``<key>.pkl``), which no reader opens any more.
 """
 
@@ -45,7 +47,7 @@ import os
 import pathlib
 import re
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Union
 
 from repro.telemetry.schema import run_result_from_wire, run_result_to_wire
 
@@ -182,12 +184,10 @@ def default_cache_dir() -> pathlib.Path:
 
 
 class ResultCache:
-    """One JSON file per key of sweep results, with hit/miss counters."""
+    """One JSON file per key of sweep results."""
 
     def __init__(self, cache_dir: Optional[PathLike] = None) -> None:
         self.dir = pathlib.Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
         self._seq = 0
 
     def path_for(self, key: str) -> pathlib.Path:
@@ -196,13 +196,10 @@ class ResultCache:
     def get(self, key: str) -> Optional["RunResult"]:
         """Return the cached result, or None on miss/corruption."""
         try:
-            result = run_result_from_wire(self.path_for(key).read_text(encoding="utf-8"))
+            return run_result_from_wire(self.path_for(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):
             # Missing, truncated, foreign or stale entries all mean "recompute".
-            self.misses += 1
             return None
-        self.hits += 1
-        return result
 
     def put(self, key: str, result: Any) -> None:
         # Unique per (process, call): two workers caching the same key
@@ -223,7 +220,10 @@ class ResultCache:
             # result the codec refuses, caches nothing and is not fatal.
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
-        self._sweep_stale()
+        if self._seq == 1:
+            # Once per cache, not per put: the directory only grows (a
+            # source edit re-keys every cell), so each scan costs more.
+            self._sweep_stale()
 
     def _sweep_stale(self, max_age_s: float = 3600.0) -> None:
         """Remove what no reader will open again (best-effort): temp
@@ -246,9 +246,6 @@ class ResultCache:
                     continue
         except OSError:
             pass
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
 
 
 __all__ = [

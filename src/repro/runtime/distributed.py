@@ -17,10 +17,9 @@ hosts. Either way the broker guarantees:
   key, is a corrupt result, never code the broker runs.
 * **Exactly-once cells.** Every cell is leased to at most one worker at
   a time; a result is accepted only from the current leaseholder at the
-  current attempt, so a late result from a reclaimed lease is
-  acknowledged and discarded. The cache key and the idempotent
-  :class:`~repro.runtime.checkpoint.SweepCheckpoint` manifest dedupe
-  accepted cells again.
+  current attempt: a late result from a reclaimed lease is
+  acknowledged and discarded (``sweep_results_duplicate``), so each
+  cell's result is recorded once.
 * **Fault tolerance under the executor's RetryPolicy.** A worker times
   its own cell (``task_timeout_s`` rides in the task frame), reports an
   overrun as an ordinary ``SweepTimeoutError`` failure and takes the
@@ -268,8 +267,8 @@ class SweepBroker:
     untrusted hosts cannot reach it. The executor's ``run()`` blocks in
     :meth:`serve` until every pending cell has been computed (or
     exhausted its retry budget). The broker owns no policy of its own -
-    retries, caching, checkpointing and instrumentation all flow
-    through the executor it serves.
+    retries, caching and instrumentation all flow through the executor
+    it serves.
     """
 
     def __init__(

@@ -23,17 +23,14 @@ that join), while guaranteeing:
   attempt always runs in-process. Exhausted cells either fail the sweep
   (``on_exhausted="raise"``) or land as :class:`FailedCell` markers
   (``on_exhausted="record"``) so one poisoned cell cannot lose a figure.
-* **Checkpoint/resume** - with a
-  :class:`~repro.runtime.checkpoint.SweepCheckpoint` attached, every
-  completed cell is durably recorded; a resumed sweep skips completed
-  cells by fetching them from the result cache.
+* **Cached cells** - with a :class:`~repro.runtime.cache.ResultCache`
+  attached, a cached cell is loaded, not run, and every computed cell
+  is written crash-safely as it finishes; so re-running an interrupted
+  sweep computes only the cells it had not finished.
 * **Graceful degradation** - ``max_workers=1`` or a single pending cell
   runs in-process, and so does a cell whose task cannot cross the wire.
 * **No leaked workers** - forked workers are terminated and joined on
   every exit path, whether the sweep completed, timed out or aborted.
-
-Cells are transparently memoised through
-:class:`~repro.runtime.cache.ResultCache` when one is supplied.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from repro.core.objectives import Objective
 from repro.dvfs.designs import learned_artifact_id, make_controller
 from repro.dvfs.simulation import DvfsSimulation
 from repro.runtime.cache import ResultCache, describe_objective, task_key
-from repro.runtime.checkpoint import SweepCheckpoint
 from repro.runtime.faults import (
     CorruptResultError,
     InjectedFaultError,
@@ -60,7 +56,6 @@ from repro.runtime.faults import (
 )
 from repro.runtime.progress import (
     SOURCE_CACHE,
-    SOURCE_RESUMED,
     SOURCE_SERIAL,
     CellRecord,
     SweepInstrumentation,
@@ -259,9 +254,6 @@ class SweepExecutor:
     #: :class:`SweepTimeoutError`. In-process attempts are never timed.
     task_timeout_s: Optional[float] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Durable manifest of completed cells (see checkpoint.py); cells
-    #: recorded there are skipped on resume by loading from the cache.
-    checkpoint: Optional[SweepCheckpoint] = None
     #: A :class:`~repro.runtime.distributed.SweepBroker` to serve the
     #: grid from, so workers on other hosts can join the sweep. None
     #: serves a parallel sweep from a private broker that opens no port.
@@ -286,7 +278,7 @@ class SweepExecutor:
             self.progress.start()
         try:
             # Each cell's content key, computed once: the cache, the
-            # checkpoint, the broker and failed cells all reuse it.
+            # broker and failed cells all reuse it.
             keys = [task.key() for task in tasks]
             results: List[Optional[object]] = [None] * len(tasks)
             pending = [
@@ -310,22 +302,16 @@ class SweepExecutor:
     # ------------------------------------------------------------------
 
     def _load_completed(self, task: SweepTask, key: str, results: List, i: int) -> bool:
-        """Fill ``results[i]`` from the checkpoint manifest or cache."""
+        """Fill ``results[i]`` from the cache, if it holds the cell."""
         if self.cache is None:
             return False
-        resumed = self.checkpoint is not None and key in self.checkpoint
         cached = self.cache.get(key)
         if cached is None:
-            # A manifest entry without a cache entry (cache cleared,
-            # version bump) is simply stale: re-run the cell.
             return False
         results[i] = cached
-        source = SOURCE_RESUMED if resumed else SOURCE_CACHE
-        if self.checkpoint is not None:
-            self.checkpoint.record(key, task.label, source)
         self.progress.record_cell(
             CellRecord(
-                task.label, task.workload, task.design, 0.0, source,
+                task.label, task.workload, task.design, 0.0, SOURCE_CACHE,
                 hotpath=getattr(cached, "hotpath", None),
             )
         )
@@ -342,8 +328,6 @@ class SweepExecutor:
     ) -> None:
         if self.cache is not None:
             self.cache.put(key, result)
-        if self.checkpoint is not None:
-            self.checkpoint.record(key, task.label, source, elapsed)
         self.progress.record_cell(
             CellRecord(
                 task.label, task.workload, task.design, elapsed, source,

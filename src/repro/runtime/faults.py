@@ -1,7 +1,7 @@
 """Deterministic fault injection for the sweep runtime.
 
 Real sweep fleets lose cells to crashed workers, hung processes and
-corrupted transfers; the retry/checkpoint machinery in
+corrupted transfers; the retry machinery in
 :mod:`repro.runtime.executor` exists to absorb exactly that. This module
 makes those failures *reproducible* so tests and CI can prove the
 machinery end to end:
@@ -13,10 +13,8 @@ machinery end to end:
   :class:`CorruptResult` marker instead of a real result). Faults fire
   on the first ``attempts`` tries of the cell and stop —
   ``attempts=None`` means every try (a *permanent* fault).
-* A :class:`FaultPlan` is a set of specs plus an optional seeded random
-  sample: ``fraction=0.1, seed=7`` deterministically selects ~10% of
-  cell labels (by hashing ``seed:label``, no RNG state) and applies
-  ``fraction_mode`` to them on their first ``fraction_attempts`` tries.
+* A :class:`FaultPlan` is a set of specs; the first that matches a
+  cell's label on an attempt fires.
 * Plans cross the process boundary through the ``REPRO_FAULT_PLAN``
   environment variable as JSON (:meth:`FaultPlan.install` /
   :func:`active_fault_plan`), so sweep workers — which inherit the
@@ -30,7 +28,6 @@ what makes retry-policy tests assert exact counters.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -102,24 +99,11 @@ class FaultSpec:
         return self.attempts is None or attempt <= self.attempts
 
 
-def _stable_unit(seed: int, label: str) -> float:
-    """Deterministic hash of (seed, label) mapped into [0, 1)."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A deterministic set of faults to inject into a sweep."""
 
     specs: Tuple[FaultSpec, ...] = ()
-    #: Seed for the sampled fraction below (no run-time RNG involved).
-    seed: int = 0
-    #: Additionally fault this fraction of cell labels, chosen by
-    #: hashing ``seed:label`` — stable across processes and runs.
-    fraction: float = 0.0
-    fraction_mode: str = MODE_RAISE
-    fraction_attempts: Optional[int] = 2
 
     # -- selection ------------------------------------------------------
 
@@ -128,10 +112,6 @@ class FaultPlan:
         for spec in self.specs:
             if spec.matches(label) and spec.active_on(attempt):
                 return spec
-        if self.fraction > 0.0 and _stable_unit(self.seed, label) < self.fraction:
-            sampled = FaultSpec(label, self.fraction_mode, self.fraction_attempts)
-            if sampled.active_on(attempt):
-                return sampled
         return None
 
     def apply(self, label: str, attempt: int) -> Optional[CorruptResult]:
@@ -169,10 +149,6 @@ class FaultPlan:
                     }
                     for s in self.specs
                 ],
-                "seed": self.seed,
-                "fraction": self.fraction,
-                "fraction_mode": self.fraction_mode,
-                "fraction_attempts": self.fraction_attempts,
             },
             sort_keys=True,
         )
@@ -180,13 +156,7 @@ class FaultPlan:
     @classmethod
     def from_json(cls, blob: str) -> "FaultPlan":
         data = json.loads(blob)
-        return cls(
-            specs=tuple(FaultSpec(**s) for s in data.get("specs", ())),
-            seed=data.get("seed", 0),
-            fraction=data.get("fraction", 0.0),
-            fraction_mode=data.get("fraction_mode", MODE_RAISE),
-            fraction_attempts=data.get("fraction_attempts", 2),
-        )
+        return cls(specs=tuple(FaultSpec(**s) for s in data.get("specs", ())))
 
     # -- environment plumbing -------------------------------------------
 

@@ -29,8 +29,6 @@ _HOTPATH_NAMES = tuple(HotPathCounters().as_dict())
 SOURCE_CACHE = "cache"
 #: Computed in the sweep's own process.
 SOURCE_SERIAL = "serial"
-#: Skipped because the checkpoint manifest proved it already completed.
-SOURCE_RESUMED = "resumed"
 #: Computed by a broker's worker process, forked on this host or
 #: connected from another (see repro.runtime.distributed).
 SOURCE_REMOTE = "remote"
@@ -47,7 +45,7 @@ class CellRecord:
     #: Compute time of the cell itself (0 for cache hits).
     wall_s: float
     #: One of :data:`SOURCE_CACHE` / :data:`SOURCE_SERIAL` /
-    #: :data:`SOURCE_REMOTE` / :data:`SOURCE_RESUMED`.
+    #: :data:`SOURCE_REMOTE`.
     source: str
     #: Hot-path profiler counters of the cell's simulation (see
     #: :mod:`repro.runtime.profiling`). For cache hits these describe the
@@ -183,10 +181,6 @@ class SweepInstrumentation:
         )
 
     @property
-    def resumed(self) -> int:
-        return self._count(f"sweep_cells_{SOURCE_RESUMED}")
-
-    @property
     def retries(self) -> int:
         return self._count("sweep_retries_total")
 
@@ -243,8 +237,6 @@ class SweepInstrumentation:
             ["compute time (s)", self.compute_s],
             ["worker utilisation", self.utilisation],
         ]
-        if self.resumed:
-            rows.append(["resumed from checkpoint", self.resumed])
         if self.retries:
             rows.append(["retries", self.retries])
         if self.reclaims:
@@ -268,5 +260,4 @@ __all__ = [
     "SOURCE_CACHE",
     "SOURCE_SERIAL",
     "SOURCE_REMOTE",
-    "SOURCE_RESUMED",
 ]

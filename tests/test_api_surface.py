@@ -80,7 +80,6 @@ class TestTopLevel:
         "repro.runtime",
         "repro.runtime.executor",
         "repro.runtime.cache",
-        "repro.runtime.checkpoint",
         "repro.runtime.distributed",
         "repro.runtime.faults",
         "repro.runtime.progress",

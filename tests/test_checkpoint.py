@@ -1,18 +1,17 @@
-"""Checkpoint/resume manifest and crash-safe cache writes."""
+"""Resuming an interrupted sweep through the result cache, and
+crash-safe cache writes."""
 
-import json
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from repro.config import small_config
 from repro.runtime.cache import ResultCache
-from repro.runtime.checkpoint import (
-    MANIFEST_VERSION,
-    SweepCheckpoint,
-    default_checkpoint_path,
-)
-from repro.runtime.executor import SweepExecutor, SweepTask
-from repro.runtime.progress import SOURCE_RESUMED, SweepInstrumentation
+from repro.runtime.executor import NO_RETRY, SweepExecutor, SweepTask
+from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFaultError
+from repro.runtime.progress import SOURCE_CACHE, SweepInstrumentation
 
 from helpers import make_run_result
 
@@ -33,116 +32,41 @@ GRID = [
 ]
 
 
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        with SweepCheckpoint(path, sweep="s1") as ckpt:
-            ckpt.record("k1", label="a/b", source="serial", wall_s=0.5)
-            ckpt.record("k2", label="c/d", source="parallel", wall_s=1.5)
-        again = SweepCheckpoint(path, sweep="s1", resume=True)
-        assert "k1" in again and "k2" in again and "k3" not in again
-        assert len(again) == 2
-        assert again.resumed_from == 2
-        again.close()
-
-    def test_fresh_open_truncates(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        with SweepCheckpoint(path) as ckpt:
-            ckpt.record("old")
-        with SweepCheckpoint(path) as ckpt:  # resume=False: new sweep
-            assert "old" not in ckpt
-        assert "old" not in SweepCheckpoint(path, resume=True)
-
-    def test_header_line_written(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        SweepCheckpoint(path, sweep="figure-fig14").close()
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header == {"manifest": MANIFEST_VERSION, "sweep": "figure-fig14"}
-
-    def test_torn_trailing_line_tolerated(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        with SweepCheckpoint(path) as ckpt:
-            ckpt.record("k1", label="a/b")
-            ckpt.record("k2", label="c/d")
-        # Simulate a kill mid-append: a partial, unterminated JSON line.
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "k3", "lab')
-        again = SweepCheckpoint(path, resume=True)
-        assert "k1" in again and "k2" in again
-        assert "k3" not in again
-        again.close()
-
-    def test_duplicate_record_is_idempotent(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        with SweepCheckpoint(path) as ckpt:
-            ckpt.record("k1")
-            ckpt.record("k1")
-        assert len(path.read_text().splitlines()) == 2  # header + one line
-
-    def test_resume_missing_file_starts_fresh(self, tmp_path):
-        ckpt = SweepCheckpoint(tmp_path / "nope.jsonl", resume=True)
-        assert len(ckpt) == 0 and ckpt.resumed_from == 0
-        ckpt.close()
-
-    def test_default_path_sanitises_sweep_name(self, tmp_path):
-        path = default_checkpoint_path(tmp_path, "figure fig14/all")
-        assert path.parent == tmp_path / "checkpoints"
-        assert "/" not in path.name and " " not in path.name
-
-
 class TestExecutorResume:
-    def _executor(self, tmp_path, ckpt, progress=None):
+    """Re-running a sweep with the same settings computes only the cells
+    the cache lacks."""
+
+    def _run(self, tmp_path, progress=None):
         return SweepExecutor(
             cache=ResultCache(tmp_path / "cache"),
-            checkpoint=ckpt,
             progress=progress or SweepInstrumentation(),
-        )
+            retry=NO_RETRY,
+        ).run(GRID)
 
     def test_interrupted_sweep_resumes_bit_identical(self, tmp_path):
         reference = SweepExecutor().run(GRID)
-        manifest = tmp_path / "sweep.jsonl"
 
-        # "Interrupted" run: only the first half of the grid completes.
-        with SweepCheckpoint(manifest, sweep="s") as ckpt:
-            self._executor(tmp_path, ckpt).run(GRID[:2])
+        # The third cell fails the sweep, after the first two finished.
+        plan = FaultPlan((FaultSpec(GRID[2].label, "raise", attempts=None),))
+        with plan, pytest.raises(InjectedFaultError):
+            self._run(tmp_path)
 
         progress = SweepInstrumentation()
-        with SweepCheckpoint(manifest, sweep="s", resume=True) as ckpt:
-            assert ckpt.resumed_from == 2
-            results = self._executor(tmp_path, ckpt, progress).run(GRID)
-
+        results = self._run(tmp_path, progress)
         assert results == reference
-        # Exactly the interrupted half was skipped, the rest computed.
-        assert progress.resumed == 2
+        # Exactly the finished half was loaded, the rest computed.
+        assert progress.cache_hits == 2
         assert progress.cache_misses == 2
-        sources = [rec.source for rec in progress.cells]
-        assert sources.count(SOURCE_RESUMED) == 2
+        loaded = [rec.label for rec in progress.cells if rec.source == SOURCE_CACHE]
+        assert loaded == [task.label for task in GRID[:2]]
 
     def test_second_resume_skips_everything(self, tmp_path):
-        manifest = tmp_path / "sweep.jsonl"
-        with SweepCheckpoint(manifest, sweep="s") as ckpt:
-            first = self._executor(tmp_path, ckpt).run(GRID)
+        first = self._run(tmp_path)
         progress = SweepInstrumentation()
-        with SweepCheckpoint(manifest, sweep="s", resume=True) as ckpt:
-            again = self._executor(tmp_path, ckpt, progress).run(GRID)
+        again = self._run(tmp_path, progress)
         assert again == first
-        assert progress.resumed == len(GRID)
+        assert progress.cache_hits == len(GRID)
         assert progress.cache_misses == 0
-
-    def test_manifest_entry_without_cache_entry_reruns(self, tmp_path):
-        # A manifest can outlive its cache (cache pruned, version bump):
-        # membership alone must never produce a result from thin air.
-        manifest = tmp_path / "sweep.jsonl"
-        task = GRID[0]
-        with SweepCheckpoint(manifest, sweep="s") as ckpt:
-            expect = self._executor(tmp_path, ckpt).run_one(task)
-        for entry in (tmp_path / "cache").glob("*.json"):
-            entry.unlink()
-        progress = SweepInstrumentation()
-        with SweepCheckpoint(manifest, sweep="s", resume=True) as ckpt:
-            got = self._executor(tmp_path, ckpt, progress).run_one(task)
-        assert got == expect
-        assert progress.resumed == 0 and progress.cache_misses == 1
 
 
 class TestCrashSafeCacheWrites:
@@ -154,7 +78,7 @@ class TestCrashSafeCacheWrites:
         bytes are in the open temp file). The survivor must be readable
         and the dead key must be absent - at worst a stray ``*.tmp``.
         """
-        tests = __import__("pathlib").Path(__file__).resolve().parent
+        tests = pathlib.Path(__file__).resolve().parent
         code = (
             "import os, sys\n"
             f"sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
@@ -205,3 +129,21 @@ class TestCrashSafeCacheWrites:
         ResultCache(tmp_path).put("k", make_run_result())
         assert not format1.exists()
         assert notes.exists() and fresh.exists()
+
+    def test_one_cache_scans_its_directory_once(self, tmp_path, monkeypatch):
+        """The directory only grows, so a scan per ``put`` would cost
+        more with every stored cell: one cache sweeps it once."""
+        scans = []
+        iterdir = pathlib.Path.iterdir
+
+        def counting_iterdir(path):
+            if path == tmp_path:
+                scans.append(path)
+            return iterdir(path)
+
+        monkeypatch.setattr(pathlib.Path, "iterdir", counting_iterdir)
+        cache = ResultCache(tmp_path)
+        for key in ("a", "b", "c"):
+            cache.put(key, make_run_result())
+        assert len(scans) == 1
+        assert all(cache.get(key) == make_run_result() for key in ("a", "b", "c"))

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -47,8 +48,11 @@ class TestParser:
 #: The flags of the sweep commands, each with a value where it takes one.
 SWEEP_FLAGS = [
     ["--workers", "2"], ["--no-cache"], ["--cache-dir", "d"], ["--retries", "2"],
-    ["--resume"], ["--checkpoint", "c.jsonl"], ["--listen", "127.0.0.1:0"],
+    ["--listen", "127.0.0.1:0"],
 ]
+
+#: Flags no command takes any more: re-running a sweep resumes it.
+GONE_FLAGS = [["--resume"], ["--checkpoint", "c.jsonl"]]
 
 
 class TestEveryFlagActs:
@@ -58,7 +62,10 @@ class TestEveryFlagActs:
         "argv",
         [[cmd, *head, *flag]
          for cmd, head in (("trace", ["dgemm"]), ("report", []), ("profile", ["comd"]))
-         for flag in SWEEP_FLAGS]
+         for flag in SWEEP_FLAGS + GONE_FLAGS]
+        + [[cmd, *head, *flag]
+           for cmd, head in (("run", ["comd"]), ("compare", ["comd"]), ("figure", ["fig15"]))
+           for flag in GONE_FLAGS]
         + [["profile", "comd", "--objective", "ed2p"],
            # Selectors of the one job a command does.
            ["profile", "comd", "--hotpath"], ["report", "--accuracy"], ["check", "--quick"]],
@@ -196,17 +203,15 @@ class TestFaultTolerantSweeps:
         cache = ["--cache-dir", str(tmp_path)]
         assert main(self.FIGURE + cache) == 0
         first = capsys.readouterr().out
-        assert (tmp_path / "checkpoints" / "figure-fig14.manifest.jsonl").exists()
 
-        assert main(self.FIGURE + cache + ["--resume"]) == 0
+        # The same command again resumes from the cache: nothing computed.
+        assert main(self.FIGURE + cache) == 0
         second = capsys.readouterr().out
-        assert "resumed from checkpoint" in second
-        # The resumed run renders the same figure rows.
-        assert first.splitlines()[:5] == second.splitlines()[:5]
-
-    def test_resume_requires_cache(self):
-        with pytest.raises(SystemExit):
-            main(self.FIGURE + ["--no-cache", "--resume"])
+        assert re.search(r"^cache misses +2$", first, re.M)
+        assert re.search(r"^cache misses +0$", second, re.M)
+        # The re-run renders the same figure rows, and writes no manifest.
+        assert first.split("\n\n")[0] == second.split("\n\n")[0]
+        assert not (tmp_path / "checkpoints").exists()
 
     def test_bad_retries_rejected(self):
         with pytest.raises(SystemExit):

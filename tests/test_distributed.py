@@ -33,7 +33,6 @@ from repro.core.objectives import (
     StaticObjective,
 )
 from repro.runtime.cache import ResultCache, canonicalize, describe_objective
-from repro.runtime.checkpoint import SweepCheckpoint
 from repro.runtime.distributed import (
     BROKER_PROTOCOL_VERSION,
     LeaseExpired,
@@ -322,13 +321,8 @@ class TestEndToEnd:
         tasks = [task(w, d) for w in ("dgemm", "hacc")
                  for d in ("CRISP", "PCSTALL")]
         serial = SweepExecutor().run(tasks)
-        manifest = tmp_path / "sweep.manifest.jsonl"
         with BrokerHarness(
-            tasks,
-            executor_kw=dict(
-                cache=ResultCache(tmp_path / "cache"),
-                checkpoint=SweepCheckpoint(manifest, sweep="e2e"),
-            ),
+            tasks, executor_kw=dict(cache=ResultCache(tmp_path / "cache")),
         ) as h:
             workers = [h.worker(name=f"w{i}") for i in range(2)]
             threads = [threading.Thread(target=w.run) for w in workers]
@@ -341,9 +335,9 @@ class TestEndToEnd:
         assert canonicalize(results) == canonicalize(serial)
         # Both workers did real work and nothing was double-kept.
         assert sum(w.summary.completed for w in workers) == len(tasks)
-        assert len(h.ex.checkpoint.completed) == len(tasks)
         counters = h.ex.progress.registry.counter_values()
         assert counters["sweep_cells_total"] == len(tasks)
+        assert sorted(c.label for c in h.ex.progress.cells) == sorted(t.label for t in tasks)
         assert counters["sweep_cells_remote"] == len(tasks)
         assert counters["sweep_workers_connected"] == 2
 

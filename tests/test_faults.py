@@ -89,14 +89,13 @@ class TestFaultPlan:
         plan = FaultPlan(
             (FaultSpec("a/b", "hang", attempts=None, hang_s=2.5),
              FaultSpec("*/PCSTALL", "corrupt", attempts=3)),
-            seed=7, fraction=0.25, fraction_mode="corrupt",
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_env_round_trip(self, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
         assert active_fault_plan() is None
-        plan = FaultPlan((FaultSpec("a/b", attempts=1),), seed=3)
+        plan = FaultPlan((FaultSpec("a/b", attempts=1),))
         with plan:
             assert active_fault_plan() == plan
         assert active_fault_plan() is None
@@ -106,21 +105,6 @@ class TestFaultPlan:
         assert active_fault_plan() is None
         monkeypatch.setenv(FAULT_PLAN_ENV, '{"specs": [{"cell": "x", "mode": "bad"}]}')
         assert active_fault_plan() is None
-
-    def test_fraction_sampling_is_deterministic(self):
-        labels = [f"w{i}/d{j}" for i in range(8) for j in range(4)]
-        plan = FaultPlan(seed=1, fraction=0.5)
-        picked = [lb for lb in labels if plan.fault_for(lb, 1)]
-        assert picked  # a 50% sample of 32 labels is never empty
-        assert picked == [lb for lb in labels if plan.fault_for(lb, 1)]
-        assert all(plan.fault_for(lb, 1) for lb in labels) is False
-
-    def test_fraction_extremes(self):
-        labels = ["a/b", "c/d", "e/f"]
-        everything = FaultPlan(fraction=1.0)
-        nothing = FaultPlan(fraction=0.0)
-        assert all(everything.fault_for(lb, 1) for lb in labels)
-        assert not any(nothing.fault_for(lb, 1) for lb in labels)
 
 
 class TestRetryUnderFaults:

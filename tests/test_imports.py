@@ -70,10 +70,9 @@ def test_serve_loads_the_learned_path_before_listening():
         "assert cli.main(['serve', '--port', '0', '--health-port', '-1']) == 0\n"
         "assert 'repro.learn.models' in sys.modules and 'numpy' in sys.modules\n"
         "sweep_stack = ('repro.analysis', 'repro.dvfs.hierarchy', 'repro.dvfs.oracle',\n"
-        "               'repro.dvfs.simulation', 'repro.runtime.checkpoint',\n"
-        "               'repro.runtime.executor', 'repro.runtime.faults',\n"
-        "               'repro.runtime.profiling', 'repro.runtime.progress',\n"
-        "               'repro.workloads')\n"
+        "               'repro.dvfs.simulation', 'repro.runtime.executor',\n"
+        "               'repro.runtime.faults', 'repro.runtime.profiling',\n"
+        "               'repro.runtime.progress', 'repro.workloads')\n"
         "unused = [m for m in sys.modules\n"
         "          if m in ('repro.learn.dataset', 'repro.runtime.distributed')\n"
         "          or m.startswith(sweep_stack)]\n"

@@ -192,7 +192,6 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         cache.put("k", make_run_result())
         assert cache.get("k") == make_run_result()
-        assert cache.hits == 1
 
     def test_real_results_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -202,7 +201,6 @@ class TestResultCache:
             again = cache.get(task.key())
             assert again == result
             assert canonicalize(again) == canonicalize(result)
-        assert cache.hits == len(GRID)
 
     def test_entries_are_json_files_only(self, tmp_path):
         assert CACHE_FORMAT_VERSION == 2
@@ -214,7 +212,6 @@ class TestResultCache:
     def test_missing_key_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get("nope") is None
-        assert cache.misses == 1
 
     def test_corrupted_entry_recomputes_not_crashes(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -233,7 +230,6 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         cache.path_for("k").write_bytes(pickle.dumps(make_run_result()))
         assert cache.get("k") is None
-        assert cache.misses == 1
 
     @pytest.mark.parametrize("result", [
         make_run_result(delay_ns=math.nan),
@@ -279,10 +275,10 @@ class TestExecutor:
 
     def test_rerun_hits_cache_with_identical_results(self, tmp_path):
         first = SweepExecutor(max_workers=2, cache=ResultCache(tmp_path)).run(GRID)
-        cache = ResultCache(tmp_path)
-        second = SweepExecutor(max_workers=2, cache=cache).run(GRID)
-        assert cache.hits == len(GRID)
-        assert cache.misses == 0
+        rerun = SweepExecutor(max_workers=2, cache=ResultCache(tmp_path))
+        second = rerun.run(GRID)
+        assert rerun.progress.cache_hits == len(GRID)
+        assert rerun.progress.cache_misses == 0
         for a, b in zip(first, second):
             assert a == b
 
