@@ -16,16 +16,15 @@ Public API tour:
 * :mod:`repro.runtime` - parallel sweep executor, on-disk result cache,
   sweep instrumentation.
 * :mod:`repro.telemetry` - zero-overhead-when-off observability:
-  mergeable metrics registry, per-epoch decision trace, Perfetto
-  export, prediction-accuracy drill-down.
+  metrics registry, per-epoch decision trace, Perfetto export,
+  prediction-accuracy drill-down.
 * :mod:`repro.service` - the online decision service: ``repro serve``
   exposes PCSTALL (any servable design) over a length-prefixed JSON
   protocol with micro-batching and backpressure; ``repro replay``
   verifies it against offline traces bit-for-bit.
 * :mod:`repro.validation` - differential validation: post-hoc invariant
-  auditors over run artifacts, cross-checkers for the repo's
-  bit-exactness claims, and the executable specs behind the property
-  suites; wired into ``repro check``.
+  auditors over run artifacts and cross-checkers for the repo's
+  bit-exactness claims; wired into ``repro check``.
 
 Quickstart::
 

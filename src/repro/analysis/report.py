@@ -70,19 +70,6 @@ def sparkline(series: Sequence[float], width: int = 60) -> str:
     )
 
 
-def bar_chart(series: Mapping[object, float], width: int = 40, precision: int = 3) -> str:
-    """Render a mapping as labelled horizontal ASCII bars."""
-    if not series:
-        return ""
-    top = max(max(series.values()), 1e-12)
-    label_w = max(len(str(k)) for k in series)
-    lines = []
-    for k, v in series.items():
-        bar = "#" * int(round(width * max(v, 0.0) / top))
-        lines.append(f"{str(k).ljust(label_w)}  {v:.{precision}f}  {bar}")
-    return "\n".join(lines)
-
-
 def geometric_mean(values: Sequence[float]) -> float:
     """Geomean of positive values (paper's cross-workload summaries)."""
     vals = [v for v in values if v > 0]
@@ -94,4 +81,4 @@ def geometric_mean(values: Sequence[float]) -> float:
     return product ** (1.0 / len(vals))
 
 
-__all__ = ["format_table", "format_series", "geometric_mean", "sparkline", "bar_chart"]
+__all__ = ["format_table", "format_series", "geometric_mean", "sparkline"]

@@ -1,4 +1,4 @@
-"""Export/import of simulation traces (CSV and JSON).
+"""Export of simulation traces (CSV and JSON).
 
 Lets users post-process runs in pandas/matplotlib without re-simulating:
 
@@ -7,7 +7,8 @@ Lets users post-process runs in pandas/matplotlib without re-simulating:
 * :func:`trace_to_rows` / :func:`save_trace_csv` - a
   :class:`~repro.analysis.phases.SensitivityTrace` as flat per-epoch
   (and per-wavefront) rows.
-* :func:`load_trace_csv` - round-trip the per-epoch rows back.
+
+Both files read back with the standard library's ``json`` and ``csv``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.phases import SensitivityTrace
 from repro.dvfs.simulation import RunResult
-from repro.telemetry.schema import build_meta, check_meta
+from repro.telemetry.schema import build_meta
 
 PathLike = Union[str, pathlib.Path]
 
@@ -32,7 +33,7 @@ def run_result_to_dict(
     The ``meta`` block stamps the artifact with the package version,
     trace-schema version and (when ``config`` is given) the platform's
     content hash, so a loaded file can be checked against the code that
-    reads it (see :func:`load_run_json`).
+    reads it (see :func:`~repro.telemetry.schema.check_meta`).
     """
     return {
         "meta": build_meta(config=config, **({"engine": engine} if engine else {})),
@@ -71,19 +72,6 @@ def save_run_json(
     )
 
 
-def load_run_json(path: PathLike, strict: bool = False) -> Dict:
-    """Load a run summary; with ``strict`` verify its ``meta`` block.
-
-    ``strict=True`` raises :class:`ValueError` when the file predates
-    the meta block or was written by an incompatible schema version -
-    the round-trip guard for artifacts that feed further tooling.
-    """
-    data = json.loads(pathlib.Path(path).read_text())
-    if strict:
-        check_meta(data.get("meta"))
-    return data
-
-
 # ----------------------------------------------------------------------
 
 EPOCH_FIELDS = ("epoch", "level", "unit", "slope", "commits")
@@ -110,28 +98,9 @@ def save_trace_csv(trace: SensitivityTrace, path: PathLike) -> None:
         writer.writerows(trace_to_rows(trace))
 
 
-def load_trace_csv(path: PathLike) -> List[Dict]:
-    """Rows back as dicts (numbers parsed)."""
-    out: List[Dict] = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            out.append(
-                {
-                    "epoch": int(row["epoch"]),
-                    "level": row["level"],
-                    "unit": int(row["unit"]),
-                    "slope": float(row["slope"]),
-                    "commits": int(row["commits"]) if row["commits"] else None,
-                }
-            )
-    return out
-
-
 __all__ = [
     "run_result_to_dict",
     "save_run_json",
-    "load_run_json",
     "trace_to_rows",
     "save_trace_csv",
-    "load_trace_csv",
 ]

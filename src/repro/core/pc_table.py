@@ -85,9 +85,6 @@ class PCTable:
         """Table index for a byte PC: drop offset bits, wrap modulo size."""
         return (pc_bytes >> self.config.offset_bits) % self.config.n_entries
 
-    def index_of_instruction(self, pc_idx: int) -> int:
-        return self.index_of(pc_idx * self.config.instruction_bytes)
-
     # ------------------------------------------------------------------
 
     def update(self, pc_idx: int, line: LinearSensitivity) -> None:
@@ -142,17 +139,6 @@ class PCTable:
     def occupancy(self) -> float:
         valid = sum(1 for line in self._lines if line is not None)
         return valid / len(self._lines)
-
-    def invalidate(self) -> None:
-        """Flush the table (e.g. at a kernel boundary, optional)."""
-        self._lines = [None] * self._n
-        self._keys = [-1] * self._n
-
-    def reset_counters(self) -> None:
-        self.lookups = 0
-        self.hits = 0
-        self.updates = 0
-        self.evictions = 0
 
 
 __all__ = ["PCTable", "PCTableConfig"]

@@ -329,15 +329,6 @@ class PhaseHistoryPredictor(Predictor):
             out.append(predicted if predicted is not None else self._last[d])
         return out
 
-    def table_entries(self) -> int:
-        """Total stored patterns across all domains (bounded by
-        ``n_domains * n_levels ** history_length``)."""
-        return sum(len(t) for t in self._table)
-
-    def max_table_entries(self) -> int:
-        """The hard ceiling the pattern tables can never exceed."""
-        return self.config.n_domains * self.n_levels ** self.history_length
-
 
 class OraclePredictor(Predictor):
     """ORACLE: told the true next-epoch line by the pre-execute harness."""

@@ -105,21 +105,6 @@ def fit_linear(freqs_ghz: Sequence[float], instructions: Sequence[float]) -> Lin
     return LinearFit(LinearSensitivity(i0, slope), r2, n)
 
 
-def relative_change(prev: float, curr: float, floor: float = 1e-9) -> float:
-    """|curr - prev| / max(|prev|, |curr|, floor) - the paper's
-    'relative change in sensitivity' between epochs (Figures 7 and 10)."""
-    denom = max(abs(prev), abs(curr), floor)
-    return abs(curr - prev) / denom
-
-
-def mean_relative_change(series: Sequence[float]) -> float:
-    """Average relative change across consecutive values of a series."""
-    if len(series) < 2:
-        return 0.0
-    changes = [relative_change(a, b) for a, b in zip(series, series[1:])]
-    return sum(changes) / len(changes)
-
-
 def weighted_relative_change(
     series_list: Iterable[Sequence[float]], floor: float = 0.0
 ) -> float:
@@ -154,7 +139,5 @@ __all__ = [
     "LinearFit",
     "fit_linear",
     "aggregate",
-    "relative_change",
-    "mean_relative_change",
     "weighted_relative_change",
 ]

@@ -11,7 +11,6 @@ if TYPE_CHECKING:
         DESIGN_NAMES,
         EXTENSION_DESIGNS,
         make_controller,
-        static_design_name,
     )
     from repro.dvfs.colocation import ColocationSimulation, ColocationResult, Tenant
     from repro.dvfs.hierarchy import HierarchicalPowerManager, PowerManagedObjective
@@ -19,7 +18,7 @@ if TYPE_CHECKING:
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "oracle": ("OracleSampler", "OracleSample"),
-    "designs": ("DESIGN_NAMES", "EXTENSION_DESIGNS", "make_controller", "static_design_name"),
+    "designs": ("DESIGN_NAMES", "EXTENSION_DESIGNS", "make_controller"),
     "colocation": ("ColocationSimulation", "ColocationResult", "Tenant"),
     "hierarchy": ("HierarchicalPowerManager", "PowerManagedObjective"),
     "simulation": ("DvfsSimulation", "RunResult"),
@@ -31,7 +30,6 @@ __all__ = [
     "DESIGN_NAMES",
     "EXTENSION_DESIGNS",
     "make_controller",
-    "static_design_name",
     "HierarchicalPowerManager",
     "PowerManagedObjective",
     "ColocationSimulation",

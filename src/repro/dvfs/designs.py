@@ -65,20 +65,6 @@ DESIGN_NAMES = (
 EXTENSION_DESIGNS = ("HISTORY", "PCCRISP", "PCLEAD", "PCCRIT", "LEARNED")
 
 
-def static_design_name(f_ghz: float) -> str:
-    return f"STATIC@{f_ghz:.1f}"
-
-
-def learned_design_name(model_ref: str) -> str:
-    """The design string that pins a specific registry model.
-
-    Embedding the reference in the design name means the existing sweep
-    cache keys, trace headers and replay opens all carry the model
-    identity with zero extra plumbing.
-    """
-    return f"LEARNED@{model_ref}"
-
-
 def learned_artifact_id(design: str) -> Optional[str]:
     """The artifact id a ``LEARNED@<ref>`` design runs, or None.
 
@@ -198,7 +184,5 @@ __all__ = [
     "DESIGN_NAMES",
     "EXTENSION_DESIGNS",
     "learned_artifact_id",
-    "learned_design_name",
     "make_controller",
-    "static_design_name",
 ]

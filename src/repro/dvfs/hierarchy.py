@@ -67,10 +67,6 @@ class HierarchicalPowerManager:
     def f_max_allowed(self) -> float:
         return self.grid[self._max_idx]
 
-    def allowed_grid(self) -> Tuple[float, ...]:
-        """The frequency window the hardware loop may currently use."""
-        return self.grid[: self._max_idx + 1]
-
     def observe_epoch(self, epoch_power: float, duration_ns: float) -> None:
         """Feed one elapsed DVFS epoch's average power."""
         self._energy_acc += epoch_power * duration_ns

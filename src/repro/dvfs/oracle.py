@@ -65,16 +65,6 @@ class OracleSample:
                 return commits
         return None
 
-    def best_frequency(self, domain: int, score) -> float:
-        """Frequency minimising ``score(f, commits)`` over exact samples."""
-        best_f, best_cost = None, float("inf")
-        for f, commits in self.points[domain]:
-            cost = score(f, commits)
-            if cost < best_cost:
-                best_cost, best_f = cost, f
-        assert best_f is not None
-        return best_f
-
 
 def _pre_execute_sample(child: Gpu, freqs: List[float], epoch_ns: float) -> List[int]:
     """Run one pre-execution sample on a fork of the epoch boundary.

@@ -53,12 +53,6 @@ class DomainMap:
     def frequencies(self) -> List[float]:
         return [d.frequency_ghz for d in self.domains]
 
-    def domain_of_cu(self, cu_id: int) -> ClockDomain:
-        for d in self.domains:
-            if cu_id in d.cu_ids:
-                return d
-        raise KeyError(f"cu {cu_id} not in any domain")
-
     def clone(self) -> "DomainMap":
         out = DomainMap.__new__(DomainMap)
         out.domains = [d.clone() for d in self.domains]

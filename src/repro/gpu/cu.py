@@ -231,10 +231,6 @@ class ComputeUnit:
         """No resident and no pending work."""
         return not self.waves and not self.pending_workgroups
 
-    @property
-    def resident_wave_count(self) -> int:
-        return len(self.waves)
-
     # ------------------------------------------------------------------
     # Epoch control
 

@@ -83,9 +83,6 @@ class EpochResult:
     def duration_ns(self) -> float:
         return self.t_end - self.t_start
 
-    def committed_per_cu(self) -> List[int]:
-        return [s.committed for s in self.cu_stats]
-
     def total_committed(self) -> int:
         return sum(s.committed for s in self.cu_stats)
 
@@ -150,9 +147,6 @@ class Gpu:
     @property
     def done(self) -> bool:
         return all(cu.idle for cu in self.cus)
-
-    def resident_wave_count(self) -> int:
-        return sum(cu.resident_wave_count for cu in self.cus)
 
     @property
     def completion_time(self) -> float:
@@ -256,15 +250,6 @@ class Gpu:
             transitions=transitions,
         )
 
-    def run_to_completion(self, epoch_ns: float, max_epochs: int = 1_000_000) -> List[EpochResult]:
-        """Run epochs at current frequencies until all work finishes."""
-        results: List[EpochResult] = []
-        for _ in range(max_epochs):
-            if self.done:
-                break
-            results.append(self.run_epoch(epoch_ns))
-        return results
-
     # ------------------------------------------------------------------
     # Domain-level aggregation helpers
 
@@ -341,13 +326,6 @@ class Gpu:
         for cu, cap in zip(self.cus, snap.cus):
             cu.restore_capture(cap)
         self.ctr_restores += 1
-
-    @classmethod
-    def from_snapshot(cls, snap: GpuSnapshot) -> "Gpu":
-        """Materialise a fresh GPU from a snapshot."""
-        out = cls(snap.config)
-        out.restore(snap)
-        return out
 
 
 __all__ = ["Gpu", "GpuSnapshot", "EpochResult", "WaveEpochRecord"]

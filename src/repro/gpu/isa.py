@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 
 class InstructionKind(enum.IntEnum):
@@ -40,21 +40,6 @@ class InstructionKind(enum.IntEnum):
     BARRIER = 5
     BRANCH = 6
     ENDPGM = 7
-
-
-#: Kinds that occupy an issue slot for a compute latency.
-COMPUTE_KINDS = (InstructionKind.VALU, InstructionKind.SALU)
-#: Kinds that create outstanding memory operations.
-MEMORY_KINDS = (InstructionKind.LOAD, InstructionKind.STORE)
-
-# Class-level membership tables: O(1) frozenset lookups instead of tuple
-# scans in `Instruction.is_compute`/`is_memory` (hot in the estimation
-# models). Attached after class creation - EnumMeta allows new non-member
-# attributes, it only protects the members themselves.
-InstructionKind.COMPUTE_SET = frozenset(COMPUTE_KINDS)  # type: ignore[attr-defined]
-InstructionKind.MEMORY_SET = frozenset(MEMORY_KINDS)  # type: ignore[attr-defined]
-_COMPUTE_SET = InstructionKind.COMPUTE_SET  # type: ignore[attr-defined]
-_MEMORY_SET = InstructionKind.MEMORY_SET  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -105,14 +90,6 @@ class Instruction:
                 raise ValueError("trip_count must be non-negative")
             if self.branch_target < 0:
                 raise ValueError("branch_target must be non-negative")
-
-    @property
-    def is_compute(self) -> bool:
-        return self.kind in _COMPUTE_SET
-
-    @property
-    def is_memory(self) -> bool:
-        return self.kind in _MEMORY_SET
 
 
 def valu(cycles: int = 4) -> Instruction:
@@ -226,10 +203,6 @@ class Program:
             self.__dict__["_compiled"] = out
         return out
 
-    @staticmethod
-    def from_list(instrs: Sequence[Instruction], name: str = "kernel") -> "Program":
-        return Program(tuple(instrs), name=name)
-
 
 class CompiledProgram:
     """Immutable flat decode table of a :class:`Program`.
@@ -242,10 +215,10 @@ class CompiledProgram:
     event engine's single-wave straight-line batcher may retire
     (VALU/SALU/BRANCH).
 
-    Tables are shared by reference across ``clone()``/``snapshot()``/
-    ``from_snapshot()`` (zero bytes per oracle fork) and compare equal
-    by their source program, so separately-built engines with equal
-    programs still agree on captured state.
+    Tables are shared by reference across ``clone()`` and
+    ``snapshot()``/``restore()`` (zero bytes per oracle fork) and
+    compare equal by their source program, so separately-built engines
+    with equal programs still agree on captured state.
     """
 
     __slots__ = (
@@ -285,35 +258,6 @@ class CompiledProgram:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def decompile(self) -> Tuple[Instruction, ...]:
-        """Rebuild the instruction list purely from the flat arrays.
-
-        Exists for the round-trip property tests: equality with
-        ``source.instructions`` proves the table lost nothing.
-        """
-        return tuple(
-            Instruction(
-                kind=InstructionKind(k),
-                cycles=cy,
-                l1_hit_rate=l1,
-                l2_hit_rate=l2,
-                pattern_jitter=j,
-                wait_target=w,
-                branch_target=b,
-                trip_count=t,
-            )
-            for k, cy, l1, l2, j, w, b, t in zip(
-                self.kinds,
-                self.cycles,
-                self.l1_hit_rates,
-                self.l2_hit_rates,
-                self.pattern_jitters,
-                self.wait_targets,
-                self.branch_targets,
-                self.trip_counts,
-            )
-        )
 
     def canonical_key(self):
         """Cache-key identity: the table is a pure function of its source
@@ -375,8 +319,6 @@ __all__ = [
     "Program",
     "CompiledProgram",
     "ProgramBuilder",
-    "COMPUTE_KINDS",
-    "MEMORY_KINDS",
     "valu",
     "salu",
     "load",

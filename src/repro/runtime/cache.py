@@ -18,12 +18,14 @@ on:
   (:data:`CELL_SOURCES`), so editing the simulator invalidates every
   entry while editing the CLI or the analysis code keeps them.
 
-Each entry is one ``<key>.json`` file under the cache directory
-(default ``.repro_cache/`` in the working directory; ``REPRO_CACHE_DIR``
-overrides it) holding the result's exact JSON form
+Each entry is one ``<version>-<key>.json`` file, flat in the cache
+directory (default ``.repro_cache/`` in the working directory;
+``REPRO_CACHE_DIR`` overrides it), holding the result's exact JSON form
 (:func:`~repro.telemetry.schema.run_result_to_wire`), so reading the
-cache runs no code. An entry that is missing, truncated, unreadable or
-refused by the codec is a miss and is recomputed - never an error.
+cache runs no code. ``<version>`` is a short digest of the code version
+the key embeds, so the entries one source tree wrote share a prefix. An
+entry that is missing, truncated, unreadable or refused by the codec is
+a miss and is recomputed - never an error.
 
 Writes are **crash-safe**: each entry is written to a uniquely named
 temporary file (key + pid + sequence, so concurrent writers of the same
@@ -31,9 +33,15 @@ key never collide), fsync'd, then atomically renamed over the final
 path. A process killed mid-write leaves at worst a stray ``*.tmp`` file
 - never a torn entry - and ``get`` only ever sees complete entries.
 So the cache alone records which cells of an interrupted sweep
-finished: re-running it loads those and computes the rest. A cache's
-first ``put`` sweeps stray temporaries from previous crashes, and
-format-1 entries (``<key>.pkl``), which no reader opens any more.
+finished: re-running it loads those and computes the rest.
+
+A cache's first ``put`` scans the directory once and deletes what no
+reader opens any more: stray temporaries from previous crashes, entries
+of older formats (``<key>.pkl``, unprefixed ``<key>.json``), and the
+entries of old code versions. It keeps :data:`KEPT_VERSIONS` versions:
+the running code's and the most recently written others. Any edit to a
+:data:`CELL_SOURCES` module re-keys every cell, so without this the
+directory would gain a full grid per edit.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ import os
 import pathlib
 import re
 import time
-from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
 from repro.telemetry.schema import run_result_from_wire, run_result_to_wire
 
@@ -57,7 +65,12 @@ if TYPE_CHECKING:
 PathLike = Union[str, pathlib.Path]
 
 #: Bump when the on-disk entry layout or key recipe changes.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
+
+#: Code versions whose entries a cache keeps: the running code's and the
+#: most recently written others, this many in all. At least 2, so a
+#: parent and a change run against one cache keep each other's entries.
+KEPT_VERSIONS = 3
 
 #: Default cache directory name (created in the current working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -65,8 +78,12 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: A format-1 entry's file name: the key (64 hex digits) + ``.pkl``.
-_FORMAT1_ENTRY = re.compile(r"[0-9a-f]{64}\.pkl")
+#: A format-1 (``.pkl``) or format-2 (``.json``) entry's file name: the
+#: key (64 hex digits) with no version prefix.
+_OLD_ENTRY = re.compile(r"[0-9a-f]{64}\.(pkl|json)")
+
+#: An entry's file name: version digest, ``-``, key, ``.json``.
+_ENTRY = re.compile(r"([0-9a-f]{12})-.+\.json")
 
 
 #: The modules and packages of ``repro`` that a sweep cell can import:
@@ -111,6 +128,11 @@ def _code_version() -> str:
     from repro import __version__
 
     return f"{__version__}/cache-v{CACHE_FORMAT_VERSION}/src-{_source_digest()}"
+
+
+def _version_tag() -> str:
+    """Short digest of :func:`_code_version`: the prefix of its entries."""
+    return hashlib.sha256(_code_version().encode("utf-8")).hexdigest()[:12]
 
 
 def _canonical(obj: Any) -> Any:
@@ -189,9 +211,10 @@ class ResultCache:
     def __init__(self, cache_dir: Optional[PathLike] = None) -> None:
         self.dir = pathlib.Path(cache_dir) if cache_dir is not None else default_cache_dir()
         self._seq = 0
+        self._tag = _version_tag()
 
     def path_for(self, key: str) -> pathlib.Path:
-        return self.dir / f"{key}.json"
+        return self.dir / f"{self._tag}-{key}.json"
 
     def get(self, key: str) -> Optional["RunResult"]:
         """Return the cached result, or None on miss/corruption."""
@@ -221,31 +244,45 @@ class ResultCache:
             with contextlib.suppress(OSError):
                 tmp.unlink(missing_ok=True)
         if self._seq == 1:
-            # Once per cache, not per put: the directory only grows (a
-            # source edit re-keys every cell), so each scan costs more.
+            # Once per cache, not per put: a scan reads the whole directory.
             self._sweep_stale()
 
     def _sweep_stale(self, max_age_s: float = 3600.0) -> None:
         """Remove what no reader will open again (best-effort): temp
-        files orphaned by crashed writers, and format-1 entries.
+        files orphaned by crashed writers, older-format entries, and the
+        entries of code versions beyond the :data:`KEPT_VERSIONS` kept.
 
         Only clearly stale temporaries are touched: another live writer's
-        in-flight file is younger than the age floor. Every other file
-        in the directory is left alone.
+        in-flight file is younger than the age floor. A version's age is
+        its newest entry's. Files that are not entries are left alone.
         """
         cutoff = time.time() - max_age_s
+        others: Dict[str, List[pathlib.Path]] = {}
+        newest: Dict[str, float] = {}
         try:
             for path in self.dir.iterdir():
                 try:
                     if path.suffix == ".tmp":
                         if path.stat().st_mtime < cutoff:
                             path.unlink(missing_ok=True)
-                    elif _FORMAT1_ENTRY.fullmatch(path.name):
+                    elif _OLD_ENTRY.fullmatch(path.name):
                         path.unlink(missing_ok=True)
+                    else:
+                        match = _ENTRY.fullmatch(path.name)
+                        if match and match.group(1) != self._tag:
+                            tag = match.group(1)
+                            mtime = path.stat().st_mtime
+                            others.setdefault(tag, []).append(path)
+                            newest[tag] = max(newest.get(tag, mtime), mtime)
                 except OSError:
                     continue
         except OSError:
-            pass
+            return
+        by_age = sorted(newest, key=lambda tag: (newest[tag], tag), reverse=True)
+        for tag in by_age[KEPT_VERSIONS - 1:]:
+            for path in others[tag]:
+                with contextlib.suppress(OSError):
+                    path.unlink(missing_ok=True)
 
 
 __all__ = [
@@ -253,6 +290,7 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
     "CELL_SOURCES",
     "DEFAULT_CACHE_DIR",
+    "KEPT_VERSIONS",
     "ResultCache",
     "canonicalize",
     "cell_source_files",

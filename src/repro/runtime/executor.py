@@ -309,12 +309,7 @@ class SweepExecutor:
         if cached is None:
             return False
         results[i] = cached
-        self.progress.record_cell(
-            CellRecord(
-                task.label, task.workload, task.design, 0.0, SOURCE_CACHE,
-                hotpath=getattr(cached, "hotpath", None),
-            )
-        )
+        self.progress.record_cell(CellRecord(task.label, 0.0, SOURCE_CACHE))
         return True
 
     def _finish_cell(
@@ -330,7 +325,7 @@ class SweepExecutor:
             self.cache.put(key, result)
         self.progress.record_cell(
             CellRecord(
-                task.label, task.workload, task.design, elapsed, source,
+                task.label, elapsed, source,
                 hotpath=getattr(result, "hotpath", None),
                 attempts=attempts,
             )

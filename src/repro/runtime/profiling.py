@@ -52,17 +52,11 @@ class HotPathCounters:
     def merge(self, other: Mapping[str, int]) -> "HotPathCounters":
         """Add another counter mapping into this one (in place)."""
         for f in fields(self):
-            inc = other.get(f.name, 0) if isinstance(other, Mapping) else getattr(other, f.name, 0)
-            setattr(self, f.name, getattr(self, f.name) + int(inc))
+            setattr(self, f.name, getattr(self, f.name) + int(other.get(f.name, 0)))
         return self
 
     def as_dict(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, int]) -> "HotPathCounters":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: int(v) for k, v in data.items() if k in known})
 
 
 def collect_gpu(gpu) -> HotPathCounters:

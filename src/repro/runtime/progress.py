@@ -40,16 +40,14 @@ class CellRecord:
     """Outcome of one sweep cell."""
 
     label: str
-    workload: str
-    design: str
     #: Compute time of the cell itself (0 for cache hits).
     wall_s: float
     #: One of :data:`SOURCE_CACHE` / :data:`SOURCE_SERIAL` /
     #: :data:`SOURCE_REMOTE`.
     source: str
     #: Hot-path profiler counters of the cell's simulation (see
-    #: :mod:`repro.runtime.profiling`). For cache hits these describe the
-    #: work the cached run did originally, not work done by this sweep.
+    #: :mod:`repro.runtime.profiling`); None for a cache hit, which did
+    #: no work in this sweep.
     hotpath: Optional[Dict[str, int]] = None
     #: How many tries the cell needed (1 = first attempt succeeded).
     attempts: int = 1
@@ -213,7 +211,10 @@ class SweepInstrumentation:
         return min(1.0, self.compute_s / capacity)
 
     def slowest_cells(self, n: int = 3) -> List[CellRecord]:
-        return sorted(self.cells, key=lambda c: -c.wall_s)[:n]
+        """The ``n`` slowest cells this sweep computed (cache hits took
+        no time)."""
+        computed = [c for c in self.cells if c.source != SOURCE_CACHE]
+        return sorted(computed, key=lambda c: -c.wall_s)[:n]
 
     def hotpath_totals(self) -> Dict[str, int]:
         """Hot-path counters summed across all cells that reported them,

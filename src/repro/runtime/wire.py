@@ -158,12 +158,6 @@ def _recv_upto(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    """Read exactly ``n`` bytes; None on *any* end-of-stream (lenient)."""
-    data = _recv_upto(sock, n)
-    return data if len(data) == n else None
-
-
 def recv_frame(
     sock: socket.socket, strict: bool = False
 ) -> Optional[Dict[str, object]]:

@@ -29,19 +29,13 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.telemetry.accuracy import AccuracyReport, percentile
-    from repro.telemetry.exporters import (
-        perfetto_trace,
-        save_perfetto_json,
-        validate_trace_events,
-        validate_trace_json,
-    )
+    from repro.telemetry.exporters import perfetto_trace, save_perfetto_json
     from repro.telemetry.metrics import (
         BATCH_BUCKETS,
         Counter,
         Gauge,
         Histogram,
         MetricsRegistry,
-        merge_all,
     )
     from repro.telemetry.recorder import EpochTraceRecorder, PcErrorStat, TelemetryConfig
     from repro.telemetry.schema import (
@@ -58,9 +52,8 @@ if TYPE_CHECKING:
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "accuracy": ("AccuracyReport", "percentile"),
-    "exporters": ("perfetto_trace", "save_perfetto_json", "validate_trace_events",
-                  "validate_trace_json"),
-    "metrics": ("BATCH_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry", "merge_all"),
+    "exporters": ("perfetto_trace", "save_perfetto_json"),
+    "metrics": ("BATCH_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
     "recorder": ("EpochTraceRecorder", "PcErrorStat", "TelemetryConfig"),
     "schema": ("TRACE_SCHEMA_VERSION", "build_meta", "check_meta", "epoch_result_to_wire",
                "load_trace_jsonl", "sim_config_to_wire", "trace_meta", "validate_records",
@@ -76,7 +69,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_all",
     "EpochTraceRecorder",
     "PcErrorStat",
     "TelemetryConfig",
@@ -90,6 +82,4 @@ __all__ = [
     "trace_meta",
     "validate_records",
     "validate_trace_file",
-    "validate_trace_events",
-    "validate_trace_json",
 ]

@@ -25,18 +25,13 @@ re-anchored so the earliest span starts at ts 0, putting the wall
 timeline on the same scale as the simulated one. Drift **alert**
 records carry no clock of their own and render as process-scoped
 instants at the end of the last span seen before them in the stream.
-
-:func:`validate_trace_events` is the contract checker for all of the
-above - CI runs it over exported artifacts so a malformed event (missing
-``ph``/``ts``/``pid``, unmatched ``B``/``E``, negative duration,
-non-monotone track) fails the build before a trace viewer rejects it.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.telemetry.schema import trace_meta
 
@@ -208,90 +203,7 @@ def save_perfetto_json(
     return len(trace["traceEvents"])  # type: ignore[arg-type]
 
 
-#: Event phases this exporter's contract admits, and what each needs.
-_KNOWN_PHASES = frozenset("MXCiBE")
-
-
-def validate_trace_events(
-    events: Iterable[Mapping[str, object]]
-) -> Dict[str, int]:
-    """Validate Chrome-trace events against the viewer contract.
-
-    Checks, raising ``ValueError`` on the first violation:
-
-    * every event has ``ph`` (a known phase), ``name`` and ``pid``;
-    * every non-metadata event has a numeric, non-negative ``ts``;
-    * ``X`` (complete) events carry a ``tid`` and a numeric ``dur >= 0``;
-    * ``B``/``E`` (duration) events match up per ``(pid, tid)`` - every
-      ``E`` closes the most recent open ``B`` of the same name, nothing
-      is left open at the end;
-    * per ``(pid, tid)`` track, timestamps are non-decreasing.
-
-    Returns per-phase event counts (CI logs them next to the artifact).
-    """
-    counts: Dict[str, int] = {}
-    last_ts: Dict[Tuple[object, object], float] = {}
-    open_b: Dict[Tuple[object, object], List[str]] = {}
-    for i, event in enumerate(events):
-        ph = event.get("ph")
-        if not isinstance(ph, str) or ph not in _KNOWN_PHASES:
-            raise ValueError(f"event {i}: unknown phase {ph!r}")
-        if "name" not in event:
-            raise ValueError(f"event {i} ({ph}): missing name")
-        if "pid" not in event:
-            raise ValueError(f"event {i} ({ph}): missing pid")
-        counts[ph] = counts.get(ph, 0) + 1
-        if ph == "M":
-            continue
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or ts < 0:
-            raise ValueError(f"event {i} ({ph} {event.get('name')!r}): bad ts {ts!r}")
-        track = (event["pid"], event.get("tid"))
-        if ts < last_ts.get(track, 0.0):
-            raise ValueError(
-                f"event {i} ({ph} {event.get('name')!r}): ts {ts} goes "
-                f"backwards on track {track}"
-            )
-        last_ts[track] = float(ts)
-        if ph == "X":
-            if "tid" not in event:
-                raise ValueError(f"event {i} (X {event.get('name')!r}): missing tid")
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                raise ValueError(
-                    f"event {i} (X {event.get('name')!r}): bad dur {dur!r}"
-                )
-        elif ph == "B":
-            open_b.setdefault(track, []).append(str(event.get("name")))
-        elif ph == "E":
-            stack = open_b.get(track)
-            if not stack:
-                raise ValueError(
-                    f"event {i} (E {event.get('name')!r}): no open B on {track}"
-                )
-            opened = stack.pop()
-            if "name" in event and str(event["name"]) != opened:
-                raise ValueError(
-                    f"event {i}: E {event['name']!r} closes B {opened!r} on {track}"
-                )
-    for track, stack in open_b.items():
-        if stack:
-            raise ValueError(f"unclosed B events on track {track}: {stack}")
-    return counts
-
-
-def validate_trace_json(path: PathLike) -> Dict[str, int]:
-    """Load an exported trace file and validate its events."""
-    data = json.loads(pathlib.Path(path).read_text())
-    events = data.get("traceEvents")
-    if not isinstance(events, list):
-        raise ValueError(f"{path}: no traceEvents array")
-    return validate_trace_events(events)
-
-
 __all__ = [
     "perfetto_trace",
     "save_perfetto_json",
-    "validate_trace_events",
-    "validate_trace_json",
 ]

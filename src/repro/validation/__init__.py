@@ -1,6 +1,6 @@
-"""Differential validation: invariant auditors, cross-checkers, specs.
+"""Differential validation: invariant auditors and cross-checkers.
 
-Three layers, all pure consumers of finished artifacts (nothing here is
+Two layers, both pure consumers of finished artifacts (nothing here is
 imported by the simulation itself):
 
 * :mod:`repro.validation.invariants` - post-hoc auditors that re-derive
@@ -10,13 +10,9 @@ imported by the simulation itself):
 * :mod:`repro.validation.differential` - config-driven cross-checkers
   for the repo's bit-exactness claims: event vs reference engine,
   serial vs parallel sweeps, snapshot-fork vs clone oracle paths.
-* :mod:`repro.validation.properties` - executable specifications (a
-  dict-backed PC-table reference model, prediction-bound predicates,
-  wire round-trip checks) that the Hypothesis suites in
-  ``tests/test_validation.py`` drive with random inputs.
 
-:mod:`repro.validation.check` wires the first two into the ``repro
-check`` CLI command.
+:mod:`repro.validation.check` wires both into the ``repro check`` CLI
+command.
 """
 
 from typing import TYPE_CHECKING

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import pathlib
 import subprocess
 import sys
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from hypothesis import strategies as st
 
 from repro.core.predictors import Predictor
 from repro.dvfs.simulation import RunResult
 from repro.gpu.isa import (
+    CompiledProgram,
+    Instruction,
+    InstructionKind,
     Program,
     ProgramBuilder,
     barrier,
@@ -123,4 +128,115 @@ def programs(draw) -> Program:
         target = draw(st.integers(0, len(instrs) - 1))
         instrs.append(branch(target, draw(st.integers(0, 5))))
     instrs.append(endpgm())
-    return Program.from_list(instrs, name=draw(st.sampled_from(["k", "loop"])))
+    return Program(tuple(instrs), name=draw(st.sampled_from(["k", "loop"])))
+
+
+def decompile(compiled: CompiledProgram) -> Tuple[Instruction, ...]:
+    """Rebuild the instruction list purely from a program's flat arrays.
+
+    Equality with ``compiled.source.instructions`` proves the decode
+    table lost nothing.
+    """
+    return tuple(
+        Instruction(
+            kind=InstructionKind(k),
+            cycles=cy,
+            l1_hit_rate=l1,
+            l2_hit_rate=l2,
+            pattern_jitter=j,
+            wait_target=w,
+            branch_target=b,
+            trip_count=t,
+        )
+        for k, cy, l1, l2, j, w, b, t in zip(
+            compiled.kinds,
+            compiled.cycles,
+            compiled.l1_hit_rates,
+            compiled.l2_hit_rates,
+            compiled.pattern_jitters,
+            compiled.wait_targets,
+            compiled.branch_targets,
+            compiled.trip_counts,
+        )
+    )
+
+
+#: Event phases the Perfetto exporter's contract admits.
+_KNOWN_PHASES = frozenset("MXCiBE")
+
+
+def validate_trace_events(
+    events: Iterable[Mapping[str, object]]
+) -> Dict[str, int]:
+    """Validate Chrome-trace events against the viewer contract.
+
+    Checks, raising ``ValueError`` on the first violation:
+
+    * every event has ``ph`` (a known phase), ``name`` and ``pid``;
+    * every non-metadata event has a numeric, non-negative ``ts``;
+    * ``X`` (complete) events carry a ``tid`` and a numeric ``dur >= 0``;
+    * ``B``/``E`` (duration) events match up per ``(pid, tid)`` - every
+      ``E`` closes the most recent open ``B`` of the same name, nothing
+      is left open at the end;
+    * per ``(pid, tid)`` track, timestamps are non-decreasing.
+
+    Returns per-phase event counts.
+    """
+    counts: Dict[str, int] = {}
+    last_ts: Dict[Tuple[object, object], float] = {}
+    open_b: Dict[Tuple[object, object], List[str]] = {}
+    for i, event in enumerate(events):
+        ph = event.get("ph")
+        if not isinstance(ph, str) or ph not in _KNOWN_PHASES:
+            raise ValueError(f"event {i}: unknown phase {ph!r}")
+        if "name" not in event:
+            raise ValueError(f"event {i} ({ph}): missing name")
+        if "pid" not in event:
+            raise ValueError(f"event {i} ({ph}): missing pid")
+        counts[ph] = counts.get(ph, 0) + 1
+        if ph == "M":
+            continue
+        ts = event.get("ts")
+        if not isinstance(ts, (int, float)) or ts < 0:
+            raise ValueError(f"event {i} ({ph} {event.get('name')!r}): bad ts {ts!r}")
+        track = (event["pid"], event.get("tid"))
+        if ts < last_ts.get(track, 0.0):
+            raise ValueError(
+                f"event {i} ({ph} {event.get('name')!r}): ts {ts} goes "
+                f"backwards on track {track}"
+            )
+        last_ts[track] = float(ts)
+        if ph == "X":
+            if "tid" not in event:
+                raise ValueError(f"event {i} (X {event.get('name')!r}): missing tid")
+            dur = event.get("dur")
+            if not isinstance(dur, (int, float)) or dur < 0:
+                raise ValueError(
+                    f"event {i} (X {event.get('name')!r}): bad dur {dur!r}"
+                )
+        elif ph == "B":
+            open_b.setdefault(track, []).append(str(event.get("name")))
+        elif ph == "E":
+            stack = open_b.get(track)
+            if not stack:
+                raise ValueError(
+                    f"event {i} (E {event.get('name')!r}): no open B on {track}"
+                )
+            opened = stack.pop()
+            if "name" in event and str(event["name"]) != opened:
+                raise ValueError(
+                    f"event {i}: E {event['name']!r} closes B {opened!r} on {track}"
+                )
+    for track, stack in open_b.items():
+        if stack:
+            raise ValueError(f"unclosed B events on track {track}: {stack}")
+    return counts
+
+
+def validate_trace_json(path) -> Dict[str, int]:
+    """Load an exported trace file and validate its events."""
+    data = json.loads(pathlib.Path(path).read_text())
+    events = data.get("traceEvents")
+    if not isinstance(events, list):
+        raise ValueError(f"{path}: no traceEvents array")
+    return validate_trace_events(events)

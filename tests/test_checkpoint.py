@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.config import small_config
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import KEPT_VERSIONS, ResultCache
 from repro.runtime.executor import NO_RETRY, SweepExecutor, SweepTask
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFaultError
 from repro.runtime.progress import SOURCE_CACHE, SweepInstrumentation
@@ -119,20 +119,47 @@ class TestCrashSafeCacheWrites:
         assert fresh.exists()
 
     def test_format1_entries_swept_other_files_kept(self, tmp_path):
-        """Format 2 never reads a ``<key>.pkl`` again, so ``put`` removes
-        key-named ones; a ``.pkl`` under any other name stays."""
+        """No reader opens a ``<key>.pkl`` (format 1) or an unprefixed
+        ``<key>.json`` (format 2) again, so ``put`` removes key-named
+        ones; files under any other name stay."""
         format1 = tmp_path / f"{'0123456789abcdef' * 4}.pkl"
+        format2 = tmp_path / f"{'0123456789abcdef' * 4}.json"
         notes = tmp_path / "notes.pkl"
         fresh = tmp_path / "live.0.0.tmp"
-        for path in (format1, notes, fresh):
+        for path in (format1, format2, notes, fresh):
             path.write_bytes(b"x")
         ResultCache(tmp_path).put("k", make_run_result())
-        assert not format1.exists()
+        assert not format1.exists() and not format2.exists()
         assert notes.exists() and fresh.exists()
 
+    def test_entries_of_versions_beyond_the_kept_ones_are_swept(self, tmp_path):
+        """Every source edit re-keys every cell. The next cache's first
+        put keeps this code's entries and those of the most recently
+        written other versions, ``KEPT_VERSIONS`` in all, and deletes
+        the rest, however old this code's own entries are."""
+        import os
+        import time
+
+        assert KEPT_VERSIONS >= 2  # a parent and a change share a cache
+        ResultCache(tmp_path).put("mine", make_run_result())
+        now = time.time()
+        # Other versions, oldest first, all newer than this code's entry.
+        others = [tmp_path / f"{v:012x}-k.json" for v in range(KEPT_VERSIONS + 1)]
+        for age, path in enumerate(reversed(others), start=1):
+            path.write_bytes(b"x")
+            os.utime(path, (now - 60 * age, now - 60 * age))
+        mine = ResultCache(tmp_path).path_for("mine")
+        os.utime(mine, (now - 3600, now - 3600))
+
+        ResultCache(tmp_path).put("new", make_run_result())
+        kept = KEPT_VERSIONS - 1
+        assert [p.exists() for p in others] == [False] * (len(others) - kept) + [True] * kept
+        assert ResultCache(tmp_path).get("mine") == make_run_result()
+        assert ResultCache(tmp_path).get("new") == make_run_result()
+
     def test_one_cache_scans_its_directory_once(self, tmp_path, monkeypatch):
-        """The directory only grows, so a scan per ``put`` would cost
-        more with every stored cell: one cache sweeps it once."""
+        """A scan reads the whole directory, so a scan per ``put`` would
+        cost more with every stored cell: one cache sweeps it once."""
         scans = []
         iterdir = pathlib.Path.iterdir
 

@@ -23,16 +23,6 @@ class TestDomainMap:
         dm = make_map(f=1.5)
         assert dm.frequencies() == [1.5, 1.5]
 
-    def test_domain_of_cu(self):
-        dm = make_map()
-        assert dm.domain_of_cu(0).domain_id == 0
-        assert dm.domain_of_cu(3).domain_id == 1
-
-    def test_domain_of_unknown_cu(self):
-        dm = make_map()
-        with pytest.raises(KeyError):
-            dm.domain_of_cu(99)
-
     def test_iteration(self):
         dm = make_map()
         assert [d.domain_id for d in dm] == [0, 1]

@@ -18,7 +18,7 @@ from repro.gpu.isa import InstructionKind, Program
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
 from repro.runtime.cache import canonicalize
 
-from helpers import make_loop_program, programs
+from helpers import decompile, make_loop_program, programs
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=60)
 
@@ -27,7 +27,7 @@ class TestRoundTrip:
     @DETERMINISTIC
     @given(program=programs())
     def test_decompile_is_lossless(self, program):
-        assert program.compiled.decompile() == program.instructions
+        assert decompile(program.compiled) == program.instructions
 
     @DETERMINISTIC
     @given(program=programs())
@@ -111,7 +111,7 @@ class TestDecompiledEquivalence:
         exactly the same state as the original."""
         cfg = small_config(n_cus=2, waves_per_cu=4)
         prog = make_loop_program(trips=800)
-        rebuilt = Program.from_list(prog.compiled.decompile(), name=prog.name)
+        rebuilt = Program(decompile(prog.compiled), name=prog.name)
         states = []
         for p in (prog, rebuilt):
             gpu = Gpu(cfg.gpu)

@@ -31,14 +31,14 @@ class TestDispatch:
     def test_whole_workgroup_dispatched(self):
         cu, _ = make_cu(waves_per_cu=4)
         enqueue(cu, compute_program(), n_waves=3)
-        assert cu.resident_wave_count == 3
+        assert len(cu.waves) == 3
 
     def test_workgroup_waits_for_room(self):
         cu, _ = make_cu(waves_per_cu=4)
         enqueue(cu, compute_program(), wg_id=0, n_waves=3)
         enqueue(cu, compute_program(), wg_id=1, n_waves=3)
         # Second workgroup (3 waves) does not fit in the remaining 1 slot.
-        assert cu.resident_wave_count == 3
+        assert len(cu.waves) == 3
         assert len(cu.pending_workgroups) == 1
 
     def test_idle_when_empty(self):

@@ -13,7 +13,7 @@ from repro.core.predictors import (
     ReactivePredictor,
     StaticPredictor,
 )
-from repro.dvfs.designs import DESIGN_NAMES, make_controller, static_design_name
+from repro.dvfs.designs import DESIGN_NAMES, make_controller
 
 
 @pytest.fixture
@@ -50,9 +50,6 @@ class TestRegistry:
         ctrl = make_controller("STATIC@1.3", cfg)
         assert isinstance(ctrl.predictor, StaticPredictor)
         assert ctrl.decide() == [1.3, 1.3]
-
-    def test_static_design_name_helper(self):
-        assert static_design_name(1.3) == "STATIC@1.3"
 
     def test_unknown_design_rejected(self, cfg):
         with pytest.raises(ValueError):

@@ -3,9 +3,8 @@
 The exported JSON must satisfy the viewer contract (required
 ``ph``/``ts``/``pid``/``name`` fields, non-negative durations, monotone
 per-track timestamps, matched ``B``/``E`` pairs) - pinned here both for
-real exports (epoch records, span records, alerts) and for
-:func:`~repro.telemetry.exporters.validate_trace_events` itself, which
-CI runs over uploaded artifacts.
+real exports (epoch records, span records, alerts) and for the
+checker itself, :func:`helpers.validate_trace_events`.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from repro.telemetry import (
     TelemetryConfig,
     perfetto_trace,
     save_perfetto_json,
-    validate_trace_events,
-    validate_trace_json,
 )
+
+from helpers import validate_trace_events, validate_trace_json
 
 
 def record_small_run(tracer=None, max_epochs=6):

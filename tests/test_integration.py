@@ -136,7 +136,7 @@ class TestRandomPrograms:
         snap = gpu.clone()
         a = gpu.run_epoch(700.0)
         b = snap.run_epoch(700.0)
-        assert a.committed_per_cu() == b.committed_per_cu()
+        assert [s.committed for s in a.cu_stats] == [s.committed for s in b.cu_stats]
 
 
 class TestBarrierWorkloads:

@@ -20,13 +20,11 @@ from repro.gpu.isa import (
 
 class TestInstructionFactories:
     def test_valu_is_compute(self):
-        assert valu().is_compute
-        assert not valu().is_memory
+        assert valu().kind is InstructionKind.VALU
 
     def test_load_store_are_memory(self):
-        assert load().is_memory
-        assert store().is_memory
-        assert not load().is_compute
+        assert load().kind is InstructionKind.LOAD
+        assert store().kind is InstructionKind.STORE
 
     def test_default_valu_cost(self):
         assert valu().cycles == 4

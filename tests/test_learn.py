@@ -23,7 +23,6 @@ from repro.core.predictors import ObserveContext, PhaseHistoryPredictor
 from repro.dvfs.designs import (
     DESIGN_NAMES,
     EXTENSION_DESIGNS,
-    learned_design_name,
     make_controller,
 )
 from repro.dvfs.simulation import DvfsSimulation
@@ -408,9 +407,6 @@ class TestLearnedDesign:
         with pytest.raises(ModelResolutionError, match="model reference"):
             make_controller("LEARNED", cfg)
 
-    def test_learned_design_name(self):
-        assert learned_design_name("abc123") == "LEARNED@abc123"
-
     def test_controllers_get_fresh_model_instances(self, registry_dir,
                                                    monkeypatch):
         monkeypatch.setenv(MODEL_DIR_ENV, str(registry_dir))
@@ -662,10 +658,10 @@ class TestPhaseHistoryBound:
                                   history_length=history_length,
                                   n_levels=n_levels)
         ctx = ObserveContext(config=cfg.gpu, f_lo_ghz=1.3, f_hi_ghz=2.2)
+        ceiling = cfg.gpu.n_domains * n_levels ** history_length
         for i in order:
             p.observe(results[i], ctx)
-            assert p.table_entries() <= p.max_table_entries()
+            entries = sum(len(table) for table in p._table)
+            assert entries <= ceiling
             # ... and never more than one entry per observed pattern.
-            assert p.table_entries() <= len(order) * cfg.gpu.n_domains
-        assert p.max_table_entries() == \
-            cfg.gpu.n_domains * n_levels ** history_length
+            assert entries <= len(order) * cfg.gpu.n_domains

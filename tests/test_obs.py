@@ -40,6 +40,8 @@ from repro.runtime.progress import SweepInstrumentation
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.schema import validate_records
 
+from helpers import validate_trace_json
+
 
 def small_task(design="PCSTALL", workload="dgemm", max_epochs=6):
     return SweepTask(
@@ -640,8 +642,6 @@ class TestObsCli:
         validate_records(records)
         assert any(r["type"] == "span" and r["name"] == "run"
                    for r in records)
-
-        from repro.telemetry import validate_trace_json
 
         counts = validate_trace_json(perfetto)
         assert counts["X"] > 0

@@ -104,7 +104,7 @@ class TestSampling:
         OracleSampler(tiny_config, n_sample_freqs=4).sample(gpu)
         a = gpu.run_epoch(1000.0)
         b = before.run_epoch(1000.0)
-        assert a.committed_per_cu() == b.committed_per_cu()
+        assert [s.committed for s in a.cu_stats] == [s.committed for s in b.cu_stats]
 
     def test_commits_at_returns_exact_point(self, tiny_config):
         gpu = make_gpu(tiny_config)
@@ -135,24 +135,16 @@ class TestSampling:
                 if commits > 0:
                     assert line.predict(f) == pytest.approx(commits, rel=0.5)
 
-    def test_best_frequency_uses_score(self, tiny_config):
-        gpu = make_gpu(tiny_config)
-        sample = OracleSampler(tiny_config, n_sample_freqs=4).sample(gpu)
-        f_min = sample.best_frequency(0, lambda f, c: f)
-        f_max = sample.best_frequency(0, lambda f, c: -f)
-        assert f_min == tiny_config.dvfs.f_min
-        assert f_max == tiny_config.dvfs.f_max
-
 
 class TestSnapshotProtocol:
     def test_round_trip_replays_identically(self, tiny_config):
         """snapshot -> run -> restore -> run must repeat the exact run."""
         gpu = make_gpu(tiny_config)
         snap = gpu.snapshot()
-        first = gpu.run_epoch(1000.0).committed_per_cu()
+        first = [s.committed for s in gpu.run_epoch(1000.0).cu_stats]
         after_first = [cu.now for cu in gpu.cus]
         gpu.restore(snap)
-        second = gpu.run_epoch(1000.0).committed_per_cu()
+        second = [s.committed for s in gpu.run_epoch(1000.0).cu_stats]
         assert second == first
         assert [cu.now for cu in gpu.cus] == after_first
 
@@ -160,9 +152,11 @@ class TestSnapshotProtocol:
         from repro.gpu.gpu import Gpu
 
         gpu = make_gpu(tiny_config)
-        twin = Gpu.from_snapshot(gpu.snapshot())
-        a = gpu.run_epoch(1000.0).committed_per_cu()
-        b = twin.run_epoch(1000.0).committed_per_cu()
+        snap = gpu.snapshot()
+        twin = Gpu(snap.config)
+        twin.restore(snap)
+        a = [s.committed for s in gpu.run_epoch(1000.0).cu_stats]
+        b = [s.committed for s in twin.run_epoch(1000.0).cu_stats]
         assert a == b
 
     def test_restore_rejects_foreign_config(self, tiny_config):

@@ -29,7 +29,7 @@ class TestPaperScale:
         cfg, gpu = paper_gpu
         assert len(gpu.cus) == 64
         assert len(gpu.domains) == 64
-        assert gpu.resident_wave_count() == 128 * 4
+        assert sum(len(cu.waves) for cu in gpu.cus) == 128 * 4
 
     def test_epoch_runs(self, paper_gpu):
         cfg, gpu = paper_gpu
@@ -50,7 +50,7 @@ class TestPaperScale:
         snap = gpu.clone()
         a = gpu.run_epoch(cfg.dvfs.epoch_ns)
         b = snap.run_epoch(cfg.dvfs.epoch_ns)
-        assert a.committed_per_cu() == b.committed_per_cu()
+        assert [s.committed for s in a.cu_stats] == [s.committed for s in b.cu_stats]
 
     def test_coarse_domain_granularity(self):
         cfg = paper_config(cus_per_domain=32)

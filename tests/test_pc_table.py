@@ -32,8 +32,8 @@ class TestIndexing:
     def test_offset_bits_group_nearby_pcs(self):
         t = PCTable(PCTableConfig(offset_bits=4, instruction_bytes=4))
         # Instructions 0..3 share entry 0 (16 bytes / 4-byte instrs).
-        assert t.index_of_instruction(0) == t.index_of_instruction(3)
-        assert t.index_of_instruction(0) != t.index_of_instruction(4)
+        assert t.index_of(0 * 4) == t.index_of(3 * 4)
+        assert t.index_of(0 * 4) != t.index_of(4 * 4)
 
     def test_wraps_modulo_entries(self):
         t = PCTable(PCTableConfig(n_entries=16, offset_bits=0))
@@ -85,17 +85,10 @@ class TestUpdateLookup:
     def test_aliased_lookup_is_not_a_hit(self):
         t = PCTable(PCTableConfig(n_entries=4, offset_bits=0))
         t.update(4, LinearSensitivity(0.0, 2.0))
-        t.reset_counters()
         assert t.lookup(0) is not None  # aliased value used
         assert t.hits == 0  # ...but accounted as a miss
         assert t.lookup(4) is not None
         assert t.hits == 1
-
-    def test_invalidate_flushes(self):
-        t = PCTable()
-        t.update(5, LinearSensitivity(1.0, 1.0))
-        t.invalidate()
-        assert t.lookup(5) is None
 
     def test_occupancy(self):
         t = PCTable(PCTableConfig(n_entries=8, offset_bits=0, instruction_bytes=1))
@@ -103,13 +96,6 @@ class TestUpdateLookup:
         t.update(0, LinearSensitivity(1.0, 1.0))
         t.update(1, LinearSensitivity(1.0, 1.0))
         assert t.occupancy == pytest.approx(0.25)
-
-    def test_counters_reset(self):
-        t = PCTable()
-        t.update(1, LinearSensitivity(1.0, 1.0))
-        t.lookup(1)
-        t.reset_counters()
-        assert t.lookups == 0 and t.hits == 0 and t.updates == 0
 
     @given(st.integers(0, 10_000))
     def test_property_update_then_lookup_hits(self, pc_idx):

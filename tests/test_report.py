@@ -54,21 +54,6 @@ class TestSparkline:
         assert len(sparkline([1.0] * 100, width=10)) == 10
 
 
-class TestBarChart:
-    def test_bars_proportional(self):
-        from repro.analysis.report import bar_chart
-
-        out = bar_chart({"a": 1.0, "b": 2.0}, width=10)
-        lines = out.splitlines()
-        assert lines[0].count("#") == 5
-        assert lines[1].count("#") == 10
-
-    def test_empty(self):
-        from repro.analysis.report import bar_chart
-
-        assert bar_chart({}) == ""
-
-
 class TestGeometricMean:
     def test_basic(self):
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)

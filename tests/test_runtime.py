@@ -203,10 +203,10 @@ class TestResultCache:
             assert canonicalize(again) == canonicalize(result)
 
     def test_entries_are_json_files_only(self, tmp_path):
-        assert CACHE_FORMAT_VERSION == 2
+        assert CACHE_FORMAT_VERSION == 3
         cache = ResultCache(tmp_path)
         cache.put("k", make_run_result())
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [cache.path_for("k").name]
         assert json.loads(cache.path_for("k").read_text())["design"] == "PCSTALL"
 
     def test_missing_key_is_miss(self, tmp_path):
@@ -368,16 +368,31 @@ class TestInstrumentation:
         assert "cache hits" in text
         assert "again" in text
 
+    def test_all_hit_rerun_reports_no_work(self, tmp_path):
+        """A re-run served from the cache did no simulation: its summary
+        ranks no slowest cells and totals no hot-path work."""
+        first = SweepExecutor(cache=ResultCache(tmp_path))
+        first.run(GRID[:2])
+        assert "slowest:" in first.progress.summary()
+        assert "hotpath:" in first.progress.summary()
+        again = SweepExecutor(cache=ResultCache(tmp_path))
+        again.run(GRID[:2])
+        assert again.progress.cache_hits == 2
+        text = again.progress.summary()
+        assert "slowest:" not in text
+        assert "hotpath:" not in text
+        assert again.progress.hotpath_totals() == {}
+
     def test_cell_records_track_source(self):
         prog = SweepInstrumentation()
-        prog.record_cell(CellRecord("a/b", "a", "b", 0.0, SOURCE_CACHE))
+        prog.record_cell(CellRecord("a/b", 0.0, SOURCE_CACHE))
         assert prog.cache_hits == 1
         assert prog.compute_s == 0.0
 
     def test_utilisation_bounded(self):
         prog = SweepInstrumentation(max_workers=4)
         prog.start()
-        prog.record_cell(CellRecord("a/b", "a", "b", 1e6, "serial"))
+        prog.record_cell(CellRecord("a/b", 1e6, "serial"))
         prog.finish()
         assert 0.0 <= prog.utilisation <= 1.0
 
@@ -388,9 +403,9 @@ class TestMetricsSink:
     def test_record_cell_feeds_registry(self):
         prog = SweepInstrumentation()
         prog.record_cell(
-            CellRecord("a/b", "a", "b", 0.5, "serial", hotpath={"cycles": 7})
+            CellRecord("a/b", 0.5, "serial", hotpath={"cycles": 7})
         )
-        prog.record_cell(CellRecord("c/d", "c", "d", 0.0, SOURCE_CACHE))
+        prog.record_cell(CellRecord("c/d", 0.0, SOURCE_CACHE))
         counters = prog.registry.counter_values()
         assert counters["sweep_cells_total"] == 2
         assert counters["sweep_cells_serial"] == 1
@@ -404,33 +419,11 @@ class TestMetricsSink:
         """The sweep's metrics leave it as its registry's JSON snapshot,
         the dict ``/metrics`` serves."""
         prog = SweepInstrumentation()
-        prog.record_cell(CellRecord("a/b", "a", "b", 0.0, SOURCE_CACHE))
+        prog.record_cell(CellRecord("a/b", 0.0, SOURCE_CACHE))
         data = json.loads(json.dumps(prog.registry.to_dict()))
         assert data["counters"]["sweep_cells_total"] == 1
         assert data["counters"]["sweep_cells_cache"] == 1
         assert data["histograms"]["sweep_cell_wall_s"]["total"] == 1
-
-    def test_split_sweep_registries_merge_to_whole(self):
-        """Satellite of the parallel runtime: metrics from two half
-        sweeps merged equal one whole sweep's metrics (counters are
-        deterministic work counts; wall-time histograms are timing and
-        are compared by observation count only)."""
-        from repro.telemetry import merge_all
-
-        whole = SweepExecutor(max_workers=1)
-        whole.run(GRID)
-        halves = [SweepExecutor(max_workers=1) for _ in range(2)]
-        halves[0].run(GRID[:2])
-        halves[1].run(GRID[2:])
-
-        merged = merge_all([h.progress.registry for h in halves])
-        assert merged.counter_values() == whole.progress.registry.counter_values()
-        assert (
-            merged.to_dict()["histograms"]["sweep_cell_wall_s"]["total"]
-            == whole.progress.registry.to_dict()["histograms"]["sweep_cell_wall_s"][
-                "total"
-            ]
-        )
 
     def test_parallel_sweep_counters_match_serial(self):
         """Cell/hotpath counters must be independent of how cells were
@@ -455,9 +448,9 @@ class TestMetricsSink:
         ``hotpath_`` prefix and sum across cells."""
         prog = SweepInstrumentation()
         prog.record_cell(
-            CellRecord("a/b", "a", "b", 0.0, "serial", hotpath={"cycles": 3, "clones": 2})
+            CellRecord("a/b", 0.0, "serial", hotpath={"cycles": 3, "clones": 2})
         )
-        prog.record_cell(CellRecord("c/d", "c", "d", 0.0, "serial", hotpath={"cycles": 4}))
+        prog.record_cell(CellRecord("c/d", 0.0, "serial", hotpath={"cycles": 4}))
         hotpath = prog.registry.counter_values("hotpath_")
         assert hotpath["hotpath_cycles"] == 7
         assert hotpath["hotpath_clones"] == 2

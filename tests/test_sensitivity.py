@@ -9,8 +9,6 @@ from repro.core.sensitivity import (
     LinearSensitivity,
     aggregate,
     fit_linear,
-    mean_relative_change,
-    relative_change,
     weighted_relative_change,
 )
 
@@ -123,22 +121,6 @@ class TestFitLinear:
 
 
 class TestChangeMetrics:
-    def test_relative_change_basic(self):
-        assert relative_change(100.0, 50.0) == pytest.approx(0.5)
-
-    def test_relative_change_symmetric(self):
-        assert relative_change(50.0, 100.0) == pytest.approx(relative_change(100.0, 50.0))
-
-    def test_relative_change_zero_pair(self):
-        assert relative_change(0.0, 0.0) == pytest.approx(0.0)
-
-    def test_mean_relative_change(self):
-        series = [100.0, 100.0, 50.0]
-        assert mean_relative_change(series) == pytest.approx(0.25)
-
-    def test_mean_relative_change_short_series(self):
-        assert mean_relative_change([5.0]) == 0.0
-
     def test_weighted_change_downweights_tiny_pairs(self):
         # A 0->1 flip (tiny magnitude) alongside a stable 1000-series:
         # the tiny pair must not dominate the average.

@@ -1,11 +1,12 @@
-"""Trace/run export and import."""
+"""Trace/run export, read back with the standard library."""
+
+import csv
+import json
 
 import pytest
 
 from repro.analysis.phases import profile_sensitivity
 from repro.analysis.trace_io import (
-    load_run_json,
-    load_trace_csv,
     run_result_to_dict,
     save_run_json,
     save_trace_csv,
@@ -14,6 +15,7 @@ from repro.analysis.trace_io import (
 from repro.config import small_config
 from repro.dvfs.designs import make_controller
 from repro.dvfs.simulation import DvfsSimulation
+from repro.telemetry.schema import check_meta
 from repro.workloads import build_workload, workload
 
 
@@ -46,7 +48,7 @@ class TestRunJson:
     def test_round_trip(self, run_result, tmp_path):
         path = tmp_path / "run.json"
         save_run_json(run_result, path)
-        loaded = load_run_json(path)
+        loaded = json.loads(path.read_text())
         assert loaded["total_committed"] == run_result.total_committed
         assert loaded["energy"]["total"] == pytest.approx(run_result.energy.total)
 
@@ -58,8 +60,8 @@ class TestRunJsonMeta:
 
         path = tmp_path / "run.json"
         save_run_json(run_result, path, config=cfg)
-        loaded = load_run_json(path, strict=True)
-        meta = loaded["meta"]
+        loaded = json.loads(path.read_text())
+        meta = check_meta(loaded["meta"])
         assert meta["schema_version"] == TRACE_SCHEMA_VERSION
         assert meta["config_hash"] == config_hash(cfg)
         assert meta["engine"] == cfg.gpu.engine
@@ -67,26 +69,10 @@ class TestRunJsonMeta:
 
         assert meta["repro_version"] == repro.__version__
 
-    def test_strict_load_rejects_missing_meta(self, run_result, tmp_path):
-        import json
 
-        path = tmp_path / "legacy.json"
-        d = run_result_to_dict(run_result)
-        d.pop("meta")
-        path.write_text(json.dumps(d))
-        with pytest.raises(ValueError):
-            load_run_json(path, strict=True)
-        assert load_run_json(path)["design"] == "PCSTALL"  # lenient default
-
-    def test_strict_load_rejects_wrong_schema_version(self, run_result, tmp_path):
-        import json
-
-        path = tmp_path / "future.json"
-        d = run_result_to_dict(run_result)
-        d["meta"]["schema_version"] = 999
-        path.write_text(json.dumps(d))
-        with pytest.raises(ValueError, match="schema version"):
-            load_run_json(path, strict=True)
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 class TestTraceCsv:
@@ -98,16 +84,16 @@ class TestTraceCsv:
     def test_round_trip(self, trace, tmp_path):
         path = tmp_path / "trace.csv"
         save_trace_csv(trace, path)
-        loaded = load_trace_csv(path)
+        loaded = read_csv(path)
         assert len(loaded) == len(trace_to_rows(trace))
         cu_rows = [r for r in loaded if r["level"] == "cu"]
-        assert cu_rows[0]["slope"] == pytest.approx(trace.epochs[0].cu_slopes[0])
+        assert float(cu_rows[0]["slope"]) == pytest.approx(trace.epochs[0].cu_slopes[0])
 
     def test_commits_parsed(self, trace, tmp_path):
         path = tmp_path / "trace.csv"
         save_trace_csv(trace, path)
-        loaded = load_trace_csv(path)
+        loaded = read_csv(path)
         wf_rows = [r for r in loaded if r["level"] == "wf"]
-        assert all(isinstance(r["commits"], int) for r in wf_rows)
+        assert all(r["commits"].isdigit() for r in wf_rows)
         domain_rows = [r for r in loaded if r["level"] == "domain"]
-        assert all(r["commits"] is None for r in domain_rows)
+        assert all(r["commits"] == "" for r in domain_rows)

@@ -42,7 +42,7 @@ from repro.validation import (
     oracle_fork_differential,
     record_violations,
 )
-from repro.validation.properties import (
+from properties import (
     PCTableModel,
     check_sensitivity_bounds,
     epoch_result_round_trips,
