@@ -394,31 +394,26 @@ def cmd_trace(args) -> int:
     from repro.telemetry import save_perfetto_json
 
     tracer = None
-    if args.trace:
-        from repro.obs import Tracer
-
-        # Held in memory; the recorder writes its records after the run's.
-        tracer = Tracer(ring_size=0)
     drift = None
     with _recorder_for(args, args.trace) as rec:
+        if args.trace:
+            from repro.obs import Tracer
+
+            # Spans land in the run's stream as they finish.
+            tracer = Tracer(write=rec.write)
         if args.drift:
             from repro.obs import DriftMonitor, get_logger
 
-            drift = DriftMonitor(
-                registry=rec.registry,
-                tracer=tracer,
-                log=get_logger("drift"),
-            )
+            drift = DriftMonitor(write=rec.write, log=get_logger("drift"))
             rec.drift = drift
         result = run_task(_sweep_task(args, args.design), recorder=rec, tracer=tracer)
-        if tracer is not None:
-            # The run record already carries build_meta: skip the
-            # tracer's own "trace" header.
-            rec.append(r for r in tracer.records if r["type"] != "trace")
 
+    domains = rec.domain_records()
+    decisions = sum(r["mispredicted"] is not None for r in domains)
+    missed = sum(bool(r["mispredicted"]) for r in domains)
     first = max(0, rec.epochs - args.epochs)
     rows = []
-    for r in rec.domain_records():
+    for r in domains:
         if r["epoch"] < first:
             continue
         rows.append([
@@ -439,13 +434,10 @@ def cmd_trace(args) -> int:
             f"(last {args.epochs} of {rec.epochs} epochs)"
         ),
     ))
-    counters = rec.registry.counter_values("telemetry_")
-    decisions = counters.get("telemetry_decisions", 0)
-    missed = counters.get("telemetry_mispredictions", 0)
     print(
         f"\n{rec.epochs} epochs, {rec.total_records} records "
         f"({rec.dropped} dropped from ring), "
-        f"{missed:.0f}/{decisions:.0f} decisions off oracle-best; "
+        f"{missed}/{decisions} decisions off oracle-best; "
         f"run: delay {result.delay_ns / 1e3:.1f} us, "
         f"energy {result.energy.total:.3f}"
     )
@@ -460,9 +452,14 @@ def cmd_trace(args) -> int:
         else:
             print("drift: no alerts")
     if args.perfetto:
-        records = list(rec.records)
-        if tracer is not None:
-            records.extend(tracer.records)
+        records = rec.records
+        if args.trace:
+            from repro.obs import iter_jsonl
+
+            # Spans and alerts went to the file only: export what was
+            # written, less the observations the exporter never reads.
+            with open(args.trace, encoding="utf-8") as fh:
+                records = [r for r in iter_jsonl(fh) if r["type"] != "observation"]
         n = save_perfetto_json(records, args.perfetto)
         print(f"Perfetto trace ({n} events) written to {args.perfetto} "
               f"(load at https://ui.perfetto.dev)")
@@ -485,7 +482,7 @@ def cmd_report(args) -> int:
             with _recorder_for(args) as rec:
                 run_task(_sweep_task(args, args.design), recorder=rec)
             reports.append(
-                AccuracyReport.from_recorder(rec, label=f"{w}/{args.design}")
+                AccuracyReport.from_records(rec.in_memory(), label=f"{w}/{args.design}")
             )
 
     rows = []
@@ -521,18 +518,21 @@ def cmd_serve(args) -> int:
     from repro.telemetry.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
+    writer = None
     tracer = None
     if args.trace:
         from repro.obs import Tracer
+        from repro.telemetry.schema import JsonlWriter, build_meta
 
-        tracer = Tracer(jsonl_path=args.trace, registry=registry)
+        writer = JsonlWriter(args.trace, {"type": "trace", **build_meta()})
+        tracer = Tracer(write=writer.write, registry=registry)
     drift = None
     if args.drift:
         from repro.obs import DriftMonitor, get_logger
 
         drift = DriftMonitor(
             registry=registry,
-            tracer=tracer,
+            write=None if writer is None else writer.write,
             log=get_logger("drift"),
         )
     if args.model_dir:
@@ -575,8 +575,8 @@ def cmd_serve(args) -> int:
     try:
         asyncio.run(_serve())
     finally:
-        if tracer is not None:
-            tracer.close()
+        if writer is not None:
+            writer.close()
     counters = service.registry.counter_values("service_")
     print(
         f"drained: {counters.get('service_sessions_opened', 0):.0f} session(s), "

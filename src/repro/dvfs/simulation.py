@@ -21,7 +21,6 @@ drains, the next kernel is dispatched within the same run (e.g. lulesh's
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
@@ -182,7 +181,6 @@ class DvfsSimulation:
                 if tr is not None:
                     epoch_span = tr.start("epoch", parent=run_span, epoch=epochs)
                 if tel is not None:
-                    t_wall0 = time.perf_counter()
                     prev_freqs = self.controller.current_frequencies
 
                 sample: Optional[OracleSample] = None
@@ -257,7 +255,6 @@ class DvfsSimulation:
                         oracle_freqs=oracle_freqs,
                         epoch_energy=epoch_energy,
                         pc_cumulative=pc_cumulative,
-                        wall_s=time.perf_counter() - t_wall0,
                     )
                 if epoch_span is not None:
                     tr.finish(

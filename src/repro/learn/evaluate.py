@@ -179,7 +179,9 @@ def _run_with_accuracy(
         telemetry=recorder,
     )
     result = sim.run()
-    report = AccuracyReport.from_recorder(recorder, label=f"{workload}/{design}")
+    report = AccuracyReport.from_records(
+        recorder.in_memory(), label=f"{workload}/{design}"
+    )
     return DesignEval(design, result, report)
 
 

@@ -5,9 +5,11 @@ observability stack, each observed in its own process:
 
 * :mod:`repro.obs.trace` - hierarchical span tracer for one process
   (run -> epoch -> oracle_sample; session -> request -> decision),
-  zero-overhead when disabled;
+  zero-overhead when disabled, writing each finished span into the
+  record stream it observes;
 * :mod:`repro.obs.drift` - rolling-window drift monitor over prediction
-  error and shed rate, alerting into spans/metrics/logs;
+  error and shed rate, alerting into the record stream, metrics and
+  logs;
 * :mod:`repro.obs.prom` - Prometheus text exposition (v0.0.4) for the
   :class:`~repro.telemetry.metrics.MetricsRegistry`, plus the parser CI
   uses as a scrape gate;

@@ -21,8 +21,10 @@ constants: no caller tunes them.
 Alerts fan out to every attached sink, mirroring how other events in
 this codebase are made visible:
 
-* the **span stream** (``tracer.emit`` of an ``alert`` record, plus a
-  zero-duration ``drift_alert`` span so timelines show the moment);
+* the **record stream** (one ``alert`` record per alert or recovery,
+  handed to ``write`` as it fires - the epoch trace recorder's
+  ``write`` in ``repro trace``, the span stream's writer in ``repro
+  serve``; the Perfetto exporter pins it as an instant);
 * the **metrics registry** (``drift_alerts_total``,
   ``drift_alerts_<signal>`` counters, ``drift_<signal>_level`` gauge);
 * the **log** (a WARNING with structured fields).
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Mapping, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -130,11 +132,11 @@ class DriftMonitor:
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        tracer=None,
+        write: Optional[Callable[[Mapping[str, object]], None]] = None,
         log=None,
     ) -> None:
         self.registry = registry
-        self.tracer = tracer
+        self.write = write
         self.log = log
         self._signals: Dict[str, _SignalWindow] = {}
         #: Every alert and recovery emitted, in order.
@@ -205,14 +207,8 @@ class DriftMonitor:
                 self.registry.inc(f"drift_alerts_{alert.signal}")
             else:
                 self.registry.inc("drift_recoveries_total")
-        if self.tracer is not None:
-            self.tracer.emit(alert.as_record())
-            self.tracer.event(
-                "drift_alert" if alert.kind == "alert" else "drift_recovered",
-                signal=alert.signal,
-                value=alert.value,
-                threshold=alert.threshold,
-            )
+        if self.write is not None:
+            self.write(alert.as_record())
         if self.log is not None:
             level = self.log.warning if alert.kind == "alert" else self.log.info
             level(

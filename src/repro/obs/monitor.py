@@ -3,10 +3,12 @@
 ``repro monitor`` renders one summary line per interval so an operator
 (or a CI log) can watch a sweep or a serving session as it runs:
 
-* **File mode** (``repro monitor FILE``): tails a JSONL stream - the
-  epoch trace recorder's output, a span tracer's output, or a combined
-  stream - and summarises the records that arrived in each interval
-  (epochs, spans, mean relative error, drift alerts, slowest span).
+* **File mode** (``repro monitor FILE``): tails a JSONL record stream,
+  a run's (``repro trace --trace``: epochs with their spans and drift
+  alerts interleaved as they happen) or a serving process's (``repro
+  serve --trace``), and summarises the records that arrived in each
+  interval (epochs, spans, mean relative error, drift alerts, slowest
+  span).
 * **HTTP mode** (``repro monitor --url HOST:PORT``): polls a live
   decision service's ``/metrics`` endpoint and prints per-interval
   *deltas* of the headline counters (requests, decisions, sheds, drift

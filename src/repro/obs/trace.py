@@ -19,14 +19,16 @@ Design constraints, in priority order:
   are bit-identical either way - spans only *observe* wall time, they
   never feed back into a simulation or a decision.
 * **Monotonic ids.** Span ids are monotonic integers (``"1"``,
-  ``"2"``, ...) unique within the tracer's trace.
+  ``"2"``, ...) unique within the tracer.
 * **Wall-clock alignment.** Timing uses ``time.perf_counter_ns`` for
   precision, re-anchored to ``time.time_ns`` at tracer creation, so
   span timestamps are unix nanoseconds.
-* **Bounded memory.** Finished spans go to a ring buffer (and a JSONL
-  sink when configured) exactly like the epoch trace recorder - the
-  ring keeps the recent past for drill-down, the JSONL archives
-  everything.
+* **Keeps nothing.** Each finished span's record is handed to one
+  ``write`` callable as it finishes: the epoch trace recorder's
+  ``write`` (``repro trace --trace``), so spans land in the run's
+  stream between the epochs they time, or a
+  :class:`~repro.telemetry.schema.JsonlWriter`'s (``repro serve
+  --trace``). With ``write=None`` spans are only counted.
 
 Spans stay in the process that observes them: a sweep cell that runs in
 a worker process is timed by the sweep instrumentation, not traced.
@@ -34,12 +36,9 @@ a worker process is timed by the sweep instrumentation, not traced.
 
 from __future__ import annotations
 
-import json
 import time
-import uuid
-from collections import deque
 from contextlib import contextmanager
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -77,10 +76,9 @@ class Span:
             raise ValueError(f"span {self.name!r} not finished")
         return self.t_end_ns - self.t_start_ns
 
-    def as_record(self, trace_id: str) -> Dict[str, object]:
+    def as_record(self) -> Dict[str, object]:
         return {
             "type": SPAN_RECORD_TYPE,
-            "trace_id": trace_id,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "name": self.name,
@@ -95,34 +93,23 @@ class Span:
 
 
 class Tracer:
-    """Creates, times, and sinks spans for one trace: mints a fresh
-    trace id and writes the stream header."""
+    """Creates and times spans; hands each finished span's record to
+    ``write``."""
 
     def __init__(
         self,
-        ring_size: int = 4096,
-        jsonl_path: Optional[str] = None,
+        write: Optional[Callable[[Mapping[str, object]], None]] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if ring_size < 0:
-            raise ValueError("ring_size must be non-negative")
-        self.trace_id = uuid.uuid4().hex[:16]
+        self.write = write
         self.registry = registry
-        #: Finished-span records, most recent ``ring_size`` (0 = unbounded).
-        self.records: Deque[Dict[str, object]] = deque(
-            maxlen=ring_size if ring_size > 0 else None
-        )
-        self.jsonl_path = jsonl_path
-        self._fh = None
         self._next_id = 0
         self.total_spans = 0
-        self.dropped = 0
         #: Active context-manager span chain (``with tracer.span(...)``).
         self._stack: List[Span] = []
         # Map the monotonic perf clock onto the unix epoch once.
         self._unix_anchor_ns = time.time_ns()
         self._perf_anchor_ns = time.perf_counter_ns()
-        self._emit_record(self._header_record(), count=False)
 
     # ------------------------------------------------------------------
     # Span lifecycle
@@ -150,7 +137,7 @@ class Tracer:
         return Span(name, self._mint_id(), parent_id, self._now_ns(), attrs)
 
     def finish(self, span: Span, **attrs: object) -> Span:
-        """Stamp the end time and sink the record (idempotence guarded)."""
+        """Stamp the end time and write the record (idempotence guarded)."""
         if span.done:
             raise ValueError(f"span {span.name!r} already finished")
         if attrs:
@@ -160,7 +147,8 @@ class Tracer:
         if self.registry is not None:
             self.registry.inc("trace_spans_total")
             self.registry.inc(f"trace_spans_{span.name}")
-        self._emit_record(span.as_record(self.trace_id))
+        if self.write is not None:
+            self.write(span.as_record())
         return span
 
     @contextmanager
@@ -175,50 +163,16 @@ class Tracer:
             self.finish(s)
 
     def event(self, name: str, **attrs: object) -> Span:
-        """A zero-duration point-in-time span (e.g. a drift alert)."""
+        """A zero-duration point-in-time span (e.g. a shed observation)."""
         s = self.start(name, **attrs)
         now = self._now_ns()
         s.t_end_ns = now if now > s.t_start_ns else s.t_start_ns
         self.total_spans += 1
         if self.registry is not None:
             self.registry.inc("trace_spans_total")
-        self._emit_record(s.as_record(self.trace_id))
+        if self.write is not None:
+            self.write(s.as_record())
         return s
-
-    # ------------------------------------------------------------------
-    # Sinks
-
-    def emit(self, record: Dict[str, object]) -> None:
-        """Sink a non-span record into the span stream (drift alerts)."""
-        self._emit_record(record, count=False)
-
-    def _header_record(self) -> Dict[str, object]:
-        from repro.telemetry.schema import build_meta
-
-        return {"type": "trace", "trace_id": self.trace_id, **build_meta()}
-
-    def _emit_record(self, record: Dict[str, object], count: bool = True) -> None:
-        if count and self.records.maxlen is not None and (
-            len(self.records) == self.records.maxlen
-        ):
-            self.dropped += 1
-        self.records.append(record)
-        if self.jsonl_path is not None:
-            if self._fh is None:
-                self._fh = open(self.jsonl_path, "w", encoding="utf-8")
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        """Flush and close the JSONL sink, if one is open."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "Tracer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 __all__ = ["Span", "Tracer", "SPAN_RECORD_TYPE"]

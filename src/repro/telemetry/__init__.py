@@ -1,17 +1,19 @@
 """Telemetry: a zero-overhead-when-off observability layer.
 
-Four pieces, threaded through the simulation loop, controller,
+Five pieces, threaded through the simulation loop, controller,
 predictors, PC table, oracle and sweep runtime:
 
 * :mod:`repro.telemetry.metrics` - :class:`MetricsRegistry`:
   counters/gauges/fixed-bucket histograms, the common sink the sweep
-  instrumentation, the epoch recorder and the decision service report
-  through.
+  instrumentation and the decision service report through.
 * :mod:`repro.telemetry.recorder` - :class:`EpochTraceRecorder`: one
   structured record per epoch per V/f domain (chosen frequency,
   predicted vs actual commits, oracle truth, PC-table deltas,
   stall/busy split, energy) with bounded memory (ring buffer and/or
-  streaming JSONL).
+  streaming JSONL), and the run's one record stream: spans and drift
+  alerts go into it through its ``write`` as they happen.
+* :mod:`repro.telemetry.schema` - the record types, their validator
+  and the one JSONL writer every stream is written through.
 * :mod:`repro.telemetry.exporters` - Chrome-trace/Perfetto JSON export
   (``repro trace --perfetto FILE``).
 * :mod:`repro.telemetry.accuracy` - prediction-error percentiles,

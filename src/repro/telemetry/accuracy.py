@@ -61,7 +61,9 @@ class AccuracyReport:
     def from_records(
         cls, records: Iterable[Mapping[str, object]], label: str = ""
     ) -> "AccuracyReport":
-        """Build from a record stream (see :mod:`repro.telemetry.schema`)."""
+        """Build from a record stream (see :mod:`repro.telemetry.schema`):
+        a loaded JSONL, or a live recorder's
+        :meth:`~repro.telemetry.recorder.EpochTraceRecorder.in_memory`."""
         out = cls(label=label)
         for rec in records:
             rtype = rec.get("type")
@@ -77,25 +79,6 @@ class AccuracyReport:
                     int(rec["committed"]),
                     float(rec["weighted_error"]),
                 )
-        return out
-
-    @classmethod
-    def from_recorder(cls, recorder, label: str = "") -> "AccuracyReport":
-        """Build from a live :class:`~repro.telemetry.recorder.EpochTraceRecorder`.
-
-        Uses the recorder's in-memory ring plus its aggregated PC stats,
-        so it works even when no JSONL file was written.
-        """
-        out = cls.from_records(recorder.records, label=label)
-        if not out.label and recorder.meta:
-            out.label = (
-                f"{recorder.meta.get('workload', '?')}/"
-                f"{recorder.meta.get('design', '?')}"
-            )
-        for pc_idx, stat in recorder.pc_stats.items():
-            out.pc_attribution[pc_idx] = (
-                stat.samples, stat.committed, stat.weighted_error
-            )
         return out
 
     def _add_domain_record(self, rec: Mapping[str, object]) -> None:

@@ -18,13 +18,15 @@ Timestamps are simulated nanoseconds divided by 1000 (the trace format
 counts microseconds), so one 1 µs epoch renders as one 1-unit slice.
 
 When the record stream also carries **span** records (the
-``repro.obs.trace.Tracer`` output, appended by ``repro trace --trace``),
-they render as a second process ("repro spans"): each span is a complete
-slice on its one "spans" track. Span timestamps are *wall*-clock nanoseconds
-re-anchored so the earliest span starts at ts 0, putting the wall
-timeline on the same scale as the simulated one. Drift **alert**
-records carry no clock of their own and render as process-scoped
-instants at the end of the last span seen before them in the stream.
+``repro.obs.trace.Tracer`` output, written into the run's stream as
+each span finishes by ``repro trace --trace``), they render as a second
+process ("repro spans"): each span is a complete slice on its one
+"spans" track. Span timestamps are *wall*-clock nanoseconds re-anchored
+so the earliest span starts at ts 0, putting the wall timeline on the
+same scale as the simulated one. Drift **alert** records carry no clock
+of their own and render as process-scoped instants at the end of the
+last span seen before them in the stream. The stream's header, ``run``
+or ``trace``, becomes the export's ``otherData`` provenance.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The :class:`MetricsRegistry` is the common sink every layer reports
 through, in the process that observes: the sweep runtime (cell counts,
 cache hits, retries, per-cell wall-time distribution, summed hot-path
-work counters), the epoch trace recorder (record counts,
-prediction-error distribution) and the decision service.
+work counters), the decision service, and the span tracer and drift
+monitor serving it. The epoch trace recorder keeps none: its records
+are the count.
 :meth:`MetricsRegistry.to_dict` is the JSON snapshot that ``/metrics``
 serves and :func:`~repro.obs.prom.render_prometheus` renders. Updates
 are plain int/float and list index arithmetic, safe to bump on hot

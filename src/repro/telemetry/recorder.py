@@ -13,13 +13,16 @@ Memory is bounded two ways, selectable per use:
 * a **ring buffer** (``TelemetryConfig.ring_size``) keeps the most
   recent records in memory for programmatic drill-down; older records
   are dropped and counted, never re-allocated;
-* a **streaming JSONL writer** (``TelemetryConfig.jsonl_path``) appends
-  every record to disk as it is produced, so arbitrarily long runs
-  archive fully with O(1) resident records.
+* the run's **JSONL stream** (``TelemetryConfig.jsonl_path``), written
+  through :class:`~repro.telemetry.schema.JsonlWriter`, receives every
+  record as it is produced, so arbitrarily long runs archive fully with
+  O(1) resident records. :meth:`EpochTraceRecorder.write` puts a
+  foreign record - a span or a drift alert - into the same stream as it
+  happens, between the epochs it observes.
 
 When no recorder is attached the simulation takes a single
-``is None`` branch per epoch - no recorder, record, or registry objects
-are allocated (the overhead-off equivalence test pins this down).
+``is None`` branch per epoch - no recorder or record objects are
+allocated (the overhead-off equivalence test pins this down).
 
 This module deliberately imports nothing from :mod:`repro.dvfs` or
 :mod:`repro.gpu`; it receives plain result objects and reads public
@@ -29,17 +32,20 @@ simulation into telemetry only.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # duck-typed at runtime; keeps telemetry import-light
     from repro.obs.drift import DriftMonitor
 
-from repro.telemetry.metrics import MetricsRegistry, RATIO_BUCKETS
-from repro.telemetry.schema import build_meta, epoch_result_to_wire, sim_config_to_wire
+from repro.telemetry.schema import (
+    JsonlWriter,
+    build_meta,
+    epoch_result_to_wire,
+    sim_config_to_wire,
+)
 
 #: Frequency comparison slack (GHz); matches the oracle's grid tolerance.
 _FREQ_ABS_TOL_GHZ = 1e-6
@@ -106,13 +112,10 @@ class EpochTraceRecorder:
         drift: Optional["DriftMonitor"] = None,
     ) -> None:
         self.config = config
-        self.registry = MetricsRegistry()
         #: Optional online drift monitor; fed one relative-error
         #: observation per scored (epoch, domain). Purely observational.
         self.drift = drift
-        self.records: Deque[Dict[str, object]] = deque(
-            maxlen=config.ring_size if config.ring_size > 0 else 0
-        )
+        self.records: Deque[Dict[str, object]] = deque(maxlen=config.ring_size)
         self.meta: Optional[Dict[str, object]] = None
         #: End-of-run aggregate records (``pc`` + ``summary``). Kept out
         #: of the ring so flushing a large PC table never evicts epoch
@@ -121,7 +124,7 @@ class EpochTraceRecorder:
         self.pc_stats: Dict[int, PcErrorStat] = {}
         self.total_records = 0
         self.epochs = 0
-        self._fh = None
+        self._writer: Optional[JsonlWriter] = None
         self._n_domains = 0
         self._cus_per_domain = 1
         self._freq_grid: Sequence[float] = ()
@@ -158,13 +161,16 @@ class EpochTraceRecorder:
             frequencies_ghz=list(self._freq_grid),
             **extra,
         )
-        self._emit({"type": "run", **self.meta}, count=False)
+        header = {"type": "run", **self.meta}
+        if self.config.jsonl_path is not None:
+            self._writer = JsonlWriter(self.config.jsonl_path, header)
+        self.records.append(header)
 
     def close(self) -> None:
         """Flush and close the JSONL stream, if one is open."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
 
     def __enter__(self) -> "EpochTraceRecorder":
         return self
@@ -186,7 +192,6 @@ class EpochTraceRecorder:
         oracle_freqs: Optional[Sequence[float]] = None,
         epoch_energy: float = 0.0,
         pc_cumulative: Optional[Dict[str, int]] = None,
-        wall_s: float = 0.0,
     ) -> None:
         """Digest one elapsed epoch.
 
@@ -200,8 +205,6 @@ class EpochTraceRecorder:
         (diffed into per-epoch deltas here).
         """
         self.epochs += 1
-        reg = self.registry
-        reg.inc("telemetry_epochs")
         duration = result.duration_ns
 
         epoch_rec: Dict[str, object] = {
@@ -209,7 +212,6 @@ class EpochTraceRecorder:
             "epoch": epoch_index,
             "t_start_ns": result.t_start,
             "t_end_ns": result.t_end,
-            "wall_s": wall_s,
             "energy": epoch_energy,
             "transitions": result.transitions,
             "committed": result.total_committed(),
@@ -228,7 +230,7 @@ class EpochTraceRecorder:
             # observation holds every wavefront's counters, and counting
             # or ring-buffering it would distort the epoch/domain
             # bookkeeping the drill-down tools rely on.
-            self._emit(
+            self.write(
                 {
                     "type": "observation",
                     "epoch": epoch_index,
@@ -238,9 +240,7 @@ class EpochTraceRecorder:
                         if sample is not None
                         else None
                     ),
-                },
-                count=False,
-                ring=False,
+                }
             )
 
         per = self._cus_per_domain
@@ -253,8 +253,6 @@ class EpochTraceRecorder:
             rel_error: Optional[float] = None
             if pred_commits is not None and actual > 0:
                 rel_error = abs(pred_commits - actual) / actual
-                reg.inc("telemetry_scored")
-                reg.histogram("telemetry_rel_error", RATIO_BUCKETS).observe(rel_error)
                 if self.drift is not None:
                     self.drift.observe_error(rel_error)
             rel_errors.append(rel_error)
@@ -303,9 +301,6 @@ class EpochTraceRecorder:
                     chosen, oracle_f, abs_tol=_FREQ_ABS_TOL_GHZ
                 )
                 rec["mispredicted"] = mispredicted
-                reg.inc("telemetry_decisions")
-                if mispredicted:
-                    reg.inc("telemetry_mispredictions")
             self._emit(rec)
 
         if self.config.record_pc_attribution:
@@ -347,8 +342,8 @@ class EpochTraceRecorder:
         for stat in sorted(
             self.pc_stats.values(), key=lambda s: -s.weighted_error
         ):
-            self._emit(stat.as_record(), count=False, final=True)
-        self._emit(
+            self._final(stat.as_record())
+        self._final(
             {
                 "type": "summary",
                 "workload": run_result.workload,
@@ -364,16 +359,18 @@ class EpochTraceRecorder:
                 "prediction_accuracy": run_result.prediction_accuracy,
                 "pc_hit_ratio": run_result.pc_hit_ratio,
                 "completed": run_result.completed,
-            },
-            count=False,
-            final=True,
+            }
         )
 
-    def append(self, records: Iterable[Dict[str, object]]) -> None:
-        """Stream records from another source (a tracer's spans and drift
-        alerts) after this run's own; they are not counted or ringed."""
-        for record in records:
-            self._emit(record, count=False, ring=False)
+    def write(self, record: Mapping[str, object]) -> None:
+        """Write a record into the run's JSONL stream as it happens.
+
+        The hook for records from another source (a tracer's spans, a
+        drift monitor's alerts): not counted and not put in the ring.
+        Without a JSONL stream the record goes nowhere.
+        """
+        if self._writer is not None:
+            self._writer.write(record)
 
     # ------------------------------------------------------------------
 
@@ -387,24 +384,20 @@ class EpochTraceRecorder:
     def domain_records(self) -> List[Dict[str, object]]:
         return [r for r in self.records if r.get("type") == "domain"]
 
-    def _emit(
-        self,
-        record: Dict[str, object],
-        count: bool = True,
-        final: bool = False,
-        ring: bool = True,
-    ) -> None:
-        if count:
-            self.total_records += 1
-            self.registry.inc("telemetry_records")
-        if final:
-            self.final_records.append(record)
-        elif ring and self.config.ring_size > 0:
-            self.records.append(record)
-        if self.config.jsonl_path is not None:
-            if self._fh is None:
-                self._fh = open(self.config.jsonl_path, "w", encoding="utf-8")
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+    def in_memory(self) -> List[Dict[str, object]]:
+        """The records held in memory, in stream order: the ring, then
+        the end-of-run ``pc`` and ``summary`` records."""
+        return list(self.records) + self.final_records
+
+    def _emit(self, record: Dict[str, object]) -> None:
+        """One of the run's own epoch or domain records."""
+        self.total_records += 1
+        self.records.append(record)
+        self.write(record)
+
+    def _final(self, record: Dict[str, object]) -> None:
+        self.final_records.append(record)
+        self.write(record)
 
 
 __all__ = ["TelemetryConfig", "EpochTraceRecorder", "PcErrorStat"]

@@ -12,17 +12,26 @@ trace, ``repro run --json`` summaries - embeds a ``meta`` block built by
   defaults move.
 
 :func:`check_meta` is the read-side counterpart; :func:`validate_records`
-/ :func:`validate_trace_file` gate a whole epoch stream (CI runs the
-file-level check on the bench-smoke artifact).
+/ :func:`validate_trace_file` gate a whole record stream (CI runs the
+file-level check on the bench-smoke artifact). :class:`JsonlWriter` is
+the one writer of a stream: the header first, then one sort-keyed JSON
+object per line.
 
-Record types in an epoch JSONL stream, one JSON object per line:
+A stream holds exactly one header, as its first record:
 
 ``run``
-    Stream header: the meta block plus run identity (workload, design,
-    objective, domain count, epoch length, frequency grid).
+    A run's stream (:class:`~repro.telemetry.recorder.EpochTraceRecorder`):
+    the meta block plus run identity (workload, design, objective,
+    domain count, epoch length, frequency grid).
+``trace``
+    A serving process's stream (``repro serve --trace``): the bare meta
+    block.
+
+After it come a run's own records, which carry simulated time only:
+
 ``epoch``
-    One per recorded epoch: sim-clock window, wall seconds, epoch
-    energy, V/f transitions, total commits, PC-table deltas
+    One per recorded epoch: sim-clock window, epoch energy, V/f
+    transitions, total commits, PC-table deltas
     (lookups/hits/updates/evictions over that epoch).
 ``domain``
     One per (epoch, V/f domain): chosen frequency, predicted sensitivity
@@ -47,19 +56,15 @@ Record types in an epoch JSONL stream, one JSON object per line:
     record carries every wavefront's counters and would evict the
     timeline the ring exists for).
 
-A *span* JSONL stream (``repro.obs.trace.Tracer``) uses the same
-validator with its own header:
+and, written into either stream as they happen:
 
-``trace``
-    Stream header: the meta block plus the trace id.
 ``span``
-    One finished wall-clock span: name, tracer-scoped monotonic span id,
-    parent span id (empty string at the root), start/end wall
-    nanoseconds, free-form ``attrs``.
+    One finished wall-clock span (``repro.obs.trace.Tracer``): name,
+    tracer-scoped monotonic span id, parent span id (empty string at
+    the root), start/end wall nanoseconds, free-form ``attrs``.
 ``alert``
     A drift monitor threshold crossing or recovery
-    (``repro.obs.drift.DriftAlert.as_record``), interleaved with the
-    spans that surround it.
+    (``repro.obs.drift.DriftAlert.as_record``).
 """
 
 from __future__ import annotations
@@ -77,15 +82,19 @@ PathLike = Union[str, pathlib.Path]
 
 #: Bump when a record field is added/removed or changes meaning.
 #: Version 2: an observation's wave records are flat 10-value lists and
-#: its CU captures carry 7 values.
-TRACE_SCHEMA_VERSION = 2
+#: its CU captures carry 7 values. Version 3: epoch records carry no
+#: wall-clock seconds, and spans and the ``trace`` header no trace id.
+TRACE_SCHEMA_VERSION = 3
+
+#: The record types that open a stream; a stream holds exactly one.
+HEADER_TYPES = ("run", "trace")
 
 #: Fields every record of a type must carry (value may be null where
 #: the quantity is undefined, e.g. no prediction yet).
 REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
     "run": ("type", "schema_version", "repro_version", "workload", "design",
             "n_domains", "epoch_ns", "frequencies_ghz"),
-    "epoch": ("type", "epoch", "t_start_ns", "t_end_ns", "wall_s", "energy",
+    "epoch": ("type", "epoch", "t_start_ns", "t_end_ns", "energy",
               "transitions", "committed"),
     "domain": ("type", "epoch", "domain", "freq_ghz", "pred_commits",
                "actual_commits", "rel_error", "oracle_freq_ghz",
@@ -94,9 +103,8 @@ REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
     "summary": ("type", "workload", "design", "epochs", "delay_ns",
                 "energy_total"),
     "observation": ("type", "epoch", "result"),
-    "trace": ("type", "trace_id", "schema_version", "repro_version"),
-    "span": ("type", "trace_id", "span_id", "parent_id", "name",
-             "t_start_ns", "t_end_ns"),
+    "trace": ("type", "schema_version", "repro_version"),
+    "span": ("type", "span_id", "parent_id", "name", "t_start_ns", "t_end_ns"),
     "alert": ("type", "signal", "kind", "value", "threshold",
               "window_count", "at_index"),
 }
@@ -333,7 +341,7 @@ def validate_record(record: Mapping[str, object]) -> str:
     missing = [f for f in required if f not in record]
     if missing:
         raise ValueError(f"{rtype} record missing fields: {missing}")
-    if rtype in ("run", "trace"):
+    if rtype in HEADER_TYPES:
         check_meta(record)
     return str(rtype)
 
@@ -341,27 +349,40 @@ def validate_record(record: Mapping[str, object]) -> str:
 def validate_records(records: Iterable[Mapping[str, object]]) -> Dict[str, int]:
     """Validate a record stream; returns per-type counts.
 
-    The stream must start with a header record: ``run`` for an epoch
-    stream, ``trace`` for a span stream (``Tracer`` JSONL output).
+    The stream holds exactly one header (``run`` or ``trace``), as its
+    first record.
     """
     counts: Dict[str, int] = {}
-    first = True
-    for record in records:
+    for index, record in enumerate(records):
         rtype = validate_record(record)
-        if first and rtype not in ("run", "trace"):
+        if (rtype in HEADER_TYPES) != (index == 0):
             raise ValueError(
-                f"stream must start with a run record or trace record, "
-                f"got {rtype!r}"
+                f"record {index} is {rtype!r}: a stream holds exactly one "
+                f"header (a run record or trace record), as its first record"
             )
-        first = False
         counts[rtype] = counts.get(rtype, 0) + 1
-    if first:
+    if not counts:
         raise ValueError("empty record stream")
     return counts
 
 
+class JsonlWriter:
+    """Writes one record stream: ``header`` first, then one sort-keyed
+    JSON object per line. The only writer of a stream's file."""
+
+    def __init__(self, path: PathLike, header: Mapping[str, object]) -> None:
+        self._fh = open(path, "w", encoding="utf-8")
+        self.write(header)
+
+    def write(self, record: Mapping[str, object]) -> None:
+        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def close(self) -> None:
+        self._fh.close()
+
+
 def load_trace_jsonl(path: PathLike) -> List[Dict[str, object]]:
-    """Read an epoch JSONL stream back as a list of record dicts."""
+    """Read a JSONL record stream back as a list of record dicts."""
     records: List[Dict[str, object]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -381,15 +402,17 @@ def validate_trace_file(path: PathLike) -> Dict[str, int]:
 
 
 def trace_meta(records: Iterable[Mapping[str, object]]) -> Optional[Dict[str, object]]:
-    """The run header's meta block, if the stream has one."""
+    """The stream header's meta block (``run`` or ``trace``), if the
+    stream has one."""
     for record in records:
-        if record.get("type") == "run":
+        if record.get("type") in HEADER_TYPES:
             return check_meta(record)
     return None
 
 
 __all__ = [
     "FINITE_JSON",
+    "JsonlWriter",
     "TRACE_SCHEMA_VERSION",
     "REQUIRED_FIELDS",
     "build_meta",

@@ -157,7 +157,7 @@ def _audit_cell(
     violations += _audit_noisy_residency(ctrl.log, grid, subject)
     for i, table in enumerate(getattr(ctrl.predictor, "tables", ())):
         violations += audit_pc_table(table, f"{subject} table[{i}]")
-    violations += audit_epoch_records(list(recorder.records), subject)
+    violations += audit_epoch_records(recorder.in_memory(), subject)
     return violations, subject
 
 

@@ -44,11 +44,6 @@ from repro.telemetry.recorder import EpochTraceRecorder, TelemetryConfig
 #: inherently non-deterministic.
 DEFAULT_IGNORE_FIELDS = ("hotpath",)
 
-#: Telemetry record keys excluded from epoch-by-epoch comparison (wall
-#: time differs run to run; everything else must match bit for bit).
-_TRACE_IGNORE_KEYS = ("wall_s",)
-
-
 @dataclass(frozen=True)
 class FieldMismatch:
     """One diverging field between the two sides of a differential."""
@@ -139,15 +134,14 @@ def first_divergence(
 ) -> Optional[int]:
     """Epoch index where two telemetry record streams first disagree.
 
-    Compares the ``epoch``/``domain`` records pairwise in stream order,
-    ignoring wall-clock keys. Returns None when the streams agree (a
-    divergence elsewhere - e.g. only in the summary - has no epoch).
+    Compares the ``epoch``/``domain`` records pairwise in stream order.
+    Returns None when the streams agree (a divergence elsewhere - e.g.
+    only in the summary - has no epoch).
     """
     payload_a = [r for r in records_a if r.get("type") in ("epoch", "domain")]
     payload_b = [r for r in records_b if r.get("type") in ("epoch", "domain")]
     for ra, rb in zip(payload_a, payload_b):
-        keys = (set(ra) | set(rb)) - set(_TRACE_IGNORE_KEYS)
-        if any(ra.get(k) != rb.get(k) for k in keys):
+        if ra != rb:
             epoch = ra.get("epoch", rb.get("epoch"))
             return int(epoch) if isinstance(epoch, int) else None
     if len(payload_a) != len(payload_b):

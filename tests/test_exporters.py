@@ -19,6 +19,8 @@ from repro.runtime.executor import SweepTask, run_task
 from repro.telemetry import (
     EpochTraceRecorder,
     TelemetryConfig,
+    build_meta,
+    load_trace_jsonl,
     perfetto_trace,
     save_perfetto_json,
 )
@@ -26,7 +28,9 @@ from repro.telemetry import (
 from helpers import validate_trace_events, validate_trace_json
 
 
-def record_small_run(tracer=None, max_epochs=6):
+def record_small_run(jsonl_path=None, traced=False, max_epochs=6):
+    """One small run; with ``traced`` its spans go into the recorder's
+    stream, as ``repro trace --trace`` writes them."""
     task = SweepTask(
         "dgemm",
         "PCSTALL",
@@ -36,23 +40,25 @@ def record_small_run(tracer=None, max_epochs=6):
         oracle_sample_freqs=3,
         collect_accuracy=True,
     )
-    recorder = EpochTraceRecorder(TelemetryConfig(ring_size=4096))
+    recorder = EpochTraceRecorder(
+        TelemetryConfig(ring_size=4096, jsonl_path=jsonl_path)
+    )
     with recorder:
+        tracer = Tracer(write=recorder.write) if traced else None
         run_task(task, recorder=recorder, tracer=tracer)
     return recorder
 
 
-#: One process's span stream, as ``repro trace --trace`` writes it.
+#: One process's span stream, as ``repro serve --trace`` writes it.
 SPAN_RECORDS = [
-    {"type": "trace", "trace_id": "t1", "schema_version": 1,
-     "repro_version": "0"},
-    {"type": "span", "trace_id": "t1", "span_id": "1", "parent_id": "",
+    {"type": "trace", **build_meta()},
+    {"type": "span", "span_id": "1", "parent_id": "",
      "name": "run", "t_start_ns": 1_000_000, "t_end_ns": 9_000_000,
      "attrs": {"workload": "dgemm"}},
-    {"type": "span", "trace_id": "t1", "span_id": "2", "parent_id": "1",
+    {"type": "span", "span_id": "2", "parent_id": "1",
      "name": "epoch", "t_start_ns": 1_500_000, "t_end_ns": 5_000_000,
      "attrs": {"epoch": 0}},
-    {"type": "span", "trace_id": "t1", "span_id": "3", "parent_id": "2",
+    {"type": "span", "span_id": "3", "parent_id": "2",
      "name": "oracle_sample", "t_start_ns": 2_000_000, "t_end_ns": 4_000_000,
      "attrs": {}},
     {"type": "alert", "signal": "rel_error", "kind": "alert", "value": 0.8,
@@ -114,6 +120,11 @@ class TestSpanExport:
                    if e["ph"] == "M" and e["name"] == "thread_name" and e["pid"] == 1]
         assert threads == [(1, 1, "spans")]
 
+    def test_trace_header_stamps_provenance(self):
+        other = perfetto_trace(SPAN_RECORDS)["otherData"]
+        assert other["type"] == "trace"
+        assert other["repro_version"] == SPAN_RECORDS[0]["repro_version"]
+
     def test_alert_renders_as_instant_pinned_to_last_span(self):
         trace = perfetto_trace(SPAN_RECORDS)
         (instant,) = [e for e in trace["traceEvents"] if e["ph"] == "i"]
@@ -125,11 +136,10 @@ class TestSpanExport:
         assert instant["args"]["value"] == 0.8
 
     def test_merged_epoch_and_span_streams_validate(self, tmp_path):
-        tracer = Tracer(ring_size=0)
-        recorder = record_small_run(tracer=tracer)
-        merged = list(recorder.records) + list(tracer.records)
+        stream = tmp_path / "run.jsonl"
+        record_small_run(jsonl_path=str(stream), traced=True)
         path = tmp_path / "merged.json"
-        save_perfetto_json(merged, path)
+        save_perfetto_json(load_trace_jsonl(stream), path)
         counts = validate_trace_json(path)
         run_spans = [
             e for e in json.loads(path.read_text())["traceEvents"]

@@ -38,7 +38,7 @@ from repro.obs.log import JsonFormatter, configure_logging, get_logger
 from repro.runtime.executor import SweepTask, run_task
 from repro.runtime.progress import SweepInstrumentation
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.schema import validate_records
+from repro.telemetry.schema import JsonlWriter, build_meta, trace_meta, validate_records
 
 from helpers import validate_trace_json
 
@@ -61,7 +61,7 @@ def small_task(design="PCSTALL", workload="dgemm", max_epochs=6):
 
 class TestTracer:
     def test_ids_are_monotonic_and_parented(self):
-        tr = Tracer(ring_size=0)
+        tr = Tracer()
         a = tr.start("sweep")
         b = tr.start("cell", parent=a)
         c = tr.start("cell", parent=a)
@@ -72,50 +72,45 @@ class TestTracer:
         assert tr.total_spans == 3
 
     def test_context_manager_nests(self):
-        tr = Tracer(ring_size=0)
+        written = []
+        tr = Tracer(write=written.append)
         with tr.span("outer") as outer:
             with tr.span("inner") as inner:
                 assert inner.parent_id == outer.span_id
             plain = tr.start("sibling")
             assert plain.parent_id == outer.span_id
             tr.finish(plain)
-        names = [r["name"] for r in tr.records if r["type"] == "span"]
-        assert names == ["inner", "sibling", "outer"]
+        assert [r["name"] for r in written] == ["inner", "sibling", "outer"]
 
     def test_finish_twice_raises(self):
-        tr = Tracer(ring_size=0)
+        tr = Tracer()
         span = tr.start("x")
         tr.finish(span)
         with pytest.raises(ValueError, match="already finished"):
             tr.finish(span)
 
-    def test_ring_bounds_memory(self):
-        tr = Tracer(ring_size=4)
-        for i in range(10):
-            tr.finish(tr.start("s", i=i))
-        assert len(tr.records) == 4
-        assert tr.total_spans == 10
-        assert tr.dropped > 0
-
     def test_event_is_zero_or_positive_duration(self):
-        tr = Tracer(ring_size=0)
-        span = tr.event("alert", signal="rel_error")
+        tr = Tracer()
+        span = tr.event("shed", reason="inflight_cap")
         assert span.done and span.duration_ns >= 0
 
-    def test_header_and_jsonl_sink_validate(self, tmp_path):
+    def test_spans_write_through_a_jsonl_writer_and_validate(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        with Tracer(ring_size=0, jsonl_path=str(path)) as tr:
-            with tr.span("run"):
-                tr.finish(tr.start("epoch", epoch=0))
+        writer = JsonlWriter(path, {"type": "trace", **build_meta()})
+        tr = Tracer(write=writer.write)
+        with tr.span("run"):
+            tr.finish(tr.start("epoch", epoch=0))
+        tr.event("shed")
+        writer.close()
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert records[0]["type"] == "trace"
-        assert records[0]["trace_id"] == tr.trace_id
+        assert [r["type"] for r in records] == ["trace", "span", "span", "span"]
         assert records[0]["repro_version"]
-        validate_records(records)  # raises on any schema violation
+        assert validate_records(records) == {"trace": 1, "span": 3}
+        assert trace_meta(records)["repro_version"] == records[0]["repro_version"]
 
     def test_registry_counts_spans(self):
         reg = MetricsRegistry()
-        tr = Tracer(ring_size=0, registry=reg)
+        tr = Tracer(registry=reg)
         tr.finish(tr.start("epoch"))
         tr.finish(tr.start("epoch"))
         assert reg.counter("trace_spans_total").value == 2
@@ -131,8 +126,8 @@ class TestTracingContract:
         import repro.obs.trace as trace_mod
 
         task = small_task()
-        with Tracer(ring_size=0) as tracer:
-            traced = run_task(task, tracer=tracer)
+        tracer = Tracer()
+        traced = run_task(task, tracer=tracer)
         assert tracer.total_spans > 0
 
         def boom(self, *args, **kwargs):
@@ -145,9 +140,8 @@ class TestTracingContract:
 
     def test_traced_run_spans_cover_every_epoch(self):
         task = small_task(design="ACCPC")
-        with Tracer(ring_size=0) as tr:
-            result = run_task(task, tracer=tr)
-        spans = [r for r in tr.records if r["type"] == "span"]
+        spans = []
+        result = run_task(task, tracer=Tracer(write=spans.append))
         by_name = {}
         for span in spans:
             by_name.setdefault(span["name"], []).append(span)
@@ -251,25 +245,25 @@ class TestDrift:
 
     def test_alert_fans_out_to_every_sink(self, tmp_path):
         """The acceptance scenario: synthetic accuracy degradation must
-        surface in the span JSONL, the registry, and ``repro monitor``'s
-        summary - all three."""
+        surface in the record stream, the registry, and ``repro
+        monitor``'s summary - all three."""
         path = tmp_path / "spans.jsonl"
         registry = MetricsRegistry()
-        tracer = Tracer(ring_size=0, jsonl_path=str(path), registry=registry)
-        monitor = DriftMonitor(registry=registry, tracer=tracer)
+        writer = JsonlWriter(path, {"type": "trace", **build_meta()})
+        monitor = DriftMonitor(registry=registry, write=writer.write)
         for _ in range(WINDOW):
             monitor.observe_error(0.05)  # healthy phase
         assert monitor.alert_count == 0
         for _ in range(WINDOW):
             monitor.observe_error(0.9)  # degraded phase
         assert monitor.alert_count >= 1
-        tracer.close()
+        writer.close()
 
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert any(r["type"] == "alert" for r in records)
-        assert any(
-            r["type"] == "span" and r["name"] == "drift_alert" for r in records
-        )
+        validate_records(records)
+        alerts = [r for r in records if r["type"] == "alert"]
+        # One record per alert or recovery, and nothing else.
+        assert len(alerts) == len(monitor.alerts) == len(records) - 1
         assert registry.counter("drift_alerts_total").value >= 1
         assert registry.counter("drift_alerts_rel_error").value >= 1
         assert registry.gauge("drift_rel_error_level").value > 0.5
@@ -533,8 +527,9 @@ class TestTracedService:
             run_task(task, recorder=recorder)
 
         registry = MetricsRegistry()
-        tracer = Tracer(ring_size=0, registry=registry)
-        drift = DriftMonitor(registry=registry, tracer=tracer)
+        spans = []
+        tracer = Tracer(write=spans.append, registry=registry)
+        drift = DriftMonitor(registry=registry, write=spans.append)
         service = DecisionService(
             ServiceConfig(port=0, health_port=0),
             registry=registry, tracer=tracer, drift=drift,
@@ -562,7 +557,7 @@ class TestTracedService:
         finally:
             server.stop()
 
-        spans = [r for r in tracer.records if r["type"] == "span"]
+        assert all(r["type"] == "span" for r in spans)  # no alert fired
         names = {s["name"] for s in spans}
         assert {"connect", "session", "request", "decision"} <= names
         requests = [s for s in spans if s["name"] == "request"]
@@ -617,8 +612,10 @@ class TestObsCli:
         from repro.cli import main
 
         path = tmp_path / "stream.jsonl"
-        with Tracer(ring_size=0, jsonl_path=str(path)) as tr:
-            tr.finish(tr.start("run"))
+        writer = JsonlWriter(path, {"type": "trace", **build_meta()})
+        tr = Tracer(write=writer.write)
+        tr.finish(tr.start("run"))
+        writer.close()
         assert main(["monitor", str(path)]) == 0
         out = capsys.readouterr().out
         assert "records=2" in out and "spans=1" in out
@@ -642,6 +639,11 @@ class TestObsCli:
         validate_records(records)
         assert any(r["type"] == "span" and r["name"] == "run"
                    for r in records)
+        # Spans are written as they finish, between the epochs they time.
+        types = [r["type"] for r in records]
+        first_span = types.index("span")
+        assert first_span < types.index("summary")
+        assert "epoch" in types[first_span:]
 
         counts = validate_trace_json(perfetto)
         assert counts["X"] > 0

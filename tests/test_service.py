@@ -258,13 +258,13 @@ def test_wrong_arity_record_or_cu_capture_is_a_protocol_error(section, bad):
 def test_schema_1_observation_trace_is_refused(tmp_path, pcstall_trace):
     from repro.telemetry.schema import TRACE_SCHEMA_VERSION
 
-    assert TRACE_SCHEMA_VERSION == 2
+    assert TRACE_SCHEMA_VERSION == 3
     lines = pathlib.Path(pcstall_trace[0]).read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
     header["schema_version"] = 1
     old = tmp_path / "schema1.jsonl"
     old.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    with pytest.raises(ValueError, match=r"version 1 .*version 2.*--trace FILE"):
+    with pytest.raises(ValueError, match=r"version 1 .*version 3.*--trace FILE"):
         load_replay_trace(str(old))
 
 
@@ -414,8 +414,8 @@ def test_replay_cli_exit_codes(server, pcstall_trace):
 
 def test_trace_cli_writes_one_file_every_reader_reads(tmp_path, server, capsys):
     """``repro trace --trace F``: the epoch records, one observation per
-    epoch, then the run's spans, all in F, which replay, dataset
-    extraction and the accuracy report each read."""
+    epoch and the run's spans, written as they happen, all in F, which
+    replay, dataset extraction and the accuracy report each read."""
     from repro.cli import main
 
     path = tmp_path / "dgemm.jsonl"
@@ -428,7 +428,7 @@ def test_trace_cli_writes_one_file_every_reader_reads(tmp_path, server, capsys):
     assert types[0] == "run" and "trace" not in types
     assert types.count("observation") == types.count("epoch") > 0
     summary = types.index("summary")
-    assert "span" not in types[:summary]
+    assert "span" in types[:summary]
     counts = validate_trace_file(str(path))
     assert counts["span"] > counts["epoch"]
 

@@ -8,10 +8,15 @@ in a ``.py`` file under ``src/``, ``benchmarks/``, ``scripts/`` or
 aliases and strings (``__all__``, the lazy-export tables, ``getattr``
 names) do not count, and dunder names are exempt.
 
-The check is by name, so a def that shares its name with a live one
-passes. ``ALLOWED`` lists the defs kept on purpose; an allowed def
-that disappears or gains a caller fails the test too, so the list
+A reference inside the body of a dead def does not count either, so a
+def that only dead defs call is dead too: the scan repeats until the
+dead set stops growing. ``ALLOWED`` lists the defs kept on purpose;
+they are live roots, so what their bodies reference is live. An allowed
+def that disappears or gains a caller fails the test too, so the list
 cannot go stale.
+
+The check is by name, so a def that shares its name with a live one
+passes.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import ast
 import pathlib
 import re
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -57,6 +62,10 @@ ALLOWED: Dict[str, str] = {
 }
 
 
+Defs = Dict[str, Tuple[str, pathlib.Path, int, int]]
+Refs = Dict[str, List[Tuple[pathlib.Path, int]]]
+
+
 def _py_files(*dirs: str) -> Iterator[pathlib.Path]:
     for d in dirs:
         yield from sorted((ROOT / d).rglob("*.py"))
@@ -67,7 +76,7 @@ def _module_name(path: pathlib.Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def _defs() -> Dict[str, Tuple[str, pathlib.Path, int, int]]:
+def _defs() -> Defs:
     """Qualified name -> (bare name, file, first line, last line)."""
     found = {}
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -87,7 +96,7 @@ def _defs() -> Dict[str, Tuple[str, pathlib.Path, int, int]]:
     return found
 
 
-def _references() -> Dict[str, List[Tuple[pathlib.Path, int]]]:
+def _references() -> Refs:
     """Bare name -> every place it is read as a Name or Attribute."""
     refs: Dict[str, List[Tuple[pathlib.Path, int]]] = {}
     for path in _py_files(*CALLER_DIRS):
@@ -99,28 +108,58 @@ def _references() -> Dict[str, List[Tuple[pathlib.Path, int]]]:
     return refs
 
 
-def _uncalled() -> Set[str]:
+def _dead(defs: Defs, refs: Refs, roots: AbstractSet[str] = frozenset()) -> Set[str]:
+    """Defs whose name is read only inside their own body or the body of
+    another dead def, to a fixpoint. ``roots`` are never dead."""
+    dead: Set[str] = set()
+    while True:
+        bodies = [defs[q][1:] for q in dead]
+        found = {
+            qualname
+            for qualname, (name, path, start, end) in defs.items()
+            if qualname not in roots
+            and all(
+                (p == path and start <= line <= end)
+                or any(p == bp and bs <= line <= be for bp, bs, be in bodies)
+                for p, line in refs.get(name, ())
+            )
+        }
+        if found == dead:
+            return dead
+        dead = found
+
+
+def _scan() -> Tuple[Defs, Refs]:
+    """Every def under ``src/repro``, and every reference to a def's name;
+    a name in a CI workflow counts as referenced from outside them all."""
+    defs = _defs()
     refs = _references()
     workflow_words: Set[str] = set()
     for path in sorted(WORKFLOWS.glob("*.yml")):
         workflow_words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
-    return {
-        qualname
-        for qualname, (name, path, start, end) in _defs().items()
-        if name not in workflow_words
-        and all(p == path and start <= line <= end for p, line in refs.get(name, ()))
-    }
+    for name in workflow_words & {name for name, *_ in defs.values()}:
+        refs.setdefault(name, []).append((WORKFLOWS, 0))
+    return defs, refs
+
+
+def test_dead_callers_do_not_keep_a_def_alive():
+    here = pathlib.Path("m.py")
+    defs = {"m.a": ("a", here, 1, 2), "m.b": ("b", here, 4, 6),
+            "m.c": ("c", here, 8, 9), "m.keep": ("keep", here, 11, 12)}
+    refs = {"a": [(here, 5)], "c": [(here, 12)]}  # b calls a; keep calls c
+    assert _dead(defs, refs) == {"m.a", "m.b", "m.c", "m.keep"}
+    assert _dead(defs, refs, roots={"m.keep"}) == {"m.a", "m.b"}
 
 
 def test_every_def_under_src_has_a_caller_outside_tests():
-    uncalled = _uncalled()
-    unexpected = sorted(uncalled - set(ALLOWED))
+    defs, refs = _scan()
+    unexpected = sorted(_dead(defs, refs, roots=set(ALLOWED)))
     assert not unexpected, (
         "defined under src/ but only tests (or nothing) call them; delete "
         "them, move test-only code into tests/, or add a reason to ALLOWED: "
         + ", ".join(unexpected)
     )
-    stale = sorted(set(ALLOWED) - uncalled)
+    stale = sorted(set(ALLOWED) - _dead(defs, refs))
     assert not stale, (
         "ALLOWED names that no longer exist or now have a caller; drop "
         "them from ALLOWED: " + ", ".join(stale)

@@ -151,15 +151,6 @@ class TestRecorder:
             assert stat.samples > 0
             assert stat.weighted_error >= 0.0
 
-    def test_registry_counters(self, recorded):
-        rec, result, _ = recorded
-        counters = rec.registry.counter_values("telemetry_")
-        assert counters["telemetry_epochs"] == result.epochs
-        assert counters["telemetry_decisions"] == result.epochs * N_DOMAINS
-        assert (
-            counters["telemetry_mispredictions"] <= counters["telemetry_decisions"]
-        )
-
     def test_ring_bounds_memory_but_jsonl_keeps_all(self, tmp_path):
         path = tmp_path / "ring.jsonl"
         rec = EpochTraceRecorder(TelemetryConfig(ring_size=6, jsonl_path=str(path)))
@@ -184,6 +175,31 @@ class TestRecorder:
     def test_negative_ring_size_rejected(self):
         with pytest.raises(ValueError):
             TelemetryConfig(ring_size=-1)
+
+    def test_record_stream_is_reproducible(self, tmp_path):
+        """Records carry simulated time only, so two recordings of one
+        cell are byte-identical files."""
+        paths = [tmp_path / f"run{i}.jsonl" for i in range(2)]
+        for path in paths:
+            with EpochTraceRecorder(TelemetryConfig(
+                jsonl_path=str(path), record_observations=True,
+            )) as rec:
+                run_sim(telemetry=rec, max_epochs=12)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_write_puts_foreign_records_in_the_stream_only(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        rec = EpochTraceRecorder(TelemetryConfig(jsonl_path=str(path)))
+        rec.write({"type": "alert"})  # before the run: no stream yet
+        result = run_sim(telemetry=rec, max_epochs=4)
+        rec.write({"type": "span", "span_id": "1", "parent_id": "",
+                   "name": "late", "t_start_ns": 0, "t_end_ns": 1})
+        rec.close()
+        records = load_trace_jsonl(path)
+        assert [r["type"] for r in records][-2:] == ["summary", "span"]
+        assert all(r["type"] != "alert" for r in records)
+        assert rec.total_records == result.epochs * (N_DOMAINS + 1)
+        assert all(r["type"] != "span" for r in rec.in_memory())
 
 
 class TestOffPath:
@@ -243,7 +259,7 @@ class TestPerfetto:
 class TestAccuracyReport:
     def test_ring_and_jsonl_agree(self, recorded):
         rec, _, path = recorded
-        from_ring = AccuracyReport.from_recorder(rec)
+        from_ring = AccuracyReport.from_records(rec.in_memory())
         from_file = AccuracyReport.from_records(load_trace_jsonl(path))
         assert from_ring.error_percentiles() == from_file.error_percentiles()
         assert from_ring.confusion == from_file.confusion
@@ -251,20 +267,20 @@ class TestAccuracyReport:
 
     def test_agreement_and_decisions(self, recorded):
         rec, result, _ = recorded
-        rep = AccuracyReport.from_recorder(rec)
+        rep = AccuracyReport.from_records(rec.in_memory())
         assert rep.decisions == result.epochs * N_DOMAINS
         assert 0.0 <= rep.agreement <= 1.0
 
     def test_confusion_grid_conserves_counts(self, recorded):
         rec, _, _ = recorded
-        rep = AccuracyReport.from_recorder(rec)
+        rep = AccuracyReport.from_records(rec.in_memory())
         _, grid = rep.confusion_grid()
         assert sum(sum(row) for row in grid) == rep.decisions
 
     def test_merge_sums(self, recorded):
         rec, _, _ = recorded
-        a = AccuracyReport.from_recorder(rec)
-        b = AccuracyReport.from_recorder(rec)
+        a = AccuracyReport.from_records(rec.in_memory())
+        b = AccuracyReport.from_records(rec.in_memory())
         decisions = a.decisions
         merged = a.merge(b)
         assert merged.decisions == 2 * decisions
@@ -272,7 +288,7 @@ class TestAccuracyReport:
 
     def test_renderings_are_tables(self, recorded):
         rec, _, _ = recorded
-        rep = AccuracyReport.from_recorder(rec, label="dgemm/PCSTALL")
+        rep = AccuracyReport.from_records(rec.in_memory(), label="dgemm/PCSTALL")
         assert "confusion" in rep.render_confusion()
         assert "PCs" in rep.render_top_pcs(3)
 
@@ -292,6 +308,21 @@ class TestSchema:
         with pytest.raises(ValueError, match="run record"):
             validate_records([{"type": "summary", "workload": "w", "design": "d",
                               "epochs": 1, "delay_ns": 1.0, "energy_total": 1.0}])
+
+    @pytest.mark.parametrize("types", [
+        ("run", "epoch", "run", "epoch"),
+        ("run", "epoch", "trace"),
+        ("trace", "run"),
+    ])
+    def test_stream_holds_exactly_one_header(self, recorded, types):
+        rec, _, _ = recorded
+        samples = {
+            "run": {"type": "run", **rec.meta},
+            "trace": {"type": "trace", **build_meta()},
+            "epoch": next(r for r in rec.records if r["type"] == "epoch"),
+        }
+        with pytest.raises(ValueError, match="exactly one header"):
+            validate_records([samples[t] for t in types])
 
     def test_unknown_record_type_rejected(self):
         with pytest.raises(ValueError, match="unknown record type"):

@@ -333,6 +333,27 @@ class TestCheckReport:
         d = report.as_dict()
         assert d["ok"] is False and d["violations"]
 
+    def test_cell_audit_reads_the_summary(self, monkeypatch):
+        """The audit covers the whole in-memory stream, the end-of-run
+        summary included, so a summary that disagrees with its epochs
+        is caught."""
+        from repro.telemetry.recorder import EpochTraceRecorder
+        from repro.validation.check import CheckConfig, _audit_cell
+
+        cfg = CheckConfig(workloads=("comd",), designs=("PCSTALL",), max_epochs=20)
+        clean, _ = _audit_cell(cfg, "comd", "PCSTALL")
+        assert clean == []
+
+        end_run = EpochTraceRecorder.end_run
+
+        def corrupting_end_run(self, run_result):
+            end_run(self, run_result)
+            self.final_records[-1]["total_committed"] += 1
+
+        monkeypatch.setattr(EpochTraceRecorder, "end_run", corrupting_end_run)
+        violations, _ = _audit_cell(cfg, "comd", "PCSTALL")
+        assert [v.check for v in violations] == ["committed_not_conserved"]
+
     def test_cli_parser_accepts_check(self):
         from repro.cli import build_parser, cmd_check
 
