@@ -372,17 +372,15 @@ def cmd_storage(_args) -> int:
     return 0
 
 
-def _recorder_for(args, path: Optional[str] = None):
-    """A recorder whose ring holds a whole run (1 epoch + n_domains
-    records per epoch, plus headers/footers). With ``path`` it also
-    streams every record, one observation per epoch included, there."""
+def _recorder_for(path: Optional[str] = None):
+    """A recorder that keeps the whole run in memory. With ``path`` it
+    also streams every record, one observation per epoch included,
+    there."""
     from repro.telemetry import EpochTraceRecorder, TelemetryConfig
 
-    n_domains = max(1, args.cus // args.cus_per_domain)
-    ring = (args.max_epochs + 2) * (n_domains + 1)
     return EpochTraceRecorder(
         TelemetryConfig(
-            ring_size=ring,
+            ring_size=None,
             jsonl_path=path,
             record_observations=path is not None,
         )
@@ -395,7 +393,7 @@ def cmd_trace(args) -> int:
 
     tracer = None
     drift = None
-    with _recorder_for(args, args.trace) as rec:
+    with _recorder_for(args.trace) as rec:
         if args.trace:
             from repro.obs import Tracer
 
@@ -479,7 +477,7 @@ def cmd_report(args) -> int:
 
         for w in args.workloads.split(","):
             args.workload = w
-            with _recorder_for(args) as rec:
+            with _recorder_for() as rec:
                 run_task(_sweep_task(args, args.design), recorder=rec)
             reports.append(
                 AccuracyReport.from_records(rec.in_memory(), label=f"{w}/{args.design}")

@@ -162,11 +162,9 @@ def _run_with_accuracy(
     from repro.workloads import build_workload, workload as get_workload
 
     kernels = build_workload(get_workload(workload), scale=scale)
-    # Ring sized to hold the whole run (1 epoch + n_domains records per
-    # epoch plus headers/footers) so the accuracy drill-down sees every
-    # decision, matching the repro trace CLI's sizing.
-    ring = (max_epochs + 2) * (config.gpu.n_domains + 1)
-    recorder = EpochTraceRecorder(TelemetryConfig(ring_size=ring))
+    # The whole run stays in memory, so the accuracy drill-down sees
+    # every decision, as the repro trace CLI's does.
+    recorder = EpochTraceRecorder(TelemetryConfig(ring_size=None))
     sim = DvfsSimulation(
         kernels,
         controller,

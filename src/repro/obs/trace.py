@@ -7,9 +7,11 @@ intervals with parent/child links - in the process that opened them::
       epoch 0..N                (one per executed epoch)
         oracle_sample           (fork-and-pre-execute truth sampling)
 
-    session 3                   (DecisionService connection: repro serve --trace)
-      request                   (one admitted observation)
-        decision                (controller observe + decide)
+    connect                     (DecisionService connection: repro serve --trace)
+      session                   (the session the connection opened)
+        request                 (one admitted observation)
+          decision              (controller observe + decide)
+        shed                    (a shed observation: a point event)
 
 Design constraints, in priority order:
 
@@ -18,6 +20,10 @@ Design constraints, in priority order:
   disabled; no tracer, span, or record object is allocated. Results
   are bit-identical either way - spans only *observe* wall time, they
   never feed back into a simulation or a decision.
+* **Explicit parents.** :meth:`Tracer.start` nests a span under the
+  ``parent`` it is given and opens a root span without one; no
+  implicit "current span" is kept. :meth:`Tracer.event` is a span that
+  finishes as it opens (a shed observation).
 * **Monotonic ids.** Span ids are monotonic integers (``"1"``,
   ``"2"``, ...) unique within the tracer.
 * **Wall-clock alignment.** Timing uses ``time.perf_counter_ns`` for
@@ -28,7 +34,9 @@ Design constraints, in priority order:
   ``write`` (``repro trace --trace``), so spans land in the run's
   stream between the epochs they time, or a
   :class:`~repro.telemetry.schema.JsonlWriter`'s (``repro serve
-  --trace``). With ``write=None`` spans are only counted.
+  --trace``). With ``write=None`` spans are only counted: with a
+  ``registry``, every finished span counts under ``trace_spans_total``
+  and ``trace_spans_<name>``.
 
 Spans stay in the process that observes them: a sweep cell that runs in
 a worker process is timed by the sweep instrumentation, not traced.
@@ -37,8 +45,7 @@ a worker process is timed by the sweep instrumentation, not traced.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -105,8 +112,6 @@ class Tracer:
         self.registry = registry
         self._next_id = 0
         self.total_spans = 0
-        #: Active context-manager span chain (``with tracer.span(...)``).
-        self._stack: List[Span] = []
         # Map the monotonic perf clock onto the unix epoch once.
         self._unix_anchor_ns = time.time_ns()
         self._perf_anchor_ns = time.perf_counter_ns()
@@ -126,14 +131,9 @@ class Tracer:
     def start(
         self, name: str, parent: Optional[Span] = None, **attrs: object
     ) -> Span:
-        """Open a span. ``parent=None`` nests under the current
-        context-manager span, or opens a root span outside any."""
-        if parent is not None:
-            parent_id = parent.span_id
-        elif self._stack:
-            parent_id = self._stack[-1].span_id
-        else:
-            parent_id = ""
+        """Open a span under ``parent``; ``parent=None`` opens a root
+        span."""
+        parent_id = parent.span_id if parent is not None else ""
         return Span(name, self._mint_id(), parent_id, self._now_ns(), attrs)
 
     def finish(self, span: Span, **attrs: object) -> Span:
@@ -151,28 +151,12 @@ class Tracer:
             self.write(span.as_record())
         return span
 
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[Span]:
-        """``with tracer.span("epoch", epoch=3):`` - nested via a stack."""
-        s = self.start(name, **attrs)
-        self._stack.append(s)
-        try:
-            yield s
-        finally:
-            self._stack.pop()
-            self.finish(s)
-
-    def event(self, name: str, **attrs: object) -> Span:
-        """A zero-duration point-in-time span (e.g. a shed observation)."""
-        s = self.start(name, **attrs)
-        now = self._now_ns()
-        s.t_end_ns = now if now > s.t_start_ns else s.t_start_ns
-        self.total_spans += 1
-        if self.registry is not None:
-            self.registry.inc("trace_spans_total")
-        if self.write is not None:
-            self.write(s.as_record())
-        return s
+    def event(
+        self, name: str, parent: Optional[Span] = None, **attrs: object
+    ) -> Span:
+        """A point-in-time span (e.g. a shed observation), finished as
+        it opens and counted like any other."""
+        return self.finish(self.start(name, parent, **attrs))
 
 
 __all__ = ["Span", "Tracer", "SPAN_RECORD_TYPE"]

@@ -14,9 +14,10 @@
 * :mod:`repro.runtime.faults` injects deterministic crash/hang/corrupt
   faults (``REPRO_FAULT_PLAN``) so tests and CI can prove the retry
   machinery end to end.
-* :class:`~repro.runtime.progress.SweepInstrumentation` records per-cell
-  wall time and worker utilisation, and counts cache hits and misses,
-  retries and failures in its metrics registry.
+* :class:`~repro.runtime.progress.SweepInstrumentation` records each
+  cell's source, wall time and hot-path work, and each retry, reclaim
+  and failure; cache hits and misses, worker utilisation and the
+  summed hot-path counters are read off those records.
 * :mod:`repro.runtime.profiling` collects the simulator's hot-path event
   counters (waves scanned, clones taken, bytes snapshotted, ...).
 """
@@ -35,7 +36,6 @@ if TYPE_CHECKING:
     )
     from repro.runtime.distributed import (
         DEFAULT_BROKER_PORT,
-        LeaseExpired,
         SweepBroker,
         SweepWorker,
         WorkerError,
@@ -44,6 +44,7 @@ if TYPE_CHECKING:
     from repro.runtime.executor import (
         NO_RETRY,
         FailedCell,
+        LeaseExpired,
         RetryPolicy,
         SweepExecutor,
         SweepTask,
@@ -65,10 +66,10 @@ if TYPE_CHECKING:
 __getattr__, __dir__ = lazy_exports(__name__, {
     "cache": ("CACHE_DIR_ENV", "DEFAULT_CACHE_DIR", "ResultCache", "default_cache_dir",
               "task_key"),
-    "distributed": ("DEFAULT_BROKER_PORT", "LeaseExpired", "SweepBroker", "SweepWorker",
-                    "WorkerError", "WorkerSummary"),
-    "executor": ("NO_RETRY", "FailedCell", "RetryPolicy", "SweepExecutor", "SweepTask",
-                 "SweepTimeoutError", "run_task"),
+    "distributed": ("DEFAULT_BROKER_PORT", "SweepBroker", "SweepWorker", "WorkerError",
+                    "WorkerSummary"),
+    "executor": ("NO_RETRY", "FailedCell", "LeaseExpired", "RetryPolicy", "SweepExecutor",
+                 "SweepTask", "SweepTimeoutError", "run_task"),
     "faults": ("FAULT_PLAN_ENV", "CorruptResult", "CorruptResultError", "FaultPlan",
                "FaultSpec", "InjectedFaultError", "active_fault_plan"),
     "profiling": ("HotPathCounters", "collect_hotpath"),

@@ -18,17 +18,18 @@ hosts. Either way the broker guarantees:
 * **Exactly-once cells.** Every cell is leased to at most one worker at
   a time; a result is accepted only from the current leaseholder at the
   current attempt: a late result from a reclaimed lease is
-  acknowledged and discarded (``sweep_results_duplicate``), so each
-  cell's result is recorded once.
+  acknowledged as not accepted and discarded (the worker counts it as
+  rejected), so each cell's result is recorded once.
 * **Fault tolerance under the executor's RetryPolicy.** A worker times
   its own cell (``task_timeout_s`` rides in the task frame), reports an
   overrun as an ordinary ``SweepTimeoutError`` failure and takes the
   next cell. Workers heartbeat their leases; a dead worker (connection
   drops) or a hung one (lease deadline passes, or the hard ceiling of
   ``task_timeout_s + lease_s`` is hit while heartbeats keep arriving)
-  has its cell *reclaimed* (``sweep_cells_reclaimed``). Every failed
-  attempt is charged against ``max_attempts`` and gated by the
-  jitterless backoff; exhaustion follows ``on_exhausted``. A retried
+  has its cell *reclaimed* (counted in the sweep's ``reclaims``). Every
+  failed attempt is charged by the executor, as a serial run's is,
+  against ``max_attempts`` and gated by the jitterless backoff;
+  exhaustion follows ``on_exhausted``. A retried
   cell's final attempt runs in-process, on the thread that called
   :meth:`SweepBroker.serve`.
 
@@ -68,7 +69,7 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
 from repro.core.objectives import (
@@ -79,7 +80,13 @@ from repro.core.objectives import (
 )
 from repro.obs.log import get_logger
 from repro.runtime.cache import describe_objective
-from repro.runtime.executor import SweepTask, SweepTimeoutError, _run_task_timed
+from repro.runtime.executor import (
+    FailedCell,
+    LeaseExpired,
+    SweepTask,
+    SweepTimeoutError,
+    _run_task_timed,
+)
 from repro.runtime.faults import CorruptResultError, InjectedFaultError
 from repro.runtime.progress import SOURCE_REMOTE, SOURCE_SERIAL
 from repro.runtime.wire import (
@@ -110,6 +117,13 @@ DEFAULT_BROKER_PORT = 8474
 #: rejected before any task crosses the wire.
 BROKER_PROTOCOL_VERSION = 1
 
+#: Seconds between the broker's checks for expired leases and ended
+#: sweeps, and between a handler's polls of its connection.
+POLL_S = 0.2
+#: How long a worker's ``ready`` may wait for a cell to come due before
+#: the broker answers ``idle``.
+IDLE_RETRY_S = 0.5
+
 # Worker -> broker message types.
 MSG_HELLO = "hello"
 MSG_READY = "ready"
@@ -126,11 +140,6 @@ MSG_DONE = "done"
 MSG_ACK = "ack"
 MSG_BYE = "bye"
 MSG_ERROR = "error"
-
-
-class LeaseExpired(RuntimeError):
-    """A leased cell's worker died or stopped heartbeating; the cell was
-    reclaimed. Charged against the retry budget like any failed attempt."""
 
 
 class RemoteCellError(RuntimeError):
@@ -154,8 +163,8 @@ TASK_KEY_MISMATCH = "TaskKeyMismatch"
 # Task and error wire codecs
 
 #: Worker-side failure types the broker rebuilds as their real classes,
-#: so retryability, the fault counters and the type a sweep raises are
-#: the same as for in-process runs.
+#: so retryability, the error type a retry's event line names and the
+#: type a sweep raises are the same as for in-process runs.
 def _error_registry() -> Dict[str, type]:
     return {
         cls.__name__: cls
@@ -276,8 +285,6 @@ class SweepBroker:
         host: str = "127.0.0.1",
         port: Optional[int] = DEFAULT_BROKER_PORT,
         lease_s: float = 15.0,
-        poll_s: float = 0.2,
-        idle_retry_s: float = 0.5,
     ) -> None:
         if lease_s <= 0:
             raise ValueError("lease_s must be positive")
@@ -285,10 +292,6 @@ class SweepBroker:
         #: None: listen nowhere; serve only the workers serve() forks.
         self.port = port
         self.lease_s = lease_s
-        self.poll_s = poll_s
-        #: How long a worker's ``ready`` may wait for a cell to come due
-        #: before the broker answers ``idle``.
-        self.idle_retry_s = idle_retry_s
         #: Actual bound port (useful with ``port=0``), set by serve()
         #: when it listens.
         self.bound_port: Optional[int] = None
@@ -464,7 +467,7 @@ class SweepBroker:
                     self._local |= self._pending
                     self._pending.clear()
                     continue
-                self._wait_locked(self._local, time.monotonic() + self.poll_s)
+                self._wait_locked(self._local, time.monotonic() + POLL_S)
                 self._reap_expired_locked()
 
     def _pop_due(self, queue: Set[int]) -> Optional[int]:
@@ -543,7 +546,7 @@ class SweepBroker:
                     self._send_quiet(conn, {"type": MSG_DONE})
                     return
                 try:
-                    msg = receiver.recv(self.poll_s)
+                    msg = receiver.recv(POLL_S)
                 except ReceiveTimeout:
                     continue
                 if msg is None:
@@ -583,9 +586,6 @@ class SweepBroker:
                     f"{msg.get('protocol')!r}"
                 )
             with self._lock:
-                registry = self._registry()
-                if registry is not None:
-                    registry.inc("sweep_workers_connected")
                 n_tasks = len(self._attempts)
             send_frame(conn, {
                 "type": MSG_HELLO_OK,
@@ -623,11 +623,6 @@ class SweepBroker:
     # ------------------------------------------------------------------
     # Grid state transitions (all under the lock)
 
-    def _registry(self):
-        if self._executor is None:
-            return None
-        return self._executor.progress.registry
-
     def _note(self, message: str) -> None:
         """A sweep note; a log line once the sweep ended (workers reaped)."""
         with self._lock:
@@ -643,10 +638,10 @@ class SweepBroker:
 
     def _next_for(self, worker: str) -> Dict[str, object]:
         """Answer a worker's ``ready``: a task, ``done``, or - once no
-        cell came due within ``idle_retry_s`` - ``idle``. Waiting here
+        cell came due within :data:`IDLE_RETRY_S` - ``idle``. Waiting here
         instead of in the worker means a finished sweep (or a cell whose
         backoff ends) wakes every idle worker at once."""
-        deadline = time.monotonic() + self.idle_retry_s
+        deadline = time.monotonic() + IDLE_RETRY_S
         with self._cond:
             while True:
                 if (
@@ -717,9 +712,6 @@ class SweepBroker:
                 or lease.worker != worker
                 or lease.attempt != attempt
             ):
-                registry = self._registry()
-                if registry is not None:
-                    registry.inc("sweep_results_duplicate")
                 return False
             task = self._tasks[i]
             self._leases.pop(i, None)
@@ -797,22 +789,19 @@ class SweepBroker:
         self._cond.notify_all()
 
     def _fail_or_requeue_locked(self, i: int, exc: BaseException) -> None:
-        """Retry accounting for a failed attempt; caller holds the lock."""
+        """Charge a failed attempt through the executor, and queue the
+        cell again or settle it; caller holds the lock."""
         ex = self._executor
-        assert ex is not None
-        task = self._tasks[i]
-        attempts = self._attempts[i]
-        retryable = ex.retry.is_retryable(exc) or isinstance(exc, LeaseExpired)
-        if retryable and attempts < ex.retry.max_attempts:
-            delay = ex.retry.delay_for(attempts + 1)
-            ex.progress.record_retry(task.label, attempts, exc, delay)
-            self._queue_locked(i, delay)
-            return
+        assert ex is not None and self._results is not None
         try:
-            assert self._results is not None
-            self._results[i] = ex._exhausted(task, self._keys[i], attempts, exc)
+            outcome = ex._charge_failure(self._tasks[i], self._keys[i], self._attempts[i], exc)
         except BaseException as fatal:  # on_exhausted="raise"
             self._fatal = fatal
+        else:
+            if not isinstance(outcome, FailedCell):
+                self._queue_locked(i, outcome)
+                return
+            self._results[i] = outcome
         self._done.add(i)
         self._cond.notify_all()
 
@@ -860,7 +849,6 @@ class WorkerSummary:
     completed: int = 0
     failed: int = 0
     rejected: int = 0  # results the broker discarded as late/duplicate
-    events: List[str] = field(default_factory=list)
 
 
 @contextlib.contextmanager
@@ -992,7 +980,6 @@ class SweepWorker:
                 msg = self._recv()
                 mtype = msg.get("type")
                 if mtype == MSG_DONE:
-                    self.summary.events.append("sweep complete")
                     return self.summary
                 if mtype == MSG_IDLE:
                     time.sleep(float(msg.get("retry_after_s", 0.5)))  # type: ignore[arg-type]
@@ -1005,9 +992,6 @@ class SweepWorker:
                     and self.summary.completed >= self.max_tasks
                 ):
                     self._send({"type": MSG_GOODBYE})
-                    self.summary.events.append(
-                        f"reached max_tasks={self.max_tasks}"
-                    )
                     return self.summary
         finally:
             if self._sock is not None:

@@ -20,9 +20,11 @@ that join), while guaranteeing:
   crashed (:class:`~repro.runtime.faults.InjectedFaultError`, a dead
   worker), hung (:class:`SweepTimeoutError`) or returned corrupt
   payloads, with jitterless exponential backoff; a retried cell's final
-  attempt always runs in-process. Exhausted cells either fail the sweep
-  (``on_exhausted="raise"``) or land as :class:`FailedCell` markers
-  (``on_exhausted="record"``) so one poisoned cell cannot lose a figure.
+  attempt always runs in-process. A cell that exhausts its attempts, or
+  fails with an error not worth a retry, either fails the sweep
+  (``on_exhausted="raise"``) or lands as a :class:`FailedCell` marker
+  (``on_exhausted="record"``) so one poisoned cell cannot lose a figure,
+  in-process and on a worker alike.
 * **Cached cells** - with a :class:`~repro.runtime.cache.ResultCache`
   attached, a cached cell is loaded, not run, and every computed cell
   is written crash-safely as it finishes; so re-running an interrupted
@@ -38,7 +40,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import repro.workloads as workloads
 from repro.config import SimConfig
@@ -64,6 +66,12 @@ from repro.runtime.progress import (
 
 class SweepTimeoutError(RuntimeError):
     """A sweep cell's worker exceeded the per-task timeout."""
+
+
+class LeaseExpired(RuntimeError):
+    """A leased cell's worker died or stopped heartbeating; the cell was
+    reclaimed (see :mod:`repro.runtime.distributed`). Charged against
+    the retry budget like any failed attempt, and always retryable."""
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,7 @@ class RetryPolicy:
     backoff_max_s: float = 2.0
     #: Exception types worth re-running the cell for. Everything else
     #: fails the cell on its first occurrence. (A cell lost with its
-    #: worker is always retryable; see ``distributed.LeaseExpired``.)
+    #: worker is always retryable; see :class:`LeaseExpired`.)
     retryable: Tuple[Type[BaseException], ...] = (
         InjectedFaultError,
         CorruptResultError,
@@ -331,8 +339,18 @@ class SweepExecutor:
             )
         )
 
-    def _exhausted(self, task: SweepTask, key: str, attempts: int, exc: BaseException):
-        """A cell ran out of attempts: record it or fail the sweep."""
+    def _charge_failure(
+        self, task: SweepTask, key: str, attempts: int, exc: BaseException
+    ) -> Union[float, FailedCell]:
+        """Charge a failed attempt, on every path: the backoff before the
+        cell's next attempt, or - once the error is not retryable or the
+        cell is out of attempts - its :class:`FailedCell`, or ``exc``
+        raised, as ``on_exhausted`` says."""
+        retryable = self.retry.is_retryable(exc) or isinstance(exc, LeaseExpired)
+        if retryable and attempts < self.retry.max_attempts:
+            delay = self.retry.delay_for(attempts + 1)
+            self.progress.record_retry(task.label, attempts, exc, delay)
+            return delay
         self.progress.record_failure(task.label, attempts, exc)
         if self.retry.on_exhausted == ON_EXHAUSTED_RECORD:
             return FailedCell(task.label, key, attempts, repr(exc))
@@ -347,13 +365,12 @@ class SweepExecutor:
             attempt += 1
             try:
                 result, elapsed = _run_task_timed(task, attempt)
-            except self.retry.retryable as exc:
-                if attempt >= self.retry.max_attempts:
-                    return self._exhausted(task, key, attempt, exc)
-                delay = self.retry.delay_for(attempt + 1)
-                self.progress.record_retry(task.label, attempt, exc, delay)
-                if delay > 0:
-                    time.sleep(delay)
+            except Exception as exc:  # noqa: BLE001 - charged like a worker's failure
+                outcome = self._charge_failure(task, key, attempt, exc)
+                if isinstance(outcome, FailedCell):
+                    return outcome
+                if outcome > 0:
+                    time.sleep(outcome)
                 continue
             self._finish_cell(task, key, result, elapsed, SOURCE_SERIAL, attempt)
             return result
@@ -376,6 +393,7 @@ __all__ = [
     "ON_EXHAUSTED_RAISE",
     "ON_EXHAUSTED_RECORD",
     "FailedCell",
+    "LeaseExpired",
     "RetryPolicy",
     "SweepExecutor",
     "SweepTask",

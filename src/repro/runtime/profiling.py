@@ -20,8 +20,8 @@ model) and this module collects and merges those counters:
 * ``oracle_cycles``          - scheduler steps spent inside pre-execution.
 
 ``RunResult.hotpath`` carries the collected dict out of a simulation;
-``SweepInstrumentation`` sums it across sweep cells into its registry's
-``hotpath_<name>`` counters; ``repro run
+``SweepInstrumentation.hotpath_totals`` sums it across a sweep's cells
+with :meth:`HotPathCounters.merge`; ``repro run
 --json FILE`` writes it for one workload x design (``--engine
 reference`` runs the rescan loop for comparison). For a real profile,
 run the CLI under ``python -m cProfile -o FILE -m repro ...``.

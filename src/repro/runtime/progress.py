@@ -4,10 +4,9 @@ The executor feeds one :class:`CellRecord` per (workload x design) cell
 into a :class:`SweepInstrumentation`; :meth:`SweepInstrumentation.summary`
 renders the aggregate through :mod:`repro.analysis.report` so figure
 drivers and the CLI can show where a sweep spent its time and how well
-its workers were used. Every count (cache hits, retries, reclaims,
-failures, hot-path work) lives once, in the instrumentation's
-:class:`~repro.telemetry.metrics.MetricsRegistry`; the properties read
-it back.
+its workers were used. Every count is read off what the instrumentation
+keeps: cache hits and hot-path work off its cell records, retries,
+reclaims and failures off the one count each ``record_*`` call keeps.
 """
 
 from __future__ import annotations
@@ -18,12 +17,8 @@ from typing import Dict, List, Optional
 
 from repro.obs.log import get_logger
 from repro.runtime.profiling import HotPathCounters
-from repro.telemetry.metrics import SECONDS_BUCKETS, MetricsRegistry
 
 _log = get_logger("sweep")
-
-#: Hot-path counter names, in :class:`HotPathCounters` field order.
-_HOTPATH_NAMES = tuple(HotPathCounters().as_dict())
 
 #: How a cell's result was obtained.
 SOURCE_CACHE = "cache"
@@ -32,7 +27,6 @@ SOURCE_SERIAL = "serial"
 #: Computed by a broker's worker process, forked on this host or
 #: connected from another (see repro.runtime.distributed).
 SOURCE_REMOTE = "remote"
-
 
 
 @dataclass(frozen=True)
@@ -62,13 +56,12 @@ class SweepInstrumentation:
     cells: List[CellRecord] = field(default_factory=list)
     #: Human-readable notes, retries, reclaims and failures, in order.
     events: List[str] = field(default_factory=list)
-    #: The sweep's counts. Every recorded cell increments
-    #: ``sweep_cells_total`` / ``sweep_cells_<source>``, observes its
-    #: wall time in the ``sweep_cell_wall_s`` histogram, and adds its
-    #: hot-path counters in under the ``hotpath_`` prefix; retries,
-    #: reclaims and failures count under ``sweep_retries_total``,
-    #: ``sweep_cells_reclaimed`` and ``sweep_cells_failed``.
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
+    #: Failed attempts that were re-run (:meth:`record_retry`).
+    retries: int = field(default=0, init=False)
+    #: Leases reclaimed from lost workers (:meth:`record_reclaim`).
+    reclaims: int = field(default=0, init=False)
+    #: Cells that failed for good (:meth:`record_failure`).
+    failures: int = field(default=0, init=False)
     _t_start: Optional[float] = None
     _t_end: Optional[float] = None
 
@@ -82,27 +75,16 @@ class SweepInstrumentation:
 
     def record_cell(self, record: CellRecord) -> None:
         self.cells.append(record)
-        self.registry.inc("sweep_cells_total")
-        self.registry.inc(f"sweep_cells_{record.source}")
-        self.registry.histogram("sweep_cell_wall_s", SECONDS_BUCKETS).observe(
-            record.wall_s
-        )
-        if record.attempts > 1:
-            self.registry.inc("sweep_cells_retried")
         _log.debug(
             "cell done",
             extra={"cell": record.label, "source": record.source,
                    "wall_s": round(record.wall_s, 4),
                    "attempts": record.attempts},
         )
-        if record.hotpath:
-            for name in _HOTPATH_NAMES:
-                self.registry.inc(f"hotpath_{name}", int(record.hotpath.get(name, 0)))
 
     def note(self, message: str) -> None:
         """Record a notable event (e.g. a cell run in-process)."""
         self.events.append(message)
-        self.registry.inc("sweep_notes_total")
         _log.info(message)
 
     def record_retry(
@@ -114,12 +96,7 @@ class SweepInstrumentation:
             f"retry {label}: attempt {attempt} failed ({kind}); "
             f"backing off {backoff_s:.3f}s"
         )
-        self.registry.inc("sweep_retries_total")
-        if kind in ("InjectedFaultError", "CorruptResultError"):
-            self.registry.inc("sweep_faults_injected")
-        self.registry.histogram("sweep_retry_backoff_s", SECONDS_BUCKETS).observe(
-            backoff_s
-        )
+        self.retries += 1
         _log.warning(
             f"retrying {label}",
             extra={"cell": label, "attempt": attempt, "error": kind,
@@ -131,8 +108,8 @@ class SweepInstrumentation:
     ) -> None:
         """A leased cell was reclaimed from a dead or hung remote worker.
 
-        Counted separately from retries (``sweep_cells_reclaimed`` vs
-        ``sweep_retries_total``): a reclaim says a *worker* was lost, a
+        Counted separately from retries (:attr:`reclaims` vs
+        :attr:`retries`): a reclaim says a *worker* was lost, a
         retry says an *attempt* failed. The broker records
         both for each reclaimed cell - the reclaim here, then the
         ordinary retry/exhaustion accounting for the charged attempt.
@@ -140,7 +117,7 @@ class SweepInstrumentation:
         self.events.append(
             f"reclaimed {label} from {worker} (attempt {attempt}: {cause})"
         )
-        self.registry.inc("sweep_cells_reclaimed")
+        self.reclaims += 1
         _log.warning(
             f"reclaiming {label}",
             extra={"cell": label, "worker": worker, "attempt": attempt,
@@ -150,12 +127,13 @@ class SweepInstrumentation:
     def record_failure(
         self, label: str, attempts: int, error: BaseException
     ) -> None:
-        """A cell exhausted its retry budget."""
+        """A cell failed for good: its retry budget ran out, or its
+        error is not worth a retry."""
         kind = type(error).__name__
         self.events.append(
             f"failed {label}: gave up after {attempts} attempt(s) ({kind})"
         )
-        self.registry.inc("sweep_cells_failed")
+        self.failures += 1
         _log.error(
             f"cell {label} exhausted its retry budget",
             extra={"cell": label, "attempts": attempts, "error": kind},
@@ -163,32 +141,14 @@ class SweepInstrumentation:
 
     # ------------------------------------------------------------------
 
-    def _count(self, name: str) -> int:
-        """A registry counter's value (0, and not created, if unset)."""
-        return int(self.registry.counter_values(name).get(name, 0))
-
     @property
     def cache_hits(self) -> int:
-        return self._count(f"sweep_cells_{SOURCE_CACHE}")
+        return sum(1 for c in self.cells if c.source == SOURCE_CACHE)
 
     @property
     def cache_misses(self) -> int:
         """Cells computed by this sweep, in-process or on a worker."""
-        return self._count(f"sweep_cells_{SOURCE_SERIAL}") + self._count(
-            f"sweep_cells_{SOURCE_REMOTE}"
-        )
-
-    @property
-    def retries(self) -> int:
-        return self._count("sweep_retries_total")
-
-    @property
-    def reclaims(self) -> int:
-        return self._count("sweep_cells_reclaimed")
-
-    @property
-    def failures(self) -> int:
-        return self._count("sweep_cells_failed")
+        return len(self.cells) - self.cache_hits
 
     @property
     def compute_s(self) -> float:
@@ -219,10 +179,13 @@ class SweepInstrumentation:
     def hotpath_totals(self) -> Dict[str, int]:
         """Hot-path counters summed across all cells that reported them,
         in :class:`HotPathCounters` field order ({} when none did)."""
-        counters = self.registry.counter_values("hotpath_")
-        if not counters:
+        reported = [c.hotpath for c in self.cells if c.hotpath]
+        if not reported:
             return {}
-        return {name: int(counters.get(f"hotpath_{name}", 0)) for name in _HOTPATH_NAMES}
+        totals = HotPathCounters()
+        for hotpath in reported:
+            totals.merge(hotpath)
+        return totals.as_dict()
 
     def summary(self) -> str:
         """Render the aggregate instrumentation as an ASCII table."""

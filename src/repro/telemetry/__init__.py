@@ -4,8 +4,8 @@ Five pieces, threaded through the simulation loop, controller,
 predictors, PC table, oracle and sweep runtime:
 
 * :mod:`repro.telemetry.metrics` - :class:`MetricsRegistry`:
-  counters/gauges/fixed-bucket histograms, the common sink the sweep
-  instrumentation and the decision service report through.
+  counters/gauges/fixed-bucket histograms, the decision service's
+  metrics (which ``/metrics`` exports).
 * :mod:`repro.telemetry.recorder` - :class:`EpochTraceRecorder`: one
   structured record per epoch per V/f domain (chosen frequency,
   predicted vs actual commits, oracle truth, PC-table deltas,

@@ -1,11 +1,10 @@
 """Metrics primitives: counters, gauges, fixed-bucket histograms.
 
-The :class:`MetricsRegistry` is the common sink every layer reports
-through, in the process that observes: the sweep runtime (cell counts,
-cache hits, retries, per-cell wall-time distribution, summed hot-path
-work counters), the decision service, and the span tracer and drift
-monitor serving it. The epoch trace recorder keeps none: its records
-are the count.
+The :class:`MetricsRegistry` holds the decision service's metrics: the
+service's own counts, and those of the span tracer and drift monitor
+that ``repro serve`` hands it. Nothing else keeps one: a sweep, a
+``repro check`` pass and the epoch trace recorder read their counts
+off the records they keep.
 :meth:`MetricsRegistry.to_dict` is the JSON snapshot that ``/metrics``
 serves and :func:`~repro.obs.prom.render_prometheus` renders. Updates
 are plain int/float and list index arithmetic, safe to bump on hot
@@ -26,11 +25,6 @@ from typing import Dict, List, Sequence, Tuple
 #: prediction error): fine near zero, coarse above 1.
 RATIO_BUCKETS: Tuple[float, ...] = (
     0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0,
-)
-
-#: Default histogram bounds for wall-clock seconds.
-SECONDS_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0,
 )
 
 #: Default histogram bounds for small batch sizes (the decision
@@ -152,5 +146,4 @@ __all__ = [
     "MetricsRegistry",
     "BATCH_BUCKETS",
     "RATIO_BUCKETS",
-    "SECONDS_BUCKETS",
 ]

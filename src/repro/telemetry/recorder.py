@@ -12,7 +12,8 @@ Memory is bounded two ways, selectable per use:
 
 * a **ring buffer** (``TelemetryConfig.ring_size``) keeps the most
   recent records in memory for programmatic drill-down; older records
-  are dropped and counted, never re-allocated;
+  are dropped and counted, never re-allocated (``ring_size=None``
+  keeps the whole run instead);
 * the run's **JSONL stream** (``TelemetryConfig.jsonl_path``), written
   through :class:`~repro.telemetry.schema.JsonlWriter`, receives every
   record as it is produced, so arbitrarily long runs archive fully with
@@ -59,8 +60,9 @@ class TelemetryConfig:
     """What the recorder keeps and where it streams."""
 
     #: Ring-buffer capacity for in-memory records (0 = keep nothing in
-    #: memory; the JSONL stream still receives everything).
-    ring_size: int = 4096
+    #: memory; the JSONL stream still receives everything; None = keep
+    #: every record of the run).
+    ring_size: Optional[int] = 4096
     #: Stream every record to this JSONL file as it is produced.
     jsonl_path: Optional[str] = None
     #: Aggregate per-PC prediction-error attribution across the run.
@@ -74,7 +76,7 @@ class TelemetryConfig:
     record_observations: bool = False
 
     def __post_init__(self) -> None:
-        if self.ring_size < 0:
+        if self.ring_size is not None and self.ring_size < 0:
             raise ValueError("ring_size must be non-negative")
         if self.record_observations and self.jsonl_path is None:
             raise ValueError(

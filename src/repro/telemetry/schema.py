@@ -368,10 +368,12 @@ def validate_records(records: Iterable[Mapping[str, object]]) -> Dict[str, int]:
 
 class JsonlWriter:
     """Writes one record stream: ``header`` first, then one sort-keyed
-    JSON object per line. The only writer of a stream's file."""
+    JSON object per line. The only writer of a stream's file. The file
+    is line-buffered, so each record reaches it as it is written and a
+    reader following a live stream sees it at once."""
 
     def __init__(self, path: PathLike, header: Mapping[str, object]) -> None:
-        self._fh = open(path, "w", encoding="utf-8")
+        self._fh = open(path, "w", encoding="utf-8", buffering=1)
         self.write(header)
 
     def write(self, record: Mapping[str, object]) -> None:

@@ -45,7 +45,6 @@ if TYPE_CHECKING:
         audit_pc_table,
         audit_residency,
         audit_run_result,
-        record_violations,
     )
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -56,7 +55,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                      "sweep_differential"),
     "invariants": ("Violation", "audit_controller_log", "audit_energy_breakdown",
                    "audit_epoch_records", "audit_pc_table", "audit_residency",
-                   "audit_run_result", "record_violations"),
+                   "audit_run_result"),
 })
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "make_task",
     "oracle_fork_differential",
     "quick_check_config",
-    "record_violations",
     "run_check",
     "sweep_differential",
 ]

@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.experiments import QUICK_WORKLOADS
 from repro.config import SimConfig, small_config
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import EpochTraceRecorder, TelemetryConfig
 from repro.validation.differential import (
     DiffReport,
@@ -38,7 +37,6 @@ from repro.validation.invariants import (
     audit_pc_table,
     audit_residency,
     audit_run_result,
-    record_violations,
 )
 
 
@@ -87,7 +85,6 @@ class CheckReport:
     differentials: List[DiffReport] = field(default_factory=list)
     #: ``workload/design`` labels whose artifacts were audited.
     cells_audited: List[str] = field(default_factory=list)
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property
     def ok(self) -> bool:
@@ -115,7 +112,6 @@ class CheckReport:
             "cells_audited": list(self.cells_audited),
             "violations": [v.as_dict() for v in self.violations],
             "differentials": [d.as_dict() for d in self.differentials],
-            "counters": self.registry.counter_values("validation_"),
         }
 
 
@@ -135,8 +131,7 @@ def _audit_cell(
     config = cfg.sim_config()
     kernels = build_workload(workload(workload_name), scale=cfg.scale)
     ctrl = make_controller(design, config, None)
-    ring = (cfg.max_epochs + 2) * (config.gpu.n_domains + 1)
-    recorder = EpochTraceRecorder(TelemetryConfig(ring_size=ring))
+    recorder = EpochTraceRecorder(TelemetryConfig(ring_size=None))
     sim = DvfsSimulation(
         kernels,
         ctrl,
@@ -192,12 +187,11 @@ def _audit_noisy_residency(log, grid, subject: str) -> List[Violation]:
 
 def run_check(
     cfg: CheckConfig,
-    registry: Optional[MetricsRegistry] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> CheckReport:
     """Run the full validation pass described by ``cfg``."""
     say = log or (lambda _msg: None)
-    report = CheckReport(registry=registry or MetricsRegistry())
+    report = CheckReport()
 
     # -- invariant audits over the (workload x design) matrix ----------
     for workload_name in cfg.workloads:
@@ -206,7 +200,6 @@ def run_check(
             report.violations += violations
             report.cells_audited.append(subject)
             say(f"audited {subject}: {len(violations)} violation(s)")
-    record_violations(report.violations, report.registry)
 
     # -- differential pairs --------------------------------------------
     config = cfg.sim_config()
@@ -240,13 +233,6 @@ def run_check(
             subject=f"{cfg.workloads[0]}/oracle",
             n_sample_freqs=cfg.oracle_sample_freqs,
         )
-    )
-
-    for d in report.differentials:
-        if not d.ok:
-            report.registry.inc("validation_differential_diverged")
-    report.registry.inc(
-        "validation_differentials_run", len(report.differentials)
     )
     return report
 

@@ -163,10 +163,8 @@ def _with_engine(task: SweepTask, engine: str) -> SweepTask:
     return replace(task, config=cfg)
 
 
-def _recorder(task: SweepTask) -> EpochTraceRecorder:
-    n_domains = task.config.gpu.n_domains
-    ring = (task.max_epochs + 2) * (n_domains + 1)
-    return EpochTraceRecorder(TelemetryConfig(ring_size=ring))
+def _recorder() -> EpochTraceRecorder:
+    return EpochTraceRecorder(TelemetryConfig(ring_size=None))
 
 
 def engine_differential(task: SweepTask, trace: bool = False) -> DiffReport:
@@ -176,8 +174,8 @@ def engine_differential(task: SweepTask, trace: bool = False) -> DiffReport:
     mismatch is localised to its first diverging epoch.
     """
     sides = ("event", "reference")
-    rec_a = _recorder(task) if trace else None
-    rec_b = _recorder(task) if trace else None
+    rec_a = _recorder() if trace else None
+    rec_b = _recorder() if trace else None
     result_a = run_task(_with_engine(task, "event"), recorder=rec_a)
     result_b = run_task(_with_engine(task, "reference"), recorder=rec_b)
     report = DiffReport(

@@ -15,8 +15,7 @@ invariants from a finished artifact - a
 :class:`~repro.core.pc_table.PCTable` or a telemetry JSONL record
 stream - and returns structured :class:`Violation` records instead of
 raising, so ``repro check`` can collect everything that is wrong in one
-pass and route the counts into a
-:class:`~repro.telemetry.metrics.MetricsRegistry`.
+pass; its report's list of them is the count.
 
 Auditors are pure: they read public attributes only, never mutate the
 artifact, and import nothing from :mod:`repro.dvfs` or
@@ -29,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
-
-from repro.telemetry.metrics import MetricsRegistry
 
 #: Grid-matching slack (GHz), mirroring the oracle / controller snap
 #: tolerances: absorbs float noise, never bridges 100 MHz grid steps.
@@ -68,23 +65,6 @@ class Violation:
             "observed": self.observed,
             "expected": self.expected,
         }
-
-
-def record_violations(
-    violations: Iterable[Violation], registry: MetricsRegistry
-) -> int:
-    """Route violations into a metrics registry; returns the count.
-
-    Bumps ``validation_violations`` plus one
-    ``validation_violation_<check>`` counter per violation, so sweeps
-    and CI can alert on totals without parsing reports.
-    """
-    n = 0
-    for v in violations:
-        registry.inc("validation_violations")
-        registry.inc(f"validation_violation_{v.check}")
-        n += 1
-    return n
 
 
 def _bad_number(x: object) -> bool:
@@ -620,5 +600,4 @@ __all__ = [
     "audit_pc_table",
     "audit_residency",
     "audit_run_result",
-    "record_violations",
 ]

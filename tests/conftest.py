@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import logging
+from typing import List
+
 import pytest
 
 from repro.config import DvfsConfig, GpuConfig, MemoryConfig, SimConfig
@@ -44,3 +47,24 @@ def loop_program():
 @pytest.fixture
 def loop_kernel(loop_program) -> Kernel:
     return Kernel.homogeneous(loop_program, WorkgroupGeometry(4, 2))
+
+
+@pytest.fixture
+def broker_log():
+    """The messages the sweep broker logs during the test, INFO and up."""
+    lines: List[str] = []
+
+    class Collect(logging.Handler):
+        def emit(self, record: logging.LogRecord) -> None:
+            lines.append(record.getMessage())
+
+    logger = logging.getLogger("repro.distributed")
+    handler = Collect()
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield lines
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)

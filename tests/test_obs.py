@@ -36,7 +36,6 @@ from repro.obs import (
 from repro.obs.drift import COOLDOWN, MIN_COUNT, SIGNAL_SHED_RATE, WINDOW
 from repro.obs.log import JsonFormatter, configure_logging, get_logger
 from repro.runtime.executor import SweepTask, run_task
-from repro.runtime.progress import SweepInstrumentation
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.schema import JsonlWriter, build_meta, trace_meta, validate_records
 
@@ -71,17 +70,6 @@ class TestTracer:
             tr.finish(span)
         assert tr.total_spans == 3
 
-    def test_context_manager_nests(self):
-        written = []
-        tr = Tracer(write=written.append)
-        with tr.span("outer") as outer:
-            with tr.span("inner") as inner:
-                assert inner.parent_id == outer.span_id
-            plain = tr.start("sibling")
-            assert plain.parent_id == outer.span_id
-            tr.finish(plain)
-        assert [r["name"] for r in written] == ["inner", "sibling", "outer"]
-
     def test_finish_twice_raises(self):
         tr = Tracer()
         span = tr.start("x")
@@ -98,8 +86,9 @@ class TestTracer:
         path = tmp_path / "spans.jsonl"
         writer = JsonlWriter(path, {"type": "trace", **build_meta()})
         tr = Tracer(write=writer.write)
-        with tr.span("run"):
-            tr.finish(tr.start("epoch", epoch=0))
+        run = tr.start("run")
+        tr.finish(tr.start("epoch", parent=run, epoch=0))
+        tr.finish(run)
         tr.event("shed")
         writer.close()
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -115,6 +104,26 @@ class TestTracer:
         tr.finish(tr.start("epoch"))
         assert reg.counter("trace_spans_total").value == 2
         assert reg.counter("trace_spans_epoch").value == 2
+
+    def test_event_counts_under_its_name(self):
+        """A point event is counted like every other span: a shed
+        observation shows as ``trace_spans_shed``."""
+        reg = MetricsRegistry()
+        Tracer(registry=reg).event("shed")
+        assert reg.counter("trace_spans_total").value == 1
+        assert reg.counter("trace_spans_shed").value == 1
+
+    def test_jsonl_writer_puts_each_record_in_the_file_as_written(self, tmp_path):
+        """A reader following a live stream sees every record written so
+        far, before the writer is closed."""
+        path = tmp_path / "live.jsonl"
+        writer = JsonlWriter(path, {"type": "trace", **build_meta()})
+        Tracer(write=writer.write).event("shed")
+        try:
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            assert [r["type"] for r in records] == ["trace", "span"]
+        finally:
+            writer.close()
 
 
 # ----------------------------------------------------------------------
@@ -222,8 +231,8 @@ class TestDrift:
 
     def test_shed_and_retry_signals(self):
         """Shed frames feed a drift window. Sweep retries do not: a
-        sweep counts them in its registry, and ``retry_rate`` is no
-        drift signal."""
+        sweep counts them in its instrumentation, and ``retry_rate`` is
+        no drift signal."""
         monitor = DriftMonitor()
         for _ in range(WINDOW):
             monitor.observe_shed(True)
@@ -313,18 +322,6 @@ class TestPrometheus:
     def test_renders_snapshot_dict_identically(self):
         reg = self.build_registry()
         assert render_prometheus(reg.to_dict()) == render_prometheus(reg)
-
-    def test_sweep_retry_metrics_expose_as_histogram(self):
-        progress = SweepInstrumentation()
-        for attempt in (1, 2):
-            progress.record_retry("dgemm/PCSTALL", attempt,
-                                  RuntimeError("boom"), 0.05 * attempt)
-        samples = parse_exposition(render_prometheus(progress.registry))
-        assert samples[("sweep_retries_total", "")] == 2
-        assert samples[("sweep_retry_backoff_s_count", "")] == 2
-        assert any(
-            name == "sweep_retry_backoff_s_bucket" for name, _ in samples
-        )
 
     def test_sanitise_name(self):
         assert sanitise_name("ok_name:sub") == "ok_name:sub"
@@ -580,16 +577,16 @@ class TestObsCli:
         from repro.cli import main
 
         reg = MetricsRegistry()
-        reg.inc("sweep_cells_total", 5)
+        reg.inc("service_decisions", 5)
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(reg.to_dict()))
         assert main(["metrics", str(path), "--check"]) == 0
         out = capsys.readouterr()
         assert "exposition OK" in out.err
-        assert parse_exposition(out.out)[("sweep_cells_total", "")] == 5
+        assert parse_exposition(out.out)[("service_decisions", "")] == 5
 
     @pytest.mark.parametrize("payload", [
-        {"metrics": {"counters": {"sweep_cells_total": 5}}},  # a nested dump
+        {"metrics": {"counters": {"service_decisions": 5}}},  # a nested dump
         [1, 2],
     ])
     def test_metrics_refuses_what_is_not_a_snapshot(self, tmp_path, payload):

@@ -398,62 +398,46 @@ class TestInstrumentation:
 
 
 class TestMetricsSink:
-    """The telemetry registry as the sweep's common metrics sink."""
+    """The sweep's counts, read off the records its instrumentation keeps."""
 
     def test_record_cell_feeds_registry(self):
+        """Cache hits and misses are counted off the cells by source, and
+        hot-path work is summed off the cells that report it."""
         prog = SweepInstrumentation()
         prog.record_cell(
             CellRecord("a/b", 0.5, "serial", hotpath={"cycles": 7})
         )
         prog.record_cell(CellRecord("c/d", 0.0, SOURCE_CACHE))
-        counters = prog.registry.counter_values()
-        assert counters["sweep_cells_total"] == 2
-        assert counters["sweep_cells_serial"] == 1
-        assert counters["sweep_cells_cache"] == 1
-        assert counters["hotpath_cycles"] == 7
-        from repro.telemetry.metrics import SECONDS_BUCKETS
-
-        assert prog.registry.histogram("sweep_cell_wall_s", SECONDS_BUCKETS).total == 2
-
-    def test_as_dict_carries_metrics(self):
-        """The sweep's metrics leave it as its registry's JSON snapshot,
-        the dict ``/metrics`` serves."""
-        prog = SweepInstrumentation()
-        prog.record_cell(CellRecord("a/b", 0.0, SOURCE_CACHE))
-        data = json.loads(json.dumps(prog.registry.to_dict()))
-        assert data["counters"]["sweep_cells_total"] == 1
-        assert data["counters"]["sweep_cells_cache"] == 1
-        assert data["histograms"]["sweep_cell_wall_s"]["total"] == 1
+        prog.record_cell(CellRecord("e/f", 0.25, "remote"))
+        assert len(prog.cells) == 3
+        assert prog.cache_hits == 1
+        assert prog.cache_misses == 2
+        assert prog.hotpath_totals()["cycles"] == 7
 
     def test_parallel_sweep_counters_match_serial(self):
-        """Cell/hotpath counters must be independent of how cells were
+        """Cell and hot-path counts must be independent of how cells were
         scheduled; only the source labels may differ."""
 
-        def work_counters(reg):
-            return {
-                k: v for k, v in reg.counter_values().items()
-                if k == "sweep_cells_total" or k.startswith("hotpath_")
-            }
+        def work_counts(progress):
+            return len(progress.cells), progress.hotpath_totals()
 
         serial = SweepExecutor(max_workers=1)
         serial.run(GRID)
         parallel = SweepExecutor(max_workers=2)
         parallel.run(GRID)
-        assert work_counters(parallel.progress.registry) == work_counters(
-            serial.progress.registry
-        )
+        assert work_counts(parallel.progress) == work_counts(serial.progress)
 
     def test_hotpath_to_registry_prefix(self):
-        """A cell's hot-path counts land in the registry under the
-        ``hotpath_`` prefix and sum across cells."""
+        """A cell's hot-path counts sum across cells in
+        ``hotpath_totals()``."""
         prog = SweepInstrumentation()
         prog.record_cell(
             CellRecord("a/b", 0.0, "serial", hotpath={"cycles": 3, "clones": 2})
         )
         prog.record_cell(CellRecord("c/d", 0.0, "serial", hotpath={"cycles": 4}))
-        hotpath = prog.registry.counter_values("hotpath_")
-        assert hotpath["hotpath_cycles"] == 7
-        assert hotpath["hotpath_clones"] == 2
+        hotpath = prog.hotpath_totals()
+        assert hotpath["cycles"] == 7
+        assert hotpath["clones"] == 2
 
 
 class TestRetryPolicy:
@@ -508,9 +492,9 @@ class TestBrokeredSweep:
         ex = SweepExecutor(max_workers=2)
         parallel = ex.run(tasks)
         assert parallel == serial
-        assert ex.progress.registry.counter_values()["sweep_cells_remote"] == 2
+        assert [c.source for c in ex.progress.cells] == ["remote", "remote"]
 
-    def test_timed_out_worker_takes_the_next_cell(self):
+    def test_timed_out_worker_takes_the_next_cell(self, broker_log):
         ex = SweepExecutor(
             max_workers=2, task_timeout_s=0.3,
             retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
@@ -524,7 +508,7 @@ class TestBrokeredSweep:
         # Nothing was killed or replaced: each worker timed out, stayed
         # connected, and workers computed every cell's second attempt.
         assert ex.progress.reclaims == 0
-        assert ex.progress.registry.counter_values()["sweep_workers_connected"] == 2
+        assert sum(" connected (" in m for m in broker_log) == 2
         assert {(c.source, c.attempts) for c in ex.progress.cells} == {("remote", 2)}
 
 
@@ -548,8 +532,7 @@ class TestBrokeredSweep:
             sys.setswitchinterval(interval)
         assert not sweep.is_alive(), "sweep hung"
         assert out[0] == SweepExecutor().run(tasks)
-        counters = ex.progress.registry.counter_values()
-        assert counters["sweep_cells_total"] == counters["sweep_cells_remote"] == len(tasks)
+        assert [c.source for c in ex.progress.cells] == ["remote"] * len(tasks)
         assert sorted(c.label for c in ex.progress.cells) == sorted(t.label for t in tasks)
         assert multiprocessing.active_children() == []
 
@@ -582,7 +565,7 @@ class TestBrokeredSweep:
         ex = SweepExecutor(max_workers=2)
         results = ex.run(GRID)
         assert listened == []
-        assert ex.progress.registry.counter_values()["sweep_cells_remote"] == len(GRID)
+        assert [c.source for c in ex.progress.cells] == ["remote"] * len(GRID)
         assert results == SweepExecutor().run(GRID)
         # The probe does see a broker that listens.
         broker = SweepBroker(port=0)
@@ -602,6 +585,23 @@ class TestBrokeredSweep:
             with pytest.raises(ValueError, match="cannot build") as info:
                 SweepExecutor(max_workers=workers).run(GRID)
             assert info.type is ValueError
+        assert multiprocessing.active_children() == []
+
+    def test_a_non_retryable_error_is_a_failed_cell_at_any_width(self):
+        """Under ``on_exhausted="record"`` a cell whose error is not
+        worth a retry becomes a FailedCell, whether it ran in-process or
+        on a worker; the rest of the grid is unaffected."""
+        tasks = [make_task("dgemm", "PCSTALL"), make_task("dgemm", "NOSUCHDESIGN")]
+        policy = RetryPolicy(on_exhausted="record")
+        outcomes = []
+        for workers in (1, 2):
+            ex = SweepExecutor(max_workers=workers, retry=policy)
+            results = ex.run(tasks)
+            assert [type(r).__name__ for r in results] == ["RunResult", "FailedCell"]
+            assert results[1].attempts == 1
+            assert (ex.progress.failures, ex.progress.retries) == (1, 0)
+            outcomes.append(results)
+        assert outcomes[0] == outcomes[1]
         assert multiprocessing.active_children() == []
 
     def test_a_task_without_a_content_key_fails_alike(self):

@@ -25,7 +25,6 @@ from repro.dvfs.simulation import RunResult
 from repro.gpu.cu import CuEpochStats
 from repro.gpu.gpu import EpochResult, WaveEpochRecord
 from repro.power.energy import EnergyBreakdown
-from repro.telemetry.metrics import MetricsRegistry
 from repro.validation import (
     CheckReport,
     DiffReport,
@@ -40,7 +39,6 @@ from repro.validation import (
     first_divergence,
     make_task,
     oracle_fork_differential,
-    record_violations,
 )
 from properties import (
     PCTableModel,
@@ -267,17 +265,6 @@ class TestAuditEpochRecords:
     def test_stream_without_summary_skips_conservation(self):
         stream = [r for r in make_stream() if r["type"] != "summary"]
         assert audit_epoch_records(stream) == []
-
-
-class TestRecordViolations:
-    def test_counters_routed(self):
-        reg = MetricsRegistry()
-        violations = audit_run_result(clean_result(total_committed=-5), GRID)
-        n = record_violations(violations, reg)
-        counters = reg.counter_values("validation_")
-        assert n == len(violations) > 0
-        assert counters["validation_violations"] == n
-        assert counters["validation_violation_count_negative"] >= 1
 
 
 class TestDiffRunResults:
