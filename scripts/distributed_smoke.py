@@ -143,7 +143,7 @@ def main() -> int:
         check("results bit-identical to serial", results == serial)
 
         reclaimed = ex.progress.reclaims
-        check("sweep_cells_reclaimed >= 1", reclaimed >= 1, f"got {reclaimed}")
+        check("progress.reclaims >= 1", reclaimed >= 1, f"got {reclaimed}")
 
         recorded = sorted(c.label for c in ex.progress.cells)
         check(

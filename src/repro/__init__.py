@@ -20,7 +20,7 @@ Public API tour:
   prediction-accuracy drill-down.
 * :mod:`repro.service` - the online decision service: ``repro serve``
   exposes PCSTALL (any servable design) over a length-prefixed JSON
-  protocol with micro-batching and backpressure; ``repro replay``
+  protocol with backpressure; ``repro replay``
   verifies it against offline traces bit-for-bit.
 * :mod:`repro.validation` - differential validation: post-hoc invariant
   auditors over run artifacts and cross-checkers for the repo's

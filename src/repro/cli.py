@@ -28,7 +28,7 @@ Commands:
 * ``serve``    - run the online DVFS decision service: sessions stream
   per-epoch observations over a length-prefixed JSON protocol and get
   per-domain frequency decisions back; ``/healthz`` + ``/metrics`` on
-  a second port; SIGTERM/SIGINT drain gracefully. ``--trace FILE``
+  a second port; SIGTERM/SIGINT shut it down gracefully. ``--trace FILE``
   streams connect/session/request/decision spans; ``--drift`` watches
   the shed rate online.
 * ``metrics``  - render a metrics snapshot as Prometheus text
@@ -433,8 +433,7 @@ def cmd_trace(args) -> int:
         ),
     ))
     print(
-        f"\n{rec.epochs} epochs, {rec.total_records} records "
-        f"({rec.dropped} dropped from ring), "
+        f"\n{rec.epochs} epochs, {rec.total_records} records, "
         f"{missed}/{decisions} decisions off oracle-best; "
         f"run: delay {result.delay_ns / 1e3:.1f} us, "
         f"energy {result.energy.total:.3f}"
@@ -547,9 +546,6 @@ def cmd_serve(args) -> int:
             port=args.port,
             health_port=None if args.health_port < 0 else args.health_port,
             max_sessions=args.max_sessions,
-            max_inflight=args.max_inflight,
-            batch_max=args.batch_max,
-            drain_timeout_s=args.drain_timeout,
             model_ref=args.model,
         ),
         registry=registry,
@@ -1208,15 +1204,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "-1 = disabled; default %(default)s)")
     sp.add_argument("--max-sessions", type=int, default=64,
                     help="admission cap on concurrent sessions "
-                         "(default %(default)s)")
-    sp.add_argument("--max-inflight", type=int, default=8,
-                    help="per-session queued observations before shedding "
-                         "(default %(default)s)")
-    sp.add_argument("--batch-max", type=int, default=32,
-                    help="max observations decided per batch pass "
-                         "(default %(default)s)")
-    sp.add_argument("--drain-timeout", type=float, default=10.0,
-                    help="seconds shutdown waits for in-flight work "
                          "(default %(default)s)")
     sp.add_argument("--trace", metavar="FILE",
                     help="stream connect/session/request/decision spans "

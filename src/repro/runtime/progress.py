@@ -135,7 +135,7 @@ class SweepInstrumentation:
         )
         self.failures += 1
         _log.error(
-            f"cell {label} exhausted its retry budget",
+            f"cell {label} failed after {attempts} attempt(s)",
             extra={"cell": label, "attempts": attempts, "error": kind},
         )
 

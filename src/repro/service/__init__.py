@@ -8,9 +8,9 @@ GPU driver shim, a cluster scheduler, a replayed trace) can consume it:
 * :mod:`repro.service.protocol` - the length-prefixed JSON wire
   protocol and the wire <-> simulator object codecs.
 * :mod:`repro.service.server` - :class:`DecisionService`, the asyncio
-  server (``repro serve``): per-session controller state,
-  micro-batching, admission control, SHED backpressure, graceful
-  drain, ``/healthz`` + ``/metrics``.
+  server (``repro serve``): per-session controller state, each
+  observation decided in the read that delivers it, admission control,
+  SHED backpressure, graceful shutdown, ``/healthz`` + ``/metrics``.
 * :mod:`repro.service.client` - :class:`DecisionClient`, a blocking
   client with timeout/retry built on the sweep runtime's
   :class:`~repro.runtime.executor.RetryPolicy`.

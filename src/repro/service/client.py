@@ -201,12 +201,6 @@ class DecisionClient:
                 )
             raise ServiceError(f"unexpected reply to observe: {reply!r}")
 
-    def ping(self) -> None:
-        self._send({"type": proto.MSG_PING})
-        reply = self._recv()
-        if reply.get("type") != proto.MSG_PONG:
-            raise ServiceError(f"unexpected ping reply: {reply!r}")
-
     def close(self) -> None:
         """Orderly goodbye; quiet on a server that already went away."""
         if self._sock is None:
@@ -252,11 +246,9 @@ class DecisionClient:
         return reply
 
     def _recv_for(self, seq: int) -> Dict[str, object]:
-        """Next reply correlated to ``seq`` (skips stray pongs)."""
+        """Next reply correlated to ``seq``."""
         while True:
             reply = self._recv()
-            if reply.get("type") == proto.MSG_PONG:
-                continue
             reply_seq = reply.get("seq")
             if reply_seq is None or reply_seq == seq:
                 return reply

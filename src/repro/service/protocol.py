@@ -26,14 +26,14 @@ Client -> server:
     sensitivity lines, required by truth-consuming designs), ``seq``
     (client-chosen correlator echoed in the reply). The reply is the
     decision for ``epoch + 1``.
-``ping`` / ``close``
-    Liveness probe / orderly goodbye.
+``close``
+    Orderly goodbye.
 
-Server -> client: ``open_ok``, ``decision``, ``pong``, ``bye``,
-``shed`` (backpressure - resend after a backoff), ``error`` (carries
-``code`` + ``error``; the session survives unless the error says
-otherwise), ``shutdown`` (server is draining; no more requests will be
-served).
+Server -> client: ``open_ok``, ``decision``, ``bye``, ``shed``
+(backpressure - resend after a backoff), ``error`` (carries ``code`` +
+``error``; the session survives unless the error says otherwise; an
+unknown message type gets ``unknown_type``), ``shutdown`` (the server
+is stopping; no more requests will be served).
 """
 
 from __future__ import annotations
@@ -72,13 +72,11 @@ DEFAULT_HEALTH_PORT = 8473
 # Client -> server message types.
 MSG_OPEN = "open"
 MSG_OBSERVE = "observe"
-MSG_PING = "ping"
 MSG_CLOSE = "close"
 
 # Server -> client message types.
 MSG_OPEN_OK = "open_ok"
 MSG_DECISION = "decision"
-MSG_PONG = "pong"
 MSG_BYE = "bye"
 MSG_SHED = "shed"
 MSG_ERROR = "error"
@@ -208,8 +206,6 @@ __all__ = [
     "MSG_OBSERVE",
     "MSG_OPEN",
     "MSG_OPEN_OK",
-    "MSG_PING",
-    "MSG_PONG",
     "MSG_SHED",
     "MSG_SHUTDOWN",
     "PROTOCOL_VERSION",

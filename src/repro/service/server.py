@@ -1,4 +1,4 @@
-"""The asyncio decision server: per-session controllers, micro-batched.
+"""The asyncio decision server: per-session controllers, answered in the read.
 
 One :class:`DecisionService` owns:
 
@@ -9,30 +9,27 @@ One :class:`DecisionService` owns:
   holds, but the controller log keeps only the latest epoch. Designs
   needing *future* oracle truth (ORACLE) are rejected at open: an
   online service cannot pre-execute its clients' next epoch.
-* **Framing in the callback** - each decision-port connection is an
-  :class:`asyncio.Protocol` whose ``data_received`` feeds a
-  :class:`~repro.runtime.wire.FrameDecoder` and handles every frame
-  the bytes complete, with no per-connection reader task.
-* **Micro-batching** - observations from all sessions funnel into one
-  deque, decided by one drain callback scheduled with ``call_soon``,
-  in passes of up to ``batch_max``. One drain means predictor updates
-  never need locks, and a pass over N sessions amortises scheduling
-  the way the paper's DVFS manager amortises per-domain decisions
-  within an epoch boundary.
+* **Framing and deciding in the callback** - each decision-port
+  connection is an :class:`asyncio.Protocol` whose ``data_received``
+  feeds a :class:`~repro.runtime.wire.FrameDecoder` and handles every
+  frame the bytes complete, in frame order, with no per-connection
+  reader task: an admitted observation is decided and answered before
+  the next frame is read. The event loop runs one callback at a time,
+  so predictor updates never need locks.
 * **Admission control & backpressure** - at most ``max_sessions``
-  concurrent sessions; per session at most ``max_inflight`` queued
-  observations, beyond which (or when the client stops reading its
-  responses, detected via the transport write buffer) the callback
-  answers ``shed`` immediately *without touching predictor state*, so
-  a shed epoch can simply be resent. Responses are written without
-  waiting for the transport to flush - a slow consumer can therefore
-  never stall the drain; memory stays bounded because overflowing
-  sessions are shed, not buffered.
+  concurrent sessions; one read admits at most :data:`MAX_INFLIGHT`
+  observations of its session, and the rest of the read (or every
+  observation, while the client stops reading its responses, detected
+  via the transport write buffer) is answered ``shed`` immediately
+  *without touching predictor state*, so a shed epoch can simply be
+  resent. Responses are written without waiting for the transport to
+  flush - a slow consumer can therefore never stall the loop; memory
+  stays bounded because overflowing sessions are shed, not buffered.
 * **Graceful shutdown** - :meth:`DecisionService.shutdown` stops
-  accepting, lets the drain finish everything already admitted
-  (bounded by ``drain_timeout_s``), notifies every session with a
-  ``shutdown`` frame and closes. ``repro serve`` wires SIGTERM/SIGINT
-  to it.
+  accepting, notifies every session with a ``shutdown`` frame and
+  closes. Every admitted observation was already answered in the read
+  that delivered it, so there is nothing to wait for. ``repro serve``
+  wires SIGTERM/SIGINT to it.
 * **Observability** - ``/healthz`` (200 serving / 503 draining) and
   ``/metrics`` (a :class:`~repro.telemetry.metrics.MetricsRegistry`
   snapshot with build meta + config hash as JSON, or Prometheus text
@@ -55,9 +52,8 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 # The LEARNED design's path (model registry, models, numpy) is imported
 # here, before the service listens: a session opening LEARNED would
@@ -84,6 +80,14 @@ _log = get_logger("service")
 #: (one counter per fallback reason; the registry has no labels).
 NON_FINITE_FALLBACKS = "service_decision_fallbacks_non_finite_line"
 
+#: Most observations one read admits from its session; the rest of the
+#: read is shed (backpressure to the client, not memory growth).
+MAX_INFLIGHT = 8
+
+#: Transport write-buffer bytes beyond which a session counts as a slow
+#: consumer and its observations are shed.
+WRITE_BUFFER_LIMIT = 1 << 20
+
 _HTTP_STATUS_TEXT = {
     200: "OK",
     404: "Not Found",
@@ -103,16 +107,6 @@ class ServiceConfig:
     health_port: Optional[int] = proto.DEFAULT_HEALTH_PORT
     #: Admission cap: concurrent sessions beyond this are rejected.
     max_sessions: int = 64
-    #: Per-session cap on admitted-but-unanswered observations; the
-    #: overflow is shed (backpressure to the client, not memory growth).
-    max_inflight: int = 8
-    #: Most observations one drain pass decides.
-    batch_max: int = 32
-    #: Transport write-buffer bytes beyond which a session counts as a
-    #: slow consumer and its observations are shed.
-    write_buffer_limit: int = 1 << 20
-    #: How long shutdown waits for admitted work to finish.
-    drain_timeout_s: float = 10.0
     #: Default model-registry reference served to sessions opening the
     #: bare ``LEARNED`` design (``repro serve --model``). Sessions that
     #: pin a model via ``LEARNED@<ref>`` override this per open.
@@ -121,16 +115,12 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if self.batch_max < 1:
-            raise ValueError("batch_max must be >= 1")
 
 
 class _Session:
     """Server-side state of one client session."""
 
-    __slots__ = ("sid", "transport", "controller", "design", "inflight",
+    __slots__ = ("sid", "transport", "controller", "design",
                  "expected_epoch", "closed", "span")
 
     def __init__(self, sid: int, transport: asyncio.Transport, controller, design: str):
@@ -138,8 +128,6 @@ class _Session:
         self.transport = transport
         self.controller = controller
         self.design = design
-        #: Observations admitted to the drain, not yet answered.
-        self.inflight = 0
         #: The only epoch index the next observe may carry.
         self.expected_epoch = 0
         self.closed = False
@@ -162,6 +150,8 @@ class _Connection(asyncio.Protocol):
         self.span: Optional["Span"] = None
         #: Set once the connection is torn down; later bytes are ignored.
         self.ended = False
+        #: Observations admitted from the current read.
+        self.admitted = 0
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport  # type: ignore[assignment]
@@ -173,6 +163,7 @@ class _Connection(asyncio.Protocol):
         service = self.service
         decoder = self.decoder
         decoder.feed(data)
+        self.admitted = 0
         while not self.ended:
             session = self.session
             try:
@@ -184,13 +175,19 @@ class _Connection(asyncio.Protocol):
                 else:
                     service._write(session, error)
                 service._end(self)
-                return
+                break
             if msg is None:
-                return
+                break
             if session is None:
                 service._open(self, msg)
             else:
                 service._handle(self, session, msg)
+        if self.admitted:
+            # One batch per read that admitted work, sized by its count.
+            service.registry.inc("service_batches")
+            service.registry.histogram(
+                "service_batch_size", BATCH_BUCKETS
+            ).observe(self.admitted)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         if not self.ended and self.session is not None and not self.service.draining:
@@ -222,9 +219,6 @@ class DecisionService:
         self.drift = drift
         self._sessions: Dict[int, _Session] = {}
         self._next_sid = 0
-        #: Admitted observations: (session, message, request span).
-        self._pending: Deque[tuple] = deque()
-        self._drain_scheduled = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._health_server: Optional[asyncio.AbstractServer] = None
         self._draining = False
@@ -264,7 +258,7 @@ class DecisionService:
         await self._closed.wait()
 
     async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish admitted work, notify.
+        """Graceful stop: stop accepting, notify every session, close.
 
         Idempotent; a second call awaits the first one's completion.
         """
@@ -275,23 +269,8 @@ class DecisionService:
         if self._server is not None:
             self._server.close()
 
-        deadline = time.monotonic() + self.config.drain_timeout_s
-        while time.monotonic() < deadline:
-            if not self._pending and not any(
-                s.inflight for s in self._sessions.values()
-            ):
-                break
-            await asyncio.sleep(0.01)
-        drained = not self._pending and not any(
-            s.inflight for s in self._sessions.values()
-        )
-        self._pending.clear()  # past the deadline: never decided
-        self.registry.inc(
-            "service_drain_clean" if drained else "service_drain_timeout"
-        )
-
         for session in list(self._sessions.values()):
-            self._write(session, {"type": proto.MSG_SHUTDOWN, "drained": drained})
+            self._write(session, {"type": proto.MSG_SHUTDOWN})
             session.closed = True
             # close() flushes the notice first, without waiting on a
             # wedged consumer here.
@@ -325,9 +304,7 @@ class DecisionService:
         """A frame of ``conn``'s open session."""
         mtype = msg.get("type")
         if mtype == proto.MSG_OBSERVE:
-            self._admit(session, msg)
-        elif mtype == proto.MSG_PING:
-            self._write(session, {"type": proto.MSG_PONG})
+            self._admit(conn, session, msg)
         elif mtype == proto.MSG_CLOSE:
             self._write(session, {"type": proto.MSG_BYE})
             self._end(conn)
@@ -434,13 +411,14 @@ class DecisionService:
         })
         return session
 
-    def _admit(self, session: _Session, msg) -> None:
-        """Queue an observation, or shed it when the session is over cap."""
+    def _admit(self, conn: _Connection, session: _Session, msg) -> None:
+        """Decide and answer an observation, or shed it when the read
+        is over cap."""
         reg = self.registry
         tr = self.tracer
         reg.inc("service_requests")
-        slow = session.transport.get_write_buffer_size() > self.config.write_buffer_limit
-        if self._draining or session.inflight >= self.config.max_inflight or slow:
+        slow = session.transport.get_write_buffer_size() > WRITE_BUFFER_LIMIT
+        if self._draining or conn.admitted >= MAX_INFLIGHT or slow:
             reg.inc("service_shed")
             reason = ("draining" if self._draining
                       else "slow_consumer" if slow else "inflight_cap")
@@ -466,65 +444,30 @@ class DecisionService:
             return
         if self.drift is not None:
             self.drift.observe_shed(False)
-        req_span = None
+        conn.admitted += 1
+        req_span: Optional["Span"] = None
+        dec_span: Optional["Span"] = None
         if tr is not None:
             req_span = tr.start(
                 "request", parent=session.span,
                 session=session.sid, epoch=msg.get("epoch"),
             )
-        session.inflight += 1
-        self._pending.append((session, msg, req_span))
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            asyncio.get_running_loop().call_soon(self._drain)
-
-    def _drain(self) -> None:
-        """Decide every admitted observation, ``batch_max`` per pass.
-
-        Scheduled once per loop iteration that admitted work, so one
-        pass decides for every session whose observation arrived in
-        that iteration - the micro-batching: under concurrent load the
-        per-wakeup cost is shared across sessions.
-        """
-        self._drain_scheduled = False
-        pending = self._pending
-        batch_max = self.config.batch_max
-        while pending:
-            self._decide_batch(
-                [pending.popleft() for _ in range(min(len(pending), batch_max))]
+            dec_span = tr.start("decision", parent=req_span)
+        try:
+            reply = self._decide(session, msg)
+        except Exception as exc:  # never let one request kill the loop
+            reg.inc("service_internal_errors")
+            _log.error(
+                f"internal error deciding for session {session.sid}: {exc}",
+                extra={"session": session.sid},
             )
-
-    def _decide_batch(self, batch: List[tuple]) -> None:
-        """One drain pass: count it, then decide and answer each item."""
-        reg = self.registry
-        tr = self.tracer
-        reg.inc("service_batches")
-        reg.histogram("service_batch_size", BATCH_BUCKETS).observe(len(batch))
-        for session, msg, req_span in batch:
-            dec_span = (
-                tr.start("decision", parent=req_span)
-                if tr is not None and req_span is not None
-                else None
-            )
-            try:
-                reply = self._decide(session, msg)
-            except Exception as exc:  # never let one request kill the drain
-                reg.inc("service_internal_errors")
-                _log.error(
-                    f"internal error deciding for session {session.sid}: {exc}",
-                    extra={"session": session.sid},
-                )
-                reply = {"type": proto.MSG_ERROR, "code": "internal",
-                         "seq": msg.get("seq"), "error": str(exc)}
-            if dec_span is not None:
-                tr.finish(dec_span)
-            session.inflight -= 1
-            self._write(session, reply)
-            if req_span is not None:
-                tr.finish(
-                    req_span,
-                    status=(reply or {}).get("type", "none"),
-                )
+            reply = {"type": proto.MSG_ERROR, "code": "internal",
+                     "seq": msg.get("seq"), "error": str(exc)}
+        if tr is not None and dec_span is not None:
+            tr.finish(dec_span)
+        self._write(session, reply)
+        if tr is not None and req_span is not None:
+            tr.finish(req_span, status=(reply or {}).get("type", "none"))
 
     def _decide(self, session: _Session, msg) -> Optional[Dict[str, object]]:
         """observe() + decide() for one admitted observation."""
@@ -589,9 +532,9 @@ class DecisionService:
     def _write(self, session: _Session, message: Optional[Dict[str, object]]) -> None:
         """Fire-and-forget frame write.
 
-        Deliberately no wait for the transport to flush: the drain must
+        Deliberately no wait for the transport to flush: the loop must
         never block on one slow client. Memory stays bounded because a
-        session whose write buffer grows past ``write_buffer_limit``
+        session whose write buffer grows past :data:`WRITE_BUFFER_LIMIT`
         has its further observations shed rather than answered.
         """
         if message is None or session.closed:

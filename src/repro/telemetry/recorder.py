@@ -12,8 +12,8 @@ Memory is bounded two ways, selectable per use:
 
 * a **ring buffer** (``TelemetryConfig.ring_size``) keeps the most
   recent records in memory for programmatic drill-down; older records
-  are dropped and counted, never re-allocated (``ring_size=None``
-  keeps the whole run instead);
+  are dropped, never re-allocated (``ring_size=None`` keeps the whole
+  run instead);
 * the run's **JSONL stream** (``TelemetryConfig.jsonl_path``), written
   through :class:`~repro.telemetry.schema.JsonlWriter`, receives every
   record as it is produced, so arbitrarily long runs archive fully with
@@ -375,13 +375,6 @@ class EpochTraceRecorder:
             self._writer.write(record)
 
     # ------------------------------------------------------------------
-
-    @property
-    def dropped(self) -> int:
-        """Records evicted from the ring buffer (still in the JSONL)."""
-        return self.total_records - len(
-            [r for r in self.records if r["type"] in ("epoch", "domain")]
-        )
 
     def domain_records(self) -> List[Dict[str, object]]:
         return [r for r in self.records if r.get("type") == "domain"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from typing import List
+from typing import Iterator, List
 
 import pytest
 
@@ -49,22 +49,38 @@ def loop_kernel(loop_program) -> Kernel:
     return Kernel.homogeneous(loop_program, WorkgroupGeometry(4, 2))
 
 
-@pytest.fixture
-def broker_log():
-    """The messages the sweep broker logs during the test, INFO and up."""
-    lines: List[str] = []
+def _collect_log(name: str) -> Iterator[List[logging.LogRecord]]:
+    """The records logger ``name`` emits during a test, INFO and up.
+
+    A handler on the logger itself: the ``repro`` logger stops
+    propagating once ``configure_logging`` has run, so ``caplog`` can
+    miss its records.
+    """
+    records: List[logging.LogRecord] = []
 
     class Collect(logging.Handler):
         def emit(self, record: logging.LogRecord) -> None:
-            lines.append(record.getMessage())
+            records.append(record)
 
-    logger = logging.getLogger("repro.distributed")
+    logger = logging.getLogger(name)
     handler = Collect()
     level = logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.INFO)
     try:
-        yield lines
+        yield records
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
+
+
+@pytest.fixture
+def broker_log():
+    """The records the sweep broker logs during the test."""
+    yield from _collect_log("repro.distributed")
+
+
+@pytest.fixture
+def sweep_log():
+    """The records a sweep's instrumentation logs during the test."""
+    yield from _collect_log("repro.sweep")

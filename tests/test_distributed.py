@@ -337,7 +337,7 @@ class TestEndToEnd:
         assert sum(w.summary.completed for w in workers) == len(tasks)
         assert sorted(c.label for c in h.ex.progress.cells) == sorted(t.label for t in tasks)
         assert [c.source for c in h.ex.progress.cells] == ["remote"] * len(tasks)
-        assert sum(" connected (" in m for m in broker_log) == 2
+        assert sum(" connected (" in r.getMessage() for r in broker_log) == 2
 
     def test_remote_sweep_reuses_cache(self, tmp_path):
         tasks = [task("dgemm", "CRISP"), task("dgemm", "PCSTALL")]

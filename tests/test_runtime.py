@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -508,7 +509,7 @@ class TestBrokeredSweep:
         # Nothing was killed or replaced: each worker timed out, stayed
         # connected, and workers computed every cell's second attempt.
         assert ex.progress.reclaims == 0
-        assert sum(" connected (" in m for m in broker_log) == 2
+        assert sum(" connected (" in r.getMessage() for r in broker_log) == 2
         assert {(c.source, c.attempts) for c in ex.progress.cells} == {("remote", 2)}
 
 
@@ -603,6 +604,16 @@ class TestBrokeredSweep:
             outcomes.append(results)
         assert outcomes[0] == outcomes[1]
         assert multiprocessing.active_children() == []
+
+    def test_a_failed_cell_logs_the_attempts_it_ran(self, sweep_log):
+        """A cell whose error is not worth a retry fails on its first
+        attempt of three: its log record says so, not that a budget ran
+        out."""
+        ex = SweepExecutor(retry=RetryPolicy(on_exhausted="record"))
+        ex.run([make_task("dgemm", "NOSUCHDESIGN")])
+        (record,) = [r for r in sweep_log if r.levelno == logging.ERROR]
+        assert record.getMessage() == "cell dgemm/NOSUCHDESIGN failed after 1 attempt(s)"
+        assert (record.attempts, record.error) == (1, "ValueError")
 
     def test_a_task_without_a_content_key_fails_alike(self):
         """Keys are computed once, before any cell runs, so a task with

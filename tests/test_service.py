@@ -30,6 +30,7 @@ from repro.gpu.cu import CuEpochStats
 from repro.gpu.gpu import EpochResult, WaveEpochRecord
 from repro.runtime.cache import config_hash
 from repro.runtime.executor import RetryPolicy, SweepTask, run_task
+from repro.runtime.wire import FrameDecoder
 from repro.service import protocol as proto
 from repro.service.client import (
     DecisionClient,
@@ -39,7 +40,13 @@ from repro.service.client import (
     check_health,
 )
 from repro.service.replay import load_replay_trace, replay_trace
-from repro.service.server import NON_FINITE_FALLBACKS, DecisionService, ServiceConfig
+from repro.service.server import (
+    MAX_INFLIGHT,
+    NON_FINITE_FALLBACKS,
+    DecisionService,
+    ServiceConfig,
+    _Connection,
+)
 from repro.telemetry.metrics import BATCH_BUCKETS
 from repro.telemetry import EpochTraceRecorder, TelemetryConfig, validate_trace_file
 
@@ -371,7 +378,8 @@ def test_observation_records_validate_and_stay_out_of_ring(tmp_path):
     assert counts["run"] == 1
     # Observations are stream-only: none in the ring, none counted.
     assert not any(r["type"] == "observation" for r in recorder.records)
-    assert recorder.dropped == 0
+    kept = [r for r in recorder.records if r["type"] in ("epoch", "domain")]
+    assert len(kept) == recorder.total_records
 
 
 def test_record_observations_requires_jsonl():
@@ -543,13 +551,12 @@ def test_session_cap_rejects_then_recovers(pcstall_trace):
         handle.stop()
 
 
-def test_ping_and_orderly_close(server, pcstall_trace):
+def test_orderly_close(server, pcstall_trace):
     path, _ = pcstall_trace
     trace = load_replay_trace(path)
     client = DecisionClient(port=server.port).connect()
     client.open_session(trace.design, trace.sim_config_wire,
                         objective=trace.objective)
-    client.ping()
     client.close()
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
@@ -560,8 +567,26 @@ def test_ping_and_orderly_close(server, pcstall_trace):
     assert server.counter("service_disconnects") == 0
 
 
+def test_unknown_message_type_is_an_error_and_the_session_lives_on(
+        server, pcstall_trace):
+    # ``ping`` is not in the vocabulary (``/healthz`` is the liveness
+    # probe); an older client that sends one keeps its session.
+    path, _ = pcstall_trace
+    trace = load_replay_trace(path)
+    sock, _ = open_raw_session(server.port, trace)
+    try:
+        proto.send_frame(sock, {"type": "ping"})
+        reply = proto.recv_frame(sock)
+        assert reply["type"] == "error" and reply["code"] == "unknown_type", reply
+        sock.sendall(observe_frame(trace, 0))
+        reply = proto.recv_frame(sock)
+        assert reply["type"] == "decision" and reply["decision"] == trace.chosen[1]
+    finally:
+        sock.close()
+
+
 # ----------------------------------------------------------------------
-# Framing in the protocol callback, and the micro-batching drain
+# Framing in the protocol callback, each observation decided in its read
 
 def observe_frame(trace, epoch, seq=None):
     obs = trace.observations[epoch]
@@ -592,14 +617,52 @@ def test_frames_delivered_one_byte_at_a_time_are_served(server, pcstall_trace):
         sock.close()
 
 
-def test_observes_arriving_in_one_loop_iteration_share_one_drain_pass(pcstall_trace):
+class RecordingTransport(asyncio.Transport):
+    """A transport that keeps what it is asked to write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.written = bytearray()
+
+    def write(self, data) -> None:
+        self.written += data
+
+    def get_write_buffer_size(self) -> int:
+        return 0
+
+
+def test_an_observation_is_answered_in_the_read_that_delivers_it(pcstall_trace):
+    path, _ = pcstall_trace
+    trace = load_replay_trace(path)
+    open_frame = proto.encode_frame({
+        "type": "open", "protocol": proto.PROTOCOL_VERSION,
+        "design": trace.design, "config": trace.sim_config_wire,
+        "objective": trace.objective,
+    })
+
+    async def one_read() -> bytes:
+        transport = RecordingTransport()
+        conn = _Connection(DecisionService(ServiceConfig(port=0, health_port=None)))
+        conn.connection_made(transport)
+        conn.data_received(open_frame + observe_frame(trace, 0))
+        # Taken while the loop still runs: no later callback may answer.
+        return bytes(transport.written)
+
+    decoder = FrameDecoder()
+    decoder.feed(asyncio.run(one_read()))
+    replies = list(iter(decoder.next_message, None))
+    assert [r["type"] for r in replies] == ["open_ok", "decision"]
+    assert replies[1]["decision"] == trace.chosen[1]
+
+
+def test_observes_arriving_in_one_loop_iteration_are_one_batch_per_read(pcstall_trace):
     handle = ServerHandle(ServiceConfig(port=0, health_port=None))
     try:
         path, _ = pcstall_trace
         trace = load_replay_trace(path)
         socks = [open_raw_session(handle.port, trace)[0] for _ in range(2)]
         batches = handle.service.registry.histogram("service_batch_size", BATCH_BUCKETS)
-        assert batches.total == 0  # opening decides outside the drain
+        assert batches.total == 0  # an open is no batch
 
         # Hold the event loop while both observations land in the
         # server's socket buffers: its next iteration reads both.
@@ -620,8 +683,11 @@ def test_observes_arriving_in_one_loop_iteration_share_one_drain_pass(pcstall_tr
             reply = proto.recv_frame(sock)
             assert reply["type"] == "decision" and reply["decision"] == trace.chosen[1]
             sock.close()
-        assert handle.counter("service_batches") == 1
-        assert (batches.total, batches.sum) == (1, 2.0)
+        # Each session's read is its own batch of one. Shutting down
+        # runs on the loop, so it waits out a read still counting.
+        handle.shutdown()
+        assert handle.counter("service_batches") == 2
+        assert (batches.total, batches.sum) == (2, 2.0)
     finally:
         handle.stop()
 
@@ -689,8 +755,6 @@ def test_non_finite_seq_ends_only_its_session(pcstall_trace, seq_json, codes):
 
         report = replay_trace(path, port=handle.port)
         assert report.bit_identical, report.render()
-        handle.shutdown()
-        assert handle.counter("service_drain_clean") == 1
     finally:
         handle.stop()
 
@@ -722,17 +786,18 @@ def test_served_session_history_stays_bounded(server, pcstall_trace):
 
 
 def test_slow_consumer_is_shed_then_recovers_bit_identical(pcstall_trace):
-    handle = ServerHandle(ServiceConfig(port=0, health_port=None, max_inflight=2))
+    handle = ServerHandle(ServiceConfig(port=0, health_port=None))
     try:
         path, _ = pcstall_trace
         trace = load_replay_trace(path)
         n_epochs = len(trace.observations)
+        assert n_epochs > MAX_INFLIGHT
         sock, open_reply = open_raw_session(handle.port, trace)
         decisions = {0: open_reply["decision"]}
 
-        # One sendall of every observation at once: the reader drains
-        # them from its buffer without yielding to the batch worker, so
-        # everything past the inflight cap is deterministically shed.
+        # One sendall of every observation at once: the server reads
+        # many frames per read, and everything a read delivers past
+        # MAX_INFLIGHT is shed.
         burst = b"".join(
             proto.encode_frame({
                 "type": "observe", "seq": epoch, "epoch": epoch,
@@ -812,8 +877,8 @@ def test_graceful_shutdown_drains_and_notifies(pcstall_trace):
             assert reply is not None and reply["type"] == "decision"
 
         # One more observation in flight while shutdown runs: depending
-        # on timing it is decided (drained), shed as draining, or beaten
-        # by the shutdown notice - all legal; a hang is not.
+        # on timing it is decided, shed, or beaten by the shutdown
+        # notice - all legal; a hang is not.
         obs = trace.observations[3]
         proto.send_frame(sock, {"type": "observe", "seq": 3, "epoch": 3,
                                 "result": obs["result"], "truth": obs["truth"]})
@@ -832,8 +897,6 @@ def test_graceful_shutdown_drains_and_notifies(pcstall_trace):
                 assert reply["type"] == "shed", reply
         sock.close()
         assert saw_shutdown, "clients must be told the server is going away"
-        assert handle.counter("service_drain_clean") == 1
-        assert handle.counter("service_drain_timeout") == 0
     finally:
         handle.stop()
 

@@ -57,8 +57,6 @@ ALLOWED: Dict[str, str] = {
         "the paper's 512 covered instructions",
     "repro.gpu.isa.salu": "instruction factory beside valu, load and store",
     "repro.gpu.kernel.Kernel.total_waves": "kernel size beside its workgroup geometry",
-    "repro.service.client.DecisionClient.ping":
-        "client half of the ping message the server answers",
 }
 
 

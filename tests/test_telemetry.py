@@ -157,7 +157,8 @@ class TestRecorder:
         result = run_sim(telemetry=rec, max_epochs=20)
         rec.close()
         assert len(rec.records) <= 6
-        assert rec.dropped > 0
+        kept = [r for r in rec.records if r["type"] in ("epoch", "domain")]
+        assert len(kept) < rec.total_records  # the ring dropped the rest
         counts = validate_trace_file(path)  # the stream archived fully
         assert counts["epoch"] == result.epochs
 
@@ -167,7 +168,8 @@ class TestRecorder:
         ring = 200 * (N_DOMAINS + 1)
         rec = EpochTraceRecorder(TelemetryConfig(ring_size=ring))
         result = run_sim(telemetry=rec, max_epochs=20)
-        assert rec.dropped == 0
+        kept = [r for r in rec.records if r["type"] in ("epoch", "domain")]
+        assert len(kept) == rec.total_records  # nothing evicted
         assert len([r for r in rec.records if r["type"] == "epoch"]) == result.epochs
         assert all(r["type"] != "pc" for r in rec.records)
         assert any(r["type"] == "pc" for r in rec.final_records)
