@@ -13,6 +13,7 @@ from typing import List, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.core.sensitivity import LinearFit, fit_linear
+from repro.dvfs.oracle import OracleSampler
 from repro.gpu.gpu import Gpu
 from repro.gpu.kernel import Kernel
 
@@ -84,7 +85,9 @@ def linearity_study(
     pending = list(kernels)
     gpu.load_kernel(pending.pop(0))
     epoch_ns = config.dvfs.epoch_ns
+    sampler = OracleSampler(config)
     freqs = sorted(set(config.dvfs.frequencies_ghz) | set(extra_freqs_ghz))
+    uniform = [[f] * len(gpu.domains) for f in freqs]
     wanted = set(sample_epochs)
     out: List[EpochLinearity] = []
 
@@ -94,12 +97,8 @@ def linearity_study(
                 break
             gpu.load_kernel(pending.pop(0))
         if idx in wanted:
-            points: List[Tuple[float, int]] = []
-            for f in freqs:
-                child = gpu.clone()
-                child.set_domain_frequencies([f] * len(child.domains), 0.0)
-                result = child.run_epoch(epoch_ns)
-                points.append((f, result.cu_stats[cu_id].committed))
+            results = sampler.pre_execute(gpu, uniform, epoch_ns)
+            points = [(f, r.cu_stats[cu_id].committed) for f, r in zip(freqs, results)]
             fit = fit_linear([p[0] for p in points], [p[1] for p in points])
             out.append(EpochLinearity(idx, cu_id, tuple(points), fit))
         gpu.run_epoch(epoch_ns)

@@ -112,7 +112,7 @@ def profile_sensitivity(
     pending = [k for k in kernels]
     gpu.load_kernel(pending.pop(0))
     sampler = OracleSampler(config)
-    grid = config.dvfs.frequencies_ghz
+    plan = sampler.sample_plan(len(gpu.domains))
     trace = SensitivityTrace(workload_name or kernels[0].name, config)
 
     for idx in range(max_epochs):
@@ -128,12 +128,9 @@ def profile_sensitivity(
         domain_points: List[List[Tuple[float, int]]] = [
             [] for _ in range(config.gpu.n_domains)
         ]
-        for s in range(len(grid)):
-            child = gpu.clone()
-            freqs = sampler._sample_freqs(s, len(gpu.domains))
-            child.set_domain_frequencies(freqs, transition_latency_ns=0.0)
-            result = child.run_epoch(epoch)
-            for d, commits in enumerate(child.committed_per_domain(result)):
+        results = sampler.pre_execute(gpu, plan, epoch, collect_waves=True)
+        for freqs, result in zip(plan, results):
+            for d, commits in enumerate(gpu.committed_per_domain(result)):
                 domain_points[d].append((freqs[d], commits))
             for cu_id in range(config.gpu.n_cus):
                 f = freqs[cu_id // config.gpu.cus_per_domain]

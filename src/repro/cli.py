@@ -1202,7 +1202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--health-port", type=int, default=DEFAULT_HEALTH_PORT,
                     help="/healthz + /metrics HTTP port (0 = ephemeral, "
                          "-1 = disabled; default %(default)s)")
-    sp.add_argument("--max-sessions", type=int, default=64,
+    sp.add_argument("--max-sessions", type=_at_least_one, default=64,
                     help="admission cap on concurrent sessions "
                          "(default %(default)s)")
     sp.add_argument("--trace", metavar="FILE",
@@ -1233,7 +1233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--port", type=int, default=DEFAULT_PORT)
     sp.add_argument("--timeout", type=float, default=30.0,
                     help="per-reply timeout in seconds (default %(default)s)")
-    sp.add_argument("--retries", type=int, default=5,
+    sp.add_argument("--retries", type=_at_least_one, default=5,
                     help="attempt budget for connects and shed observations "
                          "(default %(default)s)")
     sp.set_defaults(fn=cmd_replay)
@@ -1252,7 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--connect-timeout", type=float, default=30.0,
                     help="how long to keep retrying the initial connect "
                          "(default %(default)s)")
-    sp.add_argument("--max-tasks", type=int, default=None,
+    sp.add_argument("--max-tasks", type=_at_least_one, default=None,
                     help="leave after computing this many cells "
                          "(default: stay until the sweep completes)")
     sp.set_defaults(fn=cmd_worker)

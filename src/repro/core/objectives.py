@@ -96,6 +96,25 @@ class ObjectiveContext:
         return self.score_grid(line, (f_ghz,))[0][2]
 
 
+def _spell(value: float, decimals: int, scale: float = 1.0) -> str:
+    """``value * scale`` as a name parameter that reads back as ``value``.
+
+    A run header records an objective's name, and
+    ``repro.service.protocol.objective_from_name`` rebuilds the
+    objective from it with ``float(text) / scale``. So the name keeps
+    the ``decimals``-place spelling where that reads back (``ENERGY@5%``,
+    ``QOS@1000``, ``STATIC@1.7GHz``) and otherwise spells the value in
+    full (``ENERGY@5.5%``, not ``ENERGY@6%``).
+    """
+    x = value * scale
+    text = f"{x:.{decimals}f}"
+    if float(text) / scale != value:
+        import decimal
+
+        text = format(decimal.Decimal(repr(x)), "f")
+    return text
+
+
 class Objective(abc.ABC):
     """Chooses the operating frequency for the next epoch of one domain."""
 
@@ -119,7 +138,7 @@ class StaticObjective(Objective):
 
     def __init__(self, f_ghz: float) -> None:
         self.f_ghz = f_ghz
-        self.name = f"STATIC@{f_ghz:.1f}GHz"
+        self.name = f"STATIC@{_spell(f_ghz, 1)}GHz"
 
     def choose(self, line, freq_grid, current_f, ctx, domain=0):
         return self.f_ghz
@@ -214,7 +233,7 @@ class PerformanceCapObjective(Objective):
         if not 0.0 <= max_degradation < 1.0:
             raise ValueError("max_degradation must be in [0, 1)")
         self.max_degradation = max_degradation
-        self.name = f"ENERGY@{max_degradation:.0%}"
+        self.name = f"ENERGY@{_spell(max_degradation, 0, 100.0)}%"
 
     def choose(self, line, freq_grid, current_f, ctx, domain=0):
         if line is None:
@@ -247,7 +266,7 @@ class QoSDeadlineObjective(Objective):
         if target_commits_per_epoch <= 0:
             raise ValueError("target must be positive")
         self.target = target_commits_per_epoch
-        self.name = f"QOS@{target_commits_per_epoch:.0f}"
+        self.name = f"QOS@{_spell(target_commits_per_epoch, 0)}"
 
     def choose(self, line, freq_grid, current_f, ctx, domain=0):
         if line is None:

@@ -5,7 +5,8 @@ per-domain frequencies is intractable (10^64 paths for 64 domains x 10
 states). The paper's trick, reproduced here exactly:
 
 1. *Fork*: snapshot the simulator at the epoch boundary
-   (``Gpu.clone()`` - deterministic, so replays are exact).
+   (``Gpu.snapshot()``, restored into a scratch GPU before each sample -
+   deterministic, so replays are exact).
 2. *Pre-execute*: run one sample per frequency state. In sample ``s``,
    domain ``d`` runs at ``grid[(s + stride*d) % len(grid)]`` - the
    frequencies are *shuffled* across domains so that every domain sees
@@ -13,11 +14,15 @@ states). The paper's trick, reproduced here exactly:
    out inter-domain interference bias.
 3. *Fit*: each domain now has one (frequency, commits) point per sample;
    a least-squares line through them is the domain's true sensitivity.
-4. *Re-execute*: the caller rolls back to the snapshot and runs the
-   epoch for real at whatever frequencies the policy under test picked.
+4. *Re-execute*: the forks never touch the caller's GPU, which then
+   runs the epoch for real at whatever frequencies the policy under
+   test picked.
 
 ``validation_accuracy`` reproduces the paper's 97.6% check: how close the
 pre-executed commit counts are to a re-execution at the same frequencies.
+:meth:`OracleSampler.pre_execute` is the program's one fork: the Fig 5
+linearity study and the Fig 6-11 phase profiler pre-execute through it
+too.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
 from repro.core.sensitivity import LinearFit, LinearSensitivity, fit_linear
-from repro.gpu.gpu import Gpu
+from repro.gpu.gpu import EpochResult, Gpu
 
 
 @dataclass(frozen=True)
@@ -66,19 +71,6 @@ class OracleSample:
         return None
 
 
-def _pre_execute_sample(child: Gpu, freqs: List[float], epoch_ns: float) -> List[int]:
-    """Run one pre-execution sample on a fork of the epoch boundary.
-
-    Pre-execution measures workload behaviour, not transition overhead,
-    so the frequency switch is free here.
-    """
-    child.set_domain_frequencies(freqs, transition_latency_ns=0.0)
-    # Only the domain commit totals are consumed, so skip the per-wave
-    # record allocation in every forked pre-execution.
-    result = child.run_epoch(epoch_ns, collect_waves=False)
-    return child.committed_per_domain(result)
-
-
 class OracleSampler:
     """Runs the fork-and-pre-execute sampling for one epoch."""
 
@@ -103,13 +95,6 @@ class OracleSampler:
         self._scratch: Optional[Gpu] = None
         #: Number of :meth:`sample` calls (hot-path profiling).
         self.ctr_samples = 0
-        #: Work done inside discarded pre-execution forks (reference
-        #: engine's clone-per-sample path), absorbed before the clone is
-        #: dropped so both engines account their oracle-side work.
-        self.ctr_fork_cycles = 0
-        self.ctr_fork_scans = 0
-        self.ctr_fork_batched = 0
-        self.ctr_fork_completions = 0
         full = sim_config.dvfs.frequencies_ghz
         if n_sample_freqs is None or n_sample_freqs >= len(full):
             self.sample_grid: Tuple[float, ...] = tuple(full)
@@ -142,65 +127,50 @@ class OracleSampler:
             self._sample_freqs(s, n_domains) for s in range(len(self.sample_grid))
         ]
 
-    def _pre_execute_all(
-        self, gpu: Gpu, epoch: float, all_freqs: List[List[float]]
-    ) -> List[List[int]]:
-        """Per-sample committed-per-domain counts, one row per sample.
+    def pre_execute(
+        self,
+        gpu: Gpu,
+        rows: Sequence[Sequence[float]],
+        epoch_ns: Optional[float] = None,
+        collect_waves: bool = False,
+    ) -> List[EpochResult]:
+        """Fork ``gpu`` at its epoch boundary and run the next epoch once
+        per row of per-domain frequencies; ``gpu`` itself never moves.
 
-        Instead of deep-cloning the GPU for every sample, the epoch
-        boundary is captured once (``Gpu.snapshot``) and replayed into a
-        persistent scratch GPU per sample - identical results, a tiny
-        fraction of the allocation. The reference engine keeps the
-        original clone-per-sample loop so equivalence tests exercise the
-        pre-change behaviour end to end.
+        The boundary is captured once (``Gpu.snapshot``) and restored into
+        the sampler's persistent scratch GPU before each row, so a fork
+        allocates almost nothing. Pre-execution measures workload
+        behaviour, not transition overhead, so each row's frequency
+        switch is free. ``collect_waves`` keeps the per-wave records
+        (the phase profiler reads them; the oracle needs CU totals only).
         """
-        if gpu.config.engine == "reference":  # keep the pre-change path
-            rows = []
-            for freqs in all_freqs:
-                fork = gpu.clone()
-                rows.append(_pre_execute_sample(fork, freqs, epoch))
-                self._absorb_fork(fork)
-            return rows
+        epoch = epoch_ns if epoch_ns is not None else self.config.dvfs.epoch_ns
         snap = gpu.snapshot()
         scratch = self._scratch
         if scratch is None or scratch.config is not snap.config:
-            if scratch is not None:  # keep the retired scratch's work visible
-                self._absorb_fork(scratch)
             scratch = self._scratch = Gpu(snap.config)
-        rows = []
-        for freqs in all_freqs:
+        results = []
+        for freqs in rows:
             scratch.restore(snap)
-            rows.append(_pre_execute_sample(scratch, freqs, epoch))
-        return rows
-
-    def _absorb_fork(self, fork: Gpu) -> None:
-        """Keep a discarded fork's hot-path work counters."""
-        for cu in fork.cus:
-            self.ctr_fork_cycles += cu.ctr_cycles
-            self.ctr_fork_scans += cu.ctr_waves_scanned
-            self.ctr_fork_batched += cu.ctr_batched
-            self.ctr_fork_completions += cu.ctr_completions
+            scratch.set_domain_frequencies(freqs, transition_latency_ns=0.0)
+            results.append(scratch.run_epoch(epoch, collect_waves=collect_waves))
+        return results
 
     def sample(self, gpu: Gpu, epoch_ns: Optional[float] = None) -> OracleSample:
         """Pre-execute the upcoming epoch once per frequency state."""
         self.ctr_samples += 1
-        epoch = epoch_ns if epoch_ns is not None else self.config.dvfs.epoch_ns
-        grid = self.sample_grid
-        n_domains = len(gpu.domains)
-        per_domain: List[List[Tuple[float, int]]] = [[] for _ in range(n_domains)]
+        plan = self.sample_plan(len(gpu.domains))
+        per_domain: List[List[Tuple[float, int]]] = [[] for _ in gpu.domains]
+        for freqs, result in zip(plan, self.pre_execute(gpu, plan, epoch_ns)):
+            for d, commits in enumerate(gpu.committed_per_domain(result)):
+                per_domain[d].append((freqs[d], commits))
 
-        all_freqs = [self._sample_freqs(s, n_domains) for s in range(len(grid))]
-        for freqs, commits in zip(all_freqs, self._pre_execute_all(gpu, epoch, all_freqs)):
-            for d in range(n_domains):
-                per_domain[d].append((freqs[d], commits[d]))
-
-        fits = []
-        for d in range(n_domains):
-            pts = sorted(per_domain[d])
-            fits.append(fit_linear([p[0] for p in pts], [p[1] for p in pts]))
+        points = tuple(tuple(sorted(pts)) for pts in per_domain)
         return OracleSample(
-            points=tuple(tuple(sorted(p)) for p in per_domain),
-            fits=tuple(fits),
+            points=points,
+            fits=tuple(
+                fit_linear([f for f, _ in pts], [c for _, c in pts]) for pts in points
+            ),
         )
 
     def validation_accuracy(
@@ -218,12 +188,9 @@ class OracleSampler:
         frequency that is not on the sample grid: it is never
         pre-executed, so there is nothing to compare it against.
         """
-        epoch = epoch_ns if epoch_ns is not None else self.config.dvfs.epoch_ns
-        sample = self.sample(gpu, epoch)
-        replay = gpu.clone()
-        replay.set_domain_frequencies(list(chosen_freqs), transition_latency_ns=0.0)
-        result = replay.run_epoch(epoch)
-        actual = replay.committed_per_domain(result)
+        sample = self.sample(gpu, epoch_ns)
+        (result,) = self.pre_execute(gpu, [chosen_freqs], epoch_ns)
+        actual = gpu.committed_per_domain(result)
 
         predicted = [sample.commits_at(d, f) for d, f in enumerate(chosen_freqs)]
         if None in predicted:

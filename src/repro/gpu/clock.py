@@ -27,9 +27,6 @@ class ClockDomain:
     frequency_ghz: float
     transitions: int = 0
 
-    def clone(self) -> "ClockDomain":
-        return ClockDomain(self.domain_id, self.cu_ids, self.frequency_ghz, self.transitions)
-
 
 class DomainMap:
     """All V/f domains of the GPU and their current frequencies."""
@@ -52,11 +49,6 @@ class DomainMap:
 
     def frequencies(self) -> List[float]:
         return [d.frequency_ghz for d in self.domains]
-
-    def clone(self) -> "DomainMap":
-        out = DomainMap.__new__(DomainMap)
-        out.domains = [d.clone() for d in self.domains]
-        return out
 
     def capture(self) -> tuple:
         """Flat-tuple snapshot of the mutable per-domain state."""

@@ -258,7 +258,7 @@ class ComputeUnit:
                 heapq.heappush(self._wakeups, (wf.ready_at, wf.age, wf))
 
     def _rebuild_event_state(self) -> None:
-        """Reclassify runnable waves into the two heaps (clone/restore).
+        """Reclassify runnable waves into the two heaps (after a restore).
 
         Valid because heap keys are unique: the next refill merges the
         pools exactly as the original schedule would have.
@@ -819,34 +819,6 @@ class ComputeUnit:
 
     # ------------------------------------------------------------------
     # Snapshot
-
-    def clone(self) -> "ComputeUnit":
-        out = ComputeUnit.__new__(ComputeUnit)
-        out.cu_id = self.cu_id
-        out.config = self.config
-        out.frequency_ghz = self.frequency_ghz
-        out.now = self.now
-        out.epoch_start = self.epoch_start
-        out.waves = [wf.clone() for wf in self.waves]
-        out.pending_workgroups = deque(self.pending_workgroups)
-        out.completions = list(self.completions)
-        out._completion_seq = self._completion_seq
-        out.wave_by_id = {wf.wf_id: wf for wf in out.waves}
-        out.barrier_arrived = dict(self.barrier_arrived)
-        out.wg_alive = dict(self.wg_alive)
-        out._next_age = self._next_age
-        out._next_wf_id = self._next_wf_id
-        out.stats = self.stats.clone()
-        out.last_retire_time = self.last_retire_time
-        out._wave_pos = {wf.wf_id: i for i, wf in enumerate(out.waves)}
-        out._event_engine = self._event_engine
-        out._cycle_now = self.now
-        out._rebuild_event_state()
-        out.ctr_cycles = 0
-        out.ctr_waves_scanned = 0
-        out.ctr_batched = 0
-        out.ctr_completions = 0
-        return out
 
     def capture(self) -> tuple:
         """Flat-tuple snapshot of all mutable state (no object cloning).

@@ -6,9 +6,11 @@ memory subsystem observes requests in near-global-time order, which keeps
 inter-domain contention effects (Section 5.1) intact without a global
 per-cycle event queue.
 
-``Gpu.clone()`` produces a deterministic deep snapshot: running the clone
-and the original with the same frequencies yields bit-identical results.
-This is the substrate for the paper's fork-and-pre-execute oracle.
+``Gpu.snapshot()`` captures the mutable state as flat tuples and
+``Gpu.restore()`` writes it back into a GPU built on the same config:
+running the restored GPU and the original with the same frequencies
+yields bit-identical results. This is the substrate for the paper's
+fork-and-pre-execute oracle.
 """
 
 from __future__ import annotations
@@ -101,8 +103,6 @@ class Gpu:
         self._pending_transitions = 0
         self._next_wg_base = 0
         # Hot-path counters (observational only; see repro.runtime.profiling).
-        self.ctr_clones = 0
-        self.ctr_clone_bytes = 0
         self.ctr_snapshots = 0
         self.ctr_snapshot_bytes = 0
         self.ctr_restores = 0
@@ -268,31 +268,13 @@ class Gpu:
             cu.capture_nbytes() for cu in self.cus
         )
 
-    def clone(self) -> "Gpu":
-        self.ctr_clones += 1
-        self.ctr_clone_bytes += self.state_nbytes()
-        out = Gpu.__new__(Gpu)
-        out.config = self.config
-        out.memory = self.memory.clone()
-        out.cus = [cu.clone() for cu in self.cus]
-        out.domains = self.domains.clone()
-        out.time = self.time
-        out._pending_transitions = self._pending_transitions
-        out._next_wg_base = self._next_wg_base
-        out.ctr_clones = 0
-        out.ctr_clone_bytes = 0
-        out.ctr_snapshots = 0
-        out.ctr_snapshot_bytes = 0
-        out.ctr_restores = 0
-        return out
-
     def snapshot(self) -> GpuSnapshot:
         """Capture the full mutable state as a :class:`GpuSnapshot`.
 
-        Unlike :meth:`clone`, no simulator objects are allocated: the
-        snapshot is flat tuples plus shared immutable references, and
-        :meth:`restore` writes it back into existing objects. This is
-        what makes the oracle's ~10 forks per epoch cheap.
+        No simulator objects are allocated: the snapshot is flat tuples
+        plus shared immutable references, and :meth:`restore` writes it
+        back into existing objects. This is what makes the oracle's ~10
+        forks per epoch cheap.
         """
         cus = tuple(cu.capture() for cu in self.cus)
         snap = GpuSnapshot(

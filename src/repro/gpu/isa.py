@@ -215,10 +215,10 @@ class CompiledProgram:
     event engine's single-wave straight-line batcher may retire
     (VALU/SALU/BRANCH).
 
-    Tables are shared by reference across ``clone()`` and
-    ``snapshot()``/``restore()`` (zero bytes per oracle fork) and
-    compare equal by their source program, so separately-built engines
-    with equal programs still agree on captured state.
+    Tables are shared by reference across ``snapshot()``/``restore()``
+    (zero bytes per oracle fork) and compare equal by their source
+    program, so separately-built engines with equal programs still
+    agree on captured state.
     """
 
     __slots__ = (

@@ -114,17 +114,6 @@ class MemorySubsystem:
 
     # ------------------------------------------------------------------
 
-    def clone(self) -> "MemorySubsystem":
-        out = MemorySubsystem.__new__(MemorySubsystem)
-        out.config = self.config
-        out.bank_busy_until = list(self.bank_busy_until)
-        out.channel_busy_until = list(self.channel_busy_until)
-        out.request_counter = self.request_counter
-        out.thrash_counter = self.thrash_counter
-        out.rate_ema = self.rate_ema
-        out.last_request_ns = self.last_request_ns
-        return out
-
     def capture(self) -> tuple:
         """Flat-tuple snapshot (allocation-free restore, see ``Gpu.snapshot``)."""
         return (

@@ -267,42 +267,15 @@ class Wavefront:
     # ------------------------------------------------------------------
     # Snapshot support
 
-    def clone(self) -> "Wavefront":
-        out = Wavefront.__new__(Wavefront)
-        out.wf_id = self.wf_id
-        out.workgroup_id = self.workgroup_id
-        out.wave_in_group = self.wave_in_group
-        out.code = self.code  # immutable decode table, shared
-        out.pc_idx = self.pc_idx
-        out.loop_counters = dict(self.loop_counters)
-        out.ready_at = self.ready_at
-        out.outstanding = self.outstanding
-        out.outstanding_stores = self.outstanding_stores
-        out.blocked_wait_target = self.blocked_wait_target
-        out.blocked_barrier = self.blocked_barrier
-        out.blocked_since = self.blocked_since
-        out.age = self.age
-        out.done = self.done
-        out.pc_visits = dict(self.pc_visits)
-        out.last_mem_completion = self.last_mem_completion
-        out.committed = self.committed
-        out.stall_ns = self.stall_ns
-        out.store_stall_ns = self.store_stall_ns
-        out.barrier_stall_ns = self.barrier_stall_ns
-        out.leading_load_ns = self.leading_load_ns
-        out.critical_mem_ns = self.critical_mem_ns
-        out.epoch_start_pc_idx = self.epoch_start_pc_idx
-        return out
-
     def capture(self) -> tuple:
         """Flat-tuple snapshot of all mutable state.
 
-        Unlike :meth:`clone`, no ``Wavefront`` object is allocated: the
-        snapshot is a plain tuple of scalars plus shared references to
-        the immutable :class:`~repro.gpu.isa.Program`. The oracle uses
-        this to fork an epoch many times from one capture (see
-        ``Gpu.snapshot``). Restoring into an existing wavefront via
-        :meth:`restore_capture` allocates only the two small dicts.
+        No ``Wavefront`` object is allocated: the snapshot is a plain
+        tuple of scalars plus shared references to the immutable
+        :class:`~repro.gpu.isa.Program`. The oracle uses this to fork an
+        epoch many times from one capture (see ``Gpu.snapshot``).
+        Restoring into an existing wavefront via :meth:`restore_capture`
+        allocates only the two small dicts.
         """
         return (
             self.wf_id,

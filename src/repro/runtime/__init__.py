@@ -19,7 +19,7 @@
   and failure; cache hits and misses, worker utilisation and the
   summed hot-path counters are read off those records.
 * :mod:`repro.runtime.profiling` collects the simulator's hot-path event
-  counters (waves scanned, clones taken, bytes snapshotted, ...).
+  counters (waves scanned, snapshots taken and their bytes, ...).
 """
 
 from typing import TYPE_CHECKING

@@ -13,8 +13,8 @@ model) and this module collects and merges those counters:
 * ``batched_instructions``   - instructions retired through the
   single-wave straight-line batch path (no per-cycle rescan at all).
 * ``completions_delivered``  - memory completions delivered to waves.
-* ``clones`` / ``clone_bytes``         - deep ``Gpu.clone()`` traffic.
-* ``snapshots`` / ``snapshot_bytes``   - flat ``Gpu.snapshot()`` traffic.
+* ``snapshots`` / ``snapshot_bytes``   - ``Gpu.snapshot()`` traffic (one
+  per oracle fork).
 * ``restores``               - snapshot replays into the scratch GPU.
 * ``oracle_samples``         - fork-and-pre-execute rounds.
 * ``oracle_cycles``          - scheduler steps spent inside pre-execution.
@@ -41,8 +41,6 @@ class HotPathCounters:
     waves_scanned: int = 0
     batched_instructions: int = 0
     completions_delivered: int = 0
-    clones: int = 0
-    clone_bytes: int = 0
     snapshots: int = 0
     snapshot_bytes: int = 0
     restores: int = 0
@@ -62,8 +60,6 @@ class HotPathCounters:
 def collect_gpu(gpu) -> HotPathCounters:
     """Harvest the counters of one :class:`~repro.gpu.gpu.Gpu`."""
     out = HotPathCounters(
-        clones=gpu.ctr_clones,
-        clone_bytes=gpu.ctr_clone_bytes,
         snapshots=gpu.ctr_snapshots,
         snapshot_bytes=gpu.ctr_snapshot_bytes,
         restores=gpu.ctr_restores,
@@ -87,12 +83,6 @@ def collect_hotpath(gpu, sampler=None) -> Dict[str, int]:
     out = collect_gpu(gpu)
     if sampler is not None:
         out.oracle_samples = getattr(sampler, "ctr_samples", 0)
-        # Work done in discarded forks (reference clone-per-sample path,
-        # or a retired scratch GPU), absorbed by the sampler.
-        out.oracle_cycles += getattr(sampler, "ctr_fork_cycles", 0)
-        out.waves_scanned += getattr(sampler, "ctr_fork_scans", 0)
-        out.batched_instructions += getattr(sampler, "ctr_fork_batched", 0)
-        out.completions_delivered += getattr(sampler, "ctr_fork_completions", 0)
         scratch = getattr(sampler, "_scratch", None)
         if scratch is not None:
             side = collect_gpu(scratch)

@@ -67,7 +67,7 @@ from repro.obs.prom import CONTENT_TYPE, render_prometheus
 from repro.runtime.cache import config_hash
 from repro.runtime.wire import FrameDecoder
 from repro.service import protocol as proto
-from repro.telemetry.metrics import BATCH_BUCKETS, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.schema import build_meta
 
 if TYPE_CHECKING:
@@ -83,6 +83,10 @@ NON_FINITE_FALLBACKS = "service_decision_fallbacks_non_finite_line"
 #: Most observations one read admits from its session; the rest of the
 #: read is shed (backpressure to the client, not memory growth).
 MAX_INFLIGHT = 8
+
+#: ``service_batch_size`` bounds: the powers of two up to MAX_INFLIGHT,
+#: the most one read (one batch) can admit.
+BATCH_BUCKETS = tuple(float(1 << i) for i in range(MAX_INFLIGHT.bit_length()))
 
 #: Transport write-buffer bytes beyond which a session counts as a slow
 #: consumer and its observations are shed.

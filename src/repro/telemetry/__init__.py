@@ -32,13 +32,7 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.telemetry.accuracy import AccuracyReport, percentile
     from repro.telemetry.exporters import perfetto_trace, save_perfetto_json
-    from repro.telemetry.metrics import (
-        BATCH_BUCKETS,
-        Counter,
-        Gauge,
-        Histogram,
-        MetricsRegistry,
-    )
+    from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
     from repro.telemetry.recorder import EpochTraceRecorder, PcErrorStat, TelemetryConfig
     from repro.telemetry.schema import (
         TRACE_SCHEMA_VERSION,
@@ -55,7 +49,7 @@ if TYPE_CHECKING:
 __getattr__, __dir__ = lazy_exports(__name__, {
     "accuracy": ("AccuracyReport", "percentile"),
     "exporters": ("perfetto_trace", "save_perfetto_json"),
-    "metrics": ("BATCH_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
     "recorder": ("EpochTraceRecorder", "PcErrorStat", "TelemetryConfig"),
     "schema": ("TRACE_SCHEMA_VERSION", "build_meta", "check_meta", "epoch_result_to_wire",
                "load_trace_jsonl", "sim_config_to_wire", "trace_meta", "validate_records",
@@ -74,7 +68,6 @@ __all__ = [
     "EpochTraceRecorder",
     "PcErrorStat",
     "TelemetryConfig",
-    "BATCH_BUCKETS",
     "TRACE_SCHEMA_VERSION",
     "build_meta",
     "check_meta",

@@ -27,10 +27,6 @@ RATIO_BUCKETS: Tuple[float, ...] = (
     0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0,
 )
 
-#: Default histogram bounds for small batch sizes (the observations one
-#: read delivers to the decision service): powers of two.
-BATCH_BUCKETS: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
 
 @dataclass
 class Counter:
@@ -144,6 +140,5 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "BATCH_BUCKETS",
     "RATIO_BUCKETS",
 ]

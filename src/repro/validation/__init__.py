@@ -9,7 +9,8 @@ imported by the simulation itself):
   artifacts and return structured :class:`Violation` records.
 * :mod:`repro.validation.differential` - config-driven cross-checkers
   for the repo's bit-exactness claims: event vs reference engine,
-  serial vs parallel sweeps, snapshot-fork vs clone oracle paths.
+  serial vs parallel sweeps, snapshot-fork oracle vs replay from
+  scratch.
 
 :mod:`repro.validation.check` wires both into the ``repro check`` CLI
 command.

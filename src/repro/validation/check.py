@@ -5,8 +5,8 @@ with telemetry attached, audits every artifact the run produced
 (:func:`~repro.validation.invariants.audit_run_result`, the controller
 log, the PC tables, the epoch record stream), then exercises the three
 differential pairs from :mod:`repro.validation.differential` (event vs
-reference engine, serial vs parallel sweep, snapshot-fork vs clone
-oracle). Everything lands in one :class:`CheckReport`; ``repro check``
+reference engine, serial vs parallel sweep, snapshot-fork oracle vs
+replay from scratch). Everything lands in one :class:`CheckReport`; ``repro check``
 exits nonzero iff ``report.ok`` is false.
 
 Two presets: the default (two workloads at CI-smoke scale) and
@@ -222,7 +222,7 @@ def run_check(
     say(f"differential: serial vs parallel sweep ({len(tasks)} cell(s))")
     report.differentials += sweep_differential(tasks, workers=cfg.sweep_workers)
 
-    say("differential: snapshot-fork vs clone oracle")
+    say("differential: snapshot-fork oracle vs replay")
     from repro.workloads import build_workload, workload
 
     kernels = build_workload(workload(cfg.workloads[0]), scale=cfg.scale)

@@ -8,9 +8,9 @@ two implementations of the same computation:
   exactly (PR 2's golden-baseline contract);
 * **sweep parallelism** - fanning sweep cells across worker processes
   must never change a number vs the serial path (PR 1/4);
-* **oracle fork** - the snapshot/restore fast path of the
-  fork-and-pre-execute oracle must produce the same sample points and
-  fitted truth lines as the original clone-per-sample loop (PR 2).
+* **oracle fork** - the oracle's snapshot/restore fork must produce
+  the same sample points as re-simulating the run up to the epoch
+  boundary from scratch, once per sample.
 
 Each checker here runs both sides from the same inputs and diffs the
 outcomes field by field, producing a :class:`DiffReport` whose
@@ -215,24 +215,10 @@ def sweep_differential(
     return reports
 
 
-def oracle_fork_differential(
-    kernels: Sequence[Kernel],
-    config: SimConfig,
-    subject: str = "",
-    n_sample_freqs: Optional[int] = 4,
-    warmup_epochs: int = 3,
-) -> DiffReport:
-    """Snapshot/restore oracle forking vs the clone-per-sample loop.
-
-    Warms a GPU up for a few epochs, then pre-executes the next epoch's
-    sample plan twice: through :meth:`OracleSampler.sample` (which on
-    the event engine uses the one-snapshot-N-restores scratch path) and
-    through an independent clone-per-sample loop reproducing the
-    original fork semantics. The per-domain sample points and fitted
-    truth lines must be identical.
-    """
-    sampler = OracleSampler(config, n_sample_freqs=n_sample_freqs)
-    epoch_ns = config.dvfs.epoch_ns
+def _warmed_up_gpu(
+    kernels: Sequence[Kernel], config: SimConfig, warmup_epochs: int
+) -> Gpu:
+    """A fresh GPU run ``warmup_epochs`` epochs into ``kernels``."""
     gpu = Gpu(config.gpu, initial_freq_ghz=config.dvfs.reference_freq_ghz)
     pending = list(kernels)
     gpu.load_kernel(pending.pop(0))
@@ -241,32 +227,48 @@ def oracle_fork_differential(
             if not pending:
                 break
             gpu.load_kernel(pending.pop(0))
-        gpu.run_epoch(epoch_ns)
+        gpu.run_epoch(config.dvfs.epoch_ns)
+    return gpu
 
+
+def oracle_fork_differential(
+    kernels: Sequence[Kernel],
+    config: SimConfig,
+    subject: str = "",
+    n_sample_freqs: Optional[int] = 4,
+    warmup_epochs: int = 3,
+) -> DiffReport:
+    """Snapshot/restore oracle forking vs re-simulation from scratch.
+
+    Warms a GPU up for a few epochs, then pre-executes the next epoch's
+    sample plan through :meth:`OracleSampler.sample` (one snapshot,
+    restored into the scratch GPU per sample). The golden side shares
+    no copy code with it: for every sample it re-simulates the warm-up
+    on a fresh GPU and runs the epoch there. The per-domain sample
+    points must be identical.
+    """
+    sampler = OracleSampler(config, n_sample_freqs=n_sample_freqs)
+    epoch_ns = config.dvfs.epoch_ns
+    gpu = _warmed_up_gpu(kernels, config, warmup_epochs)
     fast = sampler.sample(gpu, epoch_ns)
 
-    # The golden path: one deep clone per sample, no shared scratch.
-    n_domains = len(gpu.domains)
     mismatches: List[FieldMismatch] = []
-    for s, freqs in enumerate(sampler.sample_plan(n_domains)):
-        fork = gpu.clone()
-        fork.set_domain_frequencies(freqs, transition_latency_ns=0.0)
-        result = fork.run_epoch(epoch_ns)
-        commits = fork.committed_per_domain(result)
-        for d in range(n_domains):
+    for s, freqs in enumerate(sampler.sample_plan(len(gpu.domains))):
+        replay = _warmed_up_gpu(kernels, config, warmup_epochs)
+        replay.set_domain_frequencies(freqs, transition_latency_ns=0.0)
+        commits = replay.committed_per_domain(replay.run_epoch(epoch_ns))
+        for d, got in enumerate(commits):
             expected = fast.commits_at(d, freqs[d])
-            if expected != commits[d]:
+            if expected != got:
                 mismatches.append(
                     FieldMismatch(
-                        f"sample[{s}].domain[{d}]@{freqs[d]:.2f}GHz",
-                        expected,
-                        commits[d],
+                        f"sample[{s}].domain[{d}]@{freqs[d]:.2f}GHz", expected, got
                     )
                 )
     return DiffReport(
         name="oracle-fork",
         subject=subject or "oracle",
-        sides=("snapshot-fork", "clone"),
+        sides=("snapshot-fork", "replay"),
         mismatches=mismatches,
     )
 

@@ -94,6 +94,18 @@ class TestEveryFlagActs:
         assert excinfo.value.code == 2
         assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["replay", "trace.jsonl", "--retries"],
+        ["serve", "--max-sessions"],
+        ["worker", "--connect", "127.0.0.1:1", "--max-tasks"],
+    ], ids=lambda argv: argv[-1])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_counts_below_one_are_argparse_errors(self, argv, count, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, count])
+        assert excinfo.value.code == 2
+        assert f"{argv[-1]}: must be at least 1, got {count}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["cap", "capx", "edxp", "cap150"])
     def test_malformed_objective_is_an_argparse_error(self, name, capsys):
         with pytest.raises(SystemExit) as excinfo:

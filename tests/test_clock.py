@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import GpuConfig, MemoryConfig
-from repro.gpu.clock import ClockDomain, DomainMap
+from repro.gpu.clock import DomainMap
 
 
 def make_map(n_cus=4, per=2, f=1.7):
@@ -29,13 +29,17 @@ class TestDomainMap:
 
     def test_clone_independent(self):
         dm = make_map()
-        c = dm.clone()
+        c = make_map(f=1.3)
+        c.restore_capture(dm.capture())
+        assert c.frequencies() == [1.7, 1.7]
         c[0].frequency_ghz = 2.2
         c[0].transitions = 5
         assert dm[0].frequency_ghz == pytest.approx(1.7)
         assert dm[0].transitions == 0
 
     def test_transitions_counter(self):
-        d = ClockDomain(0, (0,), 1.7)
-        d.transitions += 1
-        assert d.clone().transitions == 1
+        dm = make_map()
+        dm[0].transitions += 1
+        c = make_map()
+        c.restore_capture(dm.capture())
+        assert [d.transitions for d in c] == [1, 0]

@@ -5,7 +5,7 @@ arrays while the reference engine keeps dataclass decode, so the
 engine-equivalence suite already proves the two decode paths agree on
 timing. These tests pin the table itself: round-tripping back to the
 exact instruction list for arbitrary programs, structural sharing
-across clone/snapshot, and stable cache keys.
+across snapshot/restore, and stable cache keys.
 """
 
 import pickle
@@ -64,9 +64,10 @@ class TestIdentityAndSharing:
         gpu.run_epoch(500.0)
         tables = {id(wf.code) for cu in gpu.cus for wf in cu.waves}
         assert len(tables) == 1
-        clone = gpu.clone()
-        assert {id(wf.code) for cu in clone.cus for wf in cu.waves} == tables
         snap = gpu.snapshot()
+        clone = Gpu(cfg.gpu)
+        clone.restore(snap)
+        assert {id(wf.code) for cu in clone.cus for wf in cu.waves} == tables
         gpu.run_epoch(500.0)
         before = [wf for cu in gpu.cus for wf in cu.waves]
         gpu.restore(snap)

@@ -237,6 +237,15 @@ class TestResidencyStructures:
         assert (cu.stats.committed, [w.pc_idx for w in cu.waves], cu.now) == first
 
 
+def restored(cu, mem):
+    """Clones of ``cu`` and ``mem``: fresh ones restored from their captures."""
+    cu2 = ComputeUnit(cu.cu_id, cu.config)
+    cu2.restore_capture(cu.capture())
+    mem2 = MemorySubsystem(mem.config)
+    mem2.restore_capture(mem.capture())
+    return cu2, mem2
+
+
 class TestClone:
     def test_clone_runs_identically(self):
         b = ProgramBuilder()
@@ -248,7 +257,7 @@ class TestClone:
         enqueue(cu, prog, n_waves=3)
         cu.begin_epoch(0.0)
         cu.run_until(700.0, mem)
-        cu2, mem2 = cu.clone(), mem.clone()
+        cu2, mem2 = restored(cu, mem)
         cu.run_until(1500.0, mem)
         cu2.run_until(1500.0, mem2)
         assert cu.stats.committed == cu2.stats.committed
@@ -258,6 +267,7 @@ class TestClone:
         cu, mem = make_cu()
         enqueue(cu, compute_program(100), n_waves=2)
         cu.begin_epoch(0.0)
-        snap = cu.clone()
+        snap, _ = restored(cu, mem)
         cu.run_until(1000.0, mem)
         assert snap.stats.committed == 0
+        assert all(wf.committed == 0 for wf in snap.waves)

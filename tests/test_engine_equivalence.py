@@ -246,9 +246,9 @@ class TestScanReduction:
             scans[cfg.gpu.engine] = r.hotpath["waves_scanned"]
         assert scans["reference"] >= 3 * scans["event"]
 
-    def test_event_engine_clones_nothing_per_sample(self):
-        """Oracle sampling restores into a persistent scratch GPU: zero
-        clone bytes, while the reference path clones per sample."""
+    def test_both_engines_take_one_snapshot_per_oracle_sample(self):
+        """Both engines fork the oracle alike: one snapshot of the parent
+        per sample, restored into the scratch GPU once per sampled row."""
         hot = {}
         for cfg in engine_pair(small_config(n_cus=2, waves_per_cu=4)):
             kernels = build_workload(workload("comd"), scale=0.15)
@@ -258,9 +258,10 @@ class TestScanReduction:
                 collect_accuracy=True, max_epochs=20, oracle_sample_freqs=3,
             )
             hot[cfg.gpu.engine] = sim.run().hotpath
-        assert hot["event"]["clone_bytes"] == 0
-        assert hot["event"]["snapshot_bytes"] > 0
-        assert hot["reference"]["clone_bytes"] > hot["event"]["snapshot_bytes"]
+        for engine, hp in hot.items():
+            assert hp["snapshots"] == hp["oracle_samples"] > 0, engine
+            assert hp["restores"] == 3 * hp["oracle_samples"], engine
+        assert hot["event"]["snapshot_bytes"] == hot["reference"]["snapshot_bytes"] > 0
 
 
 class TestEngineConfig:

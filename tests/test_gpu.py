@@ -125,11 +125,18 @@ class TestDomains:
         assert sum(per_domain) == r.total_committed()
 
 
+def restored(gpu):
+    """A clone of ``gpu``: a fresh GPU restored from its snapshot."""
+    twin = Gpu(gpu.config)
+    twin.restore(gpu.snapshot())
+    return twin
+
+
 class TestSnapshot:
     def test_clone_replays_bit_identically(self, quad_config):
         gpu = loaded_gpu(quad_config, trips=500)
         gpu.run_epoch(1000.0)
-        snap = gpu.clone()
+        snap = restored(gpu)
         a = gpu.run_epoch(1000.0)
         b = snap.run_epoch(1000.0)
         assert [s.committed for s in a.cu_stats] == [s.committed for s in b.cu_stats]
@@ -138,7 +145,7 @@ class TestSnapshot:
     def test_clone_with_different_frequency_diverges(self, quad_config):
         gpu = loaded_gpu(quad_config, trips=5000)
         gpu.run_epoch(1000.0)
-        snap = gpu.clone()
+        snap = restored(gpu)
         snap.set_domain_frequencies([2.2] * 4)
         a = gpu.run_epoch(1000.0)
         b = snap.run_epoch(1000.0)
@@ -147,6 +154,6 @@ class TestSnapshot:
     def test_clone_does_not_mutate_original(self, tiny_config):
         gpu = loaded_gpu(tiny_config)
         t = gpu.time
-        snap = gpu.clone()
+        snap = restored(gpu)
         snap.run_epoch(1000.0)
         assert gpu.time == t

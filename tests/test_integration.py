@@ -133,7 +133,8 @@ class TestRandomPrograms:
         gpu = Gpu(cfg.gpu, freq)
         gpu.load_kernel(Kernel.homogeneous(program, WorkgroupGeometry(2, 2)))
         gpu.run_epoch(500.0)
-        snap = gpu.clone()
+        snap = Gpu(cfg.gpu)
+        snap.restore(gpu.snapshot())
         a = gpu.run_epoch(700.0)
         b = snap.run_epoch(700.0)
         assert [s.committed for s in a.cu_stats] == [s.committed for s in b.cu_stats]

@@ -104,18 +104,27 @@ class TestThrash:
         assert mem.thrash_degradation() <= 0.6 + 1e-9
 
 
+def restored(mem):
+    """A clone of ``mem``: a fresh memory system restored from its capture."""
+    twin = MemorySubsystem(mem.config)
+    twin.restore_capture(mem.capture())
+    return twin
+
+
 class TestClone:
     def test_clone_replays_identically(self):
         mem = make_mem(n_l2_banks=2)
         for i in range(10):
             mem.request(i * 3.0, l2_hit=(i % 2 == 0), bank_key=i)
-        snap = mem.clone()
+        snap = restored(mem)
         a = [mem.request(100.0 + i, l2_hit=True, bank_key=i) for i in range(5)]
         b = [snap.request(100.0 + i, l2_hit=True, bank_key=i) for i in range(5)]
         assert a == b
 
     def test_clone_is_independent(self):
         mem = make_mem()
-        snap = mem.clone()
         mem.request(0.0, l2_hit=True, bank_key=0)
-        assert snap.request_counter == 0
+        snap = restored(mem)
+        mem.request(1.0, l2_hit=True, bank_key=1)
+        assert snap.request_counter == 1
+        assert snap.bank_busy_until != mem.bank_busy_until

@@ -100,11 +100,27 @@ class TestSampling:
 
     def test_sampling_does_not_disturb_parent(self, tiny_config):
         gpu = make_gpu(tiny_config)
-        before = gpu.clone()
+        fresh = make_gpu(tiny_config)  # the same run, never forked
         OracleSampler(tiny_config, n_sample_freqs=4).sample(gpu)
-        a = gpu.run_epoch(1000.0)
-        b = before.run_epoch(1000.0)
-        assert [s.committed for s in a.cu_stats] == [s.committed for s in b.cu_stats]
+        assert gpu.run_epoch(1000.0) == fresh.run_epoch(1000.0)
+
+    @pytest.mark.parametrize("engine", ["event", "reference"])
+    def test_pre_execute_forks_without_moving_the_parent(self, tiny_config, engine):
+        """Each row's result is the epoch a fresh replay of the run
+        makes at that row's frequencies, and the parent's next real
+        epoch is the one it would have run unforked."""
+        from dataclasses import replace as dc_replace
+
+        cfg = dc_replace(tiny_config, gpu=dc_replace(tiny_config.gpu, engine=engine))
+        gpu = make_gpu(cfg)
+        rows = [[1.3, 2.2], [2.2, 1.3], [1.7, 1.7]]
+        results = OracleSampler(cfg).pre_execute(gpu, rows, 1000.0, collect_waves=True)
+        for freqs, result in zip(rows, results):
+            replay = make_gpu(cfg)
+            replay.set_domain_frequencies(freqs, transition_latency_ns=0.0)
+            assert result == replay.run_epoch(1000.0)
+        assert results[0].wave_records  # the profiler reads these
+        assert gpu.run_epoch(1000.0) == make_gpu(cfg).run_epoch(1000.0)
 
     def test_commits_at_returns_exact_point(self, tiny_config):
         gpu = make_gpu(tiny_config)
@@ -178,8 +194,8 @@ class TestSnapshotProtocol:
         assert snap.nbytes > 0
 
     def test_snapshot_sampling_matches_clone_sampling(self, tiny_config):
-        """The scratch-restore serial path must produce the same points
-        as the pre-change clone-per-sample loop (reference engine)."""
+        """Both engines fork by snapshot and restore; their sample
+        points must agree (the engines' own equivalence, forked)."""
         from dataclasses import replace as dc_replace
 
         points = {}
@@ -197,9 +213,9 @@ class TestSnapshotProtocol:
         sampler.sample(gpu)
         sampler.sample(gpu)
         assert sampler.ctr_samples == 2
-        # Serial event-engine sampling snapshots the parent; it never clones.
+        # One snapshot of the parent per sample, one restore per row.
         assert gpu.ctr_snapshots == 2
-        assert gpu.ctr_clones == 0
+        assert gpu.ctr_restores == 0
         assert sampler._scratch is not None
         assert sampler._scratch.ctr_restores == 6
 

@@ -3,7 +3,7 @@
 The full evaluation at paper scale takes minutes per run; these tests
 only verify the machinery holds together at that geometry: dispatch,
 epoch stepping, domain mapping at 32-CU granularity, and the oracle's
-clone determinism with 64 domains.
+snapshot/restore determinism with 64 domains.
 """
 
 import pytest
@@ -47,7 +47,8 @@ class TestPaperScale:
 
     def test_clone_determinism_at_scale(self, paper_gpu):
         cfg, gpu = paper_gpu
-        snap = gpu.clone()
+        snap = Gpu(cfg.gpu)
+        snap.restore(gpu.snapshot())
         a = gpu.run_epoch(cfg.dvfs.epoch_ns)
         b = snap.run_epoch(cfg.dvfs.epoch_ns)
         assert [s.committed for s in a.cu_stats] == [s.committed for s in b.cu_stats]

@@ -17,10 +17,10 @@ from helpers import make_loop_program
 class TestHotPathCounters:
     def test_merge_adds_fieldwise(self):
         a = HotPathCounters(cycles=3, waves_scanned=10)
-        a.merge({"cycles": 2, "clone_bytes": 7})
+        a.merge({"cycles": 2, "snapshot_bytes": 7})
         assert a.cycles == 5
         assert a.waves_scanned == 10
-        assert a.clone_bytes == 7
+        assert a.snapshot_bytes == 7
 
 
 class TestCollection:
@@ -45,17 +45,15 @@ class TestCollection:
         assert hp["oracle_samples"] == 0
         assert hp["cycles"] == collect_gpu(gpu).cycles
 
-    def test_clone_and_snapshot_byte_accounting(self, tiny_config):
+    def test_snapshot_byte_accounting(self, tiny_config):
         gpu = Gpu(tiny_config.gpu)
         gpu.load_kernel(
             Kernel.homogeneous(make_loop_program(trips=200), WorkgroupGeometry(4, 2))
         )
         gpu.run_epoch(1000.0)
-        gpu.clone()
         snap = gpu.snapshot()
-        assert gpu.ctr_clones == 1
-        assert gpu.ctr_clone_bytes >= gpu.ctr_snapshot_bytes > 0
-        assert snap.nbytes == gpu.ctr_snapshot_bytes
+        assert gpu.ctr_snapshots == 1
+        assert snap.nbytes == gpu.ctr_snapshot_bytes == gpu.state_nbytes() > 0
 
 
 class TestSweepAggregation:
@@ -66,11 +64,11 @@ class TestSweepAggregation:
         )
         instr.record_cell(
             CellRecord("b/X", 1.0, SOURCE_SERIAL,
-                       hotpath={"cycles": 7, "clones": 2, "not_a_counter": 99})
+                       hotpath={"cycles": 7, "snapshots": 2, "not_a_counter": 99})
         )
         totals = instr.hotpath_totals()
         assert totals["cycles"] == 12
-        assert totals["clones"] == 2
+        assert totals["snapshots"] == 2
         # Every counter, in field order; unknown keys are ignored.
         assert list(totals) == list(HotPathCounters().as_dict())
         assert "hotpath: cycles" in instr.summary()
@@ -130,19 +128,18 @@ class TestCli:
 #: ``capture_nbytes``' estimate of what a snapshot holds, not work done).
 PINNED_FIELDS = (
     "cycles", "waves_scanned", "batched_instructions", "completions_delivered",
-    "clones", "clone_bytes", "snapshots", "snapshot_bytes", "restores",
-    "oracle_samples", "oracle_cycles",
+    "snapshots", "snapshot_bytes", "restores", "oracle_samples", "oracle_cycles",
 )
 PINNED_HOTPATH = {
-    "xsbench/STATIC@1.7": (23819, 8749, 1875, 3840, 0, 0, 0, 0, 0, 0, 0),
-    "xsbench/PCSTALL": (23655, 8810, 1814, 3840, 0, 0, 0, 0, 0, 0, 0),
-    "xsbench/ORACLE": (23675, 43741, 9522, 19228, 0, 0, 25, 601400, 100, 25, 95523),
-    "dgemm/STATIC@1.7": (12468, 15537, 56, 272, 0, 0, 0, 0, 0, 0, 0),
-    "dgemm/PCSTALL": (11572, 15534, 57, 272, 0, 0, 0, 0, 0, 0, 0),
-    "dgemm/ORACLE": (11064, 73620, 217, 1315, 0, 0, 2, 16112, 8, 2, 42056),
-    "comd/STATIC@1.7": (23272, 18293, 2155, 2432, 0, 0, 0, 0, 0, 0, 0),
-    "comd/PCSTALL": (22388, 18522, 1926, 2432, 0, 0, 0, 0, 0, 0, 0),
-    "comd/ORACLE": (22851, 94253, 12294, 12801, 0, 0, 7, 122544, 28, 7, 98228),
+    "xsbench/STATIC@1.7": (23819, 8749, 1875, 3840, 0, 0, 0, 0, 0),
+    "xsbench/PCSTALL": (23655, 8810, 1814, 3840, 0, 0, 0, 0, 0),
+    "xsbench/ORACLE": (23675, 43741, 9522, 19228, 25, 601400, 100, 25, 95523),
+    "dgemm/STATIC@1.7": (12468, 15537, 56, 272, 0, 0, 0, 0, 0),
+    "dgemm/PCSTALL": (11572, 15534, 57, 272, 0, 0, 0, 0, 0),
+    "dgemm/ORACLE": (11064, 73620, 217, 1315, 2, 16112, 8, 2, 42056),
+    "comd/STATIC@1.7": (23272, 18293, 2155, 2432, 0, 0, 0, 0, 0),
+    "comd/PCSTALL": (22388, 18522, 1926, 2432, 0, 0, 0, 0, 0),
+    "comd/ORACLE": (22851, 94253, 12294, 12801, 7, 122544, 28, 7, 98228),
 }
 PINNED_DIGEST = "ab219d1069652bdc5f8e383eea179291499b92ffa49ed687e949f5329ac6bf78"
 

@@ -433,12 +433,12 @@ class TestMetricsSink:
         ``hotpath_totals()``."""
         prog = SweepInstrumentation()
         prog.record_cell(
-            CellRecord("a/b", 0.0, "serial", hotpath={"cycles": 3, "clones": 2})
+            CellRecord("a/b", 0.0, "serial", hotpath={"cycles": 3, "snapshots": 2})
         )
         prog.record_cell(CellRecord("c/d", 0.0, "serial", hotpath={"cycles": 4}))
         hotpath = prog.hotpath_totals()
         assert hotpath["cycles"] == 7
-        assert hotpath["clones"] == 2
+        assert hotpath["snapshots"] == 2
 
 
 class TestRetryPolicy:

@@ -28,8 +28,9 @@ from repro.core.sensitivity import LinearSensitivity
 from repro.dvfs.designs import make_controller
 from repro.gpu.cu import CuEpochStats
 from repro.gpu.gpu import EpochResult, WaveEpochRecord
-from repro.runtime.cache import config_hash
+from repro.runtime.cache import config_hash, describe_objective
 from repro.runtime.executor import RetryPolicy, SweepTask, run_task
+from repro.obs.prom import parse_exposition
 from repro.runtime.wire import FrameDecoder
 from repro.service import protocol as proto
 from repro.service.client import (
@@ -41,13 +42,13 @@ from repro.service.client import (
 )
 from repro.service.replay import load_replay_trace, replay_trace
 from repro.service.server import (
+    BATCH_BUCKETS,
     MAX_INFLIGHT,
     NON_FINITE_FALLBACKS,
     DecisionService,
     ServiceConfig,
     _Connection,
 )
-from repro.telemetry.metrics import BATCH_BUCKETS
 from repro.telemetry import EpochTraceRecorder, TelemetryConfig, validate_trace_file
 
 from helpers import ForcedLinePredictor
@@ -107,7 +108,8 @@ def server():
     handle.stop()
 
 
-def record_trace(path, design="PCSTALL", workload="dgemm", max_epochs=40):
+def record_trace(path, design="PCSTALL", workload="dgemm", max_epochs=40,
+                 objective=None):
     """Record a small replayable trace; returns (path, offline RunResult)."""
     config = small_config(n_cus=2, waves_per_cu=4)
     recorder = EpochTraceRecorder(TelemetryConfig(
@@ -118,7 +120,7 @@ def record_trace(path, design="PCSTALL", workload="dgemm", max_epochs=40):
     ))
     task = SweepTask(workload, design, config, scale=0.15,
                      max_epochs=max_epochs, oracle_sample_freqs=3,
-                     collect_accuracy=True)
+                     collect_accuracy=True, objective=objective)
     with recorder:
         result = run_task(task, recorder=recorder)
     return str(path), result
@@ -359,6 +361,30 @@ def test_objective_from_name_rejects_garbage():
         proto.objective_from_name("MAXIMIZE_VIBES")
 
 
+_DECIMALS = st.from_regex(r"\A\d{1,4}(\.\d{1,17})?\Z")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    spelling=st.sampled_from(
+        ["cap{}", "ENERGY@{}%", "QOS@{}", "STATIC@{}", "STATIC@{}GHz", "ED{}P", "ed{}p"]
+    ),
+    number=_DECIMALS,
+)
+def test_an_objective_name_rebuilds_its_objective(spelling, number):
+    """A run header records ``objective.name``; replay and the service
+    rebuild the objective from it, so the name must lose nothing."""
+    if spelling.startswith(("ED", "ed")):
+        number = number.split(".")[0]
+    try:
+        objective = proto.objective_from_name(spelling.format(number))
+    except ValueError:  # out of the objective's range (cap >= 100%, QoS 0)
+        return
+    rebuilt = proto.objective_from_name(objective.name)
+    assert describe_objective(rebuilt) == describe_objective(objective)
+    assert rebuilt.name == objective.name
+
+
 # ----------------------------------------------------------------------
 # Trace recording (the telemetry side of the contract)
 
@@ -411,6 +437,17 @@ def test_replay_bit_identical(tmp_path, server, design):
     report = replay_trace(path, port=server.port)
     assert report.bit_identical, report.render()
     assert report.decisions_compared == report.epochs_streamed > 0
+
+
+def test_replay_rebuilds_a_fractional_cap_from_the_header(tmp_path, server):
+    # The header once recorded cap5.5 as "ENERGY@6%", and this run's
+    # decisions diverged from epoch 4 on.
+    path, _ = record_trace(tmp_path / "cap.jsonl", workload="comd", max_epochs=12,
+                           objective=proto.objective_from_name("cap5.5"))
+    report = replay_trace(path, port=server.port)
+    assert report.bit_identical, report.render()
+    assert report.decisions_compared == report.epochs_streamed == 12
+    assert load_replay_trace(path).objective == "ENERGY@5.5%"
 
 
 def test_replay_cli_exit_codes(server, pcstall_trace):
@@ -631,28 +668,54 @@ class RecordingTransport(asyncio.Transport):
         return 0
 
 
-def test_an_observation_is_answered_in_the_read_that_delivers_it(pcstall_trace):
-    path, _ = pcstall_trace
-    trace = load_replay_trace(path)
+def one_read(trace, *frames):
+    """Feed an ``open`` and ``frames`` to a fresh service in one read,
+    inside a running loop; returns (service, the replies it wrote)."""
     open_frame = proto.encode_frame({
         "type": "open", "protocol": proto.PROTOCOL_VERSION,
         "design": trace.design, "config": trace.sim_config_wire,
         "objective": trace.objective,
     })
 
-    async def one_read() -> bytes:
+    async def feed():
+        service = DecisionService(ServiceConfig(port=0, health_port=None))
         transport = RecordingTransport()
-        conn = _Connection(DecisionService(ServiceConfig(port=0, health_port=None)))
+        conn = _Connection(service)
         conn.connection_made(transport)
-        conn.data_received(open_frame + observe_frame(trace, 0))
+        conn.data_received(b"".join((open_frame, *frames)))
         # Taken while the loop still runs: no later callback may answer.
-        return bytes(transport.written)
+        return service, bytes(transport.written)
 
+    service, written = asyncio.run(feed())
     decoder = FrameDecoder()
-    decoder.feed(asyncio.run(one_read()))
-    replies = list(iter(decoder.next_message, None))
+    decoder.feed(written)
+    return service, list(iter(decoder.next_message, None))
+
+
+def test_an_observation_is_answered_in_the_read_that_delivers_it(pcstall_trace):
+    path, _ = pcstall_trace
+    trace = load_replay_trace(path)
+    _, replies = one_read(trace, observe_frame(trace, 0))
     assert [r["type"] for r in replies] == ["open_ok", "decision"]
     assert replies[1]["decision"] == trace.chosen[1]
+
+
+def test_a_full_read_lands_in_the_largest_finite_batch_bucket(pcstall_trace):
+    path, _ = pcstall_trace
+    trace = load_replay_trace(path)
+    service, replies = one_read(
+        trace, *(observe_frame(trace, e) for e in range(MAX_INFLIGHT))
+    )
+    assert [r["type"] for r in replies] == ["open_ok"] + ["decision"] * MAX_INFLIGHT
+    status, body, _ = service._route("GET", "/metrics?format=prometheus")
+    assert status == 200
+    buckets = {
+        dict(pair.split("=", 1) for pair in labels.split(","))["le"]: count
+        for (name, labels), count in parse_exposition(body.decode()).items()
+        if name == "service_batch_size_bucket"
+    }
+    assert max(float(le) for le in buckets if le != "+Inf") == MAX_INFLIGHT
+    assert buckets[str(MAX_INFLIGHT)] == buckets["+Inf"] == 1
 
 
 def test_observes_arriving_in_one_loop_iteration_are_one_batch_per_read(pcstall_trace):

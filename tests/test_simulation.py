@@ -163,7 +163,7 @@ class TestOracleLifecycle:
         assert hp["waves_scanned"] > 0
         assert hp["oracle_samples"] == r.epochs
         assert hp["snapshots"] == r.epochs  # one capture per oracle fork
-        assert hp["clone_bytes"] == 0  # scratch restores, no deep clones
+        assert hp["restores"] == 4 * r.epochs  # one restore per sampled row
 
 
 class TestTruthOnDemand:

@@ -361,15 +361,29 @@ class TestDifferentialEndToEnd:
         assert report.ok, report.render()
         assert report.first_diverging_epoch is None
 
-    def test_oracle_fork_differential_identical(self):
+    def _oracle_fork_report(self):
         from repro.workloads import build_workload, workload
 
         kernels = build_workload(workload("comd"), scale=0.05)
-        report = oracle_fork_differential(
+        return oracle_fork_differential(
             kernels, self._config(), subject="comd", n_sample_freqs=3,
             warmup_epochs=2,
         )
+
+    def test_oracle_fork_differential_identical(self):
+        report = self._oracle_fork_report()
         assert report.ok, report.render()
+        assert report.sides == ("snapshot-fork", "replay")
+
+    def test_oracle_fork_differential_catches_a_broken_fork(self, monkeypatch):
+        """The replay side shares no copy code with the fork: a restore
+        that leaves the memory system as the last sample left it shows."""
+        from repro.gpu.memory import MemorySubsystem
+
+        monkeypatch.setattr(MemorySubsystem, "restore_capture", lambda self, cap: None)
+        report = self._oracle_fork_report()
+        assert not report.ok
+        assert all(m.field.startswith("sample[") for m in report.mismatches)
 
 
 # ----------------------------------------------------------------------

@@ -161,11 +161,13 @@ class TestHitDraws:
 
 
 class TestClone:
+    """A clone is ``Wavefront.from_capture(wf.capture())``."""
+
     def test_clone_is_deep_for_mutable_state(self):
         wf = make_wave()
         wf.loop_counters[3] = 7
         wf.pc_visits[5] = 2
-        c = wf.clone()
+        c = Wavefront.from_capture(wf.capture())
         c.loop_counters[3] = 99
         c.pc_visits[5] = 99
         assert wf.loop_counters[3] == 7
@@ -174,7 +176,7 @@ class TestClone:
     def test_clone_preserves_stats_independently(self):
         wf = make_wave()
         wf.stall_ns = 42.0
-        c = wf.clone()
+        c = Wavefront.from_capture(wf.capture())
         c.stall_ns = 1.0
         assert wf.stall_ns == pytest.approx(42.0)
 
@@ -183,7 +185,7 @@ class TestClone:
         wf.pc_idx = 3
         wf.outstanding = 2
         wf.ready_at = 55.5
-        c = wf.clone()
+        c = Wavefront.from_capture(wf.capture())
         assert c.pc_idx == 3
         assert c.outstanding == 2
         assert c.ready_at == pytest.approx(55.5)
