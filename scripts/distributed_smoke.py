@@ -1,26 +1,26 @@
 #!/usr/bin/env python
-"""Distributed-sweep smoke test: broker + two workers, one SIGKILLed.
+"""Sweep-broker smoke test: two forked workers, one SIGKILLed mid-cell.
 
 End-to-end acceptance check for ``repro.runtime.distributed`` (run by
 the CI ``distributed-smoke`` job, and runnable locally):
 
 1. Run a quick design-matrix grid serially - the ground truth.
 2. Serve the same grid from a ``SweepBroker`` (with the result cache
-   attached) to two ``repro worker`` subprocesses. Worker A
-   carries a ``REPRO_FAULT_PLAN`` that makes it hang on every cell it
-   leases; once worker B has drained the rest of the grid, A - holding
-   the one unfinished lease - is SIGKILLed.
+   attached) to the two worker processes it forks. A
+   ``REPRO_FAULT_PLAN`` makes the first attempt at the first cell hang;
+   once the other worker has drained the rest of the grid, the worker
+   holding that cell's lease is SIGKILLed mid-cell.
 3. Require: the sweep completes; results are bit-identical
-   (``RunResult`` equality) to the serial run; at least one lease was
-   reclaimed; and each cell was recorded exactly once.
+   (``RunResult`` equality) to the serial run; the killed worker's
+   lease was reclaimed; and each cell was recorded exactly once.
 
 Exit status 0 = all checks passed.
 """
 
+import multiprocessing
 import os
 import pathlib
 import signal
-import subprocess
 import sys
 import tempfile
 import threading
@@ -33,7 +33,7 @@ from repro.config import small_config  # noqa: E402
 from repro.runtime.cache import ResultCache  # noqa: E402
 from repro.runtime.distributed import SweepBroker  # noqa: E402
 from repro.runtime.executor import SweepExecutor, SweepTask  # noqa: E402
-from repro.runtime.faults import FaultPlan, FaultSpec  # noqa: E402
+from repro.runtime.faults import FAULT_PLAN_ENV, FaultPlan, FaultSpec  # noqa: E402
 
 WORKLOADS = ("dgemm", "hacc", "quickS")
 DESIGNS = ("CRISP", "PCSTALL")
@@ -48,20 +48,6 @@ def quick_grid():
     ]
 
 
-def spawn_worker(port: int, name: str, fault_plan=None) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    env.pop("REPRO_FAULT_PLAN", None)
-    if fault_plan is not None:
-        env["REPRO_FAULT_PLAN"] = fault_plan.to_json()
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker",
-         "--connect", f"127.0.0.1:{port}", "--name", name],
-        env=env, cwd=str(REPO),
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-
-
 def main() -> int:
     tasks = quick_grid()
     n = len(tasks)
@@ -71,79 +57,69 @@ def main() -> int:
         checks.append(ok)
         print(f"  [{'ok' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
 
+    os.environ.pop(FAULT_PLAN_ENV, None)
     print(f"== serial baseline ({n} cells)")
     serial = SweepExecutor(max_workers=1, cache=None).run(tasks)
 
-    print("== remote sweep: broker + 2 workers, worker A SIGKILLed")
+    print("== broker + 2 forked workers, the one holding a hung cell SIGKILLed")
+    # The first attempt at the first cell hangs (far beyond any timeout)
+    # on whichever worker leases it; every other attempt runs normally.
+    hung_label = tasks[0].label
+    os.environ[FAULT_PLAN_ENV] = FaultPlan(specs=(
+        FaultSpec(cell=hung_label, mode="hang", attempts=1, hang_s=600.0),
+    )).to_json()
     with tempfile.TemporaryDirectory(prefix="repro-dsmoke-") as tmp:
-        broker = SweepBroker(port=0, lease_s=4.0)
-        ex = SweepExecutor(cache=ResultCache(pathlib.Path(tmp) / "cache"), broker=broker)
-        remote: list = [None]
+        ex = SweepExecutor(cache=ResultCache(pathlib.Path(tmp) / "cache"))
+        results: list = [None] * n
+        broker = SweepBroker(ex, tasks, [t.key() for t in tasks], range(n), results)
         errors: list = []
 
         def run_sweep() -> None:
             try:
-                remote[0] = ex.run(tasks)
+                broker.serve(workers=2)
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
         sweep = threading.Thread(target=run_sweep, name="sweep")
         sweep.start()
-        deadline = time.monotonic() + 30
-        while broker.bound_port is None and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert broker.bound_port is not None, "broker never bound"
-        port = broker.bound_port
 
-        # Worker A hangs (far beyond any timeout) on every cell it
-        # leases; start it alone so it is guaranteed to hold a lease.
-        hang = FaultPlan(specs=(
-            FaultSpec(cell="*", mode="hang", attempts=None, hang_s=600.0),
-        ))
-        worker_a = spawn_worker(port, "worker-a", fault_plan=hang)
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            with broker._lock:
-                if broker._leases:
-                    break
-            time.sleep(0.05)
-        else:
-            raise AssertionError("worker A never leased a cell")
-
-        worker_b = spawn_worker(port, "worker-b")
-
-        # Wait until only worker A's hung cell remains, then kill A
-        # mid-computation - the broker must reclaim and reassign it.
+        # Wait until only the hung cell remains, then kill its worker
+        # mid-cell - the broker must reclaim the lease and reassign it.
         deadline = time.monotonic() + 300
-        while time.monotonic() < deadline:
-            if len(ex.progress.cells) >= n - 1:
-                break
-            if not sweep.is_alive():
+        while len(ex.progress.cells) < n - 1 and sweep.is_alive():
+            if time.monotonic() > deadline:
                 break
             time.sleep(0.1)
-        worker_a.send_signal(signal.SIGKILL)
-        print(f"  killed worker A (pid {worker_a.pid}) with SIGKILL")
+        with broker._lock:
+            holders = [lease.worker for lease in broker._leases.values()]
+        check("the hung cell's worker holds its lease", len(holders) == 1, f"{holders}")
+        if len(holders) != 1:
+            for worker in multiprocessing.active_children():
+                worker.kill()  # the rest of the grid then runs in-process
+            sweep.join(timeout=300)
+            return 1
+        pid = int(holders[0].rsplit(":", 1)[1])
+        os.kill(pid, signal.SIGKILL)
+        print(f"  killed worker {holders[0]} with SIGKILL")
 
         sweep.join(timeout=300)
         hung = sweep.is_alive()
-        worker_a.wait(timeout=30)
-        try:
-            b_out = worker_b.communicate(timeout=60)[0]
-        except subprocess.TimeoutExpired:
-            worker_b.kill()
-            b_out = worker_b.communicate()[0]
         if errors:
             raise errors[0]
         check("sweep completed (no hang)", not hung)
         if hung:
             return 1
-        print("  worker B output:", (b_out or "").strip().splitlines()[-1:])
 
-        results = remote[0]
         check("results bit-identical to serial", results == serial)
 
-        reclaimed = ex.progress.reclaims
-        check("progress.reclaims >= 1", reclaimed >= 1, f"got {reclaimed}")
+        reclaims = [e for e in ex.progress.events if e.startswith("reclaimed ")]
+        check(
+            "the killed worker's lease was reclaimed",
+            len(reclaims) == 1 and reclaims[0].startswith(
+                f"reclaimed {hung_label} from {holders[0]} "
+            ),
+            f"{reclaims}",
+        )
 
         recorded = sorted(c.label for c in ex.progress.cells)
         check(

@@ -66,8 +66,8 @@ class ExperimentSetup:
     max_epochs: int = 400
     #: Oracle pre-execution frequency count (None = full grid).
     oracle_sample_freqs: Optional[int] = 4
-    #: Runs the grid drivers' cells: its workers, result cache, retry
-    #: policy and broker (default: serial, uncached).
+    #: Runs the grid drivers' cells: its workers, result cache and
+    #: retry policy (default: serial, uncached).
     executor: SweepExecutor = field(default_factory=SweepExecutor)
 
     def workload_list(self) -> List[str]:

@@ -49,9 +49,8 @@ Commands:
   widens the matrix; ``--json FILE`` saves the machine-readable report.
 
 The sweep commands (``run``/``compare``/``figure``), and only they,
-accept ``--workers N`` to fan cells across forked worker processes
-(``--listen HOST:PORT`` lets ``repro worker`` processes on other hosts
-join too), and cache results on disk (disable with ``--no-cache``;
+accept ``--workers N`` to fan cells across forked worker processes,
+and cache results on disk (disable with ``--no-cache``;
 relocate with ``--cache-dir``). Transient cell failures are retried
 with deterministic backoff (``--retries N`` bounds the attempts;
 ``--retries 1`` disables retrying). The cache writes each cell
@@ -165,17 +164,11 @@ def _retry_policy(args) -> RetryPolicy:
 def _executor(args, progress: Optional[SweepInstrumentation] = None) -> SweepExecutor:
     from repro.runtime import ResultCache, SweepExecutor, SweepInstrumentation
 
-    broker = None
-    if args.listen:  # serve from a broker other hosts' workers can join
-        from repro.runtime.distributed import SweepBroker
-
-        broker = SweepBroker(*_host_port(args.listen, flag="--listen"))
     return SweepExecutor(
         max_workers=args.workers,
         cache=None if args.no_cache else ResultCache(args.cache_dir),
         progress=progress or SweepInstrumentation(),
         retry=_retry_policy(args),
-        broker=broker,
     )
 
 
@@ -605,37 +598,12 @@ def cmd_replay(args) -> int:
     return 0 if report.bit_identical else 1
 
 
-def cmd_worker(args) -> int:
-    from repro.runtime.distributed import SweepWorker, WorkerError
-
-    host, port = _host_port(args.connect, flag="--connect")
-    worker = SweepWorker(
-        host=host,
-        port=port,
-        name=args.name,
-        timeout_s=args.timeout,
-        connect_timeout_s=args.connect_timeout,
-        max_tasks=args.max_tasks,
-    )
-    try:
-        summary = worker.run()
-    except WorkerError as exc:
-        print(f"repro worker: {exc}", file=sys.stderr)
-        return 1
-    print(
-        f"worker {worker.name}: {summary.completed} cell(s) computed, "
-        f"{summary.failed} failed attempt(s), "
-        f"{summary.rejected} late result(s) discarded"
-    )
-    return 0
-
-
-def _host_port(spec: str, flag: str = "--url") -> tuple:
-    """Parse ``HOST:PORT`` (an optional ``http://`` prefix is shed)."""
+def _host_port(spec: str) -> tuple:
+    """Parse ``--url HOST:PORT`` (an optional ``http://`` prefix is shed)."""
     spec = spec.split("//", 1)[-1].rstrip("/")
     host, _, port = spec.rpartition(":")
     if not host or not port.isdigit():
-        raise SystemExit(f"{flag} must be HOST:PORT, got {spec!r}")
+        raise SystemExit(f"--url must be HOST:PORT, got {spec!r}")
     return host, int(port)
 
 
@@ -1017,10 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--retries", type=_at_least_one, default=None,
                         help="attempts per sweep cell before giving up "
                              "(1 = no retries; default 3)")
-        sp.add_argument("--listen", metavar="HOST:PORT", default=None,
-                        help="serve cells from a broker bound here, so "
-                             "'repro worker' processes on other hosts can "
-                             "join the sweep")
 
     sp = sub.add_parser("run", help="run one workload under one design")
     platform(sp)
@@ -1237,25 +1201,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="attempt budget for connects and shed observations "
                          "(default %(default)s)")
     sp.set_defaults(fn=cmd_replay)
-
-    sp = sub.add_parser(
-        "worker",
-        help="join a remote sweep: lease cells from a broker "
-             "(run/compare/figure --listen HOST:PORT) and stream results back",
-    )
-    sp.add_argument("--connect", metavar="HOST:PORT", required=True,
-                    help="broker address (the sweep's --listen)")
-    sp.add_argument("--name", default=None,
-                    help="worker name in broker logs (default host:pid)")
-    sp.add_argument("--timeout", type=float, default=60.0,
-                    help="per-reply timeout in seconds (default %(default)s)")
-    sp.add_argument("--connect-timeout", type=float, default=30.0,
-                    help="how long to keep retrying the initial connect "
-                         "(default %(default)s)")
-    sp.add_argument("--max-tasks", type=_at_least_one, default=None,
-                    help="leave after computing this many cells "
-                         "(default: stay until the sweep completes)")
-    sp.set_defaults(fn=cmd_worker)
 
     sp = sub.add_parser(
         "metrics",

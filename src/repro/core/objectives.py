@@ -16,6 +16,7 @@ and picks the winner. Implemented objectives:
 from __future__ import annotations
 
 import abc
+import decimal
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,22 +97,31 @@ class ObjectiveContext:
         return self.score_grid(line, (f_ghz,))[0][2]
 
 
+def read_parameter(text: str, scale: float = 1.0) -> float:
+    """The value a name parameter spells: ``text / scale``, rounded once.
+
+    The division is exact in decimal, so every value has a spelling that
+    reads back as itself. ``float(text) / scale`` rounds twice, and at a
+    scale of 100 reaches no spelling of about one cap in six.
+    """
+    return float(decimal.Decimal(text) / decimal.Decimal(scale))
+
+
 def _spell(value: float, decimals: int, scale: float = 1.0) -> str:
     """``value * scale`` as a name parameter that reads back as ``value``.
 
     A run header records an objective's name, and
     ``repro.service.protocol.objective_from_name`` rebuilds the
-    objective from it with ``float(text) / scale``. So the name keeps
+    objective from it with :func:`read_parameter`. So the name keeps
     the ``decimals``-place spelling where that reads back (``ENERGY@5%``,
-    ``QOS@1000``, ``STATIC@1.7GHz``) and otherwise spells the value in
-    full (``ENERGY@5.5%``, not ``ENERGY@6%``).
+    ``QOS@1000``, ``STATIC@1.7GHz``) and otherwise spells the value's
+    shortest decimal form, scaled exactly (``ENERGY@5.5%``, not
+    ``ENERGY@6%``).
     """
-    x = value * scale
-    text = f"{x:.{decimals}f}"
-    if float(text) / scale != value:
-        import decimal
-
-        text = format(decimal.Decimal(repr(x)), "f")
+    text = f"{value * scale:.{decimals}f}"
+    if read_parameter(text, scale) != value:
+        exact = decimal.Decimal(repr(value)) * decimal.Decimal(scale)
+        text = format(exact.normalize(), "f")
     return text
 
 

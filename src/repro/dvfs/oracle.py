@@ -61,12 +61,16 @@ class OracleSample:
     FREQ_ABS_TOL_GHZ = 1e-6
     FREQ_REL_TOL = 1e-9
 
+    @classmethod
+    def same_frequency(cls, a_ghz: float, b_ghz: float) -> bool:
+        return math.isclose(
+            a_ghz, b_ghz, rel_tol=cls.FREQ_REL_TOL, abs_tol=cls.FREQ_ABS_TOL_GHZ
+        )
+
     def commits_at(self, domain: int, f_ghz: float) -> Optional[int]:
         """Exact pre-executed commits of a domain at a sampled frequency."""
         for f, commits in self.points[domain]:
-            if math.isclose(
-                f, f_ghz, rel_tol=self.FREQ_REL_TOL, abs_tol=self.FREQ_ABS_TOL_GHZ
-            ):
+            if self.same_frequency(f, f_ghz):
                 return commits
         return None
 
@@ -158,10 +162,16 @@ class OracleSampler:
 
     def sample(self, gpu: Gpu, epoch_ns: Optional[float] = None) -> OracleSample:
         """Pre-execute the upcoming epoch once per frequency state."""
-        self.ctr_samples += 1
         plan = self.sample_plan(len(gpu.domains))
+        return self._fit(gpu, plan, self.pre_execute(gpu, plan, epoch_ns))
+
+    def _fit(
+        self, gpu: Gpu, plan: Sequence[Sequence[float]], results: Sequence[EpochResult]
+    ) -> OracleSample:
+        """The :class:`OracleSample` of the pre-executed ``plan`` rows."""
+        self.ctr_samples += 1
         per_domain: List[List[Tuple[float, int]]] = [[] for _ in gpu.domains]
-        for freqs, result in zip(plan, self.pre_execute(gpu, plan, epoch_ns)):
+        for freqs, result in zip(plan, results):
             for d, commits in enumerate(gpu.committed_per_domain(result)):
                 per_domain[d].append((freqs[d], commits))
 
@@ -181,23 +191,31 @@ class OracleSampler:
         Compares pre-executed per-domain commits - taken from the one
         shuffled sample where each domain happened to run at its chosen
         frequency - against a coherent re-execution where *all* domains
-        run their chosen frequencies simultaneously.
+        run their chosen frequencies simultaneously. The sample rows and
+        the coherent row are pre-executed from one capture.
 
         Returns None when no domain is scorable (every domain committed
-        nothing in the re-execution). Raises ValueError for a chosen
-        frequency that is not on the sample grid: it is never
-        pre-executed, so there is nothing to compare it against.
+        nothing in the re-execution). Raises ValueError, before
+        simulating anything, for a chosen frequency that is not on the
+        sample grid: it is never pre-executed, so there is nothing to
+        compare it against.
         """
-        sample = self.sample(gpu, epoch_ns)
-        (result,) = self.pre_execute(gpu, [chosen_freqs], epoch_ns)
-        actual = gpu.committed_per_domain(result)
-
-        predicted = [sample.commits_at(d, f) for d, f in enumerate(chosen_freqs)]
-        if None in predicted:
+        chosen = list(chosen_freqs)
+        if not all(
+            any(OracleSample.same_frequency(f, g) for g in self.sample_grid)
+            for f in chosen
+        ):
             raise ValueError(
-                f"chosen frequencies {list(chosen_freqs)} are not all on the "
+                f"chosen frequencies {chosen} are not all on the "
                 f"sample grid {list(self.sample_grid)}"
             )
+        plan = self.sample_plan(len(gpu.domains))
+        *rows, coherent = self.pre_execute(gpu, [*plan, chosen], epoch_ns)
+        sample = self._fit(gpu, plan, rows)
+        actual = gpu.committed_per_domain(coherent)
+
+        # Every domain runs every sample-grid frequency in one row.
+        predicted = [sample.commits_at(d, f) for d, f in enumerate(chosen)]
         accs = [
             max(0.0, 1.0 - abs(p - a) / a) for p, a in zip(predicted, actual) if a > 0
         ]

@@ -2,8 +2,8 @@
 
 * :class:`~repro.runtime.executor.SweepExecutor` runs independent
   (workload x design x config) simulation cells in-process or through a
-  :class:`~repro.runtime.distributed.SweepBroker` to forked (or remote)
-  worker processes, with deterministic ordering and per-cell retries
+  :class:`~repro.runtime.distributed.SweepBroker` to the worker processes
+  it forks, with deterministic ordering and per-cell retries
   governed by a :class:`~repro.runtime.executor.RetryPolicy`
   (jitterless exponential backoff, in-process final attempt).
 * :class:`~repro.runtime.cache.ResultCache` memoises cell results on
@@ -34,13 +34,7 @@ if TYPE_CHECKING:
         default_cache_dir,
         task_key,
     )
-    from repro.runtime.distributed import (
-        DEFAULT_BROKER_PORT,
-        SweepBroker,
-        SweepWorker,
-        WorkerError,
-        WorkerSummary,
-    )
+    from repro.runtime.distributed import SweepBroker, SweepWorker, WorkerError
     from repro.runtime.executor import (
         NO_RETRY,
         FailedCell,
@@ -66,8 +60,7 @@ if TYPE_CHECKING:
 __getattr__, __dir__ = lazy_exports(__name__, {
     "cache": ("CACHE_DIR_ENV", "DEFAULT_CACHE_DIR", "ResultCache", "default_cache_dir",
               "task_key"),
-    "distributed": ("DEFAULT_BROKER_PORT", "SweepBroker", "SweepWorker", "WorkerError",
-                    "WorkerSummary"),
+    "distributed": ("SweepBroker", "SweepWorker", "WorkerError"),
     "executor": ("NO_RETRY", "FailedCell", "LeaseExpired", "RetryPolicy", "SweepExecutor",
                  "SweepTask", "SweepTimeoutError", "run_task"),
     "faults": ("FAULT_PLAN_ENV", "CorruptResult", "CorruptResultError", "FaultPlan",
@@ -78,7 +71,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "DEFAULT_BROKER_PORT",
     "DEFAULT_CACHE_DIR",
     "FAULT_PLAN_ENV",
     "NO_RETRY",
@@ -100,7 +92,6 @@ __all__ = [
     "SweepTimeoutError",
     "SweepWorker",
     "WorkerError",
-    "WorkerSummary",
     "active_fault_plan",
     "collect_hotpath",
     "default_cache_dir",

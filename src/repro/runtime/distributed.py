@@ -1,25 +1,25 @@
-"""The sweep broker: one grid, served to worker processes over sockets.
+"""The sweep broker: one grid, served to the worker processes it forks.
 
 This is the sweep runtime's one parallel path.
 :class:`~repro.runtime.executor.SweepExecutor` with ``max_workers=N``
-forks N :class:`SweepWorker` processes, each joined to a private broker
-by its own socket pair, so a private sweep opens no port. Only a broker
-attached as ``SweepExecutor(broker=...)`` (``--listen HOST:PORT``)
-listens, and so also accepts ``repro worker`` processes from other
-hosts. Either way the broker guarantees:
+serves its pending cells through a :class:`SweepBroker`, which forks N
+:class:`SweepWorker` processes, each joined to it by its own socket
+pair. A sweep opens no port: only the processes it forked can lease a
+cell or hand in a result. The broker guarantees:
 
-* **Bit-identical results.** Workers execute the exact same
-  :func:`~repro.runtime.executor.run_task` path as a serial run and ship
-  the :class:`~repro.dvfs.simulation.RunResult` back in its exact JSON
-  form (:func:`~repro.telemetry.schema.run_result_to_wire`, the form
-  the result cache stores). The broker decodes it with type checks and
-  nothing else: a payload that fails them, or names another cell's
+* **Bit-identical results.** A worker inherits the task list and the
+  content keys at fork, executes the exact same
+  :func:`~repro.runtime.executor.run_task` path as a serial run and
+  ships the :class:`~repro.dvfs.simulation.RunResult` back in its exact
+  JSON form (:func:`~repro.telemetry.schema.run_result_to_wire`, the
+  form the result cache stores). The broker decodes it with type checks
+  and nothing else: a payload that fails them, or names another cell's
   key, is a corrupt result, never code the broker runs.
 * **Exactly-once cells.** Every cell is leased to at most one worker at
   a time; a result is accepted only from the current leaseholder at the
   current attempt: a late result from a reclaimed lease is
-  acknowledged as not accepted and discarded (the worker counts it as
-  rejected), so each cell's result is recorded once.
+  acknowledged as not accepted and discarded, so each cell's result is
+  recorded once.
 * **Fault tolerance under the executor's RetryPolicy.** A worker times
   its own cell (``task_timeout_s`` rides in the task frame), reports an
   overrun as an ordinary ``SweepTimeoutError`` failure and takes the
@@ -29,61 +29,42 @@ hosts. Either way the broker guarantees:
   has its cell *reclaimed* (counted in the sweep's ``reclaims``). Every
   failed attempt is charged by the executor, as a serial run's is,
   against ``max_attempts`` and gated by the jitterless backoff;
-  exhaustion follows ``on_exhausted``. A retried
-  cell's final attempt runs in-process, on the thread that called
-  :meth:`SweepBroker.serve`.
+  exhaustion follows ``on_exhausted``. A retried cell's final attempt
+  runs in-process, on the thread that called :meth:`SweepBroker.serve`,
+  and so does every pending cell once no worker is left.
 
 Wire protocol
 -------------
 The same 4-byte big-endian length-prefixed JSON frames as the decision
-service (:mod:`repro.runtime.wire`), over one stream connection per
-worker (a socket pair for a forked worker, TCP for a remote one).
-Worker to broker::
+service (:mod:`repro.runtime.wire`), over one socket pair per worker.
+A worker holds the task list, the keys and its heartbeat interval from
+the fork, so frames name a cell by its index. Worker to broker::
 
-    hello      {protocol, worker}
     ready      {}                          lease the next runnable cell
     heartbeat  {index}                     renew the held lease (no reply)
     result     {index, attempt, key, wall_s, result}
     fail       {index, attempt, error_type, error}
-    goodbye    {}
 
-Broker to worker: ``hello_ok {lease_s, heartbeat_s, n_tasks}``,
-``task {index, attempt, key, task, lease_s, timeout_s}``,
-``idle {retry_after_s}`` (nothing runnable right now), ``done`` (sweep
-complete), ``ack {accepted}``, ``bye``, ``error {error}``.
-
-Tasks cross the wire in JSON (config via the telemetry schema's
-canonical form, objectives via their canonical class + state). A worker
-refuses a task whose rebuilt content-hash key differs from the
-broker's (version skew, or state the wire cannot carry) with a
-``TaskKeyMismatch`` failure, and the broker runs that cell in-process
-without charging the attempt - before a single wrong number is computed.
+Broker to worker: ``task {index, attempt, timeout_s}``, ``idle``
+(nothing runnable right now), ``done`` (sweep complete),
+``ack {accepted}``, ``error {error}``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import multiprocessing
-import os
 import signal
 import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.core.objectives import (
-    EDnPObjective,
-    PerformanceCapObjective,
-    QoSDeadlineObjective,
-    StaticObjective,
-)
 from repro.obs.log import get_logger
-from repro.runtime.cache import describe_objective
 from repro.runtime.executor import (
     FailedCell,
     LeaseExpired,
-    SweepTask,
     SweepTimeoutError,
     _run_task_timed,
 )
@@ -96,26 +77,14 @@ from repro.runtime.wire import (
     recv_frame,
     send_frame,
 )
-from repro.telemetry.schema import (
-    run_result_from_wire,
-    run_result_to_wire,
-    sim_config_from_wire,
-    sim_config_to_wire,
-)
+from repro.telemetry.schema import run_result_from_wire, run_result_to_wire
 
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
 
-    from repro.runtime.executor import SweepExecutor
+    from repro.runtime.executor import SweepExecutor, SweepTask
 
 _log = get_logger("distributed")
-
-#: Default broker port (the decision service owns 8472/8473).
-DEFAULT_BROKER_PORT = 8474
-
-#: Broker protocol revision; a ``hello`` carrying a different one is
-#: rejected before any task crosses the wire.
-BROKER_PROTOCOL_VERSION = 1
 
 #: Seconds between the broker's checks for expired leases and ended
 #: sweeps, and between a handler's polls of its connection.
@@ -125,20 +94,16 @@ POLL_S = 0.2
 IDLE_RETRY_S = 0.5
 
 # Worker -> broker message types.
-MSG_HELLO = "hello"
 MSG_READY = "ready"
 MSG_HEARTBEAT = "heartbeat"
 MSG_RESULT = "result"
 MSG_FAIL = "fail"
-MSG_GOODBYE = "goodbye"
 
 # Broker -> worker message types.
-MSG_HELLO_OK = "hello_ok"
 MSG_TASK = "task"
 MSG_IDLE = "idle"
 MSG_DONE = "done"
 MSG_ACK = "ack"
-MSG_BYE = "bye"
 MSG_ERROR = "error"
 
 
@@ -154,13 +119,6 @@ class WorkerError(RuntimeError):
     """The worker agent loop cannot continue (broker gone, protocol
     violation, malformed task frame...)."""
 
-
-#: ``fail`` error type of a task the worker could not rebuild faithfully.
-TASK_KEY_MISMATCH = "TaskKeyMismatch"
-
-
-# ----------------------------------------------------------------------
-# Task and error wire codecs
 
 #: Worker-side failure types the broker rebuilds as their real classes,
 #: so retryability, the error type a retry's event line names and the
@@ -180,62 +138,6 @@ def error_from_wire(remote_type: str, message: str) -> BaseException:
     if cls is not None:
         return cls(message)
     return RemoteCellError(remote_type, message)
-
-
-#: Objective reconstruction from the canonical ``describe_objective``
-#: form ({"__class__": name, ...public state}).
-def objective_from_wire(wire: Any) -> Optional[Any]:
-    if wire is None:
-        return None
-    try:
-        name = wire["__class__"]
-        if name == "StaticObjective":
-            return StaticObjective(float(wire["f_ghz"]))
-        if name == "EDnPObjective":
-            return EDnPObjective(int(wire["n"]), float(wire["price_scale"]))
-        if name == "PerformanceCapObjective":
-            return PerformanceCapObjective(float(wire["max_degradation"]))
-        if name == "QoSDeadlineObjective":
-            return QoSDeadlineObjective(float(wire["target"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed objective: {exc}") from None
-    raise ProtocolError(f"unknown objective class {name!r}")
-
-
-def sweep_task_to_wire(task: "SweepTask") -> Dict[str, object]:
-    """JSON form of a sweep cell (config in its canonical wire shape)."""
-    return {
-        "workload": task.workload,
-        "design": task.design,
-        "config": sim_config_to_wire(task.config),
-        "scale": task.scale,
-        "max_epochs": task.max_epochs,
-        "oracle_sample_freqs": task.oracle_sample_freqs,
-        "collect_accuracy": task.collect_accuracy,
-        "objective": describe_objective(task.objective),
-    }
-
-
-def sweep_task_from_wire(wire: Mapping[str, Any]) -> "SweepTask":
-    """Rebuild a :class:`SweepTask`; raises :class:`ProtocolError` on a
-    malformed payload. Callers should verify the rebuilt task's
-    ``key()`` against the broker's expected key."""
-    try:
-        freqs = wire["oracle_sample_freqs"]
-        return SweepTask(
-            workload=str(wire["workload"]),
-            design=str(wire["design"]),
-            config=sim_config_from_wire(wire["config"]),
-            scale=float(wire["scale"]),
-            max_epochs=int(wire["max_epochs"]),
-            oracle_sample_freqs=None if freqs is None else int(freqs),
-            collect_accuracy=bool(wire["collect_accuracy"]),
-            objective=objective_from_wire(wire["objective"]),
-        )
-    except ProtocolError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed sweep task: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -264,54 +166,37 @@ class _Lease:
 
 
 class SweepBroker:
-    """Serves one sweep's task grid to worker processes.
+    """Serves one sweep's task grid to the worker processes it forks.
 
     :class:`~repro.runtime.executor.SweepExecutor` serves every parallel
-    sweep through one: a private broker (``port=None``) that opens no
-    port and serves only the workers it forks, or the broker attached as
-    ``SweepExecutor(broker=SweepBroker(...))``, which listens on
-    ``host:port`` so ``repro worker`` processes on other hosts can join.
-    A listening broker runs no code a worker sends, but it trusts the
-    numbers of every worker that connects, so bind it only where
-    untrusted hosts cannot reach it. The executor's ``run()`` blocks in
-    :meth:`serve` until every pending cell has been computed (or
-    exhausted its retry budget). The broker owns no policy of its own -
-    retries, caching and instrumentation all flow through the executor
-    it serves.
+    sweep through one: :meth:`serve` forks the workers, each on its own
+    socket pair, and blocks until every pending cell of ``tasks`` has
+    been computed (or exhausted its retry budget), filling ``results``
+    in place. ``keys[i]`` is ``tasks[i].key()``. The broker owns no
+    policy of its own - retries, caching and instrumentation all flow
+    through the executor it serves.
     """
 
     def __init__(
         self,
-        host: str = "127.0.0.1",
-        port: Optional[int] = DEFAULT_BROKER_PORT,
+        executor: "SweepExecutor",
+        tasks: Sequence["SweepTask"],
+        keys: Sequence[str],
+        pending: Sequence[int],
+        results: List,
         lease_s: float = 15.0,
     ) -> None:
         if lease_s <= 0:
             raise ValueError("lease_s must be positive")
-        self.host = host
-        #: None: listen nowhere; serve only the workers serve() forks.
-        self.port = port
         self.lease_s = lease_s
-        #: Actual bound port (useful with ``port=0``), set by serve()
-        #: when it listens.
-        self.bound_port: Optional[int] = None
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._reset_sweep_state()
-
-    def _reset_sweep_state(
-        self,
-        executor: Optional["SweepExecutor"] = None,
-        tasks: Sequence["SweepTask"] = (),
-        keys: Sequence[str] = (),
-        pending: Sequence[int] = (),
-        results: Optional[List] = None,
-    ) -> None:
-        """Fresh state for a sweep of ``tasks[pending]`` (default: none)."""
+        #: Seconds between a worker's heartbeats, handed over at fork.
+        self.heartbeat_s = min(lease_s / 3.0, 5.0)
         self._executor = executor
         self._tasks = tasks
         self._keys = keys
         self._results = results
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._pending = set(pending)  # runnable on a worker
         self._local: Set[int] = set()  # runnable in-process
         self._pinned: Set[int] = set()  # cells that only run in-process
@@ -327,139 +212,85 @@ class SweepBroker:
     # ------------------------------------------------------------------
     # Main entry point (runs on the executor's thread)
 
-    def serve(
-        self,
-        executor: "SweepExecutor",
-        tasks: Sequence["SweepTask"],
-        keys: Sequence[str],
-        pending: Sequence[int],
-        results: List,
-        local_workers: int = 0,
-    ) -> None:
-        """Serve ``tasks[pending]`` to workers; fills ``results`` in place.
-
-        ``keys[i]`` is ``tasks[i].key()``. ``local_workers`` worker
-        processes are forked, each on its own socket pair, once any
-        listener is bound and before any broker thread starts; they are
-        terminated and joined before this returns or raises.
-        """
-        with self._lock:
-            if self._executor is not None:
-                raise RuntimeError("broker is already serving a sweep")
-            # Bind before claiming the sweep, so a port in use leaves
-            # the broker free for the next serve().
-            listener = None if self.port is None else self._listen()
-            self._reset_sweep_state(executor, tasks, keys, pending, results)
-        if listener is not None:
-            # Printed as well as noted: with port 0 this line is the only
-            # way to learn where `repro worker --connect` should point.
-            print(f"broker listening on {self.host}:{self.bound_port}", flush=True)
-            executor.progress.note(
-                f"broker listening on {self.host}:{self.bound_port} "
-                f"({len(pending)} cell(s) to distribute)"
-            )
-        workers: List["BaseProcess"] = []
-        accept_thread: Optional[threading.Thread] = None
+    def serve(self, workers: int) -> None:
+        """Fork ``workers`` worker processes and serve them the pending
+        cells. The workers are forked before any broker thread starts,
+        and terminated and joined before this returns or raises."""
+        procs: List["BaseProcess"] = []
         try:
-            self._fork_workers(local_workers, listener, workers)
+            self._fork_workers(workers, procs)
             for thread in self._handler_threads:  # only after the last fork
                 thread.start()
-            if listener is not None:
-                accept_thread = threading.Thread(
-                    target=self._accept_loop, args=(listener,),
-                    name="sweep-broker-accept", daemon=True,
-                )
-                accept_thread.start()
-            # A sweep that only ever expected remote workers waits for them.
-            self._serve_loop(fall_back=bool(local_workers) or listener is None)
+            self._serve_loop()
         finally:
             with self._cond:
                 self._finished = True
-                fatal = self._fatal
                 self._cond.notify_all()  # idle handlers answer `done`
-            for proc in workers:
+            for proc in procs:
                 proc.terminate()
-            for proc in workers:
+            for proc in procs:
                 proc.join()
-            if listener is not None:
-                with contextlib.suppress(OSError):
-                    listener.shutdown(socket.SHUT_RDWR)  # wakes the accept thread
-                listener.close()
-            if accept_thread is not None:
-                accept_thread.join(timeout=5.0)
-            for thread in list(self._handler_threads):
+            for thread in self._handler_threads:
                 if thread.ident is not None:  # an interrupted fork leaves some unstarted
                     thread.join(timeout=5.0)
             with self._lock:
-                conns = self._conns
-                self._reset_sweep_state()
-                self._finished = True
+                conns = list(self._conns)
             for conn in conns:
                 with contextlib.suppress(OSError):
                     conn.close()
-        if fatal is not None:
-            raise fatal
+        if self._fatal is not None:
+            raise self._fatal
 
-    def _listen(self) -> socket.socket:
-        """Bind and listen on ``host:port``; sets :attr:`bound_port`."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
-            listener.listen()
-        except BaseException:
-            listener.close()
-            raise
-        self.bound_port = listener.getsockname()[1]
-        return listener
-
-    def _fork_workers(
-        self, n: int, listener: Optional[socket.socket], into: List["BaseProcess"]
-    ) -> None:
-        """Fork ``n`` workers into ``into``, each joined to this broker by
-        its own socket pair, and set up (but do not start) a handler
-        thread per pair. Forked, not spawned: they inherit workloads
-        registered at run time, ``REPRO_FAULT_PLAN`` and callables
-        patched in place, so they compute what a serial run here would."""
-        ctx = multiprocessing.get_context("fork")
+    def _fork_workers(self, n: int, into: List["BaseProcess"]) -> None:
+        """Start ``n`` workers into ``into``, each joined to this broker
+        by its own socket pair, and set up (but do not start) a handler
+        thread per pair."""
         for k in range(n):
             mine, theirs = socket.socketpair()
-            proc = ctx.Process(
-                target=_local_worker, args=(theirs, [listener, *self._conns, mine]),
-                name=f"sweep-worker-{k}", daemon=True,
-            )
-            try:
-                proc.start()
-            except OSError as exc:  # e.g. a process limit
-                mine.close()
-                self._executor.progress.note(  # type: ignore[union-attr]
-                    f"cannot fork sweep workers: {exc!r}"
-                )
-                return
-            finally:
-                theirs.close()
-            into.append(proc)
             self._conns.append(mine)
+            try:
+                proc = self._start_worker(k, theirs)
+            except OSError as exc:  # e.g. a process limit
+                self._conns.remove(mine)
+                mine.close()
+                self._executor.progress.note(f"cannot fork sweep workers: {exc!r}")
+                return
+            into.append(proc)
             thread = threading.Thread(
                 target=self._handle, args=(mine, f"local:{proc.pid}"),
                 name=f"sweep-broker-local:{proc.pid}", daemon=True,
             )
             self._handler_threads.append(thread)
 
-    def _serve_loop(self, fall_back: bool) -> None:
+    def _start_worker(self, k: int, sock: socket.socket) -> "BaseProcess":
+        """Fork worker ``k`` on ``sock``, its end of a socket pair.
+        Forked, not spawned: it inherits the task list and keys, workloads
+        registered at run time, ``REPRO_FAULT_PLAN`` and callables
+        patched in place, so it computes what a serial run here would."""
+        proc = multiprocessing.get_context("fork").Process(
+            target=_local_worker,
+            args=(sock, self._conns, self._tasks, self._keys, self.heartbeat_s),
+            name=f"sweep-worker-{k}", daemon=True,
+        )
+        try:
+            proc.start()
+        finally:
+            sock.close()
+        return proc
+
+    def _serve_loop(self) -> None:
         """Drive the sweep to completion on the calling thread: run
         in-process cells as they come due and reclaim expired leases.
-        With ``fall_back``, the pending cells run in-process once no
-        worker is connected (a forked worker is connected from birth
-        until it exits)."""
+        The pending cells run in-process once no worker is connected (a
+        forked worker is connected from birth until it exits)."""
         with self._cond:
             while self._fatal is None and len(self._done) < len(self._attempts):
                 i = self._pop_due(self._local)
                 if i is not None:
                     self._run_local_locked(i)
                     continue
-                if fall_back and self._pending and not self._conns:
-                    self._executor.progress.note(  # type: ignore[union-attr]
+                if self._pending and not self._conns:
+                    self._executor.progress.note(
                         f"no worker left: running {len(self._pending)} "
                         f"cell(s) in-process"
                     )
@@ -488,7 +319,6 @@ class SweepBroker:
         """One attempt at cell ``i`` in this process; the lock is
         released while it computes, so workers keep being served."""
         ex = self._executor
-        assert ex is not None and self._results is not None
         task = self._tasks[i]
         self._attempts[i] += 1
         attempt = self._attempts[i]
@@ -512,31 +342,10 @@ class SweepBroker:
         self._done.add(i)
 
     # ------------------------------------------------------------------
-    # Accept + per-connection handler threads
+    # Per-connection handler threads
 
-    def _accept_loop(self, listener: socket.socket) -> None:
-        while True:
-            try:
-                conn, addr = listener.accept()
-            except OSError:
-                return  # listener shut down by serve()
-            with self._lock:
-                if self._finished:
-                    conn.close()
-                    return
-                self._conns.append(conn)
-                thread = threading.Thread(
-                    target=self._handle,
-                    args=(conn, f"{addr[0]}:{addr[1]}"),
-                    name=f"sweep-broker-{addr[0]}:{addr[1]}",
-                    daemon=True,
-                )
-                self._handler_threads.append(thread)
-            thread.start()
-
-    def _handle(self, conn: socket.socket, peer: str) -> None:
+    def _handle(self, conn: socket.socket, worker: str) -> None:
         receiver = FrameReceiver(conn, strict=True)
-        worker = peer
         held: Optional[int] = None
         try:
             while True:
@@ -578,24 +387,6 @@ class SweepBroker:
         """Process one worker frame; returns the (possibly changed) held
         cell index, or :data:`_CLOSE` to end the connection."""
         mtype = msg.get("type")
-        if mtype == MSG_HELLO:
-            if msg.get("protocol") != BROKER_PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"protocol version mismatch: broker speaks "
-                    f"{BROKER_PROTOCOL_VERSION}, worker sent "
-                    f"{msg.get('protocol')!r}"
-                )
-            with self._lock:
-                n_tasks = len(self._attempts)
-            send_frame(conn, {
-                "type": MSG_HELLO_OK,
-                "protocol": BROKER_PROTOCOL_VERSION,
-                "lease_s": self.lease_s,
-                "heartbeat_s": min(self.lease_s / 3.0, 5.0),
-                "n_tasks": n_tasks,
-            })
-            _log.info(f"worker {worker} connected ({msg.get('worker', '?')})")
-            return held
         if mtype == MSG_READY:
             reply = self._next_for(worker)
             send_frame(conn, reply)
@@ -615,9 +406,6 @@ class SweepBroker:
             self._accept_failure(worker, msg)
             self._send_quiet(conn, {"type": MSG_ACK, "accepted": True})
             return None
-        if mtype == MSG_GOODBYE:
-            self._send_quiet(conn, {"type": MSG_BYE})
-            return _CLOSE
         raise ProtocolError(f"unknown message type {mtype!r}")
 
     # ------------------------------------------------------------------
@@ -626,7 +414,7 @@ class SweepBroker:
     def _note(self, message: str) -> None:
         """A sweep note; a log line once the sweep ended (workers reaped)."""
         with self._lock:
-            if self._executor is not None and not self._finished:
+            if not self._finished:
                 self._executor.progress.note(message)
             else:
                 _log.info(message)
@@ -645,8 +433,7 @@ class SweepBroker:
         with self._cond:
             while True:
                 if (
-                    self._executor is None
-                    or self._finished
+                    self._finished
                     or self._fatal is not None
                     or len(self._done) >= len(self._attempts)
                 ):
@@ -655,34 +442,24 @@ class SweepBroker:
                 if i is not None:
                     return self._grant_locked(i, worker)
                 if time.monotonic() >= deadline:
-                    return {"type": MSG_IDLE, "retry_after_s": 0.0}
+                    return {"type": MSG_IDLE}
                 self._wait_locked(self._pending, deadline)
 
     def _grant_locked(self, i: int, worker: str) -> Dict[str, object]:
         """Lease cell ``i`` to ``worker``; returns its ``task`` frame."""
-        ex = self._executor
-        assert ex is not None
+        timeout_s = self._executor.task_timeout_s
         self._attempts[i] += 1
         attempt = self._attempts[i]
-        task = self._tasks[i]
         hard = None
-        if ex.task_timeout_s is not None:
-            hard = time.monotonic() + ex.task_timeout_s + self.lease_s
+        if timeout_s is not None:
+            hard = time.monotonic() + timeout_s + self.lease_s
         lease = _Lease(
             index=i, worker=worker, attempt=attempt,
             deadline=0.0, hard_deadline=hard,
         )
         lease.renew(self.lease_s)
         self._leases[i] = lease
-        return {
-            "type": MSG_TASK,
-            "index": i,
-            "attempt": attempt,
-            "key": self._keys[i],
-            "task": sweep_task_to_wire(task),
-            "lease_s": self.lease_s,
-            "timeout_s": ex.task_timeout_s,
-        }
+        return {"type": MSG_TASK, "index": i, "attempt": attempt, "timeout_s": timeout_s}
 
     def _renew(self, index: object, worker: str) -> None:
         with self._lock:
@@ -692,6 +469,18 @@ class SweepBroker:
                 return
             if lease is not None and lease.worker == worker:
                 lease.renew(self.lease_s)
+
+    def _current_lease_locked(self, worker: str, i: int, attempt: int) -> bool:
+        """Whether ``worker`` holds cell ``i``'s lease at ``attempt`` (a
+        report on anything else is late: its lease was reclaimed)."""
+        lease = self._leases.get(i)
+        return (
+            not self._finished
+            and i not in self._done
+            and lease is not None
+            and lease.worker == worker
+            and lease.attempt == attempt
+        )
 
     def _accept_result(self, worker: str, msg: Dict[str, object]) -> bool:
         """Record a completed cell; False when the result is late or
@@ -703,15 +492,7 @@ class SweepBroker:
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed result frame: {exc}") from None
         with self._lock:
-            ex = self._executor
-            lease = self._leases.get(i)
-            if (
-                ex is None
-                or i in self._done
-                or lease is None
-                or lease.worker != worker
-                or lease.attempt != attempt
-            ):
+            if not self._current_lease_locked(worker, i, attempt):
                 return False
             task = self._tasks[i]
             self._leases.pop(i, None)
@@ -720,9 +501,10 @@ class SweepBroker:
             except CorruptResultError as exc:
                 self._fail_or_requeue_locked(i, exc)
                 return False
-            assert self._results is not None
             self._results[i] = result
-            ex._finish_cell(task, self._keys[i], result, wall_s, SOURCE_REMOTE, attempt)
+            self._executor._finish_cell(
+                task, self._keys[i], result, wall_s, SOURCE_REMOTE, attempt
+            )
             self._done.add(i)
             self._cond.notify_all()
             return True
@@ -751,38 +533,17 @@ class SweepBroker:
         error_type = str(msg.get("error_type", "RemoteCellError"))
         error = str(msg.get("error", ""))
         with self._lock:
-            ex = self._executor
-            lease = self._leases.get(i)
-            if (
-                ex is None
-                or i in self._done
-                or lease is None
-                or lease.worker != worker
-                or lease.attempt != attempt
-            ):
+            if not self._current_lease_locked(worker, i, attempt):
                 return  # late failure report for a reclaimed lease
             self._leases.pop(i, None)
-            if error_type == TASK_KEY_MISMATCH:
-                # The attempt never ran, so it is not charged; the cell
-                # runs in-process from now on.
-                ex.progress.note(
-                    f"{self._tasks[i].label} cannot cross the wire "
-                    f"({error}); running it in-process"
-                )
-                self._attempts[i] -= 1
-                self._pinned.add(i)
-                self._queue_locked(i, 0.0)
-                return
             self._fail_or_requeue_locked(i, error_from_wire(error_type, error))
 
     def _queue_locked(self, i: int, delay: float) -> None:
         """Make cell ``i`` runnable after ``delay`` seconds: in-process
         when it is pinned there or its next attempt is its last, on a
         worker otherwise."""
-        ex = self._executor
-        assert ex is not None
         self._earliest[i] = time.monotonic() + delay
-        if i in self._pinned or self._attempts[i] + 1 >= ex.retry.max_attempts:
+        if i in self._pinned or self._attempts[i] + 1 >= self._executor.retry.max_attempts:
             self._local.add(i)
         else:
             self._pending.add(i)
@@ -791,10 +552,10 @@ class SweepBroker:
     def _fail_or_requeue_locked(self, i: int, exc: BaseException) -> None:
         """Charge a failed attempt through the executor, and queue the
         cell again or settle it; caller holds the lock."""
-        ex = self._executor
-        assert ex is not None and self._results is not None
         try:
-            outcome = ex._charge_failure(self._tasks[i], self._keys[i], self._attempts[i], exc)
+            outcome = self._executor._charge_failure(
+                self._tasks[i], self._keys[i], self._attempts[i], exc
+            )
         except BaseException as fatal:  # on_exhausted="raise"
             self._fatal = fatal
         else:
@@ -822,10 +583,8 @@ class SweepBroker:
 
     def _reclaim_locked(self, i: int, worker: str, cause: str) -> None:
         lease = self._leases.pop(i)
-        ex = self._executor
-        assert ex is not None
         task = self._tasks[i]
-        ex.progress.record_reclaim(task.label, worker, lease.attempt, cause)
+        self._executor.progress.record_reclaim(task.label, worker, lease.attempt, cause)
         self._fail_or_requeue_locked(
             i,
             LeaseExpired(
@@ -840,15 +599,6 @@ _CLOSE: int = -1
 
 # ----------------------------------------------------------------------
 # Worker agent
-
-
-@dataclass
-class WorkerSummary:
-    """What one worker session did (printed by ``repro worker``)."""
-
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0  # results the broker discarded as late/duplicate
 
 
 @contextlib.contextmanager
@@ -877,48 +627,43 @@ def _cell_timeout(seconds: Optional[float], message: str) -> Iterator[None]:
 
 
 class SweepWorker:
-    """Agent loop of one worker process: lease, compute, stream back.
+    """Agent loop of one forked worker process: lease, compute, stream back.
 
-    Connects to a :class:`SweepBroker`, then repeats
-    ``ready -> task -> result`` until the broker reports the sweep done
-    (or ``max_tasks`` cells were computed). While a cell runs, a
-    background thread heartbeats the held lease so the broker can tell
-    "slow" from "dead", and a timer on the main thread enforces the
-    per-cell timeout. Cells execute through the exact code path the
-    serial executor uses (including the worker's own
-    ``REPRO_FAULT_PLAN``), so results are bit-identical by construction.
+    Holds ``sock``, its end of the socket pair to the broker that forked
+    it, and the sweep's ``tasks`` and their ``keys``, inherited at fork.
+    Repeats ``ready -> task -> result`` until the broker reports the
+    sweep done. While a cell runs, a background thread heartbeats the
+    held lease every ``heartbeat_s`` so the broker can tell "slow" from
+    "dead", and a timer on the main thread enforces the per-cell
+    timeout. Cells execute through the exact code path the serial
+    executor uses (including the worker's own ``REPRO_FAULT_PLAN``), so
+    results are bit-identical by construction. ``timeout_s`` bounds the
+    wait for each broker reply.
     """
 
     def __init__(
         self,
-        host: str = "127.0.0.1",
-        port: int = DEFAULT_BROKER_PORT,
-        name: Optional[str] = None,
+        sock: socket.socket,
+        tasks: Sequence["SweepTask"],
+        keys: Sequence[str],
+        heartbeat_s: float = 5.0,
         timeout_s: float = 60.0,
-        connect_timeout_s: float = 30.0,
-        max_tasks: Optional[int] = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.name = name or f"{socket.gethostname()}:{os.getpid()}"
+        self._sock = sock
+        self.tasks = tasks
+        self.keys = keys
+        self.heartbeat_s = heartbeat_s
         self.timeout_s = timeout_s
-        self.connect_timeout_s = connect_timeout_s
-        self.max_tasks = max_tasks
-        self._sock: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
-        self._heartbeat_s = 5.0
-        self.summary = WorkerSummary()
 
     # -- plumbing -------------------------------------------------------
 
     def _send(self, message: Dict[str, object]) -> None:
-        assert self._sock is not None
         with self._send_lock:
             send_frame(self._sock, message)
 
     def _recv(self) -> Dict[str, object]:
         """One broker reply; raises WorkerError on silence or close."""
-        assert self._sock is not None
         self._sock.settimeout(self.timeout_s)
         try:
             msg = recv_frame(self._sock, strict=True)
@@ -936,93 +681,41 @@ class SweepWorker:
             raise WorkerError(f"broker error: {msg.get('error')}")
         return msg
 
-    def _connect(self) -> None:
-        deadline = time.monotonic() + self.connect_timeout_s
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                self._sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.timeout_s
-                )
-                return
-            except OSError as exc:
-                if time.monotonic() >= deadline:
-                    raise WorkerError(
-                        f"no broker on {self.host}:{self.port} after "
-                        f"{self.connect_timeout_s:.0f}s: {exc}"
-                    ) from None
-                time.sleep(min(0.2 * attempt, 1.0))
-
     # -- the agent loop -------------------------------------------------
 
-    def run(self) -> WorkerSummary:
-        """Work the sweep to completion; returns the session summary."""
-        if self._sock is None:  # a forked worker starts connected
-            self._connect()
+    def run(self) -> None:
+        """Work the sweep until the broker reports it done."""
         log = get_logger("worker")
         try:
-            self._send({
-                "type": MSG_HELLO,
-                "protocol": BROKER_PROTOCOL_VERSION,
-                "worker": self.name,
-            })
-            hello = self._recv()
-            if hello.get("type") != MSG_HELLO_OK:
-                raise WorkerError(f"unexpected hello reply: {hello!r}")
-            self._heartbeat_s = float(hello.get("heartbeat_s", 5.0))  # type: ignore[arg-type]
-            log.info(
-                f"connected to broker {self.host}:{self.port} "
-                f"({hello.get('n_tasks')} task(s) in the sweep)"
-            )
             while True:
-                self._send({"type": MSG_READY})
+                try:
+                    self._send({"type": MSG_READY})
+                except OSError:
+                    pass  # a broker that ended the sweep said `done` unasked and hung up
                 msg = self._recv()
                 mtype = msg.get("type")
                 if mtype == MSG_DONE:
-                    return self.summary
+                    return
                 if mtype == MSG_IDLE:
-                    time.sleep(float(msg.get("retry_after_s", 0.5)))  # type: ignore[arg-type]
                     continue
                 if mtype != MSG_TASK:
                     raise WorkerError(f"unexpected reply to ready: {msg!r}")
                 self._run_cell(msg, log)
-                if (
-                    self.max_tasks is not None
-                    and self.summary.completed >= self.max_tasks
-                ):
-                    self._send({"type": MSG_GOODBYE})
-                    return self.summary
         finally:
-            if self._sock is not None:
-                with contextlib.suppress(OSError):
-                    self._sock.close()
-                self._sock = None
+            with contextlib.suppress(OSError):
+                self._sock.close()
 
     def _run_cell(self, msg: Dict[str, object], log) -> None:
         try:
             index = int(msg["index"])  # type: ignore[arg-type]
             attempt = int(msg["attempt"])  # type: ignore[arg-type]
-            expected_key = str(msg["key"])
-            wire_task = msg["task"]
             timeout = msg.get("timeout_s")
             timeout_s = None if timeout is None else float(timeout)  # type: ignore[arg-type]
         except (KeyError, TypeError, ValueError) as exc:
             raise WorkerError(f"malformed task frame: {exc}") from None
-        # Refuse to compute a cell whose identity does not match what the
-        # broker asked for (version skew, or a task the wire cannot carry).
-        try:
-            task = sweep_task_from_wire(wire_task)  # type: ignore[arg-type]
-        except ProtocolError as exc:
-            self._fail(index, attempt, TASK_KEY_MISMATCH, f"cannot rebuild task: {exc}")
-            return
-        if task.key() != expected_key:
-            self._fail(
-                index, attempt, TASK_KEY_MISMATCH,
-                f"rebuilt task key {task.key()[:12]}... does not match "
-                f"broker key {expected_key[:12]}... (mismatched repro versions?)",
-            )
-            return
+        if not 0 <= index < len(self.tasks):
+            raise WorkerError(f"malformed task frame: no cell {index}")
+        task = self.tasks[index]
         stop = threading.Event()
         beat = threading.Thread(
             target=self._heartbeat_loop, args=(index, stop),
@@ -1049,31 +742,25 @@ class SweepWorker:
             stop.set()
             beat.join()
         if error is not None:
-            self._fail(index, attempt, type(error).__name__, str(error))
+            self._send({
+                "type": MSG_FAIL, "index": index, "attempt": attempt,
+                "error_type": type(error).__name__, "error": str(error),
+            })
+            self._await_ack()
             log.warning(f"{task.label} failed: {type(error).__name__}: {error}")
             return
         self._send({
             "type": MSG_RESULT,
             "index": index,
             "attempt": attempt,
-            "key": expected_key,
+            "key": self.keys[index],
             "wall_s": elapsed,
             "result": blob,
         })
         if self._await_ack():
-            self.summary.completed += 1
             log.info(f"{task.label} done in {elapsed:.2f}s")
         else:
-            self.summary.rejected += 1
             log.info(f"{task.label} result discarded by broker (late?)")
-
-    def _fail(self, index: int, attempt: int, error_type: str, error: str) -> None:
-        self._send({
-            "type": MSG_FAIL, "index": index, "attempt": attempt,
-            "error_type": error_type, "error": error,
-        })
-        self._await_ack()
-        self.summary.failed += 1
 
     def _await_ack(self) -> bool:
         msg = self._recv()
@@ -1082,7 +769,7 @@ class SweepWorker:
         return bool(msg.get("accepted"))
 
     def _heartbeat_loop(self, index: int, stop: threading.Event) -> None:
-        while not stop.wait(self._heartbeat_s):
+        while not stop.wait(self.heartbeat_s):
             try:
                 self._send({"type": MSG_HEARTBEAT, "index": index})
             except OSError:
@@ -1090,36 +777,30 @@ class SweepWorker:
 
 
 def _local_worker(
-    sock: socket.socket, parents: Sequence[Optional[socket.socket]]
+    sock: socket.socket,
+    parents: Sequence[socket.socket],
+    tasks: Sequence["SweepTask"],
+    keys: Sequence[str],
+    heartbeat_s: float,
 ) -> None:
     """Body of a worker process forked by :meth:`SweepBroker.serve`,
     joined to the broker by ``sock``, its end of a socket pair."""
     for other in parents:  # this process keeps only its own end
-        if other is not None:
-            other.close()
+        other.close()
     # Ctrl-C reaches the whole process group; the parent handles it and
     # reaps its workers on the way out.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    worker = SweepWorker()
-    worker._sock = sock
     try:
-        worker.run()
-    except WorkerError as exc:
+        SweepWorker(sock, tasks, keys, heartbeat_s).run()
+    except (WorkerError, OSError) as exc:
         _log.warning(f"local sweep worker stopped: {exc}")
 
 
 __all__ = [
-    "BROKER_PROTOCOL_VERSION",
-    "DEFAULT_BROKER_PORT",
     "LeaseExpired",
     "RemoteCellError",
     "SweepBroker",
     "SweepWorker",
-    "TASK_KEY_MISMATCH",
     "WorkerError",
-    "WorkerSummary",
     "error_from_wire",
-    "objective_from_wire",
-    "sweep_task_from_wire",
-    "sweep_task_to_wire",
 ]

@@ -5,10 +5,9 @@ processes" (Section 5.1); the same observation applies one level up:
 every cell of an evaluation grid is an independent deterministic
 simulation, so a figure's (workload x design) matrix fans out across
 cores. :class:`SweepExecutor` runs cells in-process, or - with
-``max_workers > 1`` or an attached broker - serves them through a
+``max_workers > 1`` - serves them through a
 :class:`~repro.runtime.distributed.SweepBroker` to worker processes it
-forks on this host (and, when the broker listens, to any remote workers
-that join), while guaranteeing:
+forks on this host, while guaranteeing:
 
 * **Deterministic ordering** - ``run(tasks)[i]`` is always the result of
   ``tasks[i]``, however the workers interleaved them.
@@ -30,7 +29,8 @@ that join), while guaranteeing:
   is written crash-safely as it finishes; so re-running an interrupted
   sweep computes only the cells it had not finished.
 * **Graceful degradation** - ``max_workers=1`` or a single pending cell
-  runs in-process, and so does a cell whose task cannot cross the wire.
+  runs in-process, and so does every pending cell once no worker is
+  left.
 * **No leaked workers** - forked workers are terminated and joined on
   every exit path, whether the sweep completed, timed out or aborted.
 """
@@ -40,13 +40,10 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import repro.workloads as workloads
 from repro.config import SimConfig
-
-if TYPE_CHECKING:
-    from repro.runtime.distributed import SweepBroker
 from repro.core.objectives import Objective
 from repro.dvfs.designs import learned_artifact_id, make_controller
 from repro.dvfs.simulation import DvfsSimulation
@@ -78,10 +75,9 @@ class LeaseExpired(RuntimeError):
 class SweepTask:
     """One self-contained sweep cell.
 
-    Carries names and config - not live simulator objects - so the task
-    crosses the wire cheaply to a worker process, which builds the
-    workload (once per process) and controller locally via
-    :func:`run_task`.
+    Carries names and config - not live simulator objects - so a worker
+    process, which inherits the task list at fork, builds the workload
+    (once per process) and controller locally via :func:`run_task`.
     """
 
     workload: str
@@ -262,10 +258,6 @@ class SweepExecutor:
     #: :class:`SweepTimeoutError`. In-process attempts are never timed.
     task_timeout_s: Optional[float] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: A :class:`~repro.runtime.distributed.SweepBroker` to serve the
-    #: grid from, so workers on other hosts can join the sweep. None
-    #: serves a parallel sweep from a private broker that opens no port.
-    broker: Optional["SweepBroker"] = None
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -293,8 +285,7 @@ class SweepExecutor:
                 i for i, task in enumerate(tasks)
                 if not self._load_completed(task, keys[i], results, i)
             ]
-            parallel = self.max_workers > 1 and len(pending) > 1
-            if pending and (parallel or self.broker is not None):
+            if self.max_workers > 1 and len(pending) > 1:
                 self._run_brokered(tasks, keys, pending, results)
             else:
                 for i in pending:
@@ -378,14 +369,12 @@ class SweepExecutor:
     def _run_brokered(
         self, tasks: Sequence[SweepTask], keys: Sequence[str], pending: Sequence[int], results: List
     ) -> None:
-        """Serve the pending cells through a broker with
-        ``min(max_workers, len(pending))`` forked workers (none at
-        ``max_workers=1``: an attached broker then waits for remote ones)."""
+        """Serve the pending cells through a broker that forks
+        ``min(max_workers, len(pending))`` workers."""
         from repro.runtime.distributed import SweepBroker
 
-        broker = self.broker if self.broker is not None else SweepBroker(port=None)
-        local = min(self.max_workers, len(pending)) if self.max_workers > 1 else 0
-        broker.serve(self, tasks, keys, pending, results, local_workers=local)
+        broker = SweepBroker(self, tasks, keys, pending, results)
+        broker.serve(workers=min(self.max_workers, len(pending)))
 
 
 __all__ = [

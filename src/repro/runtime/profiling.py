@@ -1,15 +1,19 @@
-"""Zero-dependency hot-path profiling for the simulation engine.
+"""Zero-dependency hot-path work counters for the simulation engine.
 
-The CI container has one CPU, so wall-clock time cannot demonstrate the
-event engine's speedup. Instead, the hot objects count the work they do
-(`plain int` attributes, bumped on the hot path, never read by the timing
-model) and this module collects and merges those counters:
+The hot objects count the work they do (`plain int` attributes, bumped
+on the hot path, never read by the timing model) and this module
+collects and merges those counters. They are exact work counts: a
+deterministic run reads the same counts on every host, so tests and
+CI's bench-smoke job pin them, and a change that moves one moved the
+work itself. Time is measured elsewhere: ``benchmarks/perf`` and CI's
+perf-ab job time end-to-end runs in reference seconds, against the
+parent commit.
 
 * ``cycles``                 - scheduler steps simulated across all CUs.
 * ``waves_scanned``          - wavefront readiness examinations. The
   reference engine examines every resident wave each cycle (issue scan
   plus the ``_next_wakeup`` scan); the event engine only pops waves that
-  can actually issue. The ≥3x reduction is the tentpole's measured win.
+  can actually issue, and examines at least 3x fewer.
 * ``batched_instructions``   - instructions retired through the
   single-wave straight-line batch path (no per-cycle rescan at all).
 * ``completions_delivered``  - memory completions delivered to waves.

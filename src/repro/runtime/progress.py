@@ -24,8 +24,8 @@ _log = get_logger("sweep")
 SOURCE_CACHE = "cache"
 #: Computed in the sweep's own process.
 SOURCE_SERIAL = "serial"
-#: Computed by a broker's worker process, forked on this host or
-#: connected from another (see repro.runtime.distributed).
+#: Computed by a worker process the sweep's broker forked (see
+#: repro.runtime.distributed).
 SOURCE_REMOTE = "remote"
 
 
@@ -106,7 +106,7 @@ class SweepInstrumentation:
     def record_reclaim(
         self, label: str, worker: str, attempt: int, cause: str
     ) -> None:
-        """A leased cell was reclaimed from a dead or hung remote worker.
+        """A leased cell was reclaimed from a dead or hung worker.
 
         Counted separately from retries (:attr:`reclaims` vs
         :attr:`retries`): a reclaim says a *worker* was lost, a

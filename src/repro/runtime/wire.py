@@ -7,8 +7,8 @@ pipe and ``json.loads``, and language-agnostic for non-Python peers.
 
 This module is the single home of the framing helpers; the online
 decision service (:mod:`repro.service.protocol`) re-exports them, and
-the distributed sweep broker (:mod:`repro.runtime.distributed`) speaks
-the same frames between hosts.
+the sweep broker (:mod:`repro.runtime.distributed`) speaks the same
+frames to the workers it forks.
 
 Float fidelity
 --------------
@@ -16,7 +16,7 @@ Python's ``json`` serialises floats with ``repr``, which round-trips
 IEEE-754 binary64 exactly. Every quantity that crosses the wire
 (frequencies, stall nanoseconds, commit counts, work scales) therefore
 survives bit-for-bit - the foundation of both ``repro replay``'s
-online-equals-offline check and the remote sweep backend's
+online-equals-offline check and the sweep broker's
 results-bit-identical-to-serial guarantee.
 
 Strict framing
@@ -25,8 +25,8 @@ The blocking helpers take ``strict=True`` to distinguish a torn frame
 from a clean close: a peer that disconnects *between* frames yields
 ``None`` (orderly end of stream), while a disconnect mid-header or
 mid-payload raises :class:`ProtocolError`. The broker and worker agent
-loops run strict so a SIGKILLed peer or adversarial garbage surfaces as
-a typed error immediately instead of being mistaken for a goodbye. The
+loops run strict so a SIGKILLed peer or garbage surfaces as a typed
+error immediately instead of being mistaken for an orderly close. The
 decision service parses with :class:`FrameDecoder` in its protocol
 callback, and any disconnect, torn frame or not, ends the session.
 

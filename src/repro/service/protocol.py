@@ -55,6 +55,7 @@ from repro.core.objectives import (
     PerformanceCapObjective,
     QoSDeadlineObjective,
     StaticObjective,
+    read_parameter,
 )
 from repro.core.sensitivity import LinearSensitivity
 from repro.gpu.cu import CuEpochStats
@@ -180,18 +181,15 @@ def objective_from_name(name: str) -> Optional[Objective]:
     m = _CLI_EDNP_RE.match(name)
     if m:
         return EDnPObjective(int(m.group(1) or 1))
-    m = _ENERGY_RE.match(name)
+    m = _ENERGY_RE.match(name) or _CLI_CAP_RE.match(name)
     if m:
-        return PerformanceCapObjective(float(m.group(1)) / 100.0)
-    m = _CLI_CAP_RE.match(name)
-    if m:
-        return PerformanceCapObjective(float(m.group(1)) / 100.0)
+        return PerformanceCapObjective(read_parameter(m.group(1), 100.0))
     m = _QOS_RE.match(name)
     if m:
-        return QoSDeadlineObjective(float(m.group(1)))
+        return QoSDeadlineObjective(read_parameter(m.group(1)))
     m = _STATIC_RE.match(name)
     if m:
-        return StaticObjective(float(m.group(1)))
+        return StaticObjective(read_parameter(m.group(1)))
     raise ProtocolError(f"unknown objective name {name!r}")
 
 

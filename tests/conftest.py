@@ -75,12 +75,6 @@ def _collect_log(name: str) -> Iterator[List[logging.LogRecord]]:
 
 
 @pytest.fixture
-def broker_log():
-    """The records the sweep broker logs during the test."""
-    yield from _collect_log("repro.distributed")
-
-
-@pytest.fixture
 def sweep_log():
     """The records a sweep's instrumentation logs during the test."""
     yield from _collect_log("repro.sweep")

@@ -12,8 +12,10 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 from hypothesis import strategies as st
 
+from repro.config import GpuConfig
 from repro.core.predictors import Predictor
 from repro.dvfs.simulation import RunResult
+from repro.gpu.gpu import Gpu
 from repro.gpu.isa import (
     CompiledProgram,
     Instruction,
@@ -106,6 +108,37 @@ def make_loop_program(
 
 def make_kernel(program, n_workgroups=4, waves_per_workgroup=2) -> Kernel:
     return Kernel.homogeneous(program, WorkgroupGeometry(n_workgroups, waves_per_workgroup))
+
+
+#: A trip count no timing-contract epoch runs to the end of.
+_ENDLESS_TRIPS = 1_000_000
+
+
+def valu_loop() -> Program:
+    """``valu(4)`` and a backwards branch: two commits per trip of five
+    core cycles, so an epoch of ``T`` ns at ``f`` GHz commits
+    ``2·T·f/5``."""
+    return Program((valu(4), branch(0, _ENDLESS_TRIPS), endpgm()), name="valu_loop")
+
+
+def memory_loop(l2_hit_rate: float) -> Program:
+    """A ``load`` that misses L1 and then hits L2 (``l2_hit_rate`` 1.0)
+    or goes to DRAM (0.0), ``waitcnt(0)`` on it and a backwards branch.
+    Each trip waits out a memory latency that no core clock changes."""
+    return Program(
+        (load(0.0, l2_hit_rate, pattern_jitter=0.0), waitcnt(0),
+         branch(0, _ENDLESS_TRIPS), endpgm()),
+        name="memory_loop",
+    )
+
+
+def one_wave_commits(program: Program, engine: str, f_ghz: float, epoch_ns: float) -> int:
+    """Commits of the first ``epoch_ns`` epoch of one wave of ``program``
+    alone on a one-CU GPU clocked at ``f_ghz``, on ``engine``."""
+    gpu = Gpu(GpuConfig(n_cus=1, waves_per_cu=1, engine=engine), f_ghz)
+    gpu.load_kernel(make_kernel(program, n_workgroups=1, waves_per_workgroup=1))
+    (commits,) = gpu.committed_per_domain(gpu.run_epoch(epoch_ns))
+    return commits
 
 
 _RATE = st.floats(0.0, 1.0, allow_nan=False)

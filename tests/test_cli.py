@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import argparse
 import json
 import re
 
@@ -48,11 +49,30 @@ class TestParser:
 #: The flags of the sweep commands, each with a value where it takes one.
 SWEEP_FLAGS = [
     ["--workers", "2"], ["--no-cache"], ["--cache-dir", "d"], ["--retries", "2"],
-    ["--listen", "127.0.0.1:0"],
 ]
 
-#: Flags no command takes any more: re-running a sweep resumes it.
-GONE_FLAGS = [["--resume"], ["--checkpoint", "c.jsonl"]]
+#: Flags no command takes any more: re-running a sweep resumes it, and a
+#: sweep serves only the workers it forks.
+GONE_FLAGS = [["--resume"], ["--checkpoint", "c.jsonl"], ["--listen", "127.0.0.1:0"]]
+
+#: Values ``build_parser()`` lets a user set, over every subcommand.
+SETTABLE_VALUES = 127
+
+
+def settable_values(parser: argparse.ArgumentParser) -> int:
+    """Options and positionals of ``parser`` and of its subcommands,
+    ``--help`` and ``--version`` left out (an alias counts once)."""
+    count = 0
+    subparsers = []
+    for action in parser._actions:
+        if isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            subparsers.extend(action.choices.values())
+            continue
+        count += 1
+    unique = {id(sub): sub for sub in subparsers}
+    return count + sum(settable_values(sub) for sub in unique.values())
 
 
 class TestEveryFlagActs:
@@ -97,7 +117,6 @@ class TestEveryFlagActs:
     @pytest.mark.parametrize("argv", [
         ["replay", "trace.jsonl", "--retries"],
         ["serve", "--max-sessions"],
-        ["worker", "--connect", "127.0.0.1:1", "--max-tasks"],
     ], ids=lambda argv: argv[-1])
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_counts_below_one_are_argparse_errors(self, argv, count, capsys):
@@ -125,22 +144,15 @@ class TestEveryFlagActs:
         args = build_parser().parse_args(["run", "comd", "--objective", name])
         assert describe_objective(_objective(args)) == describe_objective(expected)
 
-    def test_figure_listen_serves_from_a_listening_broker(self, capsys):
-        figure = [
-            "figure", "fig15", "--workloads", "comd", "--designs", "STALL",
-            "--cus", "2", "--waves", "4", "--scale", "0.1", "--max-epochs", "40",
-            "--no-cache", "--workers", "2",
-        ]
-        assert main(figure) == 0
-        plain = capsys.readouterr().out
-        assert main(figure + ["--listen", "127.0.0.1:0"]) == 0
-        listened = capsys.readouterr().out
-        assert "broker listening" not in plain
-        # The bound port comes first, before the sweep waits for workers;
-        # then the same figure rows, ahead of the instrumentation summary.
-        bound, listened = listened.split("\n", 1)
-        assert bound.startswith("broker listening on 127.0.0.1:")
-        assert listened.split("\n\n")[0] == plain.split("\n\n")[0]
+    def test_worker_is_no_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["worker", "--connect", "127.0.0.1:1"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
+
+    def test_settable_values_are_pinned(self):
+        """Adding or removing an option changes this pin on purpose."""
+        assert settable_values(build_parser()) == SETTABLE_VALUES
 
 
 class TestCommands:

@@ -7,6 +7,7 @@ from repro.config import small_config
 from repro.dvfs.oracle import OracleSampler
 from repro.gpu.gpu import Gpu
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
+from repro.workloads import build_workload, workload
 
 from helpers import make_loop_program
 
@@ -250,3 +251,20 @@ class TestValidation:
         assert 1.7 not in sampler.sample_grid
         with pytest.raises(ValueError, match="sample grid"):
             sampler.validation_accuracy(gpu, [1.7, 1.7])
+        assert gpu.ctr_snapshots == 0  # refused before anything ran
+
+    @pytest.mark.parametrize("chosen,accuracy", [
+        ([2.2, 2.2], 0.981283422459893),
+        ([1.7, 1.3], 0.9973118279569892),
+    ])
+    def test_one_capture_per_validated_epoch(self, chosen, accuracy):
+        """The sample rows and the coherent row fork from one capture,
+        and score what a capture per fork scored."""
+        cfg = small_config(n_cus=2, waves_per_cu=4)
+        (kern,) = build_workload(workload("comd"), scale=0.05)
+        gpu = Gpu(cfg.gpu, cfg.dvfs.reference_freq_ghz)
+        gpu.load_kernel(kern)
+        gpu.run_epoch(cfg.dvfs.epoch_ns)  # warm up
+        sampler = OracleSampler(cfg, n_sample_freqs=3)
+        assert sampler.validation_accuracy(gpu, chosen) == accuracy
+        assert gpu.ctr_snapshots == sampler.ctr_samples == 1

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import small_config
+from repro.core.objectives import PerformanceCapObjective
 from repro.core.sensitivity import LinearSensitivity
 from repro.dvfs.designs import make_controller
 from repro.gpu.cu import CuEpochStats
@@ -345,6 +346,9 @@ def test_sim_config_from_wire_rejects_hostile_power_and_dvfs(section, overrides)
     ("ed2p", "ED2P"),
     ("ENERGY@5%", "ENERGY@5%"),
     ("cap5", "ENERGY@5%"),
+    ("cap5.5", "ENERGY@5.5%"),
+    # Parsed as float(text) / 100 this read ENERGY@0.9000000000000001%.
+    ("cap0.9", "ENERGY@0.9%"),
     ("QOS@1000", "QOS@1000"),
     ("STATIC@1.7GHz", "STATIC@1.7GHz"),
 ])
@@ -383,6 +387,18 @@ def test_an_objective_name_rebuilds_its_objective(spelling, number):
     rebuilt = proto.objective_from_name(objective.name)
     assert describe_objective(rebuilt) == describe_objective(objective)
     assert rebuilt.name == objective.name
+
+
+def test_every_cap_built_in_python_rebuilds_from_its_name():
+    """An objective built in Python names itself as exactly as a parsed
+    one: each cap of the k / 100000 grid reads back from its name."""
+    wrong = [
+        k for k in range(100_000)
+        if proto.objective_from_name(
+            PerformanceCapObjective(k / 100_000).name
+        ).max_degradation != k / 100_000
+    ]
+    assert wrong == []
 
 
 # ----------------------------------------------------------------------
